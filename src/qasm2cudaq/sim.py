@@ -3,19 +3,35 @@
 Basis indexing is little-endian: qubit k is bit k of the amplitude index.
 Histogram keys render each classical register MSB-first (bit 0 leftmost,
 matching OpenQASM bitstring-literal order) and concatenate registers in
-declaration order. Gate matrices are documented in docs/gates.md.
+declaration order.
+
+Gate kernels work on views of the state. The amplitude vector is reshaped so
+that each qubit a gate touches gets its own length-2 axis, with each run of
+untouched qubits merged into one axis: for touched qubits a > b the shape is
+(2^(n-1-a), 2, 2^(a-1-b), 2, 2^b). Indexing those axes fixes the control
+bits and selects the target slices, all views. The matrix entries pick the
+kernel. A matrix with one nonzero per row (diagonal gates such as z, s, t,
+rz, p, cp, and permutations such as x, y, cx, swap) scales slices in place,
+skipping factors of exactly 1, and moves them along each permutation cycle
+through one slice-sized copy. Any other matrix is a dense 2x2, applied by one
+matrix product over the target axis. The gates-only builder multiplies each
+run of uncontrolled one-qubit gates on a qubit into one pending 2x2 matrix
+and applies it when a multi-qubit gate touches that qubit or at the end;
+gates on disjoint qubits commute, so this is exact. The shared matrices in
+`_FIXED_1Q` are never written in place.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError
+from .errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError, TooLarge
 from .kir import POS, BoundKernel, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
 from .sema import ParamRef
 
@@ -76,6 +92,13 @@ class RngStream:
 # Simulator state
 # ---------------------------------------------------------------------------
 
+MAX_SIM_QUBITS = 28  # a 4 GiB complex128 state
+
+
+def _check_width(n: int) -> None:
+    if n > MAX_SIM_QUBITS:
+        raise TooLarge(f"simulator limited to {MAX_SIM_QUBITS} qubits, kernel has {n}")
+
 
 @dataclass
 class StateVector:
@@ -84,6 +107,7 @@ class StateVector:
 
     @classmethod
     def zero(cls, n: int) -> "StateVector":
+        _check_width(n)
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[0] = 1.0
         return cls(n, amps)
@@ -133,7 +157,7 @@ class ShotHistogram:
 
 # ---------------------------------------------------------------------------
 # Gate matrices (rz = diag(e^{-i th/2}, e^{+i th/2}); u is the standard-library
-# 3-angle single-qubit gate; full table in docs/gates.md)
+# 3-angle single-qubit gate)
 # ---------------------------------------------------------------------------
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -200,6 +224,74 @@ def gate_matrix(op: Gate, params: tuple[float, ...] = ()) -> np.ndarray:
     return mat
 
 
+def _qubit_axes(
+    amps: np.ndarray, n: int, qubits: tuple[int, ...]
+) -> tuple[np.ndarray, dict[int, int]]:
+    """View of amps with one length-2 axis per listed qubit and each run of
+    other qubits merged into one axis; returns the view and each qubit's axis."""
+    shape: list[int] = []
+    axis: dict[int, int] = {}
+    above = n
+    for q in sorted(qubits, reverse=True):
+        shape += (1 << (above - 1 - q), 2)
+        axis[q] = len(shape) - 1
+        above = q
+    shape.append(1 << above)
+    return amps.reshape(shape), axis
+
+
+def _scaled_copy(dst: np.ndarray, src: np.ndarray, factor: complex) -> None:
+    if factor == 1:
+        np.copyto(dst, src)
+    else:
+        np.multiply(src, factor, out=dst)
+
+
+def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int]) -> None:
+    """slices[i] <- factors[i] * old slices[src[i]], src a permutation.
+
+    Fixed points scale in place (skipped for a factor of exactly 1); each
+    longer cycle holds one slice copy."""
+    moved: set[int] = set()
+    for start, first in enumerate(src):
+        if start in moved:
+            continue
+        if first == start:
+            if factors[start] != 1:
+                slices[start] *= factors[start]
+            continue
+        held = slices[start].copy()
+        i = start
+        while src[i] != start:
+            moved.add(i)
+            _scaled_copy(slices[i], slices[src[i]], factors[i])
+            i = src[i]
+        moved.add(i)
+        _scaled_copy(slices[i], held, factors[i])
+
+
+# With this many amplitudes or fewer under the target, a batched 2x2 product
+# runs one tiny matrix per run; folding the run into the matrix makes it one
+# product over whole rows.
+_FOLD_RUN = 16
+
+
+def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray) -> None:
+    """mat along `axis` of a controls-fixed view, through one matrix product.
+    Only one-target matrices get here: swap, the one multi-target base, is a
+    permutation."""
+    run = sub.shape[-1]
+    if axis == sub.ndim - 2 and run <= _FOLD_RUN:
+        # target just above the contiguous run: rows of 2*run amplitudes
+        # times kron(mat, I_run)^T
+        rows = sub.reshape(sub.shape[:-2] + (2 * run,))
+        fold = (mat[:, None, :, None] * np.eye(run)[:, None, :]).reshape(2 * run, 2 * run)
+        rows[...] = rows @ fold.T
+    else:
+        pairs = np.moveaxis(sub, axis, -2)
+        pairs[...] = mat @ pairs
+
+
 def _apply_unitary(
     state: StateVector,
     mat: np.ndarray,
@@ -207,24 +299,37 @@ def _apply_unitary(
     controls: tuple[tuple[int, int], ...],
 ) -> None:
     """Apply a 2^k unitary on target qubits, restricted to basis states where
-    every control qubit matches its polarity. Little-endian: qubit q is axis
-    n-1-q of the C-order tensor view; targets[0] is the matrix's high bit."""
-    n, k = state.n, len(targets)
-    psi = state.amps.reshape((2,) * n)
-    ax_c = [n - 1 - q for q, _ in controls]
-    ax_t = [n - 1 - q for q in targets]
-    moved = np.moveaxis(psi, ax_c + ax_t, range(len(ax_c) + k))
-    sel = tuple(pol for _, pol in controls)
-    block = moved[sel]
-    rest_shape = block.shape[k:]
-    flat = block.reshape(1 << k, -1)
-    moved[sel] = (mat @ flat).reshape((2,) * k + rest_shape)
+    every control qubit matches its polarity; targets[0] is the matrix's high
+    bit. Works in place on views, choosing the kernel from the entries."""
+    view, axis = _qubit_axes(state.amps, state.n, targets + tuple(q for q, _ in controls))
+    index: list = [slice(None)] * view.ndim
+    for q, pol in controls:
+        index[axis[q]] = slice(pol, pol + 1)  # keeps the axis, so axis[] stays valid
+    rows = mat.tolist()
+    nonzero = [[j for j, v in enumerate(row) if v != 0] for row in rows]
+    if not all(len(cols) == 1 for cols in nonzero):
+        _dense_2x2(view[tuple(index)], axis[targets[0]], mat)
+        return
+    k = len(targets)
+    slices = []
+    for i in range(1 << k):
+        for j, q in enumerate(targets):
+            index[axis[q]] = (i >> (k - 1 - j)) & 1
+        slices.append(view[tuple(index)])
+    src = [cols[0] for cols in nonzero]
+    _permute(slices, [row[j] for row, j in zip(rows, src)], src)
 
 
 def apply_gate(state: StateVector, op: Gate, params: tuple[float, ...] = ()) -> StateVector:
     """Apply one canonical gate op in place; returns the same StateVector."""
     _apply_unitary(state, gate_matrix(op, params), op.targets, op.controls)
     return state
+
+
+def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 views of the amplitudes with the qubit at 0 and at 1."""
+    pairs = state.amps.view(np.float64).reshape(-1, 2, 2 << qubit)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def measure(
@@ -235,27 +340,29 @@ def measure(
     target_bit: tuple[str, int] | None = None,
 ) -> int:
     """Projective Z measurement: collapse, renormalize, record the outcome."""
-    idx = np.arange(state.amps.size)
-    one_mask = (idx >> qubit) & 1 == 1
-    p1 = float(np.sum(state.amps.real[one_mask] ** 2 + state.amps.imag[one_mask] ** 2))
+    zero, one = _halves(state, qubit)
+    p1 = float(np.einsum("ij,ij->", one, one))
     outcome = 1 if rng.uniform() < p1 else 0
     p_outcome = p1 if outcome == 1 else 1.0 - p1
     if p_outcome < 1e-15:
         raise DegenerateNorm(
             f"selected measurement branch {outcome} on qubit {qubit} has probability {p_outcome}"
         )
-    state.amps[one_mask != outcome] = 0.0
-    state.amps *= 1.0 / math.sqrt(p_outcome)
+    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
+    dropped[...] = 0.0
+    kept *= 1.0 / math.sqrt(p_outcome)
     if store is not None and target_bit is not None:
         store.write_bit(target_bit[0], target_bit[1], outcome)
     return outcome
 
 
 def reset(state: StateVector, qubit: int, rng: RngStream) -> StateVector:
-    """Force a qubit to |0>: measure, then flip if the outcome was 1."""
-    outcome = measure(state, qubit, rng)
-    if outcome == 1:
-        apply_gate(state, Gate("x", (), (qubit,), ()))
+    """Force a qubit to |0>: measure, then move the bit-1 half into the bit-0
+    half if the outcome was 1."""
+    if measure(state, qubit, rng) == 1:
+        zero, one = _halves(state, qubit)
+        zero[...] = one
+        one[...] = 0.0
     return state
 
 
@@ -336,10 +443,24 @@ def _needs_trajectories(kernel: Kernel) -> bool:
 
 
 def _gates_only_state(bound: BoundKernel) -> StateVector:
+    """Final state of the kernel's top-level gates, with each run of
+    uncontrolled one-qubit gates on a qubit fused into one 2x2 matrix."""
     state = StateVector.zero(bound.kernel.qubit_count)
+    pending: dict[int, np.ndarray] = {}
     for op in bound.kernel.body:
-        if isinstance(op, Gate):
-            apply_gate(state, op, bound.values)
+        if not isinstance(op, Gate):
+            continue
+        mat = gate_matrix(op, bound.values)
+        if not op.controls and len(op.targets) == 1:
+            (q,) = op.targets
+            pending[q] = mat @ pending[q] if q in pending else mat
+            continue
+        for q in op.targets + tuple(c for c, _ in op.controls):
+            if q in pending:
+                _apply_unitary(state, pending.pop(q), (q,), ())
+        _apply_unitary(state, mat, op.targets, op.controls)
+    for q, mat in pending.items():
+        _apply_unitary(state, mat, (q,), ())
     return state
 
 
@@ -374,8 +495,10 @@ def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotH
     regardless of worker count."""
     if shots < 1:
         raise SimError("shots must be >= 1")
+    _check_width(bound.kernel.qubit_count)
     if not _needs_trajectories(bound.kernel):
         return _sample_static(bound, shots, seed)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or shots < 2 * workers:
         counts = _trajectory_counts(bound, seed, 0, shots)
         return ShotHistogram(dict(counts), shots)
@@ -402,11 +525,7 @@ def _scan_static(ops: list) -> None:
 def statevector(bound: BoundKernel) -> StateVector:
     """Final state of a static (measurement- and reset-free) kernel."""
     _scan_static(bound.kernel.body)
-    state = StateVector.zero(bound.kernel.qubit_count)
-    for op in bound.kernel.body:
-        if isinstance(op, Gate):
-            apply_gate(state, op, bound.values)
-    return state
+    return _gates_only_state(bound)
 
 
 _PAULI = {

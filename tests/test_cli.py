@@ -77,6 +77,13 @@ class TestRun:
         assert cli.main(["run", ansatz_file, "--param", "theta=1"]) == 2
         assert cli.main(["run", ansatz_file, "--param", "theta=1,2", "--param", "bogus=1"]) == 2
 
+    def test_too_wide_for_simulator(self, tmp_path, capsys):
+        wide = tmp_path / "wide.qasm"
+        wide.write_text(BELL.replace("qubit[2] q;", "qubit[64] q;"))
+        assert cli.main(["run", str(wide)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "64" in err
+
     def test_parse_error_reported(self, tmp_path, capsys):
         broken = tmp_path / "broken.qasm"
         broken.write_text("OPENQASM 3.0;\nwhile (1) { }\n")

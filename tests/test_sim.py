@@ -1,13 +1,14 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasm2cudaq import frontend as fe, kir, sema, sim
-from qasm2cudaq.errors import BadPauliString, DynamicCircuit
+from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, TooLarge
 from qasm2cudaq.kir import Gate, Measure
-from qasm2cudaq.oracle import fidelity_up_to_global_phase
+from qasm2cudaq.oracle import fidelity_up_to_global_phase, oracle_unitary
 from qasm2cudaq.sim import ClassicalStore, RngStream, StateVector
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
@@ -352,3 +353,156 @@ class TestNormalizationInvariant:
                     assert abs(state.norm() - 1.0) <= 1e-10
 
             walk(bk.kernel.body)
+
+
+_ANGLE_COUNT = {"rx": 1, "ry": 1, "rz": 1, "p": 1, "u": 3}
+_ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+@st.composite
+def canonical_gate(draw, n: int, controlled: bool = True) -> Gate:
+    """Any canonical gate on n qubits; the first target is biased to the
+    edge qubits 0 and n-1, where one merged axis of the view has length 1."""
+    bases = kir.CANONICAL_BASES if n > 1 else kir.CANONICAL_BASES - {"swap"}
+    base = draw(st.sampled_from(sorted(bases)))
+    width = 2 if base == "swap" else 1
+    first = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    others = draw(st.permutations([q for q in range(n) if q != first]))
+    n_controls = draw(st.integers(0, min(2, n - width))) if controlled else 0
+    targets = (first, *others[: width - 1])
+    controls = tuple(
+        (q, draw(st.sampled_from([kir.POS, kir.NEG])))
+        for q in others[width - 1 : width - 1 + n_controls]
+    )
+    angles = tuple(draw(_ANGLES) for _ in range(_ANGLE_COUNT.get(base, 0)))
+    return Gate(base, angles, targets, controls, draw(st.booleans()))
+
+
+@st.composite
+def gate_circuit(draw) -> kir.Kernel:
+    """Runs of uncontrolled one-qubit gates mixed with controlled and swap
+    gates on shared and disjoint qubits."""
+    n = draw(st.integers(1, 6))
+    body = draw(
+        st.lists(canonical_gate(n, controlled=False) | canonical_gate(n), min_size=1, max_size=24)
+    )
+    return kir.Kernel(n, [("q", n)], [], [], body)
+
+
+class TestKernelsAgainstOracle:
+    @given(gate_circuit())
+    @settings(max_examples=300)
+    def test_fused_and_single_gate_paths_match_oracle(self, kernel):
+        expected = oracle_unitary(kernel)[:, 0]
+        fused = sim.statevector(kir.BoundKernel(kernel, ()))
+        assert fidelity_up_to_global_phase(fused, expected) >= 1 - 1e-12
+        unfused = StateVector.zero(kernel.qubit_count)
+        for op in kernel.body:
+            sim.apply_gate(unfused, op)
+        assert fidelity_up_to_global_phase(unfused, expected) >= 1 - 1e-12
+
+    def test_shared_matrices_untouched(self):
+        before = {name: mat.copy() for name, mat in sim._FIXED_1Q.items()}
+        ops = [Gate(base, (), (0,), ()) for base in before] * 2
+        sim.statevector(kir.BoundKernel(kir.Kernel(1, [("q", 1)], [], [], ops), ()))
+        for name, mat in sim._FIXED_1Q.items():
+            np.testing.assert_array_equal(mat, before[name])
+
+
+class _FixedDraw:
+    """Stands in for RngStream where a test needs to pick the branch."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def uniform(self) -> float:
+        return self.u
+
+
+def _random_state(seed: int, n: int = 6) -> StateVector:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+class TestMeasureResetViews:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_post_state_is_normalised_projection(self, state_seed, rng_seed):
+        idx = np.arange(1 << 6)
+        for qubit in range(6):
+            state = _random_state(state_seed)
+            before = state.amps.copy()
+            outcome = sim.measure(state, qubit, RngStream(rng_seed))
+            kept = np.where((idx >> qubit) & 1 == outcome, before, 0)
+            np.testing.assert_allclose(state.amps, kept / np.linalg.norm(kept), atol=1e-14)
+
+            state = StateVector(6, before.copy())
+            sim.reset(state, qubit, RngStream(rng_seed))
+            expected = np.zeros_like(before)
+            np.add.at(expected, idx & ~(1 << qubit), kept / np.linalg.norm(kept))
+            np.testing.assert_allclose(state.amps, expected, atol=1e-14)
+            assert not state.amps[(idx >> qubit) & 1 == 1].any()
+
+    @pytest.mark.parametrize("qubit", range(6))
+    def test_zero_probability_branch_raises(self, qubit):
+        state = _random_state(qubit)
+        idx = np.arange(1 << 6)
+        state.amps[(idx >> qubit) & 1 == 1] *= 1e-10
+        state.amps /= np.linalg.norm(state.amps)
+        with pytest.raises(DegenerateNorm):
+            sim.measure(state, qubit, _FixedDraw(0.0))
+        with pytest.raises(DegenerateNorm):
+            sim.reset(state, qubit, _FixedDraw(0.0))
+
+
+WIDE = f"{HEADER}qubit[64] q;\nbit c;\nh q[0];\nc = measure q[0];\n"
+
+
+@pytest.fixture
+def inline_pool(monkeypatch) -> list[int]:
+    """Replaces the process pool with one that runs chunks inline; returns
+    the max_workers of every pool built."""
+    created: list[int] = []
+
+    class InlinePool:
+        def __init__(self, max_workers: int):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    return created
+
+
+class TestResourceLimits:
+    def test_wide_kernel_too_large(self):
+        with pytest.raises(TooLarge):
+            sim.statevector(bound(WIDE.replace("c = measure q[0];\n", "")))
+        with pytest.raises(TooLarge):
+            sim.sample(bound(WIDE), 10, 0)
+        with pytest.raises(TooLarge):
+            StateVector.zero(sim.MAX_SIM_QUBITS + 1)
+
+    def test_workers_clamped_to_cpu_count(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        source = f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\nif (c == 1) {{ x q; }}\n"
+        bk = bound(source)
+        hist = sim.sample(bk, 400, 7, workers=200)
+        assert inline_pool == [3]
+        assert hist.counts == sim.sample(bk, 400, 7, workers=1).counts
+
+    def test_no_pool_for_too_large_kernel(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        with pytest.raises(TooLarge):
+            sim.sample(bound(WIDE + "reset q[0];\n"), 100, 0, workers=2)
+        assert inline_pool == []
