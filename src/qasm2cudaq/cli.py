@@ -8,7 +8,7 @@ import sys
 
 from . import kir, sim, suites
 from .emit import EMISSION_TARGETS, emit
-from .errors import Qasm2CudaqError
+from .errors import BadParameter, Qasm2CudaqError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +63,10 @@ def _parse_params(kernel: kir.Kernel, raw: list[str]) -> list[float]:
         if "=" not in item:
             raise Qasm2CudaqError(f"--param expects name=v1,v2,..., got {item!r}")
         name, _, values = item.partition("=")
-        given[name.strip()] = [float(v) for v in values.split(",") if v.strip()]
+        try:
+            given[name.strip()] = [float(v) for v in values.split(",") if v.strip()]
+        except ValueError:
+            raise BadParameter(f"--param {item!r}: every value must be a number") from None
     flat: list[float] = []
     for spec in kernel.param_layout:
         if spec.name not in given:

@@ -3,8 +3,9 @@
 `cudaq-cpp` renders a C++ kernel whose conditionals are native host `if`
 statements over stored measurement results; `cudaq-builder` renders a
 self-contained Python script using the builder API, attaching conditional
-bodies as named callables via `c_if`. Both grammars are frozen in
-docs/emission.md; emission is byte-deterministic for a given kernel.
+bodies as named callables via `c_if`. Both grammars are frozen by the
+golden files in tests/golden/<target>/, one per case of the golden corpus;
+emission is byte-deterministic for a given kernel.
 """
 
 from __future__ import annotations

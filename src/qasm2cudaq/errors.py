@@ -81,6 +81,10 @@ class ModifierError(Qasm2CudaqError):
     pass
 
 
+class BadParameter(Qasm2CudaqError):
+    """A runtime parameter value that is not a finite number."""
+
+
 class SimError(Qasm2CudaqError):
     pass
 

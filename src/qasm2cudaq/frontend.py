@@ -1,6 +1,6 @@
 """OpenQASM 3.0 frontend: tokenizer, typed AST, and recursive-descent parser.
 
-The accepted grammar is the frozen subset documented in README.md: register
+The accepted grammar is a frozen subset of OpenQASM 3.0: register
 declarations, `input` parameters, `const` declarations, gate definitions,
 gate calls with ctrl/negctrl/inv/pow modifiers, measurement (arrow and
 assignment forms), reset, barrier, if/else over classical bits, and bounded

@@ -9,10 +9,11 @@ enforces def-before-use for every predicate over the linear body.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import frontend, sema
-from .errors import ArityMismatch, LowerError, ModifierError
+from .errors import ArityMismatch, BadParameter, LowerError, ModifierError
 from .sema import Angle, ParamRef, ParamSpec, ResolvedCall, ValidatedProgram
 
 CANONICAL_BASES = frozenset("x y z h s t sx rx ry rz p u swap".split())
@@ -270,12 +271,20 @@ def lower(vp: ValidatedProgram) -> Kernel:
 
 
 def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
-    """Attach runtime parameter values without copying or re-lowering."""
+    """Attach runtime parameter values without copying or re-lowering; every
+    value must be finite."""
     if len(values) != kernel.total_params:
         raise ArityMismatch(
             f"kernel takes {kernel.total_params} parameter value(s), got {len(values)}"
         )
-    return BoundKernel(kernel, tuple(float(v) for v in values))
+    bound = tuple(float(v) for v in values)
+    for spec in kernel.param_layout:
+        for i in range(spec.count):
+            value = bound[spec.offset + i]
+            if not math.isfinite(value):
+                name = f"{spec.name}[{i}]" if spec.array else spec.name
+                raise BadParameter(f"parameter '{name}' is {value!r}; values must be finite")
+    return BoundKernel(kernel, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Builds the full 2^n x 2^n matrix of a static kernel as an ordered product of
 full-space gate matrices. The gate table here is written independently of
 the simulator's so the two sides of every differential check cannot share a
-defect; both follow the table in docs/gates.md.
+defect. Both follow one convention: rz(th) = diag(e^{-i th/2}, e^{+i th/2}),
+p(th) = diag(1, e^{i th}), u(th, ph, la) is the standard-library 3-angle
+gate [[c, -e^{i la} s], [e^{i ph} s, e^{i (ph + la)} c]] with c, s the
+cosine and sine of th/2, and the adjoint flag takes the conjugate transpose.
 """
 
 from __future__ import annotations

@@ -19,6 +19,26 @@ run of uncontrolled one-qubit gates on a qubit into one pending 2x2 matrix
 and applies it when a multi-qubit gate touches that qubit or at the end;
 gates on disjoint qubits commute, so this is exact. The shared matrices in
 `_FIXED_1Q` are never written in place.
+
+Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
+stream `RngStream.for_shot(seed, s)`, one draw per measure or reset it
+executes, in program order, so a histogram depends only on (seed, shots)
+and never on the worker count. `ShotStreams` holds the streams of many shots
+as uint64 arrays and advances any subset of them at once. A static kernel
+is simulated once and every shot takes one draw against the cumulative
+distribution. A dynamic kernel is walked depth first over a flattened body
+(each CondBlock becomes a conditional jump) by groups of shots that share
+one state and one classical store, so gates and predicates run once per
+group. At a measure or reset the group draws for all its shots against one
+p1 and splits into at most two branches. The branch with fewer shots is
+walked first and the other waits, holding a state copy while the live
+states fit in `_BRANCH_BYTES`; past that budget it keeps only its shot
+indices and is replayed later from |0...0> with fresh streams, on which its
+shots draw the same values and so retrace the same path. Walking the
+smaller branch first keeps at most log2(chunk) branches waiting. Shots are
+taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows with
+the shot count. `_exec_ops` and `run_trajectory` are the one-shot case of
+the same walk: it never splits, so it works in place.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError, TooLarge
-from .kir import POS, BoundKernel, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
+from .kir import BoundKernel, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
 from .sema import ParamRef
 
 # ---------------------------------------------------------------------------
@@ -88,6 +108,56 @@ class RngStream:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
+# Every constant and shift count is a np.uint64, so arithmetic stays in
+# wrapping uint64 under both the value-based casting of NumPy 1.x and the
+# NEP 50 casting of 2.x (a Python int beside a uint64 scalar became float64
+# under 1.x).
+_U = np.uint64
+_GOLDEN_U = _U(_GOLDEN)
+_MIX1 = _U(0xBF58476D1CE4E5B9)
+_MIX2 = _U(0x94D049BB133111EB)
+
+
+def _splitmix64_vec(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    state = state + _GOLDEN_U
+    z = (state ^ (state >> _U(30))) * _MIX1
+    z = (z ^ (z >> _U(27))) * _MIX2
+    return state, z ^ (z >> _U(31))
+
+
+def _rotl_vec(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << _U(k)) | (x >> _U(64 - k))
+
+
+class ShotStreams:
+    """The RngStream.for_shot(seed, s) of many shots as uint64 state arrays;
+    row i is shot shots[i]."""
+
+    __slots__ = ("s0", "s1", "s2", "s3")
+
+    def __init__(self, seed: int, shots: np.ndarray):
+        offsets = (np.asarray(shots).astype(np.uint64) + _U(1)) * _GOLDEN_U
+        _, state = _splitmix64_vec(_U(seed & _MASK) + offsets)
+        state, self.s0 = _splitmix64_vec(state)
+        state, self.s1 = _splitmix64_vec(state)
+        state, self.s2 = _splitmix64_vec(state)
+        state, self.s3 = _splitmix64_vec(state)
+
+    def uniform(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Next uniform double of each given row, as RngStream.uniform; the
+        other rows do not advance."""
+        s0, s1, s2, s3 = self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows]
+        result = _rotl_vec(s0 + s3, 23) + s0
+        t = s1 << _U(17)
+        s2 = s2 ^ s0
+        s3 = s3 ^ s1
+        s1 = s1 ^ s2
+        s0 = s0 ^ s3
+        s2 = s2 ^ t
+        self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows] = s0, s1, s2, _rotl_vec(s3, 45)
+        return (result >> _U(11)).astype(np.float64) * 2.0**-53
+
+
 # ---------------------------------------------------------------------------
 # Simulator state
 # ---------------------------------------------------------------------------
@@ -141,6 +211,11 @@ class ClassicalStore:
 
     def key(self) -> str:
         return "".join(str(b) for name, _ in self.layout for b in self.bits[name])
+
+    def copy(self) -> "ClassicalStore":
+        other = ClassicalStore(self.layout)
+        other.bits = {name: list(bits) for name, bits in self.bits.items()}
+        return other
 
 
 @dataclass
@@ -332,6 +407,32 @@ def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
+def _p1(state: StateVector, qubit: int) -> float:
+    _, one = _halves(state, qubit)
+    return float(np.einsum("ij,ij->", one, one))
+
+
+def _collapse(state: StateVector, qubit: int, outcome: int, p1: float) -> None:
+    """Project the qubit onto `outcome` and renormalize; `p1` is its
+    probability of reading 1 before the projection."""
+    p_outcome = p1 if outcome == 1 else 1.0 - p1
+    if p_outcome < 1e-15:
+        raise DegenerateNorm(
+            f"selected measurement branch {outcome} on qubit {qubit} has probability {p_outcome}"
+        )
+    zero, one = _halves(state, qubit)
+    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
+    dropped[...] = 0.0
+    kept *= 1.0 / math.sqrt(p_outcome)
+
+
+def _one_to_zero(state: StateVector, qubit: int) -> None:
+    """Move the bit-1 half into the bit-0 half (a reset that read 1)."""
+    zero, one = _halves(state, qubit)
+    zero[...] = one
+    one[...] = 0.0
+
+
 def measure(
     state: StateVector,
     qubit: int,
@@ -340,17 +441,9 @@ def measure(
     target_bit: tuple[str, int] | None = None,
 ) -> int:
     """Projective Z measurement: collapse, renormalize, record the outcome."""
-    zero, one = _halves(state, qubit)
-    p1 = float(np.einsum("ij,ij->", one, one))
+    p1 = _p1(state, qubit)
     outcome = 1 if rng.uniform() < p1 else 0
-    p_outcome = p1 if outcome == 1 else 1.0 - p1
-    if p_outcome < 1e-15:
-        raise DegenerateNorm(
-            f"selected measurement branch {outcome} on qubit {qubit} has probability {p_outcome}"
-        )
-    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
-    dropped[...] = 0.0
-    kept *= 1.0 / math.sqrt(p_outcome)
+    _collapse(state, qubit, outcome, p1)
     if store is not None and target_bit is not None:
         store.write_bit(target_bit[0], target_bit[1], outcome)
     return outcome
@@ -360,9 +453,7 @@ def reset(state: StateVector, qubit: int, rng: RngStream) -> StateVector:
     """Force a qubit to |0>: measure, then move the bit-1 half into the bit-0
     half if the outcome was 1."""
     if measure(state, qubit, rng) == 1:
-        zero, one = _halves(state, qubit)
-        zero[...] = one
-        one[...] = 0.0
+        _one_to_zero(state, qubit)
     return state
 
 
@@ -383,6 +474,121 @@ def _eval_predicate(pred: Predicate, store: ClassicalStore) -> bool:
     }[pred.comparator]
 
 
+# ---------------------------------------------------------------------------
+# The walk: groups of shots that share one state and one store
+# ---------------------------------------------------------------------------
+
+# Live states one walk may hold; a waiting branch past this is replayed.
+_BRANCH_BYTES = 1 << 28
+# Consecutive shots walked (or drawn, on the static path) together.
+_SHOT_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Branch:
+    """Head of a flattened CondBlock: fall through into the then-body when
+    the predicate holds, else continue at `orelse`."""
+
+    predicate: Predicate
+    orelse: int
+
+
+@dataclass(frozen=True)
+class _Jump:
+    to: int
+
+
+def _flatten(ops: list, out: list | None = None) -> list:
+    """Ops with every CondBlock replaced by a _Branch, its then-body, a
+    _Jump over the else-body (when there is one), and its else-body."""
+    out = [] if out is None else out
+    for op in ops:
+        if not isinstance(op, CondBlock):
+            out.append(op)
+            continue
+        head = len(out)
+        out.append(None)
+        _flatten(op.then_body, out)
+        if op.else_body:
+            skip = len(out)
+            out.append(None)
+            out[head] = _Branch(op.predicate, len(out))
+            _flatten(op.else_body, out)
+            out[skip] = _Jump(len(out))
+        else:
+            out[head] = _Branch(op.predicate, len(out))
+    return out
+
+
+@dataclass
+class _Group:
+    """Shots (rows of the draw source) at program position pc; a group with
+    no state waits to be replayed from |0...0>."""
+
+    pc: int
+    state: StateVector | None
+    store: ClassicalStore | None
+    rows: np.ndarray
+
+
+def _settle(state: StateVector, store: ClassicalStore, op, outcome: int, p1: float) -> None:
+    """Finish a Measure or Reset that read `outcome`."""
+    _collapse(state, op.qubit, outcome, p1)
+    if isinstance(op, Measure):
+        store.write_bit(op.bit[0], op.bit[1], outcome)
+    elif outcome == 1:
+        _one_to_zero(state, op.qubit)
+
+
+def _walk(program: list, params: tuple[float, ...], root: _Group, draw, trace: list | None = None):
+    """Run `root` to the end of the flattened program, depth first. Yields
+    every finished group, and every waiting branch that did not fit the
+    byte budget as a stateless group. `draw(rows)` returns the next uniform
+    of each row."""
+    pending = [root]
+    state_bytes = root.state.amps.nbytes
+    live = 1
+    while pending:
+        group = pending.pop()
+        pc, state, store, rows = group.pc, group.state, group.store, group.rows
+        while pc < len(program):
+            op = program[pc]
+            pc += 1
+            if isinstance(op, Gate):
+                apply_gate(state, op, params)
+            elif isinstance(op, (Measure, Reset)):
+                p1 = _p1(state, op.qubit)
+                hit = draw(rows) < p1
+                outcome = int(hit[0])
+                if hit.any() != hit.all():  # both outcomes occur: split
+                    ones, zeros = rows[hit], rows[~hit]
+                    if ones.size < zeros.size:
+                        rows, outcome, later, other = ones, 1, zeros, 0
+                    else:
+                        rows, outcome, later, other = zeros, 0, ones, 1
+                    if (live + 1) * state_bytes <= _BRANCH_BYTES:
+                        branch = _Group(pc, state.copy(), store.copy(), later)
+                        _settle(branch.state, branch.store, op, other, p1)
+                        pending.append(branch)
+                        live += 1
+                    else:
+                        yield _Group(pc, None, None, later)
+                _settle(state, store, op, outcome, p1)
+            elif isinstance(op, _Branch):
+                taken = _eval_predicate(op.predicate, store)
+                if trace is not None:
+                    snapshot = {name: list(bits) for name, bits in store.bits.items()}
+                    trace.append((op.predicate, snapshot, taken))
+                if not taken:
+                    pc = op.orelse
+            elif isinstance(op, _Jump):
+                pc = op.to
+            elif not isinstance(op, Nop):
+                raise SimError(f"unknown op {op!r}")
+        yield _Group(pc, state, store, rows)
+        live -= 1
+
+
 def _exec_ops(
     ops: list,
     state: StateVector,
@@ -391,23 +597,11 @@ def _exec_ops(
     rng: RngStream,
     trace: list | None,
 ) -> None:
-    for op in ops:
-        if isinstance(op, Gate):
-            apply_gate(state, op, params)
-        elif isinstance(op, Measure):
-            measure(state, op.qubit, rng, store, op.bit)
-        elif isinstance(op, Reset):
-            reset(state, op.qubit, rng)
-        elif isinstance(op, Nop):
-            pass
-        elif isinstance(op, CondBlock):
-            taken = _eval_predicate(op.predicate, store)
-            if trace is not None:
-                snapshot = {name: list(bits) for name, bits in store.bits.items()}
-                trace.append((op.predicate, snapshot, taken))
-            _exec_ops(op.then_body if taken else op.else_body, state, store, params, rng, trace)
-        else:
-            raise SimError(f"unknown op {op!r}")
+    """One shot of `ops`, in place: the walk with a single row, which never
+    splits, drawing from `rng`."""
+    root = _Group(0, state, store, np.zeros(1, dtype=np.intp))
+    for _ in _walk(_flatten(ops), params, root, lambda rows: np.array([rng.uniform()]), trace):
+        pass
 
 
 def run_trajectory(
@@ -464,29 +658,50 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
     return state
 
 
+def _chunks(start: int, stop: int):
+    for lo in range(start, stop, _SHOT_CHUNK):
+        yield np.arange(lo, min(lo + _SHOT_CHUNK, stop), dtype=np.uint64)
+
+
 def _trajectory_counts(bound: BoundKernel, seed: int, start: int, stop: int) -> Counter:
+    """Histogram of shots start..stop-1 of a dynamic kernel, by the walk."""
+    kernel = bound.kernel
+    program = _flatten(kernel.body)
     counts: Counter = Counter()
-    for shot in range(start, stop):
-        store, _ = run_trajectory(bound, RngStream.for_shot(seed, shot))
-        counts[store.key()] += 1
+    for chunk in _chunks(start, stop):
+        todo = [chunk]
+        while todo:
+            shots = todo.pop()
+            root = _Group(
+                0,
+                StateVector.zero(kernel.qubit_count),
+                ClassicalStore(kernel.classical_layout),
+                np.arange(shots.size),
+            )
+            for group in _walk(program, bound.values, root, ShotStreams(seed, shots).uniform):
+                if group.state is None:
+                    todo.append(shots[group.rows])
+                else:
+                    counts[group.store.key()] += group.rows.size
     return counts
 
 
 def _sample_static(bound: BoundKernel, shots: int, seed: int) -> ShotHistogram:
-    """Static circuits: one simulation, then per-shot draws from the final
+    """Static circuits: one simulation, then one draw per shot from the final
     distribution (proven equivalent to trajectories by the oracle suite)."""
     kernel = bound.kernel
     state = _gates_only_state(bound)
     cum = np.cumsum(state.amps.real**2 + state.amps.imag**2)
     measures = [op for op in kernel.body if isinstance(op, Measure)]
     counts: Counter = Counter()
-    for shot in range(shots):
-        u = RngStream.for_shot(seed, shot).uniform()
-        idx = min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
-        store = ClassicalStore(kernel.classical_layout)
-        for m in measures:
-            store.write_bit(m.bit[0], m.bit[1], (idx >> m.qubit) & 1)
-        counts[store.key()] += 1
+    for chunk in _chunks(0, shots):
+        u = ShotStreams(seed, chunk).uniform()
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        for value, count in zip(*(a.tolist() for a in np.unique(idx, return_counts=True))):
+            store = ClassicalStore(kernel.classical_layout)
+            for m in measures:
+                store.write_bit(m.bit[0], m.bit[1], (value >> m.qubit) & 1)
+            counts[store.key()] += count
     return ShotHistogram(dict(counts), shots)
 
 

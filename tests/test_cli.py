@@ -77,6 +77,19 @@ class TestRun:
         assert cli.main(["run", ansatz_file, "--param", "theta=1"]) == 2
         assert cli.main(["run", ansatz_file, "--param", "theta=1,2", "--param", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+    def test_bad_param_value(self, tmp_path, capsys, value):
+        path = tmp_path / "rx.qasm"
+        path.write_text(
+            'OPENQASM 3.0;\ninclude "stdgates.inc";\ninput float[64] theta;\n'
+            "qubit q;\nbit c;\nrx(theta) q;\nc = measure q;\n"
+        )
+        assert cli.main(["run", str(path), "--param", f"theta={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert value in captured.err
+
     def test_too_wide_for_simulator(self, tmp_path, capsys):
         wide = tmp_path / "wide.qasm"
         wide.write_text(BELL.replace("qubit[2] q;", "qubit[64] q;"))

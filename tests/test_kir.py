@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qasm2cudaq import frontend as fe, kir, sema, sim
-from qasm2cudaq.errors import ArityMismatch, LowerError
+from qasm2cudaq.errors import ArityMismatch, BadParameter, LowerError
 from qasm2cudaq.kir import NEG, POS, CondBlock, Gate, Measure, Nop, Reset
 from qasm2cudaq.oracle import fidelity_up_to_global_phase
 
@@ -242,6 +242,17 @@ class TestBind:
         )
         with pytest.raises(ArityMismatch):
             kir.bind(kernel, [0.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_bind_rejects_non_finite(self, bad):
+        kernel = compile_source(
+            f"{HEADER}input float[64] phi;\ninput array[float[64], 2] theta;\n"
+            "qubit q;\nrx(theta[0]) q;\nry(phi) q;\n"
+        )
+        with pytest.raises(BadParameter, match=r"'theta\[1\]'"):
+            kir.bind(kernel, [0.3, 0.1, bad])
+        with pytest.raises(BadParameter, match="'phi'"):
+            kir.bind(kernel, [bad, 0.1, 0.2])
 
     def test_counters_track_pipeline(self):
         kir.reset_compile_counters()

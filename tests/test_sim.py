@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -506,3 +507,129 @@ class TestResourceLimits:
         with pytest.raises(TooLarge):
             sim.sample(bound(WIDE + "reset q[0];\n"), 100, 0, workers=2)
         assert inline_pool == []
+
+
+class TestShotStreams:
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, -12345])
+    def test_draws_match_scalar_streams(self, seed):
+        chunk = sim._SHOT_CHUNK
+        shots = np.array([0, 1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 5])
+        streams = sim.ShotStreams(seed, shots)
+        scalar = [RngStream.for_shot(seed, int(s)) for s in shots]
+        for _ in range(4):
+            expected = [rng.uniform() for rng in scalar]
+            assert streams.uniform().tolist() == expected
+
+    def test_only_given_rows_advance(self):
+        streams = sim.ShotStreams(9, np.arange(4))
+        scalar = [RngStream.for_shot(9, s) for s in range(4)]
+        rows = np.array([1, 3])
+        first = streams.uniform(rows)
+        assert first.tolist() == [scalar[1].uniform(), scalar[3].uniform()]
+        assert streams.uniform().tolist() == [
+            scalar[0].uniform(), scalar[1].uniform(), scalar[2].uniform(), scalar[3].uniform()
+        ]
+
+
+def _per_shot_counts(kernel: kir.Kernel, shots: int, seed: int) -> dict:
+    """Reference sampler: every shot simulated on its own from |0...0>."""
+    counts: dict = {}
+    for shot in range(shots):
+        rng = RngStream.for_shot(seed, shot)
+        state = StateVector.zero(kernel.qubit_count)
+        store = ClassicalStore(kernel.classical_layout)
+
+        def run(ops):
+            for op in ops:
+                if isinstance(op, Gate):
+                    sim.apply_gate(state, op)
+                elif isinstance(op, Measure):
+                    sim.measure(state, op.qubit, rng, store, op.bit)
+                elif isinstance(op, kir.Reset):
+                    sim.reset(state, op.qubit, rng)
+                elif isinstance(op, kir.CondBlock):
+                    taken = sim._eval_predicate(op.predicate, store)
+                    run(op.then_body if taken else op.else_body)
+
+        run(kernel.body)
+        counts[store.key()] = counts.get(store.key(), 0) + 1
+    return counts
+
+
+_REGISTERS = [("c", 2), ("d", 3)]
+
+
+@st.composite
+def predicate(draw) -> kir.Predicate:
+    name, width = draw(st.sampled_from(_REGISTERS))
+    if draw(st.booleans()):
+        return kir.Predicate(name, draw(st.integers(0, width - 1)), "==", draw(st.integers(0, 1)))
+    comparator = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">=", "truthy"]))
+    return kir.Predicate(name, None, comparator, draw(st.integers(0, (1 << width) - 1)))
+
+
+def dynamic_ops(n: int, depth: int):
+    qubit = st.integers(0, n - 1)
+    bit = st.sampled_from([(name, i) for name, width in _REGISTERS for i in range(width)])
+    leaf = (
+        canonical_gate(n)
+        | st.builds(Measure, qubit, bit)
+        | st.builds(kir.Reset, qubit)
+        | st.builds(kir.Nop)
+    )
+    if depth > 0:
+        inner = dynamic_ops(n, depth - 1)
+        leaf = leaf | st.builds(
+            kir.CondBlock, predicate(), inner, st.lists(leaf, max_size=3) | st.just([])
+        )
+    return st.lists(leaf, max_size=6)
+
+
+@st.composite
+def dynamic_kernel(draw) -> kir.Kernel:
+    """Mid-circuit measures, resets, re-measured qubits and if/else nested
+    two deep over bits and whole registers; the last op is always dynamic."""
+    n = draw(st.integers(1, 5))
+    body = [Gate("h", (), (q,), ()) for q in range(n)]
+    body += draw(dynamic_ops(n, 2))
+    body.append(
+        draw(st.builds(kir.Reset, st.integers(0, n - 1)) | st.builds(kir.CondBlock, predicate(), dynamic_ops(n, 1), dynamic_ops(n, 0)))
+    )
+    body += draw(st.lists(st.builds(Measure, st.integers(0, n - 1), st.sampled_from([("c", 0), ("d", 2)])), max_size=3))
+    return kir.Kernel(n, [("q", n)], [], list(_REGISTERS), body)
+
+
+class TestBranchingSampler:
+    @given(dynamic_kernel(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_shot_reference(self, kernel, seed):
+        assert sim._needs_trajectories(kernel)
+        hist = sim.sample(kir.BoundKernel(kernel, ()), 40, seed, workers=1)
+        assert hist.counts == _per_shot_counts(kernel, 40, seed)
+
+    def test_chunk_boundaries_do_not_change_histograms(self, monkeypatch):
+        sources = [
+            f"{HEADER}qubit[3] q;\nbit[3] c;\nh q;\ncx q[0], q[2];\nc = measure q;\n",
+            f"{HEADER}qubit[2] q;\nbit[2] c;\nh q;\nc[0] = measure q[0];\n"
+            "if (c[0] == 1) { x q[1]; } else { h q[1]; }\nreset q[0];\nc[1] = measure q[1];\n",
+        ]
+        kernels = [bound(s) for s in sources]
+        before = [sim.sample(bk, 500, 11).counts for bk in kernels]
+        monkeypatch.setattr(sim, "_SHOT_CHUNK", 7)
+        assert [sim.sample(bk, 500, 11).counts for bk in kernels] == before
+
+    def test_replay_past_the_byte_budget(self, monkeypatch):
+        n = 12
+        source = f"{HEADER}qubit[{n}] q;\nbit c;\n" + "h q[0];\nc = measure q[0];\n" * 20
+        bk = bound(source)
+        expected = sim.sample(bk, 256, 3).counts
+        state_bytes = 16 << n
+        monkeypatch.setattr(sim, "_BRANCH_BYTES", state_bytes)
+        tracemalloc.start()
+        try:
+            counts = sim.sample(bk, 256, 3).counts
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak <= 4 * state_bytes
