@@ -69,6 +69,10 @@ class DivByZero(SemaError):
     pass
 
 
+class NonFiniteConst(SemaError):
+    """A constant expression that folds to inf or NaN, or past a double's range."""
+
+
 class ProgramTooLarge(SemaError):
     pass
 

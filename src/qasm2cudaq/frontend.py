@@ -37,24 +37,32 @@ UNSUPPORTED_CONSTRUCTS = frozenset(
     return extern let output pragma qreg creg""".split()
 )
 
-_TOKEN_RE = re.compile(
+# One scanner for tokens, whitespace and comments. Alternatives sharing a
+# first character keep their precedence: `//` and `/*` before the `/`
+# operator, FLOAT before INT, and each error group after the good
+# alternative it shadows.
+_SCANNER = re.compile(
     r"""
-      (?P<FLOAT>    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)? | \d+[eE][+-]?\d+)
-    | (?P<INT>      \d+)
-    | (?P<IDENT>    [A-Za-z_][A-Za-z0-9_]*)
-    | (?P<STRING>   "[^"\n]*")
-    | (?P<OP>       ->|==|!=|<=|>=|[<>+\-*/=@])
+      (?P<IDENT>    [A-Za-z_][A-Za-z0-9_]*)
+    | (?P<WS>       [ \t\r\n]+)
     | (?P<PUNCT>    [()\[\]{};,:])
+    | (?P<FLOAT>    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)? | \d+[eE][+-]?\d+)
+    | (?P<INT>      \d+)
+    | (?P<LC>       //[^\n]*)
+    | (?P<BC>       /\*.*?\*/)
+    | (?P<BADBC>    /\*)
+    | (?P<OP>       ->|==|!=|<=|>=|[<>+\-*/=@])
+    | (?P<STRING>   "[^"\n]*")
+    | (?P<BADSTR>   ")
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_WS_RE = re.compile(r"[ \t\r\n]+")
-_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+_KINDS = {"FLOAT": FLOAT, "INT": INTEGER, "STRING": STRING, "OP": OPERATOR, "PUNCT": PUNCTUATION}
+_LEX_ERRORS = {"BADBC": "unterminated block comment", "BADSTR": "unterminated string literal"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     lexeme: str
@@ -65,62 +73,40 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize OpenQASM source, dropping whitespace and comments.
 
-    Lexemes are verbatim source substrings; line/col are 1-based and point
-    at the first character of the lexeme.
+    One pass of `_SCANNER.finditer` over the source. Line and column are
+    tracked as it goes: only whitespace and block comments can hold a
+    newline, and each one moves the line count and the start of the current
+    line. Lexemes are verbatim source substrings; line/col are 1-based and
+    point at the first character of the lexeme.
+
+    Errors, each a LexError at the offending character: `BADBC` (a `/*`
+    with no closing `*/`) and `BADSTR` (a `"` with no closing `"` on its
+    line) are scanner groups; an illegal character is a gap between the
+    end of one match and the start of the next, or of the source.
     """
-    line_starts = [0]
-    for m in re.finditer(r"\n", source):
-        line_starts.append(m.end())
-
-    def locate(pos: int) -> tuple[int, int]:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - line_starts[lo] + 1
-
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        m = _WS_RE.match(source, i)
-        if m:
-            i = m.end()
-            continue
-        if source.startswith("//", i):
-            i = _LINE_COMMENT_RE.match(source, i).end()
-            continue
-        if source.startswith("/*", i):
-            m = _BLOCK_COMMENT_RE.match(source, i)
-            if not m:
-                ln, co = locate(i)
-                raise LexError(ln, co, "unterminated block comment")
-            i = m.end()
-            continue
-        if source[i] == '"' and not re.match(r'"[^"\n]*"', source[i:]):
-            ln, co = locate(i)
-            raise LexError(ln, co, "unterminated string literal")
-        m = _TOKEN_RE.match(source, i)
-        if not m:
-            ln, co = locate(i)
-            raise LexError(ln, co, f"illegal character {source[i]!r}")
-        ln, co = locate(i)
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for m in _SCANNER.finditer(source):
+        start = m.start()
+        if start != pos:
+            break
         group = m.lastgroup
-        lexeme = m.group(group)
+        lexeme = m.group()
+        pos = m.end()
         if group == "IDENT":
-            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
-        else:
-            kind = {
-                "FLOAT": FLOAT,
-                "INT": INTEGER,
-                "STRING": STRING,
-                "OP": OPERATOR,
-                "PUNCT": PUNCTUATION,
-            }[group]
-        tokens.append(Token(kind, lexeme, ln, co))
-        i = m.end()
+            append(Token(KEYWORD if lexeme in KEYWORDS else IDENTIFIER, lexeme, line, start - line_start + 1))
+        elif group == "WS" or group == "BC":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + lexeme.rfind("\n") + 1
+        elif group in _LEX_ERRORS:
+            raise LexError(line, start - line_start + 1, _LEX_ERRORS[group])
+        elif group != "LC":
+            append(Token(_KINDS[group], lexeme, line, start - line_start + 1))
+    if pos != len(source):
+        raise LexError(line, pos - line_start + 1, f"illegal character {source[pos]!r}")
     return tokens
 
 
@@ -311,6 +297,14 @@ def _reset_parse_calls() -> None:
 
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+_MODIFIERS = ("ctrl", "negctrl", "inv", "pow")
+_BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+# Deepest nesting the parser accepts, counting if/for blocks, parentheses,
+# unary minus and each operator of a chain together. Parser, sema and the
+# emitters all recurse over the tree, so this keeps every pass well under the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -322,19 +316,29 @@ class _Parser:
             eof = Token(EOF, "", 1, 1)
         self.tokens = tokens + [eof]
         self.pos = 0
+        self.depth = 0
 
-    # -- token stream helpers
+    # -- token stream helpers; `pos` never passes the EOF token at the end
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
 
     def at(self, lexeme: str) -> bool:
-        return self.peek().lexeme == lexeme and self.peek().kind != STRING
+        tok = self.tokens[self.pos]
+        return tok.lexeme == lexeme and tok.kind != STRING
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != EOF:
             self.pos += 1
         return tok
+
+    def enter(self, tok: Token) -> None:
+        """One level deeper in a block or expression, rejected past MAX_NESTING
+        at `tok`; the caller lowers `depth` again on the way out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok.line, tok.col, f"at most {MAX_NESTING} levels of nesting", tok.lexeme)
 
     def error(self, expected: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
@@ -347,7 +351,7 @@ class _Parser:
         return self.advance()
 
     def expect_kind(self, kind: str, expected: str) -> Token:
-        if self.peek().kind != kind:
+        if self.tokens[self.pos].kind != kind:
             raise self.error(expected)
         return self.advance()
 
@@ -388,23 +392,12 @@ class _Parser:
 
     # -- statements
     def parse_statement(self) -> Statement:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == KEYWORD:
-            handler = {
-                "qubit": self.parse_qubit_decl,
-                "bit": self.parse_bit_decl,
-                "input": self.parse_input_decl,
-                "const": self.parse_const_decl,
-                "gate": self.parse_gate_def,
-                "measure": self.parse_measure_arrow,
-                "reset": self.parse_reset,
-                "barrier": self.parse_barrier,
-                "if": self.parse_if,
-                "for": self.parse_for,
-            }.get(tok.lexeme)
+            handler = _STATEMENT_PARSERS.get(tok.lexeme)
             if handler is not None:
-                return handler()
-            if tok.lexeme in ("ctrl", "negctrl", "inv", "pow"):
+                return handler(self)
+            if tok.lexeme in _MODIFIERS:
                 return self.parse_gate_call()
             self.unsupported(tok.lexeme)
         if tok.kind == IDENTIFIER:
@@ -524,17 +517,17 @@ class _Parser:
             if self.peek().kind == EOF:
                 raise self.error("'}' closing gate body")
             stmt_tok = self.peek()
-            if stmt_tok.kind == KEYWORD and stmt_tok.lexeme not in ("ctrl", "negctrl", "inv", "pow"):
+            if stmt_tok.kind == KEYWORD and stmt_tok.lexeme not in _MODIFIERS:
                 self.unsupported(f"{stmt_tok.lexeme} inside gate body")
             body.append(self.parse_gate_call())
         self.expect("}")
         return GateDef(name.lexeme, params, qubits, body, (tok.line, tok.col))
 
     def parse_gate_call(self) -> GateCall:
-        tok = self.peek()
+        tok = mod_tok = self.tokens[self.pos]
         modifiers: list[Modifier] = []
-        while self.peek().lexeme in ("ctrl", "negctrl", "inv", "pow") and self.peek().kind == KEYWORD:
-            mod_tok = self.advance()
+        while mod_tok.kind == KEYWORD and mod_tok.lexeme in _MODIFIERS:
+            self.pos += 1
             if mod_tok.lexeme == "pow":
                 self.expect("(")
                 exponent = self.parse_expr()
@@ -543,6 +536,7 @@ class _Parser:
             else:
                 modifiers.append(Modifier(mod_tok.lexeme))
             self.expect("@", "'@' after gate modifier")
+            mod_tok = self.tokens[self.pos]
         name = self.expect_kind(IDENTIFIER, "gate name")
         args: list[Expr] = []
         if self.at("("):
@@ -606,6 +600,7 @@ class _Parser:
 
     def parse_if(self) -> IfStatement:
         tok = self.advance()
+        self.enter(tok)
         self.expect("(")
         subject = self.parse_ref()
         if self.peek().lexeme in _CMP_OPS:
@@ -620,10 +615,12 @@ class _Parser:
         if self.at("else"):
             self.advance()
             else_body = self.parse_block()
+        self.depth -= 1
         return IfStatement(condition, then_body, else_body, (tok.line, tok.col))
 
     def parse_for(self) -> ForStatement:
         tok = self.advance()
+        self.enter(tok)
         self.expect("int", "'int' loop variable type")
         var = self.expect_kind(IDENTIFIER, "loop variable")
         self.expect("in")
@@ -640,6 +637,7 @@ class _Parser:
             stop = second
         self.expect("]")
         body = self.parse_block()
+        self.depth -= 1
         return ForStatement(var.lexeme, first, step, stop, body, (tok.line, tok.col))
 
     def parse_block(self) -> list[Statement]:
@@ -655,54 +653,68 @@ class _Parser:
         self.expect("}")
         return body
 
-    # -- expressions (precedence: additive < multiplicative < unary < primary)
-    def parse_expr(self) -> Expr:
-        return self.parse_additive()
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().lexeme in ("+", "-") and self.peek().kind == OPERATOR:
-            op = self.advance().lexeme
-            right = self.parse_multiplicative()
-            left = Binary(op, left, right, left.span)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    # -- expressions: precedence climbing over + - (1) and * / (2), all
+    # left-associative, above unary minus and primaries
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        depth = self.depth
         left = self.parse_unary()
-        while self.peek().lexeme in ("*", "/") and self.peek().kind == OPERATOR:
-            op = self.advance().lexeme
-            right = self.parse_unary()
-            left = Binary(op, left, right, left.span)
+        tok = self.tokens[self.pos]
+        while tok.kind == OPERATOR and _BINARY_PREC.get(tok.lexeme, 0) >= min_prec:
+            self.pos += 1
+            self.enter(tok)  # each operator nests the tree built so far
+            left = Binary(tok.lexeme, left, self.parse_expr(_BINARY_PREC[tok.lexeme] + 1), left.span)
+            tok = self.tokens[self.pos]
+        self.depth = depth
         return left
 
     def parse_unary(self) -> Expr:
-        if self.at("-"):
-            tok = self.advance()
-            return Unary("-", self.parse_unary(), (tok.line, tok.col))
+        tok = self.tokens[self.pos]
+        if tok.kind == OPERATOR and tok.lexeme == "-":
+            self.pos += 1
+            self.enter(tok)
+            operand = self.parse_unary()
+            self.depth -= 1
+            return Unary("-", operand, (tok.line, tok.col))
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == INTEGER:
-            self.advance()
+            self.pos += 1
             return IntLit(int(tok.lexeme), (tok.line, tok.col))
         if tok.kind == FLOAT:
-            self.advance()
+            self.pos += 1
             value = float(tok.lexeme)
             if value != value or value in (float("inf"), float("-inf")):
                 raise ParseError(tok.line, tok.col, "a finite float literal", tok.lexeme)
             return FloatLit(value, (tok.line, tok.col))
         if tok.kind == IDENTIFIER:
             if tok.lexeme == "pi":
-                self.advance()
+                self.pos += 1
                 return PiConst((tok.line, tok.col))
             return self.parse_ref()
-        if self.at("("):
-            self.advance()
+        if tok.lexeme == "(":
+            self.pos += 1
+            self.enter(tok)
             expr = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return expr
         raise self.error("an expression")
+
+
+_STATEMENT_PARSERS = {
+    "qubit": _Parser.parse_qubit_decl,
+    "bit": _Parser.parse_bit_decl,
+    "input": _Parser.parse_input_decl,
+    "const": _Parser.parse_const_decl,
+    "gate": _Parser.parse_gate_def,
+    "measure": _Parser.parse_measure_arrow,
+    "reset": _Parser.parse_reset,
+    "barrier": _Parser.parse_barrier,
+    "if": _Parser.parse_if,
+    "for": _Parser.parse_for,
+}
 
 
 def parse(tokens: list[Token]) -> ProgramAst:

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateQubitArg,
     IndexOutOfRange,
     NonConstLoopBound,
+    NonFiniteConst,
     NotConst,
     ProgramTooLarge,
     RecursiveGateDef,
@@ -169,7 +170,8 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
 
     Division yields an int only when both operands are ints and the division
     is exact; otherwise a double. Raises NotConst for runtime inputs and
-    registers, DivByZero on zero divisors.
+    registers, DivByZero on zero divisors, and NonFiniteConst at the first
+    operation whose result is inf or NaN or overflows a double.
     """
     if isinstance(expr, fe.IntLit):
         return expr.value
@@ -192,19 +194,32 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
     if isinstance(expr, fe.Binary):
         lhs = const_eval(expr.lhs, symbols)
         rhs = const_eval(expr.rhs, symbols)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "/":
-            if rhs == 0:
-                raise DivByZero("division by zero in constant expression", expr.span)
-            if isinstance(lhs, int) and isinstance(rhs, int) and lhs % rhs == 0:
-                return lhs // rhs
-            return lhs / rhs
+        if expr.op == "/" and rhs == 0:
+            raise DivByZero("division by zero in constant expression", expr.span)
+        try:
+            if expr.op == "+":
+                value = lhs + rhs
+            elif expr.op == "-":
+                value = lhs - rhs
+            elif expr.op == "*":
+                value = lhs * rhs
+            elif isinstance(lhs, int) and isinstance(rhs, int) and lhs % rhs == 0:
+                value = lhs // rhs
+            else:
+                value = lhs / rhs
+        except OverflowError:  # an int operand or quotient past a double's range
+            value = math.inf
+        if value != value or value in (math.inf, -math.inf):
+            raise NonFiniteConst(f"constant expression folds to {value}", expr.span)
+        return value
     raise NotConst("not a constant arithmetic expression", expr.span)
+
+
+def _to_double(value: float | int, span: fe.Span) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonFiniteConst("constant is out of a double's range", span) from None
 
 
 def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError) -> int:
@@ -271,7 +286,7 @@ class _Analyzer:
                         )
                     value = int(value)
             else:
-                value = float(value)
+                value = _to_double(value, stmt.span)
             self.symbols.define(
                 SymbolEntry(stmt.name, SymbolKind.COMPILE_TIME_CONST, 1, value, stmt.span)
             )
@@ -347,7 +362,7 @@ class _Analyzer:
                     )
                 return ParamRef(spec.offset + idx)
         value = const_eval(expr, self._symbols_with(formals))
-        return float(value)
+        return _to_double(value, expr.span)
 
     def _symbols_with(self, formals: dict[str, Angle] | None) -> SymbolTable:
         """Symbol table extended with gate formals bound to actual angle values."""
@@ -458,6 +473,10 @@ class _Analyzer:
         if name in stack:
             raise RecursiveGateDef(
                 f"recursive gate definition: {' -> '.join(stack + (name,))}", span
+            )
+        if len(stack) >= fe.MAX_NESTING:  # inlining recurses once per level
+            raise ProgramTooLarge(
+                f"gate '{name}' is inlined more than {fe.MAX_NESTING} definitions deep", span
             )
         gate_def = self.gate_defs[name]
         n_ctrl = sum(1 for kind, _ in modifiers if kind in ("ctrl", "negctrl"))

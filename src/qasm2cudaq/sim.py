@@ -349,6 +349,7 @@ def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int]) -
 # runs one tiny matrix per run; folding the run into the matrix makes it one
 # product over whole rows.
 _FOLD_RUN = 16
+_EYES = {1 << k: np.eye(1 << k) for k in range(_FOLD_RUN.bit_length())}  # runs are powers of 2
 
 
 def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray) -> None:
@@ -360,7 +361,7 @@ def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray) -> None:
         # target just above the contiguous run: rows of 2*run amplitudes
         # times kron(mat, I_run)^T
         rows = sub.reshape(sub.shape[:-2] + (2 * run,))
-        fold = (mat[:, None, :, None] * np.eye(run)[:, None, :]).reshape(2 * run, 2 * run)
+        fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(2 * run, 2 * run)
         rows[...] = rows @ fold.T
     else:
         pairs = np.moveaxis(sub, axis, -2)

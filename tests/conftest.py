@@ -87,6 +87,27 @@ CORPUS = [
     "OPENQASM 3.0;\nqubit q;\ngate flip a { }\n",
 ]
 
+# Resource probes: each must end in a typed error, fast, never in a
+# RecursionError or a NaN/inf angle. Statements start on line 5.
+PROBE_HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit q;\nbit c;\n'
+
+# name -> (source, (line, col) of the token past the nesting limit)
+NESTING_PROBES = {
+    "parentheses": (PROBE_HEADER + "rz(" + "(" * 3000 + "1" + ")" * 3000 + ") q;\n", (5, 104)),
+    "unary-minus": (PROBE_HEADER + "rz(" + "-" * 5000 + "1) q;\n", (5, 104)),
+    "if-blocks": (PROBE_HEADER + "if (c) { " * 500 + "x q;" + " }" * 500 + "\n", (5, 901)),
+    "angle-sum": (PROBE_HEADER + "rz(" + "+".join(["0.001"] * 5000) + ") q;\n", (5, 609)),
+}
+
+# name -> (source, span of the first non-finite fold)
+NON_FINITE_PROBES = {
+    "inf-const": (PROBE_HEADER + "const float a = 1e308*10;\nrz(a) q;\n", (5, 17)),
+    "nan-const": (PROBE_HEADER + "const float a = 1e308*10 - 1e308*10;\nrz(a) q;\n", (5, 17)),
+    "inf-angle": (PROBE_HEADER + "rz(-1e308*10) q;\n", (5, 4)),
+    "inf-pow": (PROBE_HEADER + "pow(1e308*10) @ x q;\n", (5, 5)),
+    "int-past-double": (PROBE_HEADER + "const float a = " + "*".join(["1000000000"] * 40) + ";\n", (5, 1)),
+}
+
 
 @pytest.fixture
 def compile_source():

@@ -4,6 +4,8 @@ import pytest
 
 from qasm2cudaq import cli
 
+from conftest import NESTING_PROBES, NON_FINITE_PROBES
+
 BELL = (
     "OPENQASM 3.0;\n"
     'include "stdgates.inc";\n'
@@ -118,6 +120,17 @@ class TestTranspile:
         assert cli.main(["transpile", bell_file, "--dump-ir"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "kernel qubits=2 params=- classical=c:2"
+
+    @pytest.mark.parametrize("name", sorted(NESTING_PROBES) + sorted(NON_FINITE_PROBES))
+    def test_resource_probe_is_one_line_error(self, tmp_path, capsys, name):
+        source, (line, col) = {**NESTING_PROBES, **NON_FINITE_PROBES}[name]
+        path = tmp_path / "probe.qasm"
+        path.write_text(source)
+        assert cli.main(["transpile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert f" at {line}:{col}: " in captured.err
 
 
 class TestValidate:

@@ -1,12 +1,15 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qasm2cudaq import frontend as fe
-from qasm2cudaq.errors import LexError, ParseError
+from qasm2cudaq.emit import EMISSION_TARGETS, emit
+from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError
+from qasm2cudaq.suites import compile_source
 
-from conftest import CORPUS
+from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER
 
 
 class TestTokenize:
@@ -202,3 +205,126 @@ class TestGrammarClosure:
             fe.parse_source(source)
         except (LexError, ParseError):
             pass
+
+
+def _line_col(source: str, offset: int) -> tuple[int, int]:
+    """1-based position of `offset`; only \\n ends a line, \\r is a column."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
+_FIXED_LEXEMES = [
+    (fe.OPERATOR, op) for op in ("->", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=", "@")
+] + [(fe.PUNCTUATION, p) for p in "()[]{};,:"] + [(fe.KEYWORD, k) for k in sorted(fe.KEYWORDS)]
+
+_token = st.one_of(
+    st.sampled_from(_FIXED_LEXEMES),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+    .filter(lambda s: s not in fe.KEYWORDS)
+    .map(lambda s: (fe.IDENTIFIER, s)),
+    st.from_regex(r"[0-9]{1,6}", fullmatch=True).map(lambda s: (fe.INTEGER, s)),
+    st.from_regex(
+        r"(?:[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3})(?:[eE][+-]?[0-9]{1,3})?|[0-9]{1,3}[eE][+-]?[0-9]{1,3}",
+        fullmatch=True,
+    ).map(lambda s: (fe.FLOAT, s)),
+    st.text(st.characters(blacklist_characters='"\n', blacklist_categories=("Cs",)), max_size=8).map(
+        lambda s: (fe.STRING, f'"{s}"')
+    ),
+)
+_ws = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n", "\r"]), min_size=1, max_size=3).map("".join)
+_comment = st.one_of(
+    st.just(""),
+    st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=10).map(
+        lambda s: f"//{s}\n"
+    ),
+    st.text(st.sampled_from(list("ab */\n\r\"")), max_size=12)
+    .filter(lambda s: "*/" not in s)
+    .map(lambda s: f"/*{s}*/"),
+)
+# leading whitespace keeps a separator from joining the token before it
+# (`/` then `/*`, `-` then `>`, `1` then `.5`)
+_separator = st.tuples(_ws, _comment, st.one_of(st.just(""), _ws)).map("".join)
+
+
+@st.composite
+def token_source(draw):
+    """(source, [(kind, lexeme, offset)]) from random tokens and separators."""
+    source, expected = draw(st.one_of(st.just(""), _separator)), []
+    for kind, lexeme in draw(st.lists(_token, max_size=25)):
+        expected.append((kind, lexeme, len(source)))
+        source += lexeme + draw(_separator)
+    return source, expected
+
+
+class TestScanner:
+    @given(token_source())
+    def test_kinds_and_positions(self, case):
+        source, expected = case
+        tokens = fe.tokenize(source)
+        assert [(t.kind, t.lexeme) for t in tokens] == [(k, lx) for k, lx, _ in expected]
+        for tok, (_, lexeme, offset) in zip(tokens, expected):
+            assert (tok.line, tok.col) == _line_col(source, offset)
+            line_text = source.split("\n")[tok.line - 1]
+            assert line_text[tok.col - 1 : tok.col - 1 + len(lexeme)] == lexeme
+
+    @given(token_source(), st.sampled_from(["illegal", "block", "string"]), st.data())
+    def test_injected_error_at_exact_position(self, case, error, data):
+        source, expected = case
+        offsets = [offset for _, _, offset in expected] + [len(source)]
+        at = data.draw(st.sampled_from(offsets))
+        head, rest = source[:at], source[at:]
+        if error == "illegal":
+            bad = data.draw(st.sampled_from(list("$?#'`~%&|^\\")))
+            message = f"illegal character {bad!r}"
+        elif error == "block":
+            bad, rest = "/*", rest.replace("*/", "* /")
+            message = "unterminated block comment"
+        else:
+            line_rest, newline, tail = rest.partition("\n")
+            bad, rest = '"', line_rest.replace('"', "") + newline + tail
+            message = "unterminated string literal"
+        broken = head + bad + rest
+        with pytest.raises(LexError) as exc:
+            fe.tokenize(broken)
+        assert (exc.value.line, exc.value.col) == _line_col(broken, at)
+        assert exc.value.message == message
+
+
+def _timed_raise(exc_type, source):
+    start = time.perf_counter()
+    with pytest.raises(exc_type) as exc:
+        compile_source(source)
+    assert time.perf_counter() - start < 0.1
+    return exc.value
+
+
+class TestResourceProbes:
+    @pytest.mark.parametrize("name", sorted(NESTING_PROBES))
+    def test_nesting_probe_is_a_parse_error(self, name):
+        source, position = NESTING_PROBES[name]
+        err = _timed_raise(ParseError, source)
+        assert (err.line, err.col) == position
+        assert f"at most {fe.MAX_NESTING} levels of nesting" in err.expected
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_PROBES))
+    def test_non_finite_constant_is_a_sema_error(self, name):
+        source, span = NON_FINITE_PROBES[name]
+        err = _timed_raise(NonFiniteConst, source)
+        assert err.span == span
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "rz(" + "(" * fe.MAX_NESTING + "1" + ")" * fe.MAX_NESTING + ") q;",
+            "rz(" + "-" * fe.MAX_NESTING + "1) q;",
+            "rz(" + "+".join(["0.001"] * fe.MAX_NESTING) + ") q;",
+            "c = measure q;" + "if (c) { " * fe.MAX_NESTING + "x q;" + " }" * fe.MAX_NESTING,
+            "for int i in [0:0] { " * fe.MAX_NESTING + "x q;" + " }" * fe.MAX_NESTING,
+        ],
+        ids=["parentheses", "unary-minus", "angle-sum", "if-blocks", "for-blocks"],
+    )
+    def test_nesting_at_the_limit_compiles_and_emits(self, body):
+        source = PROBE_HEADER + body + "\n"
+        assert fe.unparse(fe.parse_source(source))
+        kernel = compile_source(source)
+        for target in EMISSION_TARGETS:
+            assert emit(kernel, target).text

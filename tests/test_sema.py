@@ -156,6 +156,18 @@ class TestErrors:
         with pytest.raises((RecursiveGateDef, UndefinedName)):
             analyze(f"{HEADER}qubit q;\ngate f a {{ g a; }}\ngate g a {{ f a; }}\nf q;\n")
 
+    @pytest.mark.parametrize("depth", [fe.MAX_NESTING, fe.MAX_NESTING + 1, 600])
+    def test_gate_definition_chain_depth(self, depth):
+        # g{k} calls g{k-1}: inlining g{depth-1} nests `depth` definitions
+        source = HEADER + "gate g0 a { x a; }\n" + "".join(
+            f"gate g{k} a {{ g{k - 1} a; }}\n" for k in range(1, depth)
+        ) + f"qubit q;\ng{depth - 1} q;\n"
+        if depth <= fe.MAX_NESTING:
+            assert len(analyze(source).statements) == 1
+        else:
+            with pytest.raises(ProgramTooLarge):
+                analyze(source)
+
     def test_program_too_large(self):
         with pytest.raises(ProgramTooLarge):
             analyze(
