@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file", help="OpenQASM 3.0 source file")
     p_run.add_argument("--shots", type=int, default=1000)
     p_run.add_argument("--seed", type=int, default=1234)
-    p_run.add_argument("--workers", type=int, default=1, help="parallel trajectory workers")
+    p_run.add_argument("--workers", type=int, default=1, help="accepted for compatibility; sampling runs in one process")
     p_run.add_argument(
         "--param",
         action="append",

@@ -40,14 +40,15 @@ UNSUPPORTED_CONSTRUCTS = frozenset(
 # One scanner for tokens, whitespace and comments. Alternatives sharing a
 # first character keep their precedence: `//` and `/*` before the `/`
 # operator, FLOAT before INT, and each error group after the good
-# alternative it shadows.
+# alternative it shadows. Digits are ASCII `[0-9]`, as in OpenQASM: `\d`
+# would also match other scripts' decimal digits.
 _SCANNER = re.compile(
     r"""
       (?P<IDENT>    [A-Za-z_][A-Za-z0-9_]*)
     | (?P<WS>       [ \t\r\n]+)
     | (?P<PUNCT>    [()\[\]{};,:])
-    | (?P<FLOAT>    (?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)? | \d+[eE][+-]?\d+)
-    | (?P<INT>      \d+)
+    | (?P<FLOAT>    (?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)? | [0-9]+[eE][+-]?[0-9]+)
+    | (?P<INT>      [0-9]+)
     | (?P<LC>       //[^\n]*)
     | (?P<BC>       /\*.*?\*/)
     | (?P<BADBC>    /\*)

@@ -234,6 +234,68 @@ def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError) ->
     return value
 
 
+def _call_cost(call: ResolvedCall) -> int:
+    """Gates the call lowers to: the product of its |pow| exponents."""
+    cost = 1
+    for kind, arg in call.modifiers:
+        if kind == "pow":
+            cost *= abs(arg)
+    return cost
+
+
+def _trip_count(start: int, stop: int, step: int) -> int:
+    """Iterations of `for v in [start:step:stop]` (stop inclusive)."""
+    span = stop - start if step > 0 else start - stop
+    return max(0, span // abs(step) + 1)
+
+
+def _literal_int(expr: fe.Expr) -> int | None:
+    """The integer an expression of literals folds to, else None. An
+    expression that names anything may fold differently where it is used."""
+    try:
+        value = const_eval(expr, SymbolTable())
+    except SemaError:
+        return None
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    return value
+
+
+def _literal_trips(stmt: fe.ForStatement) -> int:
+    """The loop's trip count when its bounds are literals, else 0."""
+    bounds = [_literal_int(e) for e in (stmt.start, stmt.stop)]
+    bounds.append(1 if stmt.step is None else _literal_int(stmt.step))
+    if None in bounds or bounds[2] == 0:
+        return 0
+    return _trip_count(*bounds)
+
+
+def _pow_floor(modifiers: list[fe.Modifier]) -> int:
+    """A lower bound on the replicas the modifiers make: the product of the
+    literal |pow| exponents, with 0 for an exponent that names anything."""
+    floor = 1
+    for mod in modifiers:
+        if mod.kind == "pow":
+            k = _literal_int(mod.exponent)
+            floor *= 0 if k is None else abs(k)
+    return floor
+
+
+def _min_cost(stmts: list[fe.Statement]) -> int:
+    """A lower bound on the budget the statements take, found without
+    resolving them: every gate call, barrier, if and loop iteration takes at
+    least 1, and a loop counts only when its bounds are literals."""
+    total = 0
+    for stmt in stmts:
+        if isinstance(stmt, (fe.GateCall, fe.Barrier)):
+            total += 1
+        elif isinstance(stmt, fe.IfStatement):
+            total += 1 + _min_cost(stmt.then_body) + _min_cost(stmt.else_body)
+        elif isinstance(stmt, fe.ForStatement):
+            total += _literal_trips(stmt) * max(1, _min_cost(stmt.body))
+    return total
+
+
 class _Analyzer:
     def __init__(self, ast: fe.ProgramAst):
         self.ast = ast
@@ -247,6 +309,8 @@ class _Analyzer:
         self.param_offset: dict[str, ParamSpec] = {}
         self.qubit_count = 0
         self.stmt_count = 0
+        self.held = 0  # calls built into bodies of gates still being inlined
+        self.min_costs: dict[str, int] = {}
 
     # -- declarations -------------------------------------------------------
     def declare(self, stmt: fe.Statement) -> None:
@@ -423,9 +487,13 @@ class _Analyzer:
                     f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
                 )
             if is_user_gate:
-                out.extend(self.inline_gate(stmt.name, modifiers, angles, broadcast, stmt.span, ()))
+                calls = self.inline_gate(stmt.name, modifiers, angles, broadcast, stmt.span, ())
+                cost, self.held = self.held, 0
             else:
-                out.append(ResolvedCall(list(modifiers), stmt.name, list(angles), broadcast, stmt.span))
+                calls = [ResolvedCall(list(modifiers), stmt.name, list(angles), broadcast, stmt.span)]
+                cost = _call_cost(calls[0])
+            self._bump(stmt.span, cost)
+            out.extend(calls)
         return out
 
     def _builtin_lookup(self, name: str, span: fe.Span) -> tuple[int, int]:
@@ -478,6 +546,11 @@ class _Analyzer:
             raise ProgramTooLarge(
                 f"gate '{name}' is inlined more than {fe.MAX_NESTING} definitions deep", span
             )
+        floor = self._gate_min_cost(name)
+        for kind, arg in modifiers:
+            if kind == "pow":
+                floor *= abs(arg)
+        self._check_budget(floor, span)
         gate_def = self.gate_defs[name]
         n_ctrl = sum(1 for kind, _ in modifiers if kind in ("ctrl", "negctrl"))
         controls = [
@@ -488,14 +561,25 @@ class _Analyzer:
         formals: dict[str, Angle] = dict(zip(gate_def.params, angles))
         binding = dict(zip(gate_def.qubits, targets))
 
+        # `held` counts the calls built so far into the bodies of every
+        # inline in progress, so sibling bodies cannot each grow to the cap.
+        # A call adds its cost as it is built; the body returned stays
+        # counted there, for the caller to take over.
+        base = self.held
         body: list[ResolvedCall] = []
         for call in gate_def.body:
             body.extend(self._resolve_body_call(call, formals, binding, stack + (name,)))
+            self._check_budget(0, span)
+        cost = self.held - base
 
         for kind, arg in reversed([m for m in modifiers if m[0] in ("inv", "pow")]):
             if kind == "inv":
                 body = self._invert_calls(body)
             else:
+                cost *= abs(arg)
+                self.held = base
+                self._check_budget(cost, span)  # before the replicas are built
+                self.held = base + cost
                 if arg < 0:
                     body = self._invert_calls(body)
                 body = [
@@ -507,12 +591,28 @@ class _Analyzer:
             for c in body:
                 c.modifiers.insert(0, (kind, None))
                 c.qubits.insert(0, qubit)
-        for c in body:
+        # Calls reach here free of repeats (builtin calls are checked as they
+        # resolve, inlined ones below), so only added controls can repeat.
+        for c in body if controls else ():
             if len(set(c.qubits)) != len(c.qubits):
                 raise DuplicateQubitArg(
                     f"inlining '{name}' produced a repeated qubit operand", span
                 )
         return body
+
+    def _gate_min_cost(self, name: str, depth: int = 0) -> int:
+        """A lower bound on the calls one plain call of user gate `name`
+        inlines to, memoised. A cycle or a chain deeper than MAX_NESTING
+        counts 0; inlining raises on both."""
+        if name not in self.min_costs:
+            self.min_costs[name] = 0
+            if depth < fe.MAX_NESTING:
+                self.min_costs[name] = sum(
+                    _pow_floor(call.modifiers)
+                    * (self._gate_min_cost(call.name, depth + 1) if call.name in self.gate_defs else 1)
+                    for call in self.gate_defs[name].body
+                )
+        return self.min_costs[name]
 
     @staticmethod
     def _invert_calls(calls: list[ResolvedCall]) -> list[ResolvedCall]:
@@ -572,15 +672,22 @@ class _Analyzer:
         angles = [self.resolve_angle(a, formals) for a in call.args]
         if entry is not None and entry.kind is SymbolKind.GATE_DEFINITION:
             return self.inline_gate(call.name, modifiers, angles, operands, call.span, stack)
-        return [ResolvedCall(modifiers, call.name, angles, operands, call.span)]
+        resolved = ResolvedCall(modifiers, call.name, angles, operands, call.span)
+        self.held += _call_cost(resolved)
+        return [resolved]
 
     # -- statements ---------------------------------------------------------
-    def _bump(self, span: fe.Span, by: int = 1) -> None:
-        self.stmt_count += by
-        if self.stmt_count > UNROLL_CAP:
+    def _check_budget(self, cost: int, span: fe.Span) -> None:
+        """Raise before building statements that would take the program
+        past UNROLL_CAP."""
+        if self.stmt_count + self.held + cost > UNROLL_CAP:
             raise ProgramTooLarge(
                 f"program exceeds {UNROLL_CAP} statements after loop unrolling", span
             )
+
+    def _bump(self, span: fe.Span, by: int = 1) -> None:
+        self._check_budget(by, span)
+        self.stmt_count += by
 
     def resolve_statements(self, stmts: list[fe.Statement], top_level: bool) -> list[ResolvedStatement]:
         out: list[ResolvedStatement] = []
@@ -590,9 +697,10 @@ class _Analyzer:
                     raise SemaError("declarations are only allowed at top level", stmt.span)
                 self.declare(stmt)
             elif isinstance(stmt, fe.GateCall):
-                calls = self.resolve_call(stmt)
-                self._bump(stmt.span, max(len(calls), 1))
-                out.extend(calls)
+                before = self.stmt_count
+                out.extend(self.resolve_call(stmt))  # bumps by the gates it lowers to
+                if self.stmt_count == before:
+                    self._bump(stmt.span)
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):
@@ -671,18 +779,23 @@ class _Analyzer:
             step = _const_int(stmt.step, self.symbols, "loop step", exc=NonConstLoopBound)
             if step == 0:
                 raise NonConstLoopBound("loop step must be nonzero", stmt.span)
+        # Every iteration takes at least 1 (an empty one is counted as 1), so
+        # a loop past the budget raises before its first iteration.
+        trips = _trip_count(start, stop, step)
+        self._check_budget(trips * max(1, _min_cost(stmt.body)), stmt.span)
         out: list[ResolvedStatement] = []
-        value = start
-        while (step > 0 and value <= stop) or (step < 0 and value >= stop):
+        for value in range(start, start + trips * step, step):
             self.symbols.push()
             self.symbols.define(
                 SymbolEntry(stmt.var, SymbolKind.COMPILE_TIME_CONST, 1, value, stmt.span)
             )
+            before = self.stmt_count
             try:
                 out.extend(self.resolve_statements(stmt.body, top_level=False))
             finally:
                 self.symbols.pop()
-            value += step
+            if self.stmt_count == before:
+                self._bump(stmt.span)
         return out
 
     def run(self) -> ValidatedProgram:

@@ -14,11 +14,22 @@ kernel. A matrix with one nonzero per row (diagonal gates such as z, s, t,
 rz, p, cp, and permutations such as x, y, cx, swap) scales slices in place,
 skipping factors of exactly 1, and moves them along each permutation cycle
 through one slice-sized copy. Any other matrix is a dense 2x2, applied by one
-matrix product over the target axis. The gates-only builder multiplies each
-run of uncontrolled one-qubit gates on a qubit into one pending 2x2 matrix
-and applies it when a multi-qubit gate touches that qubit or at the end;
-gates on disjoint qubits commute, so this is exact. The shared matrices in
-`_FIXED_1Q` are never written in place.
+matrix product over the target axis. The shared matrices in `_FIXED_1Q` are
+never written in place.
+
+`statevector` and the static sampler build the final state by one plan,
+exact up to rounding because gates on disjoint qubits commute. One-qubit
+gates on a qubit before its first multi-qubit gate (all of them, on a qubit
+never entangled) move to the front: each qubit's gates are multiplied into
+its column on |0>, and the state starts as the outer product of the columns.
+Past that prefix each qubit keeps one pending 2x2 product of its one-qubit
+gates. Runs of diagonal gates (the z, s, t, rz and p bases, with any adjoint
+flag and controls, so cz, cp and crz too) are multiplied into one phase
+table over at most `_PHASE_QUBITS` qubits, applied by one broadcast multiply
+over a view that merges adjacent qubits into long axes. A qubit is pending
+or in the table, never both: a diagonal gate first applies the pending
+products of its qubits, and a non-diagonal gate on a table qubit, or a
+diagonal gate that would outgrow the cap, first applies the table.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream `RngStream.for_shot(seed, s)`, one draw per measure or reset it
@@ -44,9 +55,7 @@ the same walk: it never splits, so it works in place.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -637,51 +646,171 @@ def _needs_trajectories(kernel: Kernel) -> bool:
     return False
 
 
+# Bases whose matrix is diagonal under any adjoint flag and any controls.
+_DIAGONAL = frozenset("z s t rz p".split())
+# Most qubits one phase table spans: 2^12 complex entries stay in cache.
+_PHASE_QUBITS = 12
+_KET0 = np.array([1, 0], dtype=np.complex128)
+
+
+def _product_state(columns: list[np.ndarray]) -> np.ndarray:
+    """Amplitudes of the product state with qubit k in state columns[k];
+    the two halves of the qubits are built apart and joined by one outer
+    product, so its inner loop runs over 2^(n/2) amplitudes."""
+    if len(columns) <= 1:
+        return columns[0].copy() if columns else np.ones(1, dtype=np.complex128)
+    mid = len(columns) // 2
+    return np.multiply.outer(_product_state(columns[mid:]), _product_state(columns[:mid])).ravel()
+
+
+def _apply_phases(state: StateVector, qubits: list[int], table: np.ndarray) -> None:
+    """Multiply every amplitude by table[bits of qubits], axis i of the
+    table being qubits[i], in one broadcast pass. The view merges each run
+    of adjacent qubits inside or outside the table into one axis; the table
+    is first widened over the lowest qubits so the innermost run spans at
+    least `_FOLD_RUN` amplitudes."""
+    low = range(min(state.n, _FOLD_RUN.bit_length() - 1))
+    if min(qubits) < len(low):
+        extra = [q for q in low if q not in qubits]
+        table = np.broadcast_to(table.reshape(table.shape + (1,) * len(extra)), table.shape + (2,) * len(extra))
+        qubits = qubits + extra
+    order = sorted(range(len(qubits)), key=lambda i: -qubits[i])
+    table = table.transpose(order)
+    inside = set(qubits)
+    view_shape: list[int] = []
+    table_shape: list[int] = []
+    q = state.n - 1
+    while q >= 0:
+        top, member = q, q in inside
+        while q >= 0 and (q in inside) == member:
+            q -= 1
+        view_shape.append(1 << (top - q))
+        table_shape.append(view_shape[-1] if member else 1)
+    view = state.amps.reshape(view_shape)
+    view *= table.reshape(table_shape)
+
+
+class _GateBuild:
+    """Applies gates to a state with two deferrals. Each qubit may hold a
+    pending one-qubit product; a phase table holds the product of a run of
+    diagonal gates on at most `_PHASE_QUBITS` qubits. No qubit is in both,
+    so the two commute and can be flushed in any order."""
+
+    def __init__(self, state: StateVector):
+        self.state = state
+        self.pending: dict[int, np.ndarray] = {}
+        self.table_qubits: list[int] = []  # axis i of the table is table_qubits[i]
+        self.table = np.ones((), dtype=np.complex128)
+
+    def gate(self, op: Gate, mat: np.ndarray) -> None:
+        qubits = op.targets + tuple(c for c, _ in op.controls)
+        diagonal = op.base in _DIAGONAL
+        if len(qubits) == 1:
+            (q,) = qubits
+            if q in self.table_qubits:
+                if diagonal:
+                    self._phase(mat.diagonal(), q, ())
+                    return
+                self.flush_table()
+            self.pending[q] = mat @ self.pending[q] if q in self.pending else mat
+            return
+        if diagonal and len(qubits) <= _PHASE_QUBITS:
+            if len(set(qubits).union(self.table_qubits)) > _PHASE_QUBITS:
+                self.flush_table()
+            for q in qubits:
+                self._flush_pending(q)
+            self._phase(mat.diagonal(), op.targets[0], op.controls)
+            return
+        if not set(qubits).isdisjoint(self.table_qubits):
+            self.flush_table()
+        for q in qubits:
+            self._flush_pending(q)
+        _apply_unitary(self.state, mat, op.targets, op.controls)
+
+    def _phase(self, diag: np.ndarray, target: int, controls: tuple[tuple[int, int], ...]) -> None:
+        """Multiply diag along the target axis of the table, where every
+        control matches its polarity."""
+        for q in (target, *(c for c, _ in controls)):
+            if q not in self.table_qubits:
+                self.table_qubits.append(q)
+                self.table = np.stack([self.table, self.table], axis=-1)
+        axis = {q: i for i, q in enumerate(self.table_qubits)}
+        index: list = [slice(None)] * self.table.ndim
+        for q, pol in controls:
+            index[axis[q]] = slice(pol, pol + 1)
+        shape = [1] * self.table.ndim
+        shape[axis[target]] = 2
+        self.table[tuple(index)] *= diag.reshape(shape)
+
+    def _flush_pending(self, q: int) -> None:
+        if q in self.pending:
+            _apply_unitary(self.state, self.pending.pop(q), (q,), ())
+
+    def flush_table(self) -> None:
+        if self.table_qubits:
+            _apply_phases(self.state, self.table_qubits, self.table)
+            self.table_qubits = []
+            self.table = np.ones((), dtype=np.complex128)
+
+    def finish(self) -> StateVector:
+        self.flush_table()
+        for q in list(self.pending):
+            self._flush_pending(q)
+        return self.state
+
+
 def _gates_only_state(bound: BoundKernel) -> StateVector:
-    """Final state of the kernel's top-level gates, with each run of
-    uncontrolled one-qubit gates on a qubit fused into one 2x2 matrix."""
-    state = StateVector.zero(bound.kernel.qubit_count)
-    pending: dict[int, np.ndarray] = {}
+    """Final state of the kernel's top-level gates, by one planned build.
+
+    One-qubit gates on a qubit before its first multi-qubit gate (all of
+    them on a qubit that is never entangled) commute to the front: they are
+    multiplied into that qubit's column on |0>, and the build starts from
+    the outer product of the columns. The other gates go through
+    `_GateBuild`."""
+    n = bound.kernel.qubit_count
+    _check_width(n)
+    columns = [_KET0] * n
+    entangled: set[int] = set()
+    rest: list[tuple[Gate, np.ndarray]] = []
     for op in bound.kernel.body:
         if not isinstance(op, Gate):
             continue
         mat = gate_matrix(op, bound.values)
-        if not op.controls and len(op.targets) == 1:
-            (q,) = op.targets
-            pending[q] = mat @ pending[q] if q in pending else mat
-            continue
-        for q in op.targets + tuple(c for c, _ in op.controls):
-            if q in pending:
-                _apply_unitary(state, pending.pop(q), (q,), ())
-        _apply_unitary(state, mat, op.targets, op.controls)
-    for q, mat in pending.items():
-        _apply_unitary(state, mat, (q,), ())
-    return state
+        qubits = op.targets + tuple(c for c, _ in op.controls)
+        if len(qubits) == 1 and qubits[0] not in entangled:
+            columns[qubits[0]] = mat @ columns[qubits[0]]
+        else:
+            entangled.update(qubits)
+            rest.append((op, mat))
+    build = _GateBuild(StateVector(n, _product_state(columns)))
+    for op, mat in rest:
+        build.gate(op, mat)
+    return build.finish()
 
 
-def _chunks(start: int, stop: int):
-    for lo in range(start, stop, _SHOT_CHUNK):
-        yield np.arange(lo, min(lo + _SHOT_CHUNK, stop), dtype=np.uint64)
+def _chunks(shots: int):
+    for lo in range(0, shots, _SHOT_CHUNK):
+        yield np.arange(lo, min(lo + _SHOT_CHUNK, shots), dtype=np.uint64)
 
 
-def _trajectory_counts(bound: BoundKernel, seed: int, start: int, stop: int) -> Counter:
-    """Histogram of shots start..stop-1 of a dynamic kernel, by the walk."""
+def _trajectory_counts(bound: BoundKernel, seed: int, shots: int) -> Counter:
+    """Histogram of a dynamic kernel's shots, by the walk."""
     kernel = bound.kernel
     program = _flatten(kernel.body)
     counts: Counter = Counter()
-    for chunk in _chunks(start, stop):
+    for chunk in _chunks(shots):
         todo = [chunk]
         while todo:
-            shots = todo.pop()
+            indices = todo.pop()
             root = _Group(
                 0,
                 StateVector.zero(kernel.qubit_count),
                 ClassicalStore(kernel.classical_layout),
-                np.arange(shots.size),
+                np.arange(indices.size),
             )
-            for group in _walk(program, bound.values, root, ShotStreams(seed, shots).uniform):
+            for group in _walk(program, bound.values, root, ShotStreams(seed, indices).uniform):
                 if group.state is None:
-                    todo.append(shots[group.rows])
+                    todo.append(indices[group.rows])
                 else:
                     counts[group.store.key()] += group.rows.size
     return counts
@@ -695,7 +824,7 @@ def _sample_static(bound: BoundKernel, shots: int, seed: int) -> ShotHistogram:
     cum = np.cumsum(state.amps.real**2 + state.amps.imag**2)
     measures = [op for op in kernel.body if isinstance(op, Measure)]
     counts: Counter = Counter()
-    for chunk in _chunks(0, shots):
+    for chunk in _chunks(shots):
         u = ShotStreams(seed, chunk).uniform()
         idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
         for value, count in zip(*(a.tolist() for a in np.unique(idx, return_counts=True))):
@@ -707,27 +836,15 @@ def _sample_static(bound: BoundKernel, shots: int, seed: int) -> ShotHistogram:
 
 
 def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotHistogram:
-    """Sample the kernel; identical (seed, shots) gives identical histograms
-    regardless of worker count."""
+    """Sample the kernel; identical (seed, shots) gives identical histograms.
+    `workers` is accepted for compatibility and ignored: one process walks
+    all shots, since the batched walk finishes before a worker pool starts."""
     if shots < 1:
         raise SimError("shots must be >= 1")
     _check_width(bound.kernel.qubit_count)
     if not _needs_trajectories(bound.kernel):
         return _sample_static(bound, shots, seed)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or shots < 2 * workers:
-        counts = _trajectory_counts(bound, seed, 0, shots)
-        return ShotHistogram(dict(counts), shots)
-    bounds = np.linspace(0, shots, workers + 1, dtype=int)
-    merged: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_trajectory_counts, bound, seed, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
-        for fut in futures:
-            merged.update(fut.result())
-    return ShotHistogram(dict(merged), shots)
+    return ShotHistogram(dict(_trajectory_counts(bound, seed, shots)), shots)
 
 
 def _scan_static(ops: list) -> None:
@@ -758,8 +875,34 @@ def expval_pauli(state: StateVector, pauli: str) -> float:
         raise BadPauliString(f"pauli string length {len(pauli)} != {state.n} qubits")
     if any(ch not in _PAULI for ch in pauli):
         raise BadPauliString(f"pauli string may only contain I, X, Y, Z: {pauli!r}")
+    if set(pauli) <= {"I", "Z"}:
+        return _expval_z(state, pauli)
     transformed = state.copy()
     for qubit, ch in enumerate(pauli):
         if ch != "I":
             _apply_unitary(transformed, _PAULI[ch], (qubit,), ())
     return float(np.vdot(state.amps, transformed.amps).real)
+
+
+def _parity_signs(mask: int, bits: int) -> np.ndarray:
+    """(-1)^popcount(i & mask) for every i < 2^bits."""
+    index = np.arange(1 << bits)
+    parity = np.zeros_like(index)
+    for q in range(bits):
+        if (mask >> q) & 1:
+            parity ^= index >> q
+    return 1.0 - 2.0 * (parity & 1)
+
+
+def _expval_z(state: StateVector, pauli: str) -> float:
+    """<psi|P|psi> for a string of I and Z: each probability signed by the
+    parity of its Z bits, in one pass over the float view of the state. The
+    sign of index hi * 2^low + lo factors into a sign of lo times a sign of
+    hi, so a row sum weighted by the low signs, then a dot with the high
+    signs, needs no table of 2^n signs."""
+    n = state.n
+    low = n // 2
+    mask = sum(1 << q for q, ch in enumerate(pauli) if ch == "Z")
+    rows = state.amps.view(np.float64).reshape(1 << (n - low), 2 << low)  # re, im interleaved
+    low_signs = np.repeat(_parity_signs(mask, low), 2)
+    return float(np.einsum("ij,ij,j->i", rows, rows, low_signs) @ _parity_signs(mask >> low, n - low))

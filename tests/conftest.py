@@ -108,6 +108,25 @@ NON_FINITE_PROBES = {
     "int-past-double": (PROBE_HEADER + "const float a = " + "*".join(["1000000000"] * 40) + ";\n", (5, 1)),
 }
 
+# Digits of other scripts are illegal characters, not literals: (source,
+# line:col of the first one)
+UNICODE_DIGITS_PROBE = (PROBE_HEADER + "qubit[\u0663] r;\nrz(\u0661.\u0665) r[\u0662];\n", (5, 7))
+
+# name -> source whose expansion passes sema.UNROLL_CAP; each must raise
+# ProgramTooLarge before the expansion is built
+EXPANSION_PROBES = {
+    "pow-builtin": PROBE_HEADER + "pow(2000000) @ x q;\n",
+    "pow-user-gate": PROBE_HEADER + "gate g a { x a; h a; }\npow(600000) @ g q;\n",
+    "pow-nested": PROBE_HEADER + "gate g a { pow(1100) @ x a; }\ngate f a { pow(1000) @ g a; }\nf q;\n",
+    "empty-loop": PROBE_HEADER + "for int i in [0:2000000] { }\n",
+    "unbounded-loop": PROBE_HEADER + "for int i in [0:1000000000000] { }\n",
+    "nested-loops": PROBE_HEADER + "for int i in [0:1100] { for int j in [0:1100] { h q; } }\n",
+    "doubling-gates": PROBE_HEADER
+    + "gate g0 a { x a; }\n"
+    + "".join(f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}\n" for k in range(1, 40))
+    + "g39 q;\n",
+}
+
 
 @pytest.fixture
 def compile_source():

@@ -4,7 +4,7 @@ import pytest
 
 from qasm2cudaq import cli
 
-from conftest import NESTING_PROBES, NON_FINITE_PROBES
+from conftest import EXPANSION_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
 
 BELL = (
     "OPENQASM 3.0;\n"
@@ -131,6 +131,24 @@ class TestTranspile:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert f" at {line}:{col}: " in captured.err
+
+    def test_unicode_digit_is_one_line_lex_error(self, tmp_path, capsys):
+        source, (line, col) = UNICODE_DIGITS_PROBE
+        path = tmp_path / "digits.qasm"
+        path.write_text(source, encoding="utf-8")
+        assert cli.main(["transpile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f" at {line}:{col}: " in captured.err
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_PROBES))
+    def test_expansion_probe_is_one_line_error(self, tmp_path, capsys, name):
+        path = tmp_path / "probe.qasm"
+        path.write_text(EXPANSION_PROBES[name])
+        assert cli.main(["transpile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "statements" in captured.err
 
 
 class TestValidate:

@@ -9,7 +9,7 @@ from qasm2cudaq.emit import EMISSION_TARGETS, emit
 from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError
 from qasm2cudaq.suites import compile_source
 
-from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER
+from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
 
 
 class TestTokenize:
@@ -328,3 +328,19 @@ class TestResourceProbes:
         kernel = compile_source(source)
         for target in EMISSION_TARGETS:
             assert emit(kernel, target).text
+
+
+class TestAsciiDigits:
+    def test_other_scripts_digits_are_illegal(self):
+        source, (line, col) = UNICODE_DIGITS_PROBE
+        with pytest.raises(LexError) as exc:
+            fe.tokenize(source)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert "illegal character" in str(exc.value)
+
+    def test_ascii_literals_unchanged(self):
+        kinds = [(t.kind, t.lexeme) for t in fe.tokenize("0 7 12.5 .5 1e3 2E-2 3.e+1 0123")]
+        assert kinds == [
+            (fe.INTEGER, "0"), (fe.INTEGER, "7"), (fe.FLOAT, "12.5"), (fe.FLOAT, ".5"),
+            (fe.FLOAT, "1e3"), (fe.FLOAT, "2E-2"), (fe.FLOAT, "3.e+1"), (fe.INTEGER, "0123"),
+        ]

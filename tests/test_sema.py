@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from qasm2cudaq.errors import (
     UndefinedName,
 )
 from qasm2cudaq.sema import ParamRef, SymbolKind
+
+from conftest import EXPANSION_PROBES, PROBE_HEADER
 
 
 def analyze(source: str) -> sema.ValidatedProgram:
@@ -295,3 +298,66 @@ class TestBroadcastAndInlining:
     def test_control_collision_after_inlining(self):
         with pytest.raises(DuplicateQubitArg):
             analyze(f"{HEADER}gate me a {{ x a; }}\nqubit[2] q;\nctrl @ me q[0], q[0];\n")
+
+
+def lowered_ops(source: str) -> int:
+    return len(kir.lower(analyze(source)).body)
+
+
+class TestExpansionBudget:
+    @pytest.mark.parametrize("name", sorted(EXPANSION_PROBES))
+    def test_probe_raises_before_building(self, name):
+        start = time.perf_counter()
+        with pytest.raises(ProgramTooLarge):
+            analyze(EXPANSION_PROBES[name])
+        assert time.perf_counter() - start < 0.1
+
+    def test_pow_counts_its_replicas(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
+        assert lowered_ops(PROBE_HEADER + "pow(1000) @ x q;\n") == 1000
+        assert lowered_ops(PROBE_HEADER + "pow(-500) @ s q;\npow(0) @ h q;\nx q;\n") == 501
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + "x q;\npow(1000) @ x q;\n")
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + "gate g a { pow(400) @ x a; }\npow(3) @ g q;\n")
+
+    def test_sibling_bodies_share_the_budget(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
+        # the pow exponent names a formal, so only the built body shows its cost
+        gates = "gate g(k) a { pow(k) @ x a; }\ngate f a { g(600) a; g(600) a; }\n"
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + gates + "f q;\n")
+        assert lowered_ops(PROBE_HEADER + gates.replace("600", "500") + "f q;\n") == 1000
+
+    def test_empty_iterations_count_one_each(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
+        loop = "for int i in [1:600] { }\n"
+        assert analyze(PROBE_HEADER + loop).statements == []
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + loop * 2)
+        # an iteration whose only statement is an empty loop still counts 1
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + "for int i in [1:600] { for int j in [1:0] { } }\n" * 2)
+
+    def test_loop_bound_is_checked_before_the_first_iteration(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
+        # `nope` is undefined: reaching the body raises UndefinedName, so
+        # ProgramTooLarge shows the loop was refused before it, and
+        # UndefinedName that it was let in
+        for loop, too_large in [
+            ("[0:1000]", True), ("[1:1000]", False),
+            ("[3000:-3:0]", True), ("[2999:-3:0]", False),
+        ]:
+            source = PROBE_HEADER + f"for int i in {loop} {{ nope q; }}\n"
+            with pytest.raises(ProgramTooLarge if too_large else UndefinedName):
+                analyze(source)
+        # an if counts 1 plus its bodies
+        with pytest.raises(ProgramTooLarge):
+            analyze(PROBE_HEADER + "for int i in [0:500] { if (c) { nope q; } }\n")
+        assert len(analyze(PROBE_HEADER + "for int i in [1:500] { if (c) { x q; } }\n").statements) == 500
+
+    def test_loop_bounds_that_name_a_variable_are_not_guessed(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
+        # the inner trip count shrinks with i: 30 + 29 + ... + 1 = 465 gates
+        source = PROBE_HEADER + "for int i in [1:30] { for int j in [i:30] { x q; } }\n"
+        assert lowered_ops(source) == 465

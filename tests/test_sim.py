@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from concurrent.futures import Future
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -460,31 +460,6 @@ class TestMeasureResetViews:
 WIDE = f"{HEADER}qubit[64] q;\nbit c;\nh q[0];\nc = measure q[0];\n"
 
 
-@pytest.fixture
-def inline_pool(monkeypatch) -> list[int]:
-    """Replaces the process pool with one that runs chunks inline; returns
-    the max_workers of every pool built."""
-    created: list[int] = []
-
-    class InlinePool:
-        def __init__(self, max_workers: int):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
-    return created
-
-
 class TestResourceLimits:
     def test_wide_kernel_too_large(self):
         with pytest.raises(TooLarge):
@@ -494,19 +469,20 @@ class TestResourceLimits:
         with pytest.raises(TooLarge):
             StateVector.zero(sim.MAX_SIM_QUBITS + 1)
 
-    def test_workers_clamped_to_cpu_count(self, inline_pool, monkeypatch):
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    def test_worker_count_never_changes_counts(self):
         source = f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\nif (c == 1) {{ x q; }}\n"
         bk = bound(source)
-        hist = sim.sample(bk, 400, 7, workers=200)
-        assert inline_pool == [3]
-        assert hist.counts == sim.sample(bk, 400, 7, workers=1).counts
+        hists = [sim.sample(bk, 400, 7, workers=w).counts for w in (1, 2, 200)]
+        assert hists[0] == hists[1] == hists[2]
 
-    def test_no_pool_for_too_large_kernel(self, inline_pool, monkeypatch):
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    @pytest.mark.parametrize("workers", [1, 2, 200])
+    def test_too_large_raised_before_any_work(self, monkeypatch, workers):
+        def no_walk(*args):
+            raise AssertionError("walked a kernel past MAX_SIM_QUBITS")
+
+        monkeypatch.setattr(sim, "_trajectory_counts", no_walk)
         with pytest.raises(TooLarge):
-            sim.sample(bound(WIDE + "reset q[0];\n"), 100, 0, workers=2)
-        assert inline_pool == []
+            sim.sample(bound(WIDE + "reset q[0];\n"), 100, 0, workers=workers)
 
 
 class TestShotStreams:
@@ -633,3 +609,111 @@ class TestBranchingSampler:
             tracemalloc.stop()
         assert counts == expected
         assert peak <= 4 * state_bytes
+
+
+class TestExpvalZStrings:
+    @given(st.integers(0, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_matches_general_path(self, n, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        pauli = "".join(rng.choice(["I", "Z"], size=n))
+        transformed = state.copy()
+        for q, ch in enumerate(pauli):
+            if ch == "Z":
+                sim.apply_gate(transformed, Gate("z", (), (q,), ()))
+        expected = float(np.vdot(state.amps, transformed.amps).real)
+        assert abs(sim.expval_pauli(state, pauli) - expected) <= 1e-12
+
+    def test_no_state_copy(self):
+        state = _random_state(3, n=14)
+        before = state.amps.copy()
+        tracemalloc.start()
+        try:
+            sim.expval_pauli(state, "ZIZZIIZIIIZZIZ")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amps.nbytes // 8
+        np.testing.assert_array_equal(state.amps, before)
+
+
+_ONE_QUBIT_BASES = sorted(kir.CANONICAL_BASES - {"swap"})
+_DIAGONAL_BASES = ["p", "rz", "s", "t", "z"]
+
+
+@st.composite
+def gate_on(draw, qubits: list[int], bases: list[str], max_controls: int) -> Gate:
+    """A gate from `bases` on the listed qubits, with up to max_controls
+    controls of mixed polarity."""
+    if len(qubits) < 2:
+        bases = [b for b in bases if b != "swap"]
+    base = draw(st.sampled_from(bases))
+    width = 2 if base == "swap" else 1
+    order = draw(st.permutations(qubits))
+    n_controls = draw(st.integers(0, min(max_controls, len(qubits) - width)))
+    controls = tuple(
+        (q, draw(st.sampled_from([kir.POS, kir.NEG]))) for q in order[width : width + n_controls]
+    )
+    angles = tuple(draw(_ANGLES) for _ in range(_ANGLE_COUNT.get(base, 0)))
+    return Gate(base, angles, tuple(order[:width]), controls, draw(st.booleans()))
+
+
+@st.composite
+def planned_circuit(draw) -> kir.Kernel:
+    """One-qubit prefixes on every qubit, then runs of diagonal gates (any
+    adjoint flag, up to 3 mixed-polarity controls) on the entangled qubits,
+    broken by non-diagonal gates there and by one-qubit gates anywhere.
+    Qubits outside the entangled set stay idle or see one-qubit gates only.
+    Every qubit is measured, so the kernel also takes the static sampler."""
+    n = draw(st.integers(1, 6))
+    entangled = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    anywhere = gate_on(list(range(n)), _ONE_QUBIT_BASES, 0)
+    body = draw(st.lists(anywhere, max_size=8))
+    runs = st.lists(gate_on(entangled, _DIAGONAL_BASES, 3), min_size=1, max_size=6)
+    breaks = st.lists(gate_on(entangled, sorted(kir.CANONICAL_BASES), 2) | anywhere, min_size=1, max_size=2)
+    for segment in draw(st.lists(runs | breaks, max_size=6)):
+        body += segment
+    body += [Measure(q, ("c", q)) for q in range(n)]
+    return kir.Kernel(n, [("q", n)], [], [("c", n)], body)
+
+
+class TestGatesOnlyPlan:
+    """The planned build (product-state prefix, pending one-qubit products,
+    phase tables) against the oracle, with tables small enough to split."""
+
+    @pytest.mark.parametrize("cap", [2, 3, sim._PHASE_QUBITS])
+    @given(planned_circuit(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_statevector_and_static_sample_match_oracle(self, cap, kernel, seed):
+        gates = kir.Kernel(kernel.qubit_count, kernel.qubit_layout, [], [], [op for op in kernel.body if isinstance(op, Gate)])
+        expected = oracle_unitary(gates)[:, 0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_PHASE_QUBITS", cap)
+            state = sim.statevector(kir.BoundKernel(gates, ()))
+            hist = sim.sample(kir.BoundKernel(kernel, ()), 300, seed)
+        np.testing.assert_allclose(state.amps, expected, atol=1e-12)
+        cum = np.cumsum(np.abs(expected) ** 2)
+        draws = sim.ShotStreams(seed, np.arange(300)).uniform()
+        idx = np.minimum(np.searchsorted(cum, draws, side="right"), cum.size - 1)
+        n = kernel.qubit_count
+        keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
+        assert hist.counts == dict(Counter(keys))
+
+    def test_tables_split_and_flush(self, monkeypatch):
+        # under a 2-qubit cap each cz after the first outgrows the table, and
+        # the controlled t on (1, 3) outgrows the last one; the h on qubit 1
+        # stays pending until the t applies it
+        n = 4
+        body = [Gate("h", (), (q,), ()) for q in range(n)]
+        body += [Gate("z", (), (q + 1,), ((q, kir.POS),)) for q in range(n - 1)]
+        body += [Gate("h", (), (1,), ()), Gate("t", (), (1,), ((3, kir.NEG),), True)]
+        kernel = kir.Kernel(n, [("q", n)], [], [], body)
+        flushes = []
+        apply_phases = sim._apply_phases
+        monkeypatch.setattr(sim, "_apply_phases", lambda s, qs, t: flushes.append(sorted(qs)) or apply_phases(s, qs, t))
+        monkeypatch.setattr(sim, "_PHASE_QUBITS", 2)
+        state = sim.statevector(kir.BoundKernel(kernel, ()))
+        np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], atol=1e-12)
+        assert flushes == [[0, 1], [1, 2], [2, 3], [1, 3]]
