@@ -20,6 +20,15 @@ from .kir import (
 from .oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
 from .randqasm import RandomCircuitSpec, generate, generate_with_inverse
 from .sema import ParamRef, SymbolKind, ValidatedProgram, analyze, const_eval
+
+
+# Defined before the suites import below, which uses it.
+def compile_source(source: str) -> Kernel:
+    """The pipeline entry point: source text to kernel IR (tokenize, parse,
+    analyze, lower)."""
+    return lower(analyze(parse(tokenize(source))))
+
+
 from .sim import (
     ClassicalStore,
     RngStream,
@@ -35,7 +44,6 @@ from .sim import (
 )
 from .suites import (
     SuiteReport,
-    compile_source,
     run_suites,
     suite_algorithms,
     suite_clifford_differential,

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from . import kir, sim, suites
+from . import compile_source, kir, sim, suites
 from .emit import EMISSION_TARGETS, emit
 from .errors import BadParameter, Qasm2CudaqError
 
@@ -84,7 +84,7 @@ def _parse_params(kernel: kir.Kernel, raw: list[str]) -> list[float]:
 
 def _cmd_transpile(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        kernel = suites.compile_source(fh.read())
+        kernel = compile_source(fh.read())
     if args.dump_ir:
         text = kir.dump(kernel)
     else:
@@ -99,7 +99,7 @@ def _cmd_transpile(args) -> int:
 
 def _cmd_run(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        kernel = suites.compile_source(fh.read())
+        kernel = compile_source(fh.read())
     bound = kir.bind(kernel, _parse_params(kernel, args.param))
     if args.statevector or args.expval:
         state = sim.statevector(bound)

@@ -105,12 +105,6 @@ class _EmitterBase:
     def measure_name(self, op: Measure) -> str:
         return f"m{self.measure_index[id(op)]}"
 
-    def pred_bits(self, pred: Predicate) -> list[tuple[str, int]]:
-        if pred.index is not None:
-            return [(pred.register, pred.index)]
-        width = self.kernel.classical_width(pred.register)
-        return [(pred.register, i) for i in range(width)]
-
     def pack_expr(self, pred: Predicate) -> str:
         """MSB-first pack of a whole register into an integer."""
         width = self.kernel.classical_width(pred.register)

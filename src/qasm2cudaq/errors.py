@@ -81,10 +81,6 @@ class LowerError(Qasm2CudaqError):
     pass
 
 
-class ModifierError(Qasm2CudaqError):
-    pass
-
-
 class BadParameter(Qasm2CudaqError):
     """A runtime parameter value that is not a finite number."""
 

@@ -1,9 +1,10 @@
 """Kernel IR: the canonical op sequence shared by the emitters and the
 simulator.
 
-Named controlled gates are folded into base + control list, sdg/tdg become
-s/t with the adjoint flag, `pow` is statically expanded, and conditional
-bodies are captured as nested blocks rather than statically merged. Lowering
+Gate calls arrive from sema as ready canonical `Gate` ops (base plus
+control list, adjoint flag, `pow` expanded), so lowering only collects them
+in program order, turns measures, resets and barriers into ops, and captures
+conditional bodies as nested blocks rather than statically merged. Lowering
 enforces def-before-use for every predicate over the linear body.
 """
 
@@ -13,39 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import frontend, sema
-from .errors import ArityMismatch, BadParameter, LowerError, ModifierError
-from .sema import Angle, ParamRef, ParamSpec, ResolvedCall, ValidatedProgram
+from .errors import ArityMismatch, BadParameter, LowerError
+from .sema import Angle, Gate, ParamRef, ParamSpec, ResolvedCall, ValidatedProgram
 
-CANONICAL_BASES = frozenset("x y z h s t sx rx ry rz p u swap".split())
-
-# Positive controls require the qubit to read 1, negative controls 0.
-POS = 1
-NEG = 0
-
-# name -> (canonical base, number of leading named controls, adjoint)
-_NAMED_CANONICAL: dict[str, tuple[str, int, bool]] = {
-    "cx": ("x", 1, False),
-    "cy": ("y", 1, False),
-    "cz": ("z", 1, False),
-    "ch": ("h", 1, False),
-    "crz": ("rz", 1, False),
-    "cp": ("p", 1, False),
-    "ccx": ("x", 2, False),
-    "sdg": ("s", 0, True),
-    "tdg": ("t", 0, True),
-}
-
-_SELF_INVERSE = frozenset("x y z h swap".split())
-_ROTATIONS = frozenset("rx ry rz p".split())
-
-
-@dataclass
-class Gate:
-    base: str
-    angles: tuple[Angle, ...]
-    targets: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...]  # (qubit, POS|NEG)
-    adjoint: bool = False
+# The canonical gate set lives in sema; emit, sim and oracle import it from here.
+from .sema import CANONICAL_BASES, NEG, POS  # noqa: F401
 
 
 @dataclass
@@ -121,64 +94,6 @@ def reset_compile_counters() -> None:
     frontend._reset_parse_calls()
 
 
-def _invert_gate(g: Gate) -> Gate:
-    """Adjoint of a canonical gate.
-
-    Literal rotation angles are negated in place (u maps (th, ph, la) to
-    (-th, -la, -ph)); self-inverse bases are unchanged; everything else
-    (s/t/sx and symbolic-angle rotations) toggles the adjoint flag.
-    """
-    if g.base in _SELF_INVERSE and not g.adjoint:
-        return g
-    literal = all(isinstance(a, float) for a in g.angles)
-    if g.base in _ROTATIONS and literal and not g.adjoint:
-        return Gate(g.base, tuple(-a for a in g.angles), g.targets, g.controls, False)
-    if g.base == "u" and literal and not g.adjoint:
-        th, ph, la = g.angles
-        return Gate("u", (-th, -la, -ph), g.targets, g.controls, False)
-    return Gate(g.base, g.angles, g.targets, g.controls, not g.adjoint)
-
-
-def canonicalize_modifiers(call: ResolvedCall) -> list[Gate]:
-    """Fold a resolved call's modifier chain into canonical Gate ops.
-
-    Controls (modifier-borne, then named-gate) consume leading operands;
-    inv/pow apply innermost-first; `pow(k)` expands to k replicas (negative
-    k replicates the adjoint).
-    """
-    mod_controls: list[tuple[int, int]] = []
-    algebra: list[tuple[str, int | None]] = []
-    cursor = 0
-    for kind, arg in call.modifiers:
-        if kind == "ctrl":
-            mod_controls.append((call.qubits[cursor], POS))
-            cursor += 1
-        elif kind == "negctrl":
-            mod_controls.append((call.qubits[cursor], NEG))
-            cursor += 1
-        elif kind in ("inv", "pow"):
-            algebra.append((kind, arg))
-        else:
-            raise ModifierError(f"unknown modifier '{kind}'")
-
-    base, named_ctrl, adjoint = _NAMED_CANONICAL.get(call.name, (call.name, 0, False))
-    if base not in CANONICAL_BASES:
-        raise ModifierError(f"'{call.name}' has no canonical form")
-    named_controls = [(q, POS) for q in call.qubits[cursor : cursor + named_ctrl]]
-    targets = tuple(call.qubits[cursor + named_ctrl :])
-    controls = tuple(mod_controls + named_controls)
-
-    ops = [Gate(base, tuple(call.angles), targets, controls, adjoint)]
-    for kind, arg in reversed(algebra):
-        if kind == "inv":
-            ops = [_invert_gate(g) for g in reversed(ops)]
-        else:
-            if arg < 0:
-                ops = [_invert_gate(g) for g in reversed(ops)]
-            ops = [g for _ in range(abs(arg)) for g in ops]
-    return ops
-
-
 def _predicate_bits(pred: Predicate, kernel_width: int) -> list[tuple[str, int]]:
     if pred.index is not None:
         return [(pred.register, pred.index)]
@@ -198,12 +113,9 @@ def _measured_bits(ops: list[KOp]) -> set[tuple[str, int]]:
 
 class _Lowerer:
     def __init__(self, vp: ValidatedProgram):
-        self.vp = vp
         self.widths = dict(vp.classical_layout)
 
-    def lower_body(
-        self, stmts: list[sema.ResolvedStatement], written: set[tuple[str, int]]
-    ) -> list[KOp]:
+    def lower_body(self, stmts: list[sema.ResolvedStatement], written: set[tuple[str, int]]) -> list[KOp]:
         """Lower statements, tracking which classical bits are surely written.
 
         After a conditional, only bits written on both paths count as
@@ -212,7 +124,7 @@ class _Lowerer:
         ops: list[KOp] = []
         for stmt in stmts:
             if isinstance(stmt, ResolvedCall):
-                ops.extend(canonicalize_modifiers(stmt))
+                ops.extend(stmt.ops)
             elif isinstance(stmt, sema.ResolvedMeasure):
                 ops.append(Measure(stmt.qubit, stmt.bit))
                 written.add(stmt.bit)

@@ -1,11 +1,15 @@
 """Semantic analysis: symbol resolution, constant folding, loop unrolling,
-user-gate inlining, and index checking.
+index checking, and the lowering of every gate call to canonical gates.
 
 Every name is classified as a compile-time constant, a runtime input
 parameter, a qubit register, a classical register, or a gate definition.
-Angles in the resolved statement list are either literal doubles or symbolic
-ParamRef slots into the flat runtime-parameter vector; `for` loops are
-statically expanded while `if` branches are preserved as nested statements.
+Angles are literal doubles or ParamRef slots into the flat runtime-parameter
+vector; `for` loops are expanded while `if` branches stay nested. Each
+builtin call a gate call inlines becomes one ResolvedCall with its `Gate` ops
+ready, through one modifier algebra (`_algebra`). A user gate body is compiled
+once per binding of its angles into a `_Template` over formal qubit slots,
+which each call instantiates by remapping qubits. Every expansion is counted
+against UNROLL_CAP before it is built.
 """
 
 from __future__ import annotations
@@ -99,15 +103,138 @@ class ParamSpec:
     offset: int
 
 
-# Resolved statement forms consumed by kir.lower. Gate calls keep their
-# modifier chain (canonicalized later); operands are flat qubit ids.
-@dataclass
+CANONICAL_BASES = frozenset("x y z h s t sx rx ry rz p u swap".split())
+
+# Positive controls require the qubit to read 1, negative controls 0.
+POS = 1
+NEG = 0
+
+_SELF_INVERSE = frozenset("x y z h swap".split())
+_ROTATIONS = frozenset("rx ry rz p".split())
+
+
+@dataclass(slots=True)
+class Gate:
+    base: str
+    angles: tuple[Angle, ...]
+    targets: tuple[int, ...]
+    controls: tuple[tuple[int, int], ...]  # (qubit, POS|NEG)
+    adjoint: bool = False
+
+
+def _invert_gate(g: Gate) -> Gate:
+    """Adjoint of a canonical gate.
+
+    Literal rotation angles are negated in place (u maps (th, ph, la) to
+    (-th, -la, -ph)); self-inverse bases are unchanged; everything else
+    (s/t/sx and symbolic-angle rotations) toggles the adjoint flag.
+    """
+    if g.base in _SELF_INVERSE and not g.adjoint:
+        return g
+    literal = all(isinstance(a, float) for a in g.angles)
+    if g.base in _ROTATIONS and literal and not g.adjoint:
+        return Gate(g.base, tuple(-a for a in g.angles), g.targets, g.controls, False)
+    if g.base == "u" and literal and not g.adjoint:
+        th, ph, la = g.angles
+        return Gate("u", (-th, -la, -ph), g.targets, g.controls, False)
+    return Gate(g.base, g.angles, g.targets, g.controls, not g.adjoint)
+
+
+Algebra = tuple[tuple[str, int | None], ...]  # ("inv", None) | ("pow", k), outermost first
+
+
+def _algebra(items: list, algebra: Algebra, invert) -> list:
+    """Apply inv/pow modifiers innermost first: `inv` reverses the sequence
+    and inverts each item; `pow(k)` replicates it |k| times, inverting first
+    when k < 0. Items are gates (one builtin call) or calls (a user gate)."""
+    for kind, k in reversed(algebra):
+        if kind == "inv" or k < 0:
+            items = [invert(item) for item in reversed(items)]
+        if kind == "pow":
+            items = items * abs(k)
+    return items
+
+
+def _pow_product(algebra: Algebra) -> int:
+    """Replicas the modifiers make: the product of the |pow| exponents."""
+    return math.prod(abs(k) for kind, k in algebra if kind == "pow") if algebra else 1
+
+
+def _builtin_ops(name: str, angles: list, qubits: list[int], polarity: tuple, algebra: Algebra) -> list[Gate]:
+    """Canonical gates of one builtin call: modifier controls (one leading
+    operand per polarity), then the named gate's own controls, then targets."""
+    _, _, base, named, adjoint = BUILTIN_GATES[name]
+    n = len(polarity) + named
+    controls = tuple(zip(qubits, polarity + (POS,) * named)) if n else ()
+    gate = Gate(base, tuple(angles), tuple(qubits[n:]), controls, adjoint)
+    return _algebra([gate], algebra, _invert_gate) if algebra else [gate]
+
+
+# Resolved statement forms consumed by kir.lower. A call is one builtin call
+# with its gates ready; operands are flat qubit ids, modifier controls first.
+@dataclass(slots=True)
 class ResolvedCall:
-    modifiers: list[tuple[str, int | None]]  # ("ctrl"|"negctrl"|"inv", None) | ("pow", k)
     name: str
     angles: list[Angle]
     qubits: list[int]
+    ops: list[Gate]
     span: fe.Span
+
+
+def _invert_call(c: ResolvedCall) -> ResolvedCall:
+    return ResolvedCall(c.name, c.angles, c.qubits, _algebra(c.ops, (("inv", None),), _invert_gate), c.span)
+
+
+def _instantiate(calls: list[ResolvedCall], targets: list[int], controls: tuple, algebra: Algebra) -> list:
+    """Place calls over slots 0..n-1 on `targets` with `controls` prepended,
+    then apply a caller's inv/pow through `_algebra`; pow replicas share
+    the placed calls."""
+    lead = [q for q, _ in controls]
+    slot = targets.__getitem__
+    out = []
+    for c in calls:
+        ops = []
+        for g in c.ops:
+            inner = controls + tuple([(slot(q), pol) for q, pol in g.controls]) if g.controls else controls
+            ops.append(Gate(g.base, g.angles, tuple(map(slot, g.targets)), inner, g.adjoint))
+        out.append(ResolvedCall(c.name, c.angles, [*lead, *map(slot, c.qubits)], ops, c.span))
+    return _algebra(out, algebra, _invert_call)
+
+
+@dataclass
+class _Template:
+    """A user gate body compiled for one binding of its angle formals: calls
+    over formal qubit slots, built on first use from `parts`."""
+
+    count: int  # canonical gates one plain call lowers to
+    peak: int  # most budget held at any check while it was built, over the start
+    height: int  # definitions it nests, itself included
+    # a builtin ResolvedCall, or (template, target slots, control slots, algebra)
+    parts: list
+    calls: list[ResolvedCall] | None = None
+
+    def built(self) -> list[ResolvedCall]:
+        if self.calls is None:
+            self.calls = []
+            for part in self.parts:
+                if isinstance(part, ResolvedCall):
+                    self.calls.append(part)
+                else:
+                    template, targets, controls, algebra = part
+                    self.calls.extend(_instantiate(template.built(), targets, controls, algebra))
+        return self.calls
+
+
+def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
+    """Every name an expression mentions."""
+    if isinstance(expr, fe.NamedRef):
+        out.add(expr.name)
+        _expr_names(expr.index, out)
+    elif isinstance(expr, fe.Unary):
+        _expr_names(expr.operand, out)
+    elif isinstance(expr, fe.Binary):
+        _expr_names(expr.lhs, out)
+        _expr_names(expr.rhs, out)
 
 
 @dataclass
@@ -153,15 +280,16 @@ class ValidatedProgram:
     classical_layout: list[tuple[str, int]]
 
 
-# (angle count, qubit count, requires stdgates include)
-BUILTIN_GATES: dict[str, tuple[int, int]] = {
-    "x": (0, 1), "y": (0, 1), "z": (0, 1), "h": (0, 1),
-    "s": (0, 1), "sdg": (0, 1), "t": (0, 1), "tdg": (0, 1), "sx": (0, 1),
-    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "p": (1, 1),
-    "u": (3, 1),
-    "cx": (0, 2), "cy": (0, 2), "cz": (0, 2), "ch": (0, 2),
-    "crz": (1, 2), "cp": (1, 2), "swap": (0, 2),
-    "ccx": (0, 3),
+# name -> (angle count, qubit count, canonical base, leading named controls, adjoint)
+BUILTIN_GATES: dict[str, tuple[int, int, str, int, bool]] = {
+    "x": (0, 1, "x", 0, False), "y": (0, 1, "y", 0, False), "z": (0, 1, "z", 0, False),
+    "h": (0, 1, "h", 0, False), "s": (0, 1, "s", 0, False), "sdg": (0, 1, "s", 0, True),
+    "t": (0, 1, "t", 0, False), "tdg": (0, 1, "t", 0, True), "sx": (0, 1, "sx", 0, False),
+    "rx": (1, 1, "rx", 0, False), "ry": (1, 1, "ry", 0, False), "rz": (1, 1, "rz", 0, False),
+    "p": (1, 1, "p", 0, False), "u": (3, 1, "u", 0, False), "swap": (0, 2, "swap", 0, False),
+    "cx": (0, 2, "x", 1, False), "cy": (0, 2, "y", 1, False), "cz": (0, 2, "z", 1, False),
+    "ch": (0, 2, "h", 1, False), "crz": (1, 2, "rz", 1, False), "cp": (1, 2, "p", 1, False),
+    "ccx": (0, 3, "x", 2, False),
 }
 
 
@@ -234,15 +362,6 @@ def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError) ->
     return value
 
 
-def _call_cost(call: ResolvedCall) -> int:
-    """Gates the call lowers to: the product of its |pow| exponents."""
-    cost = 1
-    for kind, arg in call.modifiers:
-        if kind == "pow":
-            cost *= abs(arg)
-    return cost
-
-
 def _trip_count(start: int, stop: int, step: int) -> int:
     """Iterations of `for v in [start:step:stop]` (stop inclusive)."""
     span = stop - start if step > 0 else start - stop
@@ -309,8 +428,12 @@ class _Analyzer:
         self.param_offset: dict[str, ParamSpec] = {}
         self.qubit_count = 0
         self.stmt_count = 0
-        self.held = 0  # calls built into bodies of gates still being inlined
+        self.held = 0  # gates built into bodies of gates still being inlined
+        self.high = 0  # most `held` plus cost seen by a check, for _Template.peak
         self.min_costs: dict[str, int] = {}
+        self.templates: dict[tuple, _Template] = {}
+        # names any gate body mentions; a loop variable among them keys templates
+        self.body_names: set[str] = set()
 
     # -- declarations -------------------------------------------------------
     def declare(self, stmt: fe.Statement) -> None:
@@ -363,6 +486,10 @@ class _Analyzer:
             if len(set(stmt.qubits)) != len(stmt.qubits) or len(set(stmt.params)) != len(stmt.params):
                 raise Redefinition(f"duplicate formal name in gate '{stmt.name}'", stmt.span)
             self.gate_defs[stmt.name] = stmt
+            for call in stmt.body:
+                self.body_names.add(call.name)
+                for expr in call.args + [m.exponent for m in call.modifiers if m.kind == "pow"]:
+                    _expr_names(expr, self.body_names)
 
     # -- operand resolution -------------------------------------------------
     def resolve_qubit_operand(self, ref: fe.NamedRef) -> int | tuple[str, int]:
@@ -374,7 +501,10 @@ class _Analyzer:
             if entry.size == 1:
                 return self.qubit_base[ref.name]
             return (ref.name, entry.size)
-        idx = _const_int(ref.index, self.symbols, "qubit index")
+        if type(ref.index) is fe.IntLit:  # the common case, without the fold
+            idx = ref.index.value
+        else:
+            idx = _const_int(ref.index, self.symbols, "qubit index")
         if not 0 <= idx < entry.size:
             raise IndexOutOfRange(
                 f"index {idx} out of range for qubit register '{ref.name}' of size {entry.size}",
@@ -399,11 +529,13 @@ class _Analyzer:
             )
         return (ref.name, idx)
 
-    def resolve_angle(self, expr: fe.Expr, formals: dict[str, Angle] | None = None) -> Angle:
+    def resolve_angle(self, expr: fe.Expr, formals: dict | None = None, scoped: SymbolTable | None = None) -> Angle:
         """Resolve a gate argument to a literal double or a ParamRef slot.
 
         Arithmetic is folded only over compile-time constants; a runtime
         input may appear solely as a bare (optionally indexed) reference.
+        In a gate body a bare formal is its bound angle, and arithmetic folds
+        in `scoped`, the symbol table with the formals pushed on top.
         """
         if formals and isinstance(expr, fe.NamedRef) and expr.name in formals and expr.index is None:
             return formals[expr.name]
@@ -425,92 +557,81 @@ class _Analyzer:
                         expr.span,
                     )
                 return ParamRef(spec.offset + idx)
-        value = const_eval(expr, self._symbols_with(formals))
+        value = const_eval(expr, scoped or self.symbols)
         return _to_double(value, expr.span)
 
-    def _symbols_with(self, formals: dict[str, Angle] | None) -> SymbolTable:
-        """Symbol table extended with gate formals bound to actual angle values."""
-        if not formals:
-            return self.symbols
-        clone = SymbolTable()
-        clone.scopes = [dict(s) for s in self.symbols.scopes]
-        clone.push()
-        for name, value in formals.items():
-            if isinstance(value, ParamRef):
-                # Only bare references to such formals are representable;
-                # classify as runtime input so const_eval reports NotConst.
-                clone.define(SymbolEntry(name, SymbolKind.RUNTIME_INPUT, 1, None, (0, 0)))
-            else:
-                clone.define(SymbolEntry(name, SymbolKind.COMPILE_TIME_CONST, 1, value, (0, 0)))
-        return clone
-
     # -- gate calls ---------------------------------------------------------
-    def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
-        modifiers: list[tuple[str, int | None]] = []
-        n_ctrl = 0
-        for mod in stmt.modifiers:
+    def _modifiers(self, mods: list[fe.Modifier], symbols: SymbolTable) -> tuple[tuple[int, ...], Algebra]:
+        """A modifier chain as control polarities, one per leading operand,
+        and the inv/pow algebra with each exponent folded in `symbols`."""
+        polarity: list[int] = []
+        algebra: list[tuple[str, int | None]] = []
+        for mod in mods:
             if mod.kind == "pow":
-                k = _const_int(mod.exponent, self.symbols, "pow exponent", exc=NotConst)
-                modifiers.append(("pow", k))
+                algebra.append(("pow", _const_int(mod.exponent, symbols, "pow exponent", exc=NotConst)))
+            elif mod.kind == "inv":
+                algebra.append(("inv", None))
             else:
-                modifiers.append((mod.kind, None))
-                if mod.kind in ("ctrl", "negctrl"):
-                    n_ctrl += 1
+                polarity.append(POS if mod.kind == "ctrl" else NEG)
+        return tuple(polarity), tuple(algebra)
 
-        entry = self.symbols.lookup_or_none(stmt.name)
-        is_user_gate = entry is not None and entry.kind is SymbolKind.GATE_DEFINITION
-        if is_user_gate:
-            gate_def = self.gate_defs[stmt.name]
+    def _callee(self, call: fe.GateCall, n_ctrl: int, strict: bool) -> fe.GateDef | None:
+        """The user gate a call names, or None for a builtin, with its arity
+        checked. A name bound to a non-gate is an error only when `strict`."""
+        entry = self.symbols.lookup_or_none(call.name)
+        gate_def = None
+        if entry is not None and entry.kind is SymbolKind.GATE_DEFINITION:
+            gate_def = self.gate_defs[call.name]
             n_angles, n_qubits = len(gate_def.params), len(gate_def.qubits)
-        elif entry is not None:
-            raise SemaError(f"'{stmt.name}' is a {entry.kind.value}, not a gate", stmt.span)
+        elif strict and entry is not None:
+            raise SemaError(f"'{call.name}' is a {entry.kind.value}, not a gate", call.span)
+        elif call.name in BUILTIN_GATES and self.has_stdgates:
+            n_angles, n_qubits, _, _, _ = BUILTIN_GATES[call.name]
         else:
-            n_angles, n_qubits = self._builtin_lookup(stmt.name, stmt.span)
+            missing = "" if self.has_stdgates else ' (missing include "stdgates.inc"?)'
+            raise UndefinedName(f"undefined gate '{call.name}'{missing}", call.span)
 
-        if len(stmt.args) != n_angles:
+        if len(call.args) != n_angles:
             raise ArityMismatch(
-                f"gate '{stmt.name}' takes {n_angles} angle(s), got {len(stmt.args)}", stmt.span
+                f"gate '{call.name}' takes {n_angles} angle(s), got {len(call.args)}", call.span
             )
-        if len(stmt.qubits) != n_qubits + n_ctrl:
+        if len(call.qubits) != n_qubits + n_ctrl:
             raise ArityMismatch(
-                f"gate '{stmt.name}' with {n_ctrl} control modifier(s) takes "
-                f"{n_qubits + n_ctrl} qubit operand(s), got {len(stmt.qubits)}",
-                stmt.span,
+                f"gate '{call.name}' with {n_ctrl} control modifier(s) takes "
+                f"{n_qubits + n_ctrl} qubit operand(s), got {len(call.qubits)}",
+                call.span,
             )
+        return gate_def
 
-        angles = [self.resolve_angle(a) for a in stmt.args]
-        operands = [self.resolve_qubit_operand(q) for q in stmt.qubits]
+    def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
+        polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
+        gate_def = self._callee(stmt, len(polarity), strict=True)
+        angles = list(map(self.resolve_angle, stmt.args))
+        operands = list(map(self.resolve_qubit_operand, stmt.qubits))
         out: list[ResolvedCall] = []
         for broadcast in self._broadcast(operands, stmt.span):
             if len(set(broadcast)) != len(broadcast):
                 raise DuplicateQubitArg(
                     f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
                 )
-            if is_user_gate:
-                calls = self.inline_gate(stmt.name, modifiers, angles, broadcast, stmt.span, ())
-                cost, self.held = self.held, 0
+            if gate_def is None:
+                self._bump(stmt.span, _pow_product(algebra))
+                ops = _builtin_ops(stmt.name, angles, broadcast, polarity, algebra)
+                out.append(ResolvedCall(stmt.name, angles, broadcast, ops, stmt.span))
             else:
-                calls = [ResolvedCall(list(modifiers), stmt.name, list(angles), broadcast, stmt.span)]
-                cost = _call_cost(calls[0])
-            self._bump(stmt.span, cost)
-            out.extend(calls)
+                template = self._template(stmt.name, algebra, angles, stmt.span, ())
+                cost, self.held = self.held, 0
+                self._bump(stmt.span, cost)
+                controls = tuple(zip(broadcast, polarity))
+                out.extend(_instantiate(template.built(), broadcast[len(polarity) :], controls, algebra))
         return out
-
-    def _builtin_lookup(self, name: str, span: fe.Span) -> tuple[int, int]:
-        if name in BUILTIN_GATES and self.has_stdgates:
-            return BUILTIN_GATES[name]
-        raise UndefinedName(
-            f"undefined gate '{name}'"
-            + ("" if self.has_stdgates else ' (missing include "stdgates.inc"?)'),
-            span,
-        )
 
     def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
         """Expand whole-register operands: same-width registers zip elementwise,
         single qubits broadcast across iterations."""
+        if tuple not in map(type, operands):
+            return [operands]
         widths = {op[1] for op in operands if isinstance(op, tuple)}
-        if not widths:
-            return [list(operands)]
         if len(widths) > 1:
             raise ArityMismatch(
                 f"mismatched register widths {sorted(widths)} in one gate call", span
@@ -523,20 +644,13 @@ class _Analyzer:
             )
         return calls
 
-    def inline_gate(
-        self,
-        name: str,
-        modifiers: list[tuple[str, int | None]],
-        angles: list[Angle],
-        operands: list[int],
-        span: fe.Span,
-        stack: tuple[str, ...],
-    ) -> list[ResolvedCall]:
-        """Recursively inline a user gate call into builtin calls.
-
-        Outer modifiers distribute over the inlined body: controls attach to
-        every op, `inv` reverses the body and inverts each op, `pow(k)`
-        replicates (negative k inverts first).
+    def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
+        """The template of user gate `name` for `angles`; one call under
+        `algebra` leaves its gates counted in `held`. The checks are those of
+        walking the body here, in order: recursion, nesting depth, a lower
+        bound on the cost, the body, then each pow before its replicas exist.
+        A template is reused only where its walk could pass no limit; else
+        the body is walked again, to raise at the same call as before.
         """
         if name in stack:
             raise RecursiveGateDef(
@@ -546,59 +660,83 @@ class _Analyzer:
             raise ProgramTooLarge(
                 f"gate '{name}' is inlined more than {fe.MAX_NESTING} definitions deep", span
             )
-        floor = self._gate_min_cost(name)
-        for kind, arg in modifiers:
-            if kind == "pow":
-                floor *= abs(arg)
-        self._check_budget(floor, span)
-        gate_def = self.gate_defs[name]
-        n_ctrl = sum(1 for kind, _ in modifiers if kind in ("ctrl", "negctrl"))
-        controls = [
-            (operands[i], kind)
-            for i, (kind, _) in enumerate(m for m in modifiers if m[0] in ("ctrl", "negctrl"))
-        ]
-        targets = operands[n_ctrl:]
-        formals: dict[str, Angle] = dict(zip(gate_def.params, angles))
-        binding = dict(zip(gate_def.qubits, targets))
-
-        # `held` counts the calls built so far into the bodies of every
-        # inline in progress, so sibling bodies cannot each grow to the cap.
-        # A call adds its cost as it is built; the body returned stays
-        # counted there, for the caller to take over.
+        pows = [abs(k) for kind, k in algebra if kind == "pow"] if algebra else []
+        self._check_budget(self._gate_min_cost(name) * math.prod(pows), span)
         base = self.held
-        body: list[ResolvedCall] = []
-        for call in gate_def.body:
-            body.extend(self._resolve_body_call(call, formals, binding, stack + (name,)))
-            self._check_budget(0, span)
-        cost = self.held - base
+        # 0.0 and -0.0 hash alike, but inversion and the dump tell them apart.
+        # A body looks names up where it is called, so the loop variables it
+        # could read select its template too.
+        key = tuple(angles)
+        if 0 in key:
+            key += tuple(math.copysign(1.0, a) for a in key if a == 0)
+        loops = self.symbols.scopes[1:]
+        reads = [(n, e.const_value) for scope in loops for n, e in scope.items() if n in self.body_names]
+        key = (name, key, tuple(reads))
+        template = self.templates.get(key)
+        if template and len(stack) + template.height <= fe.MAX_NESTING and (
+            self.stmt_count + base + template.peak <= UNROLL_CAP
+        ):
+            self.high = max(self.high, base + template.peak)
+        else:
+            template = self._compile(self.gate_defs[name], angles, span, stack + (name,))
+            self.templates[key] = template
+        cost = template.count
+        for k in reversed(pows):
+            cost *= k
+            self.held = base
+            self._check_budget(cost, span)  # before the replicas are built
+        self.held = base + cost
+        return template
 
-        for kind, arg in reversed([m for m in modifiers if m[0] in ("inv", "pow")]):
-            if kind == "inv":
-                body = self._invert_calls(body)
-            else:
-                cost *= abs(arg)
-                self.held = base
-                self._check_budget(cost, span)  # before the replicas are built
-                self.held = base + cost
-                if arg < 0:
-                    body = self._invert_calls(body)
-                body = [
-                    ResolvedCall(list(c.modifiers), c.name, list(c.angles), list(c.qubits), c.span)
-                    for _ in range(abs(arg))
-                    for c in body
-                ]
-        for qubit, kind in reversed(controls):
-            for c in body:
-                c.modifiers.insert(0, (kind, None))
-                c.qubits.insert(0, qubit)
-        # Calls reach here free of repeats (builtin calls are checked as they
-        # resolve, inlined ones below), so only added controls can repeat.
-        for c in body if controls else ():
-            if len(set(c.qubits)) != len(c.qubits):
+    def _compile(self, gate_def: fe.GateDef, angles: list, span: fe.Span, stack: tuple) -> _Template:
+        """Walk a gate body once, over its formal qubit slots. `held` counts
+        the gates built into the bodies of every inline in progress, so
+        sibling bodies cannot each grow to the cap; the body stays counted
+        there for the caller to take over."""
+        formals: dict[str, Angle] = dict(zip(gate_def.params, angles))
+        # Arithmetic folds with the formals bound in a scope pushed on a view
+        # of the table. Only bare references to a formal bound to a ParamRef
+        # are representable; as a runtime input, const_eval reports NotConst.
+        scoped = SymbolTable()
+        scoped.scopes = self.symbols.scopes + [{}]
+        for name, value in formals.items():
+            runtime = isinstance(value, ParamRef)
+            kind = SymbolKind.RUNTIME_INPUT if runtime else SymbolKind.COMPILE_TIME_CONST
+            scoped.define(SymbolEntry(name, kind, 1, None if runtime else value, (0, 0)))
+        slots = {name: i for i, name in enumerate(gate_def.qubits)}
+        base, high = self.held, self.high
+        self.high = base
+        parts: list = []
+        height = 1
+        for call in gate_def.body:
+            polarity, algebra = self._modifiers(call.modifiers, scoped) if call.modifiers else ((), ())
+            qubits = []
+            for ref in call.qubits:
+                if ref.index is not None or ref.name not in slots:
+                    raise UndefinedName(
+                        f"unknown qubit '{ref.name}' in gate body (formals: {sorted(slots)})",
+                        ref.span,
+                    )
+                qubits.append(slots[ref.name])
+            callee = self._callee(call, len(polarity), strict=False)
+            if len(set(qubits)) != len(qubits):
                 raise DuplicateQubitArg(
-                    f"inlining '{name}' produced a repeated qubit operand", span
+                    f"gate '{call.name}' applied with a repeated qubit operand", call.span
                 )
-        return body
+            call_angles = [self.resolve_angle(a, formals, scoped) for a in call.args]
+            if callee is None:
+                cost = _pow_product(algebra)
+                self._check_budget(cost, span)
+                self.held += cost
+                ops = _builtin_ops(call.name, call_angles, qubits, polarity, algebra)
+                parts.append(ResolvedCall(call.name, call_angles, qubits, ops, call.span))
+            else:
+                inner = self._template(call.name, algebra, call_angles, call.span, stack)
+                height = max(height, inner.height + 1)
+                parts.append((inner, qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra))
+        template = _Template(self.held - base, self.high - base, height, parts)
+        self.high = max(high, self.high)
+        return template
 
     def _gate_min_cost(self, name: str, depth: int = 0) -> int:
         """A lower bound on the calls one plain call of user gate `name`
@@ -614,76 +752,16 @@ class _Analyzer:
                 )
         return self.min_costs[name]
 
-    @staticmethod
-    def _invert_calls(calls: list[ResolvedCall]) -> list[ResolvedCall]:
-        return [
-            ResolvedCall([("inv", None)] + list(c.modifiers), c.name, list(c.angles), list(c.qubits), c.span)
-            for c in reversed(calls)
-        ]
-
-    def _resolve_body_call(
-        self,
-        call: fe.GateCall,
-        formals: dict[str, Angle],
-        binding: dict[str, int],
-        stack: tuple[str, ...],
-    ) -> list[ResolvedCall]:
-        modifiers: list[tuple[str, int | None]] = []
-        n_ctrl = 0
-        for mod in call.modifiers:
-            if mod.kind == "pow":
-                k = _const_int(mod.exponent, self._symbols_with(formals), "pow exponent", exc=NotConst)
-                modifiers.append(("pow", k))
-            else:
-                modifiers.append((mod.kind, None))
-                if mod.kind in ("ctrl", "negctrl"):
-                    n_ctrl += 1
-
-        operands = []
-        for ref in call.qubits:
-            if ref.index is not None or ref.name not in binding:
-                raise UndefinedName(
-                    f"unknown qubit '{ref.name}' in gate body (formals: {sorted(binding)})",
-                    ref.span,
-                )
-            operands.append(binding[ref.name])
-
-        entry = self.symbols.lookup_or_none(call.name)
-        if entry is not None and entry.kind is SymbolKind.GATE_DEFINITION:
-            gate_def = self.gate_defs[call.name]
-            n_angles, n_qubits = len(gate_def.params), len(gate_def.qubits)
-        else:
-            n_angles, n_qubits = self._builtin_lookup(call.name, call.span)
-
-        if len(call.args) != n_angles:
-            raise ArityMismatch(
-                f"gate '{call.name}' takes {n_angles} angle(s), got {len(call.args)}", call.span
-            )
-        if len(operands) != n_qubits + n_ctrl:
-            raise ArityMismatch(
-                f"gate '{call.name}' with {n_ctrl} control modifier(s) takes "
-                f"{n_qubits + n_ctrl} qubit operand(s), got {len(operands)}",
-                call.span,
-            )
-        if len(set(operands)) != len(operands):
-            raise DuplicateQubitArg(
-                f"gate '{call.name}' applied with a repeated qubit operand", call.span
-            )
-        angles = [self.resolve_angle(a, formals) for a in call.args]
-        if entry is not None and entry.kind is SymbolKind.GATE_DEFINITION:
-            return self.inline_gate(call.name, modifiers, angles, operands, call.span, stack)
-        resolved = ResolvedCall(modifiers, call.name, angles, operands, call.span)
-        self.held += _call_cost(resolved)
-        return [resolved]
-
     # -- statements ---------------------------------------------------------
     def _check_budget(self, cost: int, span: fe.Span) -> None:
         """Raise before building statements that would take the program
-        past UNROLL_CAP."""
-        if self.stmt_count + self.held + cost > UNROLL_CAP:
+        past UNROLL_CAP; note the most held, for _Template.peak."""
+        need = self.held + cost
+        if self.stmt_count + need > UNROLL_CAP:
             raise ProgramTooLarge(
                 f"program exceeds {UNROLL_CAP} statements after loop unrolling", span
             )
+        self.high = max(self.high, need)
 
     def _bump(self, span: fe.Span, by: int = 1) -> None:
         self._check_budget(by, span)
@@ -692,15 +770,15 @@ class _Analyzer:
     def resolve_statements(self, stmts: list[fe.Statement], top_level: bool) -> list[ResolvedStatement]:
         out: list[ResolvedStatement] = []
         for stmt in stmts:
-            if isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
-                if not top_level:
-                    raise SemaError("declarations are only allowed at top level", stmt.span)
-                self.declare(stmt)
-            elif isinstance(stmt, fe.GateCall):
+            if isinstance(stmt, fe.GateCall):
                 before = self.stmt_count
                 out.extend(self.resolve_call(stmt))  # bumps by the gates it lowers to
                 if self.stmt_count == before:
                     self._bump(stmt.span)
+            elif isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
+                if not top_level:
+                    raise SemaError("declarations are only allowed at top level", stmt.span)
+                self.declare(stmt)
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):

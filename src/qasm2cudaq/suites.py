@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frontend, kir, randqasm, sema, sim
+from . import compile_source, kir, randqasm, sim
 from .oracle import fidelity_up_to_global_phase, oracle_unitary
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10
@@ -62,11 +62,6 @@ class SuiteReport:
                 for c in self.cases
             ],
         }
-
-
-def compile_source(source: str) -> kir.Kernel:
-    """Full frontend pipeline: source text to kernel IR."""
-    return kir.lower(sema.analyze(frontend.parse(frontend.tokenize(source))))
 
 
 def _e0(n: int) -> np.ndarray:
@@ -324,7 +319,7 @@ def suite_vqe(iterations: int = 50, seed: int = 1234) -> SuiteReport:
 
     def baseline_loop() -> None:
         for theta in thetas:
-            rebuilt = kir.lower(sema.analyze(frontend.parse(frontend.tokenize(_literal_ansatz(theta)))))
+            rebuilt = compile_source(_literal_ansatz(theta))
             sim.expval_pauli(sim.statevector(kir.bind(rebuilt, [])), "ZZ")
 
     bound_total = min(_timed(bound_loop) for _ in range(3))

@@ -125,6 +125,12 @@ EXPANSION_PROBES = {
     + "gate g0 a { x a; }\n"
     + "".join(f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}\n" for k in range(1, 40))
     + "g39 q;\n",
+    # the exponent names a formal, so no static floor sees the cost: the
+    # template's op count must be checked before its replicas are built
+    "doubling-gates-formal-pow": PROBE_HEADER
+    + "gate g0(t) a { pow(t) @ x a; }\n"
+    + "".join(f"gate g{k}(t) a {{ g{k - 1}(t) a; g{k - 1}(t) a; }}\n" for k in range(1, 40))
+    + "g39(1) q;\n",
 }
 
 
