@@ -13,6 +13,7 @@ from .kir import (
     Reset,
     bind,
     compile_counters,
+    compile_source,
     dump,
     lower,
     reset_compile_counters,
@@ -20,15 +21,6 @@ from .kir import (
 from .oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
 from .randqasm import RandomCircuitSpec, generate, generate_with_inverse
 from .sema import ParamRef, SymbolKind, ValidatedProgram, analyze, const_eval
-
-
-# Defined before the suites import below, which uses it.
-def compile_source(source: str) -> Kernel:
-    """The pipeline entry point: source text to kernel IR (tokenize, parse,
-    analyze, lower)."""
-    return lower(analyze(parse(tokenize(source))))
-
-
 from .sim import (
     ClassicalStore,
     RngStream,

@@ -6,7 +6,8 @@ import argparse
 import json
 import sys
 
-from . import compile_source, kir, sim, suites
+from . import kir, sim, suites
+from .kir import compile_source
 from .emit import EMISSION_TARGETS, emit
 from .errors import BadParameter, Qasm2CudaqError
 

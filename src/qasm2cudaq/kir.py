@@ -182,6 +182,12 @@ def lower(vp: ValidatedProgram) -> Kernel:
     )
 
 
+def compile_source(source: str) -> Kernel:
+    """The pipeline entry point: source text to kernel IR (tokenize, parse,
+    analyze, lower)."""
+    return lower(sema.analyze(frontend.parse(frontend.tokenize(source))))
+
+
 def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
     """Attach runtime parameter values without copying or re-lowering; every
     value must be finite."""

@@ -7,9 +7,12 @@ Angles are literal doubles or ParamRef slots into the flat runtime-parameter
 vector; `for` loops are expanded while `if` branches stay nested. Each
 builtin call a gate call inlines becomes one ResolvedCall with its `Gate` ops
 ready, through one modifier algebra (`_algebra`). A user gate body is compiled
-once per binding of its angles into a `_Template` over formal qubit slots,
-which each call instantiates by remapping qubits. Every expansion is counted
-against UNROLL_CAP before it is built.
+into a `_Template` once per key: the gate, the values of the angle formals
+that shape its gates (pow exponents, arithmetic, fixed formals of nested
+gates) and the loop variables it reads. A formal used only as a whole angle
+stays free: each call binds it when it places the template on its qubits.
+A template's op count is known before its calls are built, so every
+expansion is counted against UNROLL_CAP before it exists.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ _ROTATIONS = frozenset("rx ry rz p".split())
 
 @dataclass(slots=True)
 class Gate:
+    """One canonical gate op. Ops are shared between calls and kernels (see
+    `ResolvedCall`), so they are read-only."""
+
     base: str
     angles: tuple[Angle, ...]
     targets: tuple[int, ...]
@@ -131,7 +137,7 @@ def _invert_gate(g: Gate) -> Gate:
     """
     if g.base in _SELF_INVERSE and not g.adjoint:
         return g
-    literal = all(isinstance(a, float) for a in g.angles)
+    literal = not any(isinstance(a, ParamRef) for a in g.angles)
     if g.base in _ROTATIONS and literal and not g.adjoint:
         return Gate(g.base, tuple(-a for a in g.angles), g.targets, g.controls, False)
     if g.base == "u" and literal and not g.adjoint:
@@ -174,6 +180,11 @@ def _builtin_ops(name: str, angles: list, qubits: list[int], polarity: tuple, al
 # with its gates ready; operands are flat qubit ids, modifier controls first.
 @dataclass(slots=True)
 class ResolvedCall:
+    """One builtin call and its canonical gates. Calls, their `angles` lists
+    and their ops are shared between the replicas of a `pow`, the
+    iterations of a broadcast and the placements of a template, in
+    `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
+
     name: str
     angles: list[Angle]
     qubits: list[int]
@@ -185,31 +196,44 @@ def _invert_call(c: ResolvedCall) -> ResolvedCall:
     return ResolvedCall(c.name, c.angles, c.qubits, _algebra(c.ops, (("inv", None),), _invert_gate), c.span)
 
 
-def _instantiate(calls: list[ResolvedCall], targets: list[int], controls: tuple, algebra: Algebra) -> list:
-    """Place calls over slots 0..n-1 on `targets` with `controls` prepended,
-    then apply a caller's inv/pow through `_algebra`; pow replicas share
-    the placed calls."""
-    lead = [q for q, _ in controls]
-    slot = targets.__getitem__
-    out = []
-    for c in calls:
-        ops = []
-        for g in c.ops:
-            inner = controls + tuple([(slot(q), pol) for q, pol in g.controls]) if g.controls else controls
-            ops.append(Gate(g.base, g.angles, tuple(map(slot, g.targets)), inner, g.adjoint))
-        out.append(ResolvedCall(c.name, c.angles, [*lead, *map(slot, c.qubits)], ops, c.span))
-    return _algebra(out, algebra, _invert_call)
+@dataclass(frozen=True, slots=True)
+class _Formal:
+    """A template angle: the double bound to angle formal `index`, negated
+    when `sign` is -1. Inverting a gate negates it as a literal angle."""
+
+    index: int
+    sign: int = 1
+
+    def __neg__(self) -> "_Formal":
+        return _Formal(self.index, -self.sign)
+
+
+@dataclass(frozen=True)
+class _FormalRef(ParamRef):
+    """A template angle: the ParamRef bound to angle formal `slot`."""
+
+
+def _bound(angle, values: list[Angle]) -> Angle:
+    """A template angle with the formals of one call substituted."""
+    if type(angle) is _Formal:
+        return values[angle.index] if angle.sign > 0 else -values[angle.index]
+    return values[angle.slot] if type(angle) is _FormalRef else angle
 
 
 @dataclass
 class _Template:
-    """A user gate body compiled for one binding of its angle formals: calls
-    over formal qubit slots, built on first use from `parts`."""
+    """A user gate body compiled once per key (see `_Analyzer._template`),
+    over the qubits of the call that compiled it (`home`), with `_Formal`
+    and `_FormalRef` angles where a formal is bound per call. Its calls are
+    built on first use from `parts`."""
 
     count: int  # canonical gates one plain call lowers to
     peak: int  # most budget held at any check while it was built, over the start
     height: int  # definitions it nests, itself included
-    # a builtin ResolvedCall, or (template, target slots, control slots, algebra)
+    free: bool  # some angle formal is bound when the template is placed
+    home: list[int]
+    # a builtin ResolvedCall, or (template, targets, controls, algebra,
+    # angles), where the angles may hold this template's own free formals
     parts: list
     calls: list[ResolvedCall] | None = None
 
@@ -217,12 +241,29 @@ class _Template:
         if self.calls is None:
             self.calls = []
             for part in self.parts:
-                if isinstance(part, ResolvedCall):
-                    self.calls.append(part)
-                else:
-                    template, targets, controls, algebra = part
-                    self.calls.extend(_instantiate(template.built(), targets, controls, algebra))
+                self.calls.extend([part] if isinstance(part, ResolvedCall) else part[0].place(*part[1:]))
         return self.calls
+
+    def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
+        """The calls moved from `home` to `targets`, with `controls`
+        prepended and the free formals bound to `angles`; then a caller's
+        inv/pow through `_algebra`. At home, plain, the built calls serve."""
+        calls = self.built()
+        if controls or self.free or targets != self.home:
+            lead = [q for q, _ in controls]
+            where = dict(zip(self.home, targets)).__getitem__
+            bind = angles if self.free else None
+            out = []
+            for c in calls:
+                ops = []
+                for g in c.ops:
+                    inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
+                    args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
+                    ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
+                args = [_bound(a, bind) for a in c.angles] if bind and c.angles else c.angles
+                out.append(ResolvedCall(c.name, args, [*lead, *map(where, c.qubits)], ops, c.span))
+            calls = out
+        return _algebra(calls, algebra, _invert_call)
 
 
 def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
@@ -432,6 +473,8 @@ class _Analyzer:
         self.high = 0  # most `held` plus cost seen by a check, for _Template.peak
         self.min_costs: dict[str, int] = {}
         self.templates: dict[tuple, _Template] = {}
+        # per gate, per angle formal: whether it is free (see `declare`)
+        self.free_formals: dict[str, tuple[bool, ...]] = {}
         # names any gate body mentions; a loop variable among them keys templates
         self.body_names: set[str] = set()
 
@@ -486,10 +529,22 @@ class _Analyzer:
             if len(set(stmt.qubits)) != len(stmt.qubits) or len(set(stmt.params)) != len(stmt.params):
                 raise Redefinition(f"duplicate formal name in gate '{stmt.name}'", stmt.span)
             self.gate_defs[stmt.name] = stmt
+            # A formal is free when the body uses it only as a whole angle of
+            # a builtin call or of an earlier gate's free formal: its value
+            # then shapes no gate count or error, so a template binds it when
+            # placed.
+            fixed: set[str] = set()
             for call in stmt.body:
                 self.body_names.add(call.name)
-                for expr in call.args + [m.exponent for m in call.modifiers if m.kind == "pow"]:
+                if self.has_stdgates and call.name in BUILTIN_GATES:
+                    passes = (True,) * len(call.args)
+                else:
+                    passes = self.free_formals.get(call.name, ())
+                for i, expr in enumerate(call.args + [m.exponent for m in call.modifiers if m.kind == "pow"]):
                     _expr_names(expr, self.body_names)
+                    if not (i < len(passes) and passes[i] and isinstance(expr, fe.NamedRef) and expr.index is None):
+                        _expr_names(expr, fixed)
+            self.free_formals[stmt.name] = tuple(p not in fixed for p in stmt.params)
 
     # -- operand resolution -------------------------------------------------
     def resolve_qubit_operand(self, ref: fe.NamedRef) -> int | tuple[str, int]:
@@ -501,10 +556,7 @@ class _Analyzer:
             if entry.size == 1:
                 return self.qubit_base[ref.name]
             return (ref.name, entry.size)
-        if type(ref.index) is fe.IntLit:  # the common case, without the fold
-            idx = ref.index.value
-        else:
-            idx = _const_int(ref.index, self.symbols, "qubit index")
+        idx = _const_int(ref.index, self.symbols, "qubit index")
         if not 0 <= idx < entry.size:
             raise IndexOutOfRange(
                 f"index {idx} out of range for qubit register '{ref.name}' of size {entry.size}",
@@ -606,8 +658,8 @@ class _Analyzer:
     def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
         polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
         gate_def = self._callee(stmt, len(polarity), strict=True)
-        angles = list(map(self.resolve_angle, stmt.args))
-        operands = list(map(self.resolve_qubit_operand, stmt.qubits))
+        angles = [self.resolve_angle(a) for a in stmt.args]
+        operands = [self.resolve_qubit_operand(q) for q in stmt.qubits]
         out: list[ResolvedCall] = []
         for broadcast in self._broadcast(operands, stmt.span):
             if len(set(broadcast)) != len(broadcast):
@@ -619,19 +671,19 @@ class _Analyzer:
                 ops = _builtin_ops(stmt.name, angles, broadcast, polarity, algebra)
                 out.append(ResolvedCall(stmt.name, angles, broadcast, ops, stmt.span))
             else:
-                template = self._template(stmt.name, algebra, angles, stmt.span, ())
+                targets = broadcast[len(polarity) :]
+                template = self._template(stmt.name, algebra, angles, targets, stmt.span, ())
                 cost, self.held = self.held, 0
                 self._bump(stmt.span, cost)
-                controls = tuple(zip(broadcast, polarity))
-                out.extend(_instantiate(template.built(), broadcast[len(polarity) :], controls, algebra))
+                out.extend(template.place(targets, tuple(zip(broadcast, polarity)), algebra, angles))
         return out
 
     def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
         """Expand whole-register operands: same-width registers zip elementwise,
         single qubits broadcast across iterations."""
-        if tuple not in map(type, operands):
-            return [operands]
         widths = {op[1] for op in operands if isinstance(op, tuple)}
+        if not widths:
+            return [list(operands)]
         if len(widths) > 1:
             raise ArityMismatch(
                 f"mismatched register widths {sorted(widths)} in one gate call", span
@@ -644,7 +696,7 @@ class _Analyzer:
             )
         return calls
 
-    def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
+    def _template(self, name: str, algebra: Algebra, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
         `algebra` leaves its gates counted in `held`. The checks are those of
         walking the body here, in order: recursion, nesting depth, a lower
@@ -663,22 +715,26 @@ class _Analyzer:
         pows = [abs(k) for kind, k in algebra if kind == "pow"] if algebra else []
         self._check_budget(self._gate_min_cost(name) * math.prod(pows), span)
         base = self.held
-        # 0.0 and -0.0 hash alike, but inversion and the dump tell them apart.
-        # A body looks names up where it is called, so the loop variables it
-        # could read select its template too.
-        key = tuple(angles)
-        if 0 in key:
-            key += tuple(math.copysign(1.0, a) for a in key if a == 0)
+        # Free formals are bound when the template is placed; only whether
+        # each is a ParamRef selects the template. The other angles select it
+        # by value, and by sign: 0.0 and -0.0 hash alike, but inversion and
+        # the dump tell them apart. A body looks names up where it is called,
+        # so the loop variables it could read select it too.
+        free = self.free_formals[name]
+        fixed = tuple([a for a, f in zip(angles, free) if not f])
+        if 0 in fixed:
+            fixed += tuple(math.copysign(1.0, a) for a in fixed if a == 0)
+        runtime = tuple([isinstance(a, ParamRef) for a, f in zip(angles, free) if f])
         loops = self.symbols.scopes[1:]
         reads = [(n, e.const_value) for scope in loops for n, e in scope.items() if n in self.body_names]
-        key = (name, key, tuple(reads))
+        key = (name, fixed, runtime, tuple(reads))
         template = self.templates.get(key)
         if template and len(stack) + template.height <= fe.MAX_NESTING and (
             self.stmt_count + base + template.peak <= UNROLL_CAP
         ):
             self.high = max(self.high, base + template.peak)
         else:
-            template = self._compile(self.gate_defs[name], angles, span, stack + (name,))
+            template = self._compile(self.gate_defs[name], angles, targets, span, stack + (name,))
             self.templates[key] = template
         cost = template.count
         for k in reversed(pows):
@@ -688,12 +744,17 @@ class _Analyzer:
         self.held = base + cost
         return template
 
-    def _compile(self, gate_def: fe.GateDef, angles: list, span: fe.Span, stack: tuple) -> _Template:
-        """Walk a gate body once, over its formal qubit slots. `held` counts
+    def _compile(self, gate_def: fe.GateDef, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
+        """Walk a gate body once, over `targets`. `held` counts
         the gates built into the bodies of every inline in progress, so
         sibling bodies cannot each grow to the cap; the body stays counted
         there for the caller to take over."""
-        formals: dict[str, Angle] = dict(zip(gate_def.params, angles))
+        # A free formal is bound to a placeholder, which the body never folds
+        # (it is only ever a whole angle); placing the template replaces it.
+        free = self.free_formals[gate_def.name]
+        formals: dict[str, Angle] = {}
+        for i, (name, value) in enumerate(zip(gate_def.params, angles)):
+            formals[name] = (_FormalRef(i) if isinstance(value, ParamRef) else _Formal(i)) if free[i] else value
         # Arithmetic folds with the formals bound in a scope pushed on a view
         # of the table. Only bare references to a formal bound to a ParamRef
         # are representable; as a runtime input, const_eval reports NotConst.
@@ -703,7 +764,7 @@ class _Analyzer:
             runtime = isinstance(value, ParamRef)
             kind = SymbolKind.RUNTIME_INPUT if runtime else SymbolKind.COMPILE_TIME_CONST
             scoped.define(SymbolEntry(name, kind, 1, None if runtime else value, (0, 0)))
-        slots = {name: i for i, name in enumerate(gate_def.qubits)}
+        slots = dict(zip(gate_def.qubits, targets))
         base, high = self.held, self.high
         self.high = base
         parts: list = []
@@ -731,10 +792,11 @@ class _Analyzer:
                 ops = _builtin_ops(call.name, call_angles, qubits, polarity, algebra)
                 parts.append(ResolvedCall(call.name, call_angles, qubits, ops, call.span))
             else:
-                inner = self._template(call.name, algebra, call_angles, call.span, stack)
+                inner_targets = qubits[len(polarity) :]
+                inner = self._template(call.name, algebra, call_angles, inner_targets, call.span, stack)
                 height = max(height, inner.height + 1)
-                parts.append((inner, qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra))
-        template = _Template(self.held - base, self.high - base, height, parts)
+                parts.append((inner, inner_targets, tuple(zip(qubits, polarity)), algebra, call_angles))
+        template = _Template(self.held - base, self.high - base, height, True in free, targets, parts)
         self.high = max(high, self.high)
         return template
 
@@ -770,15 +832,15 @@ class _Analyzer:
     def resolve_statements(self, stmts: list[fe.Statement], top_level: bool) -> list[ResolvedStatement]:
         out: list[ResolvedStatement] = []
         for stmt in stmts:
-            if isinstance(stmt, fe.GateCall):
+            if isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
+                if not top_level:
+                    raise SemaError("declarations are only allowed at top level", stmt.span)
+                self.declare(stmt)
+            elif isinstance(stmt, fe.GateCall):
                 before = self.stmt_count
                 out.extend(self.resolve_call(stmt))  # bumps by the gates it lowers to
                 if self.stmt_count == before:
                     self._bump(stmt.span)
-            elif isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
-                if not top_level:
-                    raise SemaError("declarations are only allowed at top level", stmt.span)
-                self.declare(stmt)
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import compile_source, kir, randqasm, sim
+from . import kir, randqasm, sim
+from .kir import compile_source
 from .oracle import fidelity_up_to_global_phase, oracle_unitary
 
 FIDELITY_THRESHOLD = 1.0 - 1e-10

@@ -287,3 +287,63 @@ class TestTemplateReuseLimits:
         with pytest.raises(RecursiveGateDef) as err:
             compile_source(source)
         assert "recursive gate definition: g -> g" in str(err.value)
+
+
+class TestFreeFormals:
+    """A formal used only as a whole builtin angle is bound when a template
+    is placed, so calls that differ only in such angles share a template."""
+
+    def test_literal_and_runtime_angles_bind_as_before(self):
+        source = HEADER + (
+            "input array[float[64], 2] th;\ngate g(t, s) a, b { rz(t) a; u(t, s, 0.5) b; cp(s) a, b; }\nqubit[2] q;\n"
+            "g(th[0], 0.25) q[0], q[1];\ninv @ g(th[1], -0.0) q[1], q[0];\ninv @ g(0.5, th[0]) q[0], q[1];\n"
+        )
+        assert kir.dump(compile_source(source)) == (
+            "kernel qubits=2 params=th:2 classical=-\n"
+            "gate rz(param0) q0\ngate u(param0, 0.25, 0.5) q1\ngate p(0.25) q1 +q0\n"
+            "gate p(0.0) q0 +q1\ngate u(param1, -0.0, 0.5) q0 adj\ngate rz(param1) q1 adj\n"
+            "gate p(param0) q1 +q0 adj\ngate u(0.5, param0, 0.5) q1 adj\ngate rz(-0.5) q0\n"
+        )
+
+    def test_a_loop_of_distinct_angles_compiles_each_template_once(self, monkeypatch):
+        compiled = []
+        original = sema._Analyzer._compile
+
+        def counting(self, gate_def, *args):
+            compiled.append(gate_def.name)
+            return original(self, gate_def, *args)
+
+        monkeypatch.setattr(sema._Analyzer, "_compile", counting)
+        source = HEADER + (
+            "input array[float[64], 50] th;\ngate g(t) a, b { cx a, b; rz(t) b; inv @ ry(t) a; }\n"
+            "gate w(t) a, b { g(t/2) a, b; }\nqubit[2] q;\n"
+            "for int i in [0:49] { g(i * 0.01) q[0], q[1]; g(th[i]) q[1], q[0]; w(0.5) q[0], q[1]; }\n"
+        )
+        body = compile_source(source).body
+        # one for a literal t, one for a runtime t; w passes t/2 on, so its t is keyed by value
+        assert compiled == ["g", "g", "w"]
+        assert len(body) == 50 * 9
+        assert [op.angles for op in body[63:66]] == [(), (7 * 0.01,), (-(7 * 0.01),)]
+        assert [(op.angles, op.adjoint) for op in body[67:69]] == [((sema.ParamRef(7),), False), ((sema.ParamRef(7),), True)]
+        assert [op.angles for op in body[70:72]] == [(0.25,), (-0.25,)]
+
+    def test_a_formal_passed_whole_to_a_free_formal_stays_free(self, monkeypatch):
+        compiled = []
+        original = sema._Analyzer._compile
+
+        def counting(self, gate_def, *args):
+            compiled.append(gate_def.name)
+            return original(self, gate_def, *args)
+
+        monkeypatch.setattr(sema._Analyzer, "_compile", counting)
+        source = HEADER + (
+            "input array[float[64], 4] th;\ngate g(t) a { rz(t) a; }\ngate w(t) a, b { g(t) a; inv @ g(t) b; }\n"
+            "qubit[2] q;\nfor int i in [0:3] { w(i * 0.5) q[0], q[1]; w(th[i]) q[1], q[0]; }\n"
+        )
+        body = compile_source(source).body
+        assert compiled == ["w", "g", "w", "g"]  # a literal and a runtime t
+        assert [(op.angles, op.targets) for op in body[4:6]] == [((0.5,), (0,)), ((-0.5,), (1,))]
+        assert [(op.angles, op.targets, op.adjoint) for op in body[6:8]] == [
+            ((sema.ParamRef(1),), (1,), False),
+            ((sema.ParamRef(1),), (0,), True),
+        ]
