@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Regenerate the golden emission corpus under tests/golden/<target>/.
+"""Regenerate the golden emission corpus under tests/golden/<target>/ and
+the sample histograms in tests/golden/histograms.json.
 
-Run after any deliberate emission-grammar change, then review the diff.
+Run after any deliberate emission-grammar or sampling change, then review
+the diff.
 """
 
+import json
 import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, HISTOGRAM_SEEDS, histogram, histogram_corpus
 
 from qasm2cudaq import EMISSION_TARGETS, compile_source, emit, golden_check
 
@@ -23,6 +26,13 @@ def main() -> int:
             path = ROOT / "tests" / "golden" / target / f"{name}.txt"
             ok, detail = golden_check(emitted, str(path), record=True)
             print(f"{target}/{name}: {detail}")
+    histograms = {
+        name: {str(seed): histogram(source, seed) for seed in HISTOGRAM_SEEDS}
+        for name, source in histogram_corpus().items()
+    }
+    path = ROOT / "tests" / "golden" / "histograms.json"
+    path.write_text(json.dumps(histograms, indent=1) + "\n", encoding="utf-8")
+    print(f"histograms: {len(histograms)} kernels x {len(HISTOGRAM_SEEDS)} seeds")
     return 0
 
 

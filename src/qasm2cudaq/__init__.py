@@ -22,7 +22,6 @@ from .oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitar
 from .randqasm import RandomCircuitSpec, generate, generate_with_inverse
 from .sema import ParamRef, SymbolKind, ValidatedProgram, analyze, const_eval
 from .sim import (
-    ClassicalStore,
     RngStream,
     ShotHistogram,
     StateVector,

@@ -83,9 +83,19 @@ def _parse_params(kernel: kir.Kernel, raw: list[str]) -> list[float]:
     return flat
 
 
+def _read_source(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise Qasm2CudaqError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        reason = f"not UTF-8 text ({err.reason} at byte {err.start})"
+        raise Qasm2CudaqError(f"cannot read {path}: {reason}") from None
+
+
 def _cmd_transpile(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        kernel = compile_source(fh.read())
+    kernel = compile_source(_read_source(args.file))
     if args.dump_ir:
         text = kir.dump(kernel)
     else:
@@ -99,8 +109,7 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        kernel = compile_source(fh.read())
+    kernel = compile_source(_read_source(args.file))
     bound = kir.bind(kernel, _parse_params(kernel, args.param))
     if args.statevector or args.expval:
         state = sim.statevector(bound)

@@ -368,14 +368,16 @@ class _BuilderEmitter(_EmitterBase):
         sub = self._make_sub(name, len(angles), len(targets))
         args = ", ".join(angles + targets)
         if op.adjoint and op.controls:
-            wrapper = self._make_wrapper(sub, len(angles), len(targets))
+            wrapper = self._make_sub("adjoint", len(angles), len(targets), sub)
             self._apply_control(op, wrapper, args)
         elif op.adjoint:
             self.line(f"kernel.adjoint({sub}, {args})")
         else:
             self._apply_control(op, sub, args)
 
-    def _make_sub(self, name: str, n_angles: int, n_targets: int) -> str:
+    def _make_sub(self, method: str, n_angles: int, n_targets: int, *lead: str) -> str:
+        """Emit a sub-kernel over n_angles floats and n_targets qubits whose
+        body is the one call `sub.method(*lead, *args)`; returns its name."""
         sid = self.sub_count
         self.sub_count += 1
         sub = f"sub_{sid}"
@@ -384,19 +386,7 @@ class _BuilderEmitter(_EmitterBase):
         ]
         types = ["float"] * n_angles + ["cudaq.qubit"] * n_targets
         self.line(f"{sub}, {', '.join(arg_names)} = cudaq.make_kernel({', '.join(types)})")
-        self.line(f"{sub}.{name}({', '.join(arg_names)})")
-        return sub
-
-    def _make_wrapper(self, inner: str, n_angles: int, n_targets: int) -> str:
-        sid = self.sub_count
-        self.sub_count += 1
-        sub = f"sub_{sid}"
-        arg_names = [f"{sub}_a{i}" for i in range(n_angles)] + [
-            f"{sub}_q{j}" for j in range(n_targets)
-        ]
-        types = ["float"] * n_angles + ["cudaq.qubit"] * n_targets
-        self.line(f"{sub}, {', '.join(arg_names)} = cudaq.make_kernel({', '.join(types)})")
-        self.line(f"{sub}.adjoint({inner}, {', '.join(arg_names)})")
+        self.line(f"{sub}.{method}({', '.join([*lead, *arg_names])})")
         return sub
 
     def _apply_control(self, op: Gate, sub: str, args: str) -> None:

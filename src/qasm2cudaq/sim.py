@@ -32,97 +32,52 @@ products of its qubits, and a non-diagonal gate on a table qubit, or a
 diagonal gate that would outgrow the cap, first applies the table.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
-stream `RngStream.for_shot(seed, s)`, one draw per measure or reset it
-executes, in program order, so a histogram depends only on (seed, shots)
+stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
+it executes, in program order, so a histogram depends only on (seed, shots)
 and never on the worker count. `ShotStreams` holds the streams of many shots
-as uint64 arrays and advances any subset of them at once. A static kernel
-is simulated once and every shot takes one draw against the cumulative
-distribution. A dynamic kernel is walked depth first over a flattened body
-(each CondBlock becomes a conditional jump) by groups of shots that share
-one state and one classical store, so gates and predicates run once per
-group. At a measure or reset the group draws for all its shots against one
-p1 and splits into at most two branches. The branch with fewer shots is
-walked first and the other waits, holding a state copy while the live
-states fit in `_BRANCH_BYTES`; past that budget it keeps only its shot
-indices and is replayed later from |0...0> with fresh streams, on which its
-shots draw the same values and so retrace the same path. Walking the
-smaller branch first keeps at most log2(chunk) branches waiting. Shots are
-taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows with
-the shot count. `_exec_ops` and `run_trajectory` are the one-shot case of
-the same walk: it never splits, so it works in place.
+as uint64 arrays and advances any subset of them at once; `RngStream` is one
+row of it. The classical bits of a shot are one int mask whose binary form is
+its histogram key. A static kernel is simulated once and every shot takes one
+draw against the cumulative distribution. A dynamic kernel is walked depth
+first over a flattened body (each CondBlock becomes a conditional jump) by
+groups of shots that share one state and one classical mask, so gates and
+predicates run once per group. At a measure or reset the group draws for all
+its shots against one p1 and splits into at most two branches. The branch
+with fewer shots is walked first and the other waits, holding a state copy
+while the live states fit in `_BRANCH_BYTES`; past that budget it keeps only
+its shot indices and is replayed later from |0...0> with fresh streams, on
+which its shots draw the same values and so retrace the same path. Walking
+the smaller branch first keeps at most log2(chunk) branches waiting. Shots
+are taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows
+with the shot count. `run_trajectory` is the one-shot case of the same walk:
+one row, which never splits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError, TooLarge
-from .kir import BoundKernel, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
+from .kir import BoundKernel, CondBlock, Gate, Kernel, Measure, Nop, Reset
 from .sema import ParamRef
 
 # ---------------------------------------------------------------------------
 # RNG: xoshiro256++ seeded via splitmix64; shot s derives its own stream.
 # ---------------------------------------------------------------------------
 
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + _GOLDEN) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
-class RngStream:
-    """Deterministic 64-bit generator; (seed, shot) fully determines the stream."""
-
-    __slots__ = ("s0", "s1", "s2", "s3")
-
-    def __init__(self, seed: int):
-        state = seed & _MASK
-        state, self.s0 = _splitmix64(state)
-        state, self.s1 = _splitmix64(state)
-        state, self.s2 = _splitmix64(state)
-        state, self.s3 = _splitmix64(state)
-
-    @classmethod
-    def for_shot(cls, seed: int, shot: int) -> "RngStream":
-        _, derived = _splitmix64((seed + (shot + 1) * _GOLDEN) & _MASK)
-        return cls(derived)
-
-    def next_u64(self) -> int:
-        result = (_rotl((self.s0 + self.s3) & _MASK, 23) + self.s0) & _MASK
-        t = (self.s1 << 17) & _MASK
-        self.s2 ^= self.s0
-        self.s3 ^= self.s1
-        self.s1 ^= self.s2
-        self.s0 ^= self.s3
-        self.s2 ^= t
-        self.s3 = _rotl(self.s3, 45)
-        return result
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-
 # Every constant and shift count is a np.uint64, so arithmetic stays in
 # wrapping uint64 under both the value-based casting of NumPy 1.x and the
 # NEP 50 casting of 2.x (a Python int beside a uint64 scalar became float64
 # under 1.x).
+_MASK = (1 << 64) - 1
 _U = np.uint64
-_GOLDEN_U = _U(_GOLDEN)
+_GOLDEN_U = _U(0x9E3779B97F4A7C15)
 _MIX1 = _U(0xBF58476D1CE4E5B9)
 _MIX2 = _U(0x94D049BB133111EB)
 
@@ -139,22 +94,26 @@ def _rotl_vec(x: np.ndarray, k: int) -> np.ndarray:
 
 
 class ShotStreams:
-    """The RngStream.for_shot(seed, s) of many shots as uint64 state arrays;
-    row i is shot shots[i]."""
+    """xoshiro256++ streams as uint64 state arrays, one per row; row i is
+    the stream of shot shots[i], RngStream.for_shot(seed, shots[i])."""
 
     __slots__ = ("s0", "s1", "s2", "s3")
 
     def __init__(self, seed: int, shots: np.ndarray):
         offsets = (np.asarray(shots).astype(np.uint64) + _U(1)) * _GOLDEN_U
-        _, state = _splitmix64_vec(_U(seed & _MASK) + offsets)
+        _, seeds = _splitmix64_vec(_U(seed & _MASK) + offsets)
+        self._seed(seeds)
+
+    def _seed(self, state: np.ndarray) -> None:
+        """Seed row i by splitmix64 from state[i]."""
         state, self.s0 = _splitmix64_vec(state)
         state, self.s1 = _splitmix64_vec(state)
         state, self.s2 = _splitmix64_vec(state)
         state, self.s3 = _splitmix64_vec(state)
 
     def uniform(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Next uniform double of each given row, as RngStream.uniform; the
-        other rows do not advance."""
+        """Next uniform double in [0, 1), with 53 random bits, of each given
+        row; the other rows do not advance."""
         s0, s1, s2, s3 = self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows]
         result = _rotl_vec(s0 + s3, 23) + s0
         t = s1 << _U(17)
@@ -165,6 +124,27 @@ class ShotStreams:
         s2 = s2 ^ t
         self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows] = s0, s1, s2, _rotl_vec(s3, 45)
         return (result >> _U(11)).astype(np.float64) * 2.0**-53
+
+
+class RngStream:
+    """One xoshiro256++ stream: a ShotStreams of one row, seeded from `seed`
+    itself. (seed, shot) fully determines the stream of for_shot."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, seed: int):
+        self._row = ShotStreams.__new__(ShotStreams)
+        self._row._seed(np.array([seed & _MASK], dtype=np.uint64))
+
+    @classmethod
+    def for_shot(cls, seed: int, shot: int) -> "RngStream":
+        rng = cls.__new__(cls)
+        rng._row = ShotStreams(seed, np.array([shot]))
+        return rng
+
+    def uniform(self) -> float:
+        """Uniform double in [0, 1) with 53 random bits."""
+        return float(self._row.uniform()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,33 +178,28 @@ class StateVector:
         return StateVector(self.n, self.amps.copy())
 
 
-class ClassicalStore:
-    """Bit registers; never-written bits read as 0."""
+class _Layout:
+    """The classical bits of a shot as one int mask, whose binary form with
+    `bits` digits is the histogram key: registers in declaration order, each
+    MSB-first (bit 0 leftmost). Register `name` is the field of `width` bits
+    at `shift`, fields[name] = (shift, width), so the field read as an
+    unsigned integer is the register's value with bit 0 most significant."""
 
-    def __init__(self, layout: list[tuple[str, int]]):
-        self.layout = list(layout)
-        self.bits: dict[str, list[int]] = {name: [0] * width for name, width in layout}
+    def __init__(self, registers: list[tuple[str, int]]):
+        self.bits = sum(width for _, width in registers)
+        self.fields: dict[str, tuple[int, int]] = {}
+        shift = self.bits
+        for name, width in registers:
+            shift -= width
+            self.fields[name] = (shift, width)
 
-    def write_bit(self, register: str, index: int, value: int) -> None:
-        self.bits[register][index] = value
+    def field(self, register: str, index: int | None) -> tuple[int, int]:
+        """(shift, width) of the whole register, or of its bit `index`."""
+        shift, width = self.fields[register]
+        return (shift, width) if index is None else (shift + width - 1 - index, 1)
 
-    def read_bit(self, register: str, index: int) -> int:
-        return self.bits[register][index]
-
-    def register_uint(self, register: str) -> int:
-        """Register as unsigned integer, bit 0 most significant."""
-        value = 0
-        for bit in self.bits[register]:
-            value = (value << 1) | bit
-        return value
-
-    def key(self) -> str:
-        return "".join(str(b) for name, _ in self.layout for b in self.bits[name])
-
-    def copy(self) -> "ClassicalStore":
-        other = ClassicalStore(self.layout)
-        other.bits = {name: list(bits) for name, bits in self.bits.items()}
-        return other
+    def key(self, mask: int) -> str:
+        return format(mask, f"0{self.bits}b") if self.bits else ""
 
 
 @dataclass
@@ -422,70 +397,8 @@ def _p1(state: StateVector, qubit: int) -> float:
     return float(np.einsum("ij,ij->", one, one))
 
 
-def _collapse(state: StateVector, qubit: int, outcome: int, p1: float) -> None:
-    """Project the qubit onto `outcome` and renormalize; `p1` is its
-    probability of reading 1 before the projection."""
-    p_outcome = p1 if outcome == 1 else 1.0 - p1
-    if p_outcome < 1e-15:
-        raise DegenerateNorm(
-            f"selected measurement branch {outcome} on qubit {qubit} has probability {p_outcome}"
-        )
-    zero, one = _halves(state, qubit)
-    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
-    dropped[...] = 0.0
-    kept *= 1.0 / math.sqrt(p_outcome)
-
-
-def _one_to_zero(state: StateVector, qubit: int) -> None:
-    """Move the bit-1 half into the bit-0 half (a reset that read 1)."""
-    zero, one = _halves(state, qubit)
-    zero[...] = one
-    one[...] = 0.0
-
-
-def measure(
-    state: StateVector,
-    qubit: int,
-    rng: RngStream,
-    store: ClassicalStore | None = None,
-    target_bit: tuple[str, int] | None = None,
-) -> int:
-    """Projective Z measurement: collapse, renormalize, record the outcome."""
-    p1 = _p1(state, qubit)
-    outcome = 1 if rng.uniform() < p1 else 0
-    _collapse(state, qubit, outcome, p1)
-    if store is not None and target_bit is not None:
-        store.write_bit(target_bit[0], target_bit[1], outcome)
-    return outcome
-
-
-def reset(state: StateVector, qubit: int, rng: RngStream) -> StateVector:
-    """Force a qubit to |0>: measure, then move the bit-1 half into the bit-0
-    half if the outcome was 1."""
-    if measure(state, qubit, rng) == 1:
-        _one_to_zero(state, qubit)
-    return state
-
-
-def _eval_predicate(pred: Predicate, store: ClassicalStore) -> bool:
-    if pred.index is not None:
-        value = store.read_bit(pred.register, pred.index)
-    else:
-        value = store.register_uint(pred.register)
-    if pred.comparator == "truthy":
-        return value != 0
-    return {
-        "==": value == pred.rhs,
-        "!=": value != pred.rhs,
-        "<": value < pred.rhs,
-        "<=": value <= pred.rhs,
-        ">": value > pred.rhs,
-        ">=": value >= pred.rhs,
-    }[pred.comparator]
-
-
 # ---------------------------------------------------------------------------
-# The walk: groups of shots that share one state and one store
+# The walk: groups of shots that share one state and one classical mask
 # ---------------------------------------------------------------------------
 
 # Live states one walk may hold; a waiting branch past this is replayed.
@@ -494,13 +407,35 @@ _BRANCH_BYTES = 1 << 28
 _SHOT_CHUNK = 1 << 16
 
 
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "truthy": lambda value, _: value != 0,
+}
+
+
 @dataclass(frozen=True)
 class _Branch:
     """Head of a flattened CondBlock: fall through into the then-body when
-    the predicate holds, else continue at `orelse`."""
+    compare((mask >> shift) & ones, rhs) holds, else continue at `orelse`."""
 
-    predicate: Predicate
+    shift: int
+    ones: int
+    compare: Callable[[int, int], bool]
+    rhs: int
     orelse: int
+
+
+@dataclass(frozen=True)
+class _Write:
+    """A flattened Measure, whose outcome lands on `bit` of the mask."""
+
+    qubit: int
+    bit: int
 
 
 @dataclass(frozen=True)
@@ -508,49 +443,68 @@ class _Jump:
     to: int
 
 
-def _flatten(ops: list, out: list | None = None) -> list:
-    """Ops with every CondBlock replaced by a _Branch, its then-body, a
-    _Jump over the else-body (when there is one), and its else-body."""
+def _flatten(ops: list, layout: _Layout, out: list | None = None) -> list:
+    """Ops with every Measure replaced by a _Write and every CondBlock by a
+    _Branch, its then-body, a _Jump over the else-body (when there is one),
+    and its else-body."""
     out = [] if out is None else out
     for op in ops:
+        if isinstance(op, Measure):
+            out.append(_Write(op.qubit, 1 << layout.field(*op.bit)[0]))
+            continue
         if not isinstance(op, CondBlock):
             out.append(op)
             continue
         head = len(out)
         out.append(None)
-        _flatten(op.then_body, out)
+        _flatten(op.then_body, layout, out)
+        orelse = len(out)
         if op.else_body:
-            skip = len(out)
-            out.append(None)
-            out[head] = _Branch(op.predicate, len(out))
-            _flatten(op.else_body, out)
-            out[skip] = _Jump(len(out))
-        else:
-            out[head] = _Branch(op.predicate, len(out))
+            out.append(None)  # becomes the _Jump over the else-body
+            orelse += 1
+            _flatten(op.else_body, layout, out)
+            out[orelse - 1] = _Jump(len(out))
+        pred = op.predicate
+        shift, width = layout.field(pred.register, pred.index)
+        out[head] = _Branch(shift, (1 << width) - 1, _COMPARE[pred.comparator], pred.rhs, orelse)
     return out
 
 
 @dataclass
 class _Group:
-    """Shots (rows of the draw source) at program position pc; a group with
-    no state waits to be replayed from |0...0>."""
+    """Shots (rows of the draw source) at program position pc with the
+    classical mask `mask`; a group with no state waits to be replayed from
+    |0...0>."""
 
     pc: int
     state: StateVector | None
-    store: ClassicalStore | None
+    mask: int
     rows: np.ndarray
 
 
-def _settle(state: StateVector, store: ClassicalStore, op, outcome: int, p1: float) -> None:
-    """Finish a Measure or Reset that read `outcome`."""
-    _collapse(state, op.qubit, outcome, p1)
-    if isinstance(op, Measure):
-        store.write_bit(op.bit[0], op.bit[1], outcome)
-    elif outcome == 1:
-        _one_to_zero(state, op.qubit)
+def _settle(state: StateVector, mask: int, op, outcome: int, p1: float) -> int:
+    """Finish a _Write or Reset that read `outcome`, where `p1` is the
+    probability of reading 1: project the qubit onto the outcome and
+    renormalize, then record it on the mask, or for a reset that read 1 move
+    the bit-1 half into the bit-0 half. Returns the new mask."""
+    p_outcome = p1 if outcome == 1 else 1.0 - p1
+    if p_outcome < 1e-15:
+        raise DegenerateNorm(
+            f"selected measurement branch {outcome} on qubit {op.qubit} has probability {p_outcome}"
+        )
+    zero, one = _halves(state, op.qubit)
+    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
+    dropped[...] = 0.0
+    kept *= 1.0 / math.sqrt(p_outcome)
+    if isinstance(op, _Write):
+        return mask | op.bit if outcome else mask & ~op.bit
+    if outcome == 1:
+        zero[...] = one
+        one[...] = 0.0
+    return mask
 
 
-def _walk(program: list, params: tuple[float, ...], root: _Group, draw, trace: list | None = None):
+def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
     """Run `root` to the end of the flattened program, depth first. Yields
     every finished group, and every waiting branch that did not fit the
     byte budget as a stateless group. `draw(rows)` returns the next uniform
@@ -560,13 +514,13 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw, trace: l
     live = 1
     while pending:
         group = pending.pop()
-        pc, state, store, rows = group.pc, group.state, group.store, group.rows
+        pc, state, mask, rows = group.pc, group.state, group.mask, group.rows
         while pc < len(program):
             op = program[pc]
             pc += 1
             if isinstance(op, Gate):
                 apply_gate(state, op, params)
-            elif isinstance(op, (Measure, Reset)):
+            elif isinstance(op, (_Write, Reset)):
                 p1 = _p1(state, op.qubit)
                 hit = draw(rows) < p1
                 outcome = int(hit[0])
@@ -577,52 +531,50 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw, trace: l
                     else:
                         rows, outcome, later, other = zeros, 0, ones, 1
                     if (live + 1) * state_bytes <= _BRANCH_BYTES:
-                        branch = _Group(pc, state.copy(), store.copy(), later)
-                        _settle(branch.state, branch.store, op, other, p1)
-                        pending.append(branch)
+                        copy = state.copy()
+                        pending.append(_Group(pc, copy, _settle(copy, mask, op, other, p1), later))
                         live += 1
                     else:
-                        yield _Group(pc, None, None, later)
-                _settle(state, store, op, outcome, p1)
+                        yield _Group(pc, None, 0, later)
+                mask = _settle(state, mask, op, outcome, p1)
             elif isinstance(op, _Branch):
-                taken = _eval_predicate(op.predicate, store)
-                if trace is not None:
-                    snapshot = {name: list(bits) for name, bits in store.bits.items()}
-                    trace.append((op.predicate, snapshot, taken))
-                if not taken:
+                if not op.compare((mask >> op.shift) & op.ones, op.rhs):
                     pc = op.orelse
             elif isinstance(op, _Jump):
                 pc = op.to
             elif not isinstance(op, Nop):
                 raise SimError(f"unknown op {op!r}")
-        yield _Group(pc, state, store, rows)
+        yield _Group(pc, state, mask, rows)
         live -= 1
 
 
-def _exec_ops(
-    ops: list,
-    state: StateVector,
-    store: ClassicalStore,
-    params: tuple[float, ...],
-    rng: RngStream,
-    trace: list | None,
-) -> None:
-    """One shot of `ops`, in place: the walk with a single row, which never
-    splits, drawing from `rng`."""
-    root = _Group(0, state, store, np.zeros(1, dtype=np.intp))
-    for _ in _walk(_flatten(ops), params, root, lambda rows: np.array([rng.uniform()]), trace):
-        pass
+def _one_shot(state: StateVector, program: list, params: tuple[float, ...], rng: RngStream) -> int:
+    """Run a flattened program on `state` in place as one shot drawing from
+    `rng`: the walk with a single row, which never splits. Returns the mask."""
+    root = _Group(0, state, 0, np.zeros(1, dtype=np.intp))
+    (end,) = _walk(program, params, root, lambda rows: np.array([rng.uniform()]))
+    return end.mask
 
 
-def run_trajectory(
-    bound: BoundKernel, rng: RngStream, trace: list | None = None
-) -> tuple[ClassicalStore, StateVector]:
-    """Execute one stochastic shot; conditionals read the live classical store."""
+def measure(state: StateVector, qubit: int, rng: RngStream) -> int:
+    """Projective Z measurement: collapse and renormalize; returns the outcome."""
+    return _one_shot(state, [_Write(qubit, 1)], (), rng)
+
+
+def reset(state: StateVector, qubit: int, rng: RngStream) -> StateVector:
+    """Force a qubit to |0>: measure, then move the bit-1 half into the bit-0
+    half if the outcome was 1."""
+    _one_shot(state, [Reset(qubit)], (), rng)
+    return state
+
+
+def run_trajectory(bound: BoundKernel, rng: RngStream) -> tuple[str, StateVector]:
+    """Execute one stochastic shot drawing from `rng`; returns its histogram
+    key and final state."""
     kernel = bound.kernel
+    layout = _Layout(kernel.classical_layout)
     state = StateVector.zero(kernel.qubit_count)
-    store = ClassicalStore(kernel.classical_layout)
-    _exec_ops(kernel.body, state, store, bound.values, rng, trace)
-    return store, state
+    return layout.key(_one_shot(state, _flatten(kernel.body, layout), bound.values, rng)), state
 
 
 # ---------------------------------------------------------------------------
@@ -793,46 +745,40 @@ def _chunks(shots: int):
         yield np.arange(lo, min(lo + _SHOT_CHUNK, shots), dtype=np.uint64)
 
 
-def _trajectory_counts(bound: BoundKernel, seed: int, shots: int) -> Counter:
-    """Histogram of a dynamic kernel's shots, by the walk."""
+def _trajectory_counts(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -> Counter:
+    """Final masks of a dynamic kernel's shots, counted, by the walk."""
     kernel = bound.kernel
-    program = _flatten(kernel.body)
-    counts: Counter = Counter()
+    program = _flatten(kernel.body, layout)
+    masks: Counter = Counter()
     for chunk in _chunks(shots):
         todo = [chunk]
         while todo:
             indices = todo.pop()
-            root = _Group(
-                0,
-                StateVector.zero(kernel.qubit_count),
-                ClassicalStore(kernel.classical_layout),
-                np.arange(indices.size),
-            )
+            root = _Group(0, StateVector.zero(kernel.qubit_count), 0, np.arange(indices.size))
             for group in _walk(program, bound.values, root, ShotStreams(seed, indices).uniform):
                 if group.state is None:
                     todo.append(indices[group.rows])
                 else:
-                    counts[group.store.key()] += group.rows.size
-    return counts
+                    masks[group.mask] += group.rows.size
+    return masks
 
 
-def _sample_static(bound: BoundKernel, shots: int, seed: int) -> ShotHistogram:
-    """Static circuits: one simulation, then one draw per shot from the final
-    distribution (proven equivalent to trajectories by the oracle suite)."""
+def _sample_static(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -> Counter:
+    """Final masks of a static kernel's shots, counted: one simulation, then
+    one draw per shot from the final distribution (proven equivalent to
+    trajectories by the oracle suite)."""
     kernel = bound.kernel
     state = _gates_only_state(bound)
     cum = np.cumsum(state.amps.real**2 + state.amps.imag**2)
-    measures = [op for op in kernel.body if isinstance(op, Measure)]
-    counts: Counter = Counter()
+    # mask bit -> measured qubit; of two measures into one bit the last wins
+    measured = {layout.field(*op.bit)[0]: op.qubit for op in kernel.body if isinstance(op, Measure)}
+    masks: Counter = Counter()
     for chunk in _chunks(shots):
         u = ShotStreams(seed, chunk).uniform()
         idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
         for value, count in zip(*(a.tolist() for a in np.unique(idx, return_counts=True))):
-            store = ClassicalStore(kernel.classical_layout)
-            for m in measures:
-                store.write_bit(m.bit[0], m.bit[1], (value >> m.qubit) & 1)
-            counts[store.key()] += count
-    return ShotHistogram(dict(counts), shots)
+            masks[sum(((value >> q) & 1) << bit for bit, q in measured.items())] += count
+    return masks
 
 
 def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotHistogram:
@@ -842,22 +788,19 @@ def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotH
     if shots < 1:
         raise SimError("shots must be >= 1")
     _check_width(bound.kernel.qubit_count)
-    if not _needs_trajectories(bound.kernel):
-        return _sample_static(bound, shots, seed)
-    return ShotHistogram(dict(_trajectory_counts(bound, seed, shots)), shots)
-
-
-def _scan_static(ops: list) -> None:
-    for op in ops:
-        if isinstance(op, (Measure, CondBlock, Reset)):
-            raise DynamicCircuit(
-                f"{type(op).__name__} requires trajectory sampling; use sample()"
-            )
+    layout = _Layout(bound.kernel.classical_layout)
+    count = _trajectory_counts if _needs_trajectories(bound.kernel) else _sample_static
+    masks = count(bound, layout, seed, shots)
+    return ShotHistogram({layout.key(mask): n for mask, n in masks.items()}, shots)
 
 
 def statevector(bound: BoundKernel) -> StateVector:
     """Final state of a static (measurement- and reset-free) kernel."""
-    _scan_static(bound.kernel.body)
+    for op in bound.kernel.body:
+        if isinstance(op, (Measure, CondBlock, Reset)):
+            raise DynamicCircuit(
+                f"{type(op).__name__} requires trajectory sampling; use sample()"
+            )
     return _gates_only_state(bound)
 
 

@@ -1,4 +1,5 @@
-"""The 12-case golden corpus exercised against both emission targets."""
+"""The 12-case golden corpus exercised against both emission targets, and
+the kernels whose sample histograms are recorded in golden/histograms.json."""
 
 GOLDEN_CASES: dict[str, str] = {
     "bell": (
@@ -134,3 +135,71 @@ GOLDEN_CASES: dict[str, str] = {
         "cz q[1], q[0];\n"
     ),
 }
+
+
+def _kernel(body: str) -> str:
+    return 'OPENQASM 3.0;\ninclude "stdgates.inc";\n' + body
+
+
+def _comparator_kernel() -> str:
+    """Every comparator on a whole 3-bit register; branch k flips an
+    ancilla that r[k] then records."""
+    tests = ["c == 5", "c != 2", "c < 3", "c <= 4", "c > 1", "c >= 6", "c"]
+    lines = ["qubit[4] q;", "bit[3] c;", f"bit[{len(tests)}] r;", "h q[0];", "h q[1];"]
+    lines += ["ry(2.1) q[2];"] + [f"c[{i}] = measure q[{i}];" for i in range(3)]
+    for k, test in enumerate(tests):
+        orelse = " else { h q[3]; }" if k % 2 else ""
+        lines += [f"if ({test}) {{ x q[3]; }}{orelse}", f"r[{k}] = measure q[3];", "reset q[3];"]
+    return _kernel("\n".join(lines) + "\n")
+
+
+# Kernels beyond the emission corpus whose sample histograms are recorded:
+# classical packing across registers (one wider than 64 bits), every
+# register comparator, a bit written twice, and no classical bits at all.
+HISTOGRAM_EXTRA: dict[str, str] = {
+    "three_registers_wide": _kernel(
+        "qubit[4] q;\nbit[2] a;\nbit[70] big;\nbit b;\n"
+        "h q[0];\nry(0.8) q[1];\n"
+        "for int i in [0:34] { big[2 * i] = measure q[0]; big[2 * i + 1] = measure q[1]; }\n"
+        "if (big >= 590295810358705651712) { x q[2]; }\n"
+        "if (big[69] == 1) { x q[3]; }\n"
+        "a[1] = measure q[2];\nb = measure q[3];\n"
+    ),
+    "register_comparators": _comparator_kernel(),
+    "static_last_write_wins": _kernel(
+        "qubit[3] q;\nbit[2] c;\nh q[0];\nx q[1];\nry(1.1) q[2];\n"
+        "c[0] = measure q[0];\nc[0] = measure q[1];\nc[1] = measure q[2];\n"
+    ),
+    "dynamic_last_write_wins": _kernel(
+        "qubit[2] q;\nbit[2] c;\nh q;\nc[1] = measure q[0];\n"
+        "if (c[1] == 1) { x q[1]; }\nc[1] = measure q[1];\nc[0] = measure q[0];\n"
+    ),
+    "no_bits_static": _kernel("qubit[2] q;\nh q[0];\ncx q[0], q[1];\n"),
+    "no_bits_dynamic": _kernel("qubit q;\nh q;\nreset q;\nh q;\n"),
+}
+
+HISTOGRAM_SEEDS = (5, 2**64 - 3)
+HISTOGRAM_SHOTS = 256
+
+
+def histogram_corpus() -> dict[str, str]:
+    """Every kernel whose histogram is recorded: the emission corpus, the
+    conformance corpus of conftest.py and HISTOGRAM_EXTRA."""
+    # imported on use: the benchmark loads this module for GOLDEN_CASES alone
+    from conftest import CORPUS
+
+    cases = dict(GOLDEN_CASES)
+    cases.update((f"corpus_{i}", source) for i, source in enumerate(CORPUS))
+    cases.update(HISTOGRAM_EXTRA)
+    return cases
+
+
+def histogram(source: str, seed: int) -> list[list]:
+    """Sorted [key, count] pairs of HISTOGRAM_SHOTS shots, every input
+    parameter bound to a fixed value."""
+    from qasm2cudaq import compile_source, kir, sim
+
+    kernel = compile_source(source)
+    values = [0.3 + 0.1 * k for k in range(kernel.total_params)]
+    counts = sim.sample(kir.bind(kernel, values), HISTOGRAM_SHOTS, seed).counts
+    return [[key, count] for key, count in sorted(counts.items())]

@@ -106,6 +106,26 @@ class TestRun:
         assert "construct not supported" in capsys.readouterr().err
 
 
+def _unreadable(tmp_path, kind: str) -> str:
+    if kind == "missing":
+        return str(tmp_path / "missing.qasm")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.qasm"
+    path.write_bytes(BELL.replace("h q[0];", "// caf\xe9\nh q[0];").encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["transpile", "run"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, kind):
+    path = _unreadable(tmp_path, kind)
+    assert cli.main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: cannot read {path}: ")
+
+
 class TestTranspile:
     def test_emit_to_file(self, bell_file, tmp_path, capsys):
         out = tmp_path / "kernel.cpp"

@@ -217,3 +217,27 @@ class TestTargets:
         for name in GOLDEN_CASES:
             text = emit(compile_source(GOLDEN_CASES[name]), "cudaq-builder").text
             compile(text, f"<{name}>", "exec")
+
+    def test_builder_adjoint_with_controls_wraps_the_adjoint(self):
+        # no golden reaches this path: inv plus controls nests an adjoint
+        # sub-kernel inside the controlled one
+        source = HEADER + (
+            "input float[64] t;\nqubit[3] q;\n"
+            "negctrl @ inv @ rx(t) q[0], q[1];\nctrl @ ctrl @ inv @ s q[0], q[1], q[2];\n"
+        )
+        text = emit(compile_source(source), "cudaq-builder").text
+        body = text.split("  q = kernel.qalloc(3)\n", 1)[1].split("  return kernel\n", 1)[0]
+        assert body == (
+            "  sub_0, sub_0_a0, sub_0_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
+            "  sub_0.rx(sub_0_a0, sub_0_q0)\n"
+            "  sub_1, sub_1_a0, sub_1_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
+            "  sub_1.adjoint(sub_0, sub_1_a0, sub_1_q0)\n"
+            "  kernel.x(q[0])\n"
+            "  kernel.control(sub_1, q[0], t, q[1])\n"
+            "  kernel.x(q[0])\n"
+            "  sub_2, sub_2_q0 = cudaq.make_kernel(cudaq.qubit)\n"
+            "  sub_2.s(sub_2_q0)\n"
+            "  sub_3, sub_3_q0 = cudaq.make_kernel(cudaq.qubit)\n"
+            "  sub_3.adjoint(sub_2, sub_3_q0)\n"
+            "  kernel.control(sub_3, [q[0], q[1]], q[2])\n"
+        )

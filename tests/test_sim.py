@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +12,9 @@ from qasm2cudaq import frontend as fe, kir, sema, sim
 from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, TooLarge
 from qasm2cudaq.kir import Gate, Measure
 from qasm2cudaq.oracle import fidelity_up_to_global_phase, oracle_unitary
-from qasm2cudaq.sim import ClassicalStore, RngStream, StateVector
+from qasm2cudaq.sim import RngStream, StateVector
+
+from golden_cases import HISTOGRAM_SEEDS, histogram, histogram_corpus
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 
@@ -23,15 +27,72 @@ def bound(source: str, values=()) -> kir.BoundKernel:
     return kir.bind(compile_source(source), list(values))
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    state = (state + _GOLDEN) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+class ScalarStream:
+    """Reference xoshiro256++ on Python ints, seeded by splitmix64, one draw
+    at a time: sim's uint64-array streams must draw exactly as this."""
+
+    def __init__(self, seed: int):
+        state = seed & _MASK64
+        self.s = []
+        for _ in range(4):
+            state, word = _splitmix64(state)
+            self.s.append(word)
+
+    @classmethod
+    def for_shot(cls, seed: int, shot: int) -> "ScalarStream":
+        _, derived = _splitmix64((seed + (shot + 1) * _GOLDEN) & _MASK64)
+        return cls(derived)
+
+    def next_u64(self) -> int:
+        s0, s1, s2, s3 = self.s
+        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self.s = [s0, s1, s2, _rotl(s3, 45)]
+        return result
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
 class TestRngStream:
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, -12345])
+    def test_draws_match_scalar_reference(self, seed):
+        for rng, ref in [
+            (RngStream(seed), ScalarStream(seed)),
+            (RngStream.for_shot(seed, 0), ScalarStream.for_shot(seed, 0)),
+            (RngStream.for_shot(seed, 70_000), ScalarStream.for_shot(seed, 70_000)),
+        ]:
+            assert [rng.uniform() for _ in range(5)] == [ref.uniform() for _ in range(5)]
+
     def test_same_seed_same_stream(self):
         a = RngStream(42)
         b = RngStream(42)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+        assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
     def test_shot_derivation_is_deterministic_and_distinct(self):
-        first = [RngStream.for_shot(7, s).next_u64() for s in range(100)]
-        second = [RngStream.for_shot(7, s).next_u64() for s in range(100)]
+        first = [RngStream.for_shot(7, s).uniform() for s in range(100)]
+        second = [RngStream.for_shot(7, s).uniform() for s in range(100)]
         assert first == second
         assert len(set(first)) == 100
 
@@ -133,13 +194,13 @@ class TestMeasure:
         assert abs(ones - shots * p1) <= 6 * sigma
         assert abs(ones / shots - p1) <= 0.02
 
-    def test_writes_to_store(self):
-        store = ClassicalStore([("c", 2)])
+    def test_outcome_lands_on_its_bit(self):
         state = StateVector.zero(1)
         sim.apply_gate(state, Gate("x", (), (0,), ()))
-        sim.measure(state, 0, RngStream(0), store, ("c", 1))
-        assert store.read_bit("c", 1) == 1
-        assert store.key() == "01"
+        assert sim.measure(state, 0, RngStream(0)) == 1
+        source = f"{HEADER}qubit q;\nbit[2] c;\nx q;\nc[1] = measure q;\n"
+        key, _ = sim.run_trajectory(bound(source), RngStream(0))
+        assert key == "01"
 
 
 class TestReset:
@@ -174,8 +235,8 @@ class TestReset:
 
 class TestRunTrajectory:
     def test_empty_kernel(self):
-        store, state = sim.run_trajectory(bound("OPENQASM 3.0;\n"), RngStream(0))
-        assert store.key() == ""
+        key, state = sim.run_trajectory(bound("OPENQASM 3.0;\n"), RngStream(0))
+        assert key == ""
         np.testing.assert_allclose(state.amps, [1.0])
 
     def test_conditional_reset_always_zero(self):
@@ -190,14 +251,19 @@ class TestRunTrajectory:
     def test_branch_matches_predicate(self):
         source = (
             f"{HEADER}qubit[2] q;\nbit c;\nh q[0];\nc = measure q[0];\n"
-            "if (c == 1) { x q[1]; } else { z q[1]; }\n"
+            "if (c == 1) { x q[1]; } else { h q[1]; }\n"
         )
         bk = bound(source)
+        rt = math.sqrt(0.5)
+        # c = 1 leaves |1> on q0 and the then-branch flips q1: |11>; c = 0
+        # leaves |0> on q0 and the else-branch puts q1 in |+>
+        expected = {"1": [0, 0, 0, 1], "0": [rt, 0, rt, 0]}
+        seen = set()
         for shot in range(100):
-            trace = []
-            store, _ = sim.run_trajectory(bk, RngStream.for_shot(31, shot), trace=trace)
-            (pred, snapshot, taken) = trace[0]
-            assert taken == (snapshot["c"][0] == 1)
+            key, state = sim.run_trajectory(bk, RngStream.for_shot(31, shot))
+            assert fidelity_up_to_global_phase(state, np.array(expected[key])) > 1 - 1e-12
+            seen.add(key)
+        assert seen == {"0", "1"}
 
     def test_nested_cond(self):
         source = (
@@ -340,20 +406,13 @@ class TestNormalizationInvariant:
             "if (c[0] == 1) { x q[2]; }\nreset q[1];\nc[1] = measure q[2];\n"
         )
         bk = bound(source)
+
+        def unit_norm(state):
+            assert abs(state.norm() - 1.0) <= 1e-10
+
         for shot in range(25):
-            state = StateVector.zero(3)
-            store = ClassicalStore(bk.kernel.classical_layout)
-            rng = RngStream.for_shot(13, shot)
-
-            def walk(ops):
-                for op in ops:
-                    if isinstance(op, kir.CondBlock):
-                        walk(op.then_body if sim._eval_predicate(op.predicate, store) else [])
-                        continue
-                    sim._exec_ops([op], state, store, (), rng, None)
-                    assert abs(state.norm() - 1.0) <= 1e-10
-
-            walk(bk.kernel.body)
+            _reference_shot(bk.kernel, ScalarStream.for_shot(13, shot), unit_norm)
+            unit_norm(sim.run_trajectory(bk, RngStream.for_shot(13, shot))[1])
 
 
 _ANGLE_COUNT = {"rx": 1, "ry": 1, "rz": 1, "p": 1, "u": 3}
@@ -457,6 +516,47 @@ class TestMeasureResetViews:
             sim.reset(state, qubit, _FixedDraw(0.0))
 
 
+def _reference_predicate(pred: kir.Predicate, bits: dict[str, list[int]]) -> bool:
+    if pred.index is not None:
+        value = bits[pred.register][pred.index]
+    else:
+        value = int("".join(map(str, bits[pred.register])), 2)
+    if pred.comparator == "truthy":
+        return value != 0
+    return {
+        "==": value == pred.rhs,
+        "!=": value != pred.rhs,
+        "<": value < pred.rhs,
+        "<=": value <= pred.rhs,
+        ">": value > pred.rhs,
+        ">=": value >= pred.rhs,
+    }[pred.comparator]
+
+
+def _reference_shot(kernel: kir.Kernel, rng, after_op=lambda state: None) -> tuple[str, StateVector]:
+    """One shot by a recursive walk of the kernel body with a dict of bit
+    lists as its classical store, calling after_op(state) after every op
+    outside a CondBlock; returns the shot's key and final state."""
+    state = StateVector.zero(kernel.qubit_count)
+    bits = {name: [0] * width for name, width in kernel.classical_layout}
+
+    def run(ops):
+        for op in ops:
+            if isinstance(op, kir.CondBlock):
+                run(op.then_body if _reference_predicate(op.predicate, bits) else op.else_body)
+                continue
+            if isinstance(op, Gate):
+                sim.apply_gate(state, op)
+            elif isinstance(op, Measure):
+                bits[op.bit[0]][op.bit[1]] = sim.measure(state, op.qubit, rng)
+            elif isinstance(op, kir.Reset):
+                sim.reset(state, op.qubit, rng)
+            after_op(state)
+
+    run(kernel.body)
+    return "".join(str(b) for name, _ in kernel.classical_layout for b in bits[name]), state
+
+
 WIDE = f"{HEADER}qubit[64] q;\nbit c;\nh q[0];\nc = measure q[0];\n"
 
 
@@ -491,14 +591,14 @@ class TestShotStreams:
         chunk = sim._SHOT_CHUNK
         shots = np.array([0, 1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 5])
         streams = sim.ShotStreams(seed, shots)
-        scalar = [RngStream.for_shot(seed, int(s)) for s in shots]
+        scalar = [ScalarStream.for_shot(seed, int(s)) for s in shots]
         for _ in range(4):
             expected = [rng.uniform() for rng in scalar]
             assert streams.uniform().tolist() == expected
 
     def test_only_given_rows_advance(self):
         streams = sim.ShotStreams(9, np.arange(4))
-        scalar = [RngStream.for_shot(9, s) for s in range(4)]
+        scalar = [ScalarStream.for_shot(9, s) for s in range(4)]
         rows = np.array([1, 3])
         first = streams.uniform(rows)
         assert first.tolist() == [scalar[1].uniform(), scalar[3].uniform()]
@@ -511,24 +611,8 @@ def _per_shot_counts(kernel: kir.Kernel, shots: int, seed: int) -> dict:
     """Reference sampler: every shot simulated on its own from |0...0>."""
     counts: dict = {}
     for shot in range(shots):
-        rng = RngStream.for_shot(seed, shot)
-        state = StateVector.zero(kernel.qubit_count)
-        store = ClassicalStore(kernel.classical_layout)
-
-        def run(ops):
-            for op in ops:
-                if isinstance(op, Gate):
-                    sim.apply_gate(state, op)
-                elif isinstance(op, Measure):
-                    sim.measure(state, op.qubit, rng, store, op.bit)
-                elif isinstance(op, kir.Reset):
-                    sim.reset(state, op.qubit, rng)
-                elif isinstance(op, kir.CondBlock):
-                    taken = sim._eval_predicate(op.predicate, store)
-                    run(op.then_body if taken else op.else_body)
-
-        run(kernel.body)
-        counts[store.key()] = counts.get(store.key(), 0) + 1
+        key, _ = _reference_shot(kernel, ScalarStream.for_shot(seed, shot))
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -717,3 +801,16 @@ class TestGatesOnlyPlan:
         state = sim.statevector(kir.BoundKernel(kernel, ()))
         np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], atol=1e-12)
         assert flushes == [[0, 1], [1, 2], [2, 3], [1, 3]]
+
+
+class TestHistogramGoldens:
+    """Histograms of a fixed corpus, recorded by scripts/record_goldens.py,
+    stay bit-identical for the same (seed, shots)."""
+
+    RECORDED = json.loads((pathlib.Path(__file__).parent / "golden" / "histograms.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(histogram_corpus()))
+    def test_matches_recorded(self, name):
+        source = histogram_corpus()[name]
+        for seed in HISTOGRAM_SEEDS:
+            assert histogram(source, seed) == self.RECORDED[name][str(seed)]
