@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate the golden emission corpus under tests/golden/<target>/ and
-the sample histograms in tests/golden/histograms.json.
+"""Regenerate the golden emission corpus under tests/golden/<target>/, the
+sample histograms in tests/golden/histograms.json and the emission digests
+of the generated corpus in tests/golden/emission_digests.json.
 
 Run after any deliberate emission-grammar or sampling change, then review
 the diff.
@@ -13,7 +14,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from golden_cases import GOLDEN_CASES, HISTOGRAM_SEEDS, histogram, histogram_corpus
+from golden_cases import GOLDEN_CASES, HISTOGRAM_SEEDS, emission_digests, histogram, histogram_corpus
 
 from qasm2cudaq import EMISSION_TARGETS, compile_source, emit, golden_check
 
@@ -33,6 +34,10 @@ def main() -> int:
     path = ROOT / "tests" / "golden" / "histograms.json"
     path.write_text(json.dumps(histograms, indent=1) + "\n", encoding="utf-8")
     print(f"histograms: {len(histograms)} kernels x {len(HISTOGRAM_SEEDS)} seeds")
+    digests = emission_digests()
+    path = ROOT / "tests" / "golden" / "emission_digests.json"
+    path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"emission digests: {len(digests)} programs x {len(EMISSION_TARGETS)} targets")
     return 0
 
 

@@ -101,8 +101,11 @@ def _cmd_transpile(args) -> int:
     else:
         text = emit(kernel, args.target).text
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise Qasm2CudaqError(f"cannot write {args.output}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ._gc import gc_paused
 from .errors import MissingGolden, UnsupportedForTarget, UnsupportedOp
 from .kir import NEG, POS, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
 from .sema import ParamRef
@@ -98,9 +99,24 @@ class _EmitterBase:
         # classical bit -> local currently holding its value
         self.bit_local: dict[tuple[str, int], str] = {}
         self.cond_count = 0
+        # (base, angles, targets, controls, adjoint) -> unindented line
+        self.gate_lines: dict[tuple, str] = {}
 
     def line(self, text: str = "") -> None:
         self.lines.append(("  " * self.indent + text) if text else "")
+
+    def gate_line(self, op: Gate) -> str | None:
+        """The unindented one-line rendering of a gate op, made once per
+        distinct op value by the target's `render_gate`; None where the
+        target needs more than one line."""
+        key = (op.base, op.angles, op.targets, op.controls, op.adjoint)
+        text = self.gate_lines.get(key)
+        if text is None:
+            text = self.render_gate(op)
+            # 0.0 == -0.0 and they hash alike, but they render differently
+            if text is not None and 0.0 not in op.angles:
+                self.gate_lines[key] = text
+        return text
 
     def measure_name(self, op: Measure) -> str:
         return f"m{self.measure_index[id(op)]}"
@@ -164,7 +180,7 @@ class _CppEmitter(_EmitterBase):
     def emit_ops(self, ops: list, top_level: bool) -> None:
         for op in ops:
             if isinstance(op, Gate):
-                self.line(self.gate_text(op))
+                self.line(self.gate_line(op))
             elif isinstance(op, Measure):
                 name = self.measure_name(op)
                 if top_level:
@@ -219,7 +235,7 @@ class _CppEmitter(_EmitterBase):
             self.indent -= 1
         self.line("}")
 
-    def gate_text(self, op: Gate) -> str:
+    def render_gate(self, op: Gate) -> str:
         name = _GATE_NAME.get(op.base, op.base)
         mods = []
         if op.controls:
@@ -344,27 +360,34 @@ class _BuilderEmitter(_EmitterBase):
             self.line(f"kernel.c_if({negated}, {else_name})")
 
     def emit_gate(self, op: Gate) -> None:
+        text = self.gate_line(op)
+        if text is None:
+            self.emit_functional(op)
+        else:
+            self.line(text)
+
+    def render_gate(self, op: Gate) -> str | None:
+        """The plain call, or the `c<name>` sugar for a single positive
+        control; None for the functional route."""
+        sugar = len(op.controls) == 1 and op.controls[0][1] == POS and op.base in _BUILDER_CTRL_SUGAR
+        if op.adjoint or (op.controls and not sugar):
+            return None
+        name = _GATE_NAME.get(op.base, op.base)
+        args = [_angle_text(a, self.kernel) for a in op.angles]
+        if op.controls:
+            name = f"c{name}"
+            args.append(f"q[{op.controls[0][0]}]")
+        args += [f"q[{t}]" for t in op.targets]
+        return f"kernel.{name}({', '.join(args)})"
+
+    def emit_functional(self, op: Gate) -> None:
+        """Modifier route: encapsulate the gate in a sub-kernel and attach it
+        with kernel.control / kernel.adjoint; negative controls are realized
+        by an X sandwich on the control qubit. Each call numbers new
+        sub-kernels, so this route is never shared between ops."""
         name = _GATE_NAME.get(op.base, op.base)
         angles = [_angle_text(a, self.kernel) for a in op.angles]
         targets = [f"q[{t}]" for t in op.targets]
-        if not op.controls and not op.adjoint:
-            self.line(f"kernel.{name}({', '.join(angles + targets)})")
-            return
-        if (
-            len(op.controls) == 1
-            and op.controls[0][1] == POS
-            and not op.adjoint
-            and op.base in _BUILDER_CTRL_SUGAR
-        ):
-            ctrl = f"q[{op.controls[0][0]}]"
-            self.line(f"kernel.c{name}({', '.join(angles + [ctrl] + targets)})")
-            return
-        self.emit_functional(op, name, angles, targets)
-
-    def emit_functional(self, op: Gate, name: str, angles: list[str], targets: list[str]) -> None:
-        """Modifier route: encapsulate the gate in a sub-kernel and attach it
-        with kernel.control / kernel.adjoint; negative controls are realized
-        by an X sandwich on the control qubit."""
         sub = self._make_sub(name, len(angles), len(targets))
         args = ", ".join(angles + targets)
         if op.adjoint and op.controls:
@@ -400,6 +423,7 @@ class _BuilderEmitter(_EmitterBase):
             self.line(f"kernel.x(q[{q}])")
 
 
+@gc_paused
 def emit(kernel: Kernel, target: str) -> EmittedSource:
     """Render a kernel as CUDA-Q source text for the given target."""
     _check_target(target)

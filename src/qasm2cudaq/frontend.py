@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._gc import gc_paused
 from .errors import LexError, ParseError
 
 # Token kinds
@@ -71,6 +72,7 @@ class Token:
     col: int
 
 
+@gc_paused
 def tokenize(source: str) -> list[Token]:
     """Tokenize OpenQASM source, dropping whitespace and comments.
 
@@ -718,6 +720,7 @@ _STATEMENT_PARSERS = {
 }
 
 
+@gc_paused
 def parse(tokens: list[Token]) -> ProgramAst:
     """Parse a token list into a ProgramAst; the first error aborts."""
     global _PARSE_CALLS

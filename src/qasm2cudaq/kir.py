@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import frontend, sema
+from ._gc import gc_paused
 from .errors import ArityMismatch, BadParameter, LowerError
 from .sema import Angle, Gate, ParamRef, ParamSpec, ResolvedCall, ValidatedProgram
 
@@ -168,6 +169,7 @@ class _Lowerer:
         return CondBlock(pred, then_body, else_body)
 
 
+@gc_paused
 def lower(vp: ValidatedProgram) -> Kernel:
     """Lower a validated program to kernel IR, preserving program order."""
     global _LOWER_CALLS

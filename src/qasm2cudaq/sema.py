@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import frontend as fe
+from ._gc import gc_paused
 from .errors import (
     ArityMismatch,
     DivByZero,
@@ -950,6 +951,7 @@ class _Analyzer:
         )
 
 
+@gc_paused
 def analyze(ast: fe.ProgramAst) -> ValidatedProgram:
     """Type-check and resolve a parsed program into a ValidatedProgram."""
     return _Analyzer(ast).run()

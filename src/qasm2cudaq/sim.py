@@ -55,6 +55,7 @@ one row, which never splits.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -392,6 +393,25 @@ def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
+# Qubits 0 and 1 have halves whose runs are 2 and 4 doubles long, too short
+# for strided passes; they are projected through whole rows of _ROW_AMPS
+# amplitudes instead (at n=20 a strided projection of qubit 2 is as fast).
+_ROW_AMPS = 8
+_ROW_BELOW = 2
+
+
+@functools.cache
+def _row_projector(qubit: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over one row of _ROW_AMPS amplitudes as doubles: 1.0 where `qubit`
+    reads `outcome` and 0.0 elsewhere, and the addend that turns the dropped
+    products (x * 0.0 is -0.0 for negative x) into +0.0 while leaving every
+    kept product as it is (-0.0 added)."""
+    keep = (np.arange(2 * _ROW_AMPS) >> (qubit + 1)) & 1 == outcome
+    ones, fix = keep.astype(np.float64), np.where(keep, -0.0, 0.0)
+    ones.flags.writeable = fix.flags.writeable = False
+    return ones, fix
+
+
 def _p1(state: StateVector, qubit: int) -> float:
     _, one = _halves(state, qubit)
     return float(np.einsum("ij,ij->", one, one))
@@ -492,13 +512,21 @@ def _settle(state: StateVector, mask: int, op, outcome: int, p1: float) -> int:
         raise DegenerateNorm(
             f"selected measurement branch {outcome} on qubit {op.qubit} has probability {p_outcome}"
         )
-    zero, one = _halves(state, op.qubit)
-    kept, dropped = (one, zero) if outcome == 1 else (zero, one)
-    dropped[...] = 0.0
-    kept *= 1.0 / math.sqrt(p_outcome)
+    scale = 1.0 / math.sqrt(p_outcome)
+    if op.qubit < _ROW_BELOW and state.amps.size >= _ROW_AMPS:
+        keep, fix = _row_projector(op.qubit, outcome)
+        rows = state.amps.view(np.float64).reshape(-1, keep.size)
+        rows *= keep * scale
+        rows += fix
+    else:
+        zero, one = _halves(state, op.qubit)
+        kept, dropped = (one, zero) if outcome == 1 else (zero, one)
+        dropped[...] = 0.0
+        kept *= scale
     if isinstance(op, _Write):
         return mask | op.bit if outcome else mask & ~op.bit
     if outcome == 1:
+        zero, one = _halves(state, op.qubit)
         zero[...] = one
         one[...] = 0.0
     return mask

@@ -203,3 +203,72 @@ def histogram(source: str, seed: int) -> list[list]:
     values = [0.3 + 0.1 * k for k in range(kernel.total_params)]
     counts = sim.sample(kir.bind(kernel, values), HISTOGRAM_SHOTS, seed).counts
     return [[key, count] for key, count in sorted(counts.items())]
+
+
+# Flat random circuits of the emission-digest corpus: (qubits, gates, seed).
+_DIGEST_FLAT = ((2, 40, 1), (5, 300, 2), (9, 800, 3), (14, 1500, 4), (20, 2500, 5))
+
+# A loop over user gates whose bodies repeat the same ops, with both zero
+# signs, negative and nested controls, `inv @ ctrl` (a builder sub-kernel per
+# call) and runtime-parameter angles.
+_DIGEST_LOOP = _kernel(
+    "input float[64] alpha;\ninput array[float[64], 3] theta;\n"
+    "gate zz(t) a, b { cx a, b; rz(t) b; cx a, b; }\n"
+    "gate zeros a { rz(0.0) a; rz(-0.0) a; inv @ rz(0.0) a; rx(-0.0) a; }\n"
+    "gate mix(t) a, b, c { negctrl @ ry(t) a, b; inv @ ctrl @ s b, c; ctrl @ ctrl @ x a, b, c; }\n"
+    "qubit[5] q;\n"
+    "for int i in [0:30] {\n"
+    "  zz(0.25) q[0], q[1];\n  zeros q[2];\n  mix(0.5) q[2], q[3], q[4];\n"
+    "  rz(alpha) q[3];\n  inv @ ctrl @ rx(alpha) q[0], q[4];\n"
+    "  negctrl @ h q[1], q[2];\n  ctrl @ inv @ u(0.1, 0.2, 0.3) q[3], q[4];\n"
+    "}\n"
+    "for int i in [0:2] { ry(theta[i]) q[i]; inv @ ry(theta[i]) q[i + 2]; pow(2) @ t q[i]; }\n"
+    "for int i in [0:3] { for int j in [0:3] { cp(0.0) q[j], q[4]; cp(-0.0) q[4], q[j]; } }\n"
+)
+
+# Conditionals whose bodies repeat the top-level ops, at two nesting depths.
+_DIGEST_COND = _kernel(
+    "qubit[3] q;\nbit[2] c;\n"
+    "h q[0];\nx q[1];\ncx q[0], q[1];\nrz(0.0) q[2];\nnegctrl @ x q[0], q[2];\n"
+    "c[0] = measure q[0];\nc[1] = measure q[1];\n"
+    "if (c[0] == 1) {\n"
+    "  h q[0];\n  x q[1];\n  cx q[0], q[1];\n  rz(-0.0) q[2];\n  negctrl @ x q[0], q[2];\n"
+    "  if (c[1] == 0) { h q[0]; x q[1]; inv @ ctrl @ s q[0], q[1]; }\n"
+    "} else {\n  x q[1];\n  h q[0];\n  rz(0.0) q[2];\n}\n"
+    "if (c) { h q[0]; cx q[0], q[1]; } else { cx q[0], q[1]; h q[0]; }\n"
+    "h q[0];\nx q[1];\ninv @ ctrl @ s q[0], q[1];\n"
+)
+
+
+def emission_digest_corpus() -> dict[str, str]:
+    """Generated programs whose emitted text, in both targets, is pinned by
+    sha256 in golden/emission_digests.json: flat random circuits with and
+    without their exact inverse, Clifford circuits, and the loop and
+    conditional programs above."""
+    from qasm2cudaq.randqasm import RandomCircuitSpec, generate, generate_with_inverse
+
+    cases: dict[str, str] = {}
+    for qubits, gates, seed in _DIGEST_FLAT:
+        spec = RandomCircuitSpec(qubits, gates, seed, clifford_only=False)
+        cases[f"flat_q{qubits}_s{seed}"] = generate(spec)
+        cases[f"inverse_q{qubits}_s{seed}"] = generate_with_inverse(spec)
+        cases[f"clifford_q{qubits}_s{seed}"] = generate(RandomCircuitSpec(qubits, gates, seed + 100))
+    cases["loop_templates"] = _DIGEST_LOOP
+    cases["repeated_conditionals"] = _DIGEST_COND
+    return cases
+
+
+def emission_digests() -> dict[str, dict[str, str]]:
+    """name -> target -> sha256 of the emitted text, over the digest corpus."""
+    import hashlib
+
+    from qasm2cudaq import EMISSION_TARGETS, compile_source, emit
+
+    digests = {}
+    for name, source in emission_digest_corpus().items():
+        kernel = compile_source(source)
+        digests[name] = {
+            target: hashlib.sha256(emit(kernel, target).text.encode()).hexdigest()
+            for target in EMISSION_TARGETS
+        }
+    return digests

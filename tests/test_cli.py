@@ -132,6 +132,14 @@ class TestTranspile:
         assert cli.main(["transpile", bell_file, "--target", "cudaq-cpp", "-o", str(out)]) == 0
         assert "struct transpiled_kernel" in out.read_text()
 
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_unwritable_output_is_one_line_error(self, bell_file, tmp_path, capsys, kind):
+        out = str(tmp_path if kind == "directory" else tmp_path / "absent" / "kernel.cpp")
+        assert cli.main(["transpile", bell_file, "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_emit_builder_stdout(self, bell_file, capsys):
         assert cli.main(["transpile", bell_file, "--target", "cudaq-builder"]) == 0
         assert "cudaq.make_kernel()" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -8,7 +9,7 @@ from qasm2cudaq.emit import EMISSION_TARGETS, EmittedSource, emit, golden_check
 from qasm2cudaq.errors import MissingGolden, UnsupportedForTarget, UnsupportedOp
 from qasm2cudaq.suites import compile_source
 
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, emission_digests
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -64,6 +65,45 @@ class TestGoldenCorpus:
                 if ln.startswith(" ")
             }
             assert all(n % 2 == 0 for n in indents)
+
+    def test_generated_corpus_digests(self):
+        # recorded by scripts/record_goldens.py; programs with many repeated
+        # ops, both zero signs and builder sub-kernels
+        recorded = json.loads((GOLDEN_DIR / "emission_digests.json").read_text(encoding="utf-8"))
+        assert emission_digests() == recorded
+
+
+class TestRepeatedOps:
+    """Each emitter renders a distinct gate op once; these pin what a
+    shared rendering must not change."""
+
+    def test_repeats_inside_branches_take_the_branch_indent(self):
+        source = HEADER + (
+            "qubit[2] q;\nbit c;\nh q[0];\ncx q[0], q[1];\nc = measure q[0];\n"
+            "if (c == 1) { h q[0]; cx q[0], q[1]; } else { cx q[0], q[1]; }\nh q[0];\n"
+        )
+        kernel = compile_source(source)
+        cpp = emit(kernel, "cudaq-cpp").text
+        assert cpp.count("\n    h(q[0]);\n") == 2 and cpp.count("\n      h(q[0]);\n") == 1
+        assert cpp.count("\n    x<cudaq::ctrl>(q[0], q[1]);\n") == 1
+        assert cpp.count("\n      x<cudaq::ctrl>(q[0], q[1]);\n") == 2
+        builder = emit(kernel, "cudaq-builder").text
+        assert builder.count("\n  kernel.h(q[0])\n") == 2 and builder.count("\n    kernel.h(q[0])\n") == 1
+        assert builder.count("\n    kernel.cx(q[0], q[1])\n") == 2
+
+    def test_zero_angles_keep_their_sign(self):
+        source = HEADER + "qubit q;\nrz(0.0) q;\nrz(-0.0) q;\nrz(0.0) q;\ninv @ rz(0.0) q;\n"
+        kernel = compile_source(source)
+        cpp = emit(kernel, "cudaq-cpp").text
+        assert re.findall(r"rz\((-?0\.0), q\[0\]\);", cpp) == ["0.0", "-0.0", "0.0", "-0.0"]
+        builder = emit(kernel, "cudaq-builder").text
+        assert re.findall(r"kernel\.rz\((-?0\.0), q\[0\]\)", builder) == ["0.0", "-0.0", "0.0", "-0.0"]
+
+    def test_builder_numbers_a_sub_kernel_per_repeated_functional_op(self):
+        source = HEADER + "qubit[2] q;\n" + "negctrl @ x q[0], q[1];\ninv @ ctrl @ s q[0], q[1];\n" * 3
+        text = emit(compile_source(source), "cudaq-builder").text
+        assert re.findall(r"kernel\.control\((sub_\d+),", text) == ["sub_0", "sub_2", "sub_3", "sub_5", "sub_6", "sub_8"]
+        assert text.count("cudaq.make_kernel(cudaq.qubit)") == 9
 
 
 class TestCondBlockStructure:

@@ -504,6 +504,25 @@ class TestMeasureResetViews:
             np.testing.assert_allclose(state.amps, expected, atol=1e-14)
             assert not state.amps[(idx >> qubit) & 1 == 1].any()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_projection_bits_match_strided_halves(self, n):
+        # low qubits go through whole rows; the result must be the strided
+        # halves' projection bit for bit, negative zeros included
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps[3::5] = complex(-0.0, -0.0)
+        amps /= np.linalg.norm(amps)
+        for qubit in range(n):
+            for outcome in (0, 1):
+                p1 = sim._p1(StateVector(n, amps), qubit)
+                expected = amps.copy()
+                pairs = expected.view(np.float64).reshape(-1, 2, 2 << qubit)
+                pairs[:, 1 - outcome] = 0.0
+                pairs[:, outcome] *= 1.0 / math.sqrt(p1 if outcome else 1.0 - p1)
+                state = StateVector(n, amps.copy())
+                sim._settle(state, 0, sim._Write(qubit, 1), outcome, p1)
+                assert state.amps.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("qubit", range(6))
     def test_zero_probability_branch_raises(self, qubit):
         state = _random_state(qubit)
