@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the golden emission corpus under tests/golden/<target>/, the
-sample histograms in tests/golden/histograms.json and the emission digests
-of the generated corpus in tests/golden/emission_digests.json.
+sample histograms in tests/golden/histograms.json, the emission digests of
+the generated corpus in tests/golden/emission_digests.json and the kernel-IR
+dump digests in tests/golden/kir_dump_digests.json.
 
 Run after any deliberate emission-grammar or sampling change, then review
 the diff.
@@ -13,8 +14,16 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "src"))
 
-from golden_cases import GOLDEN_CASES, HISTOGRAM_SEEDS, emission_digests, histogram, histogram_corpus
+from golden_cases import (
+    GOLDEN_CASES,
+    HISTOGRAM_SEEDS,
+    emission_digests,
+    histogram,
+    histogram_corpus,
+    kir_dump_digests,
+)
 
 from qasm2cudaq import EMISSION_TARGETS, compile_source, emit, golden_check
 
@@ -38,6 +47,10 @@ def main() -> int:
     path = ROOT / "tests" / "golden" / "emission_digests.json"
     path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"emission digests: {len(digests)} programs x {len(EMISSION_TARGETS)} targets")
+    dumps = kir_dump_digests()
+    path = ROOT / "tests" / "golden" / "kir_dump_digests.json"
+    path.write_text(json.dumps(dumps, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"kir dump digests: {len(dumps)} programs")
     return 0
 
 

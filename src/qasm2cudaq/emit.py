@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ._gc import gc_paused
 from .errors import MissingGolden, UnsupportedForTarget, UnsupportedOp
-from .kir import NEG, POS, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset
+from .kir import NEG, POS, CondBlock, Gate, Kernel, Measure, Nop, Predicate, Reset, measures
 from .sema import ParamRef
 
 EMISSION_TARGETS = ("cudaq-cpp", "cudaq-builder")
@@ -68,34 +68,13 @@ def _layout_comments(kernel: Kernel, comment: str) -> list[str]:
     return lines
 
 
-def _index_measures(ops: list, table: dict[int, int], counter: list[int]) -> None:
-    for op in ops:
-        if isinstance(op, Measure):
-            table[id(op)] = counter[0]
-            counter[0] += 1
-        elif isinstance(op, CondBlock):
-            _index_measures(op.then_body, table, counter)
-            _index_measures(op.else_body, table, counter)
-
-
-def _subtree_measures(ops: list) -> list[Measure]:
-    found: list[Measure] = []
-    for op in ops:
-        if isinstance(op, Measure):
-            found.append(op)
-        elif isinstance(op, CondBlock):
-            found.extend(_subtree_measures(op.then_body))
-            found.extend(_subtree_measures(op.else_body))
-    return found
-
-
 class _EmitterBase:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.lines: list[str] = []
         self.indent = 0
-        self.measure_index: dict[int, int] = {}
-        _index_measures(kernel.body, self.measure_index, [0])
+        # id(measure op) -> its number in program order, for the `m{i}` locals
+        self.measure_index = {id(m): i for i, m in enumerate(measures(kernel.body))}
         # classical bit -> local currently holding its value
         self.bit_local: dict[tuple[str, int], str] = {}
         self.cond_count = 0
@@ -120,6 +99,16 @@ class _EmitterBase:
 
     def measure_name(self, op: Measure) -> str:
         return f"m{self.measure_index[id(op)]}"
+
+    def cond_text(self, pred: Predicate, subject: str, negate: bool = False) -> str:
+        """The test of `pred`, or of its negation, on `subject`: the local
+        of the bit it reads, or the packed register (see `pack_expr`)."""
+        if pred.comparator == "truthy":
+            if negate:
+                return f"{subject} == 0"
+            return subject if pred.index is not None else f"{subject} != 0"
+        comparator = _NEGATE_CMP[pred.comparator] if negate else pred.comparator
+        return f"{subject} {comparator} {pred.rhs}"
 
     def pack_expr(self, pred: Predicate) -> str:
         """MSB-first pack of a whole register into an integer."""
@@ -199,7 +188,7 @@ class _CppEmitter(_EmitterBase):
 
     def emit_cond(self, op: CondBlock, top_level: bool) -> None:
         if top_level:
-            inner = _subtree_measures([op])
+            inner = list(measures([op]))
             bits = [m.bit for m in inner]
             for bit in bits:
                 if bits.count(bit) > 1:
@@ -220,11 +209,7 @@ class _CppEmitter(_EmitterBase):
             subject = cval
         else:
             subject = self.bit_local[(pred.register, pred.index)]
-        if pred.comparator == "truthy":
-            cond = subject if pred.index is not None else f"{subject} != 0"
-        else:
-            cond = f"{subject} {pred.comparator} {pred.rhs}"
-        self.line(f"if ({cond}) {{")
+        self.line(f"if ({self.cond_text(pred, subject)}) {{")
         self.indent += 1
         self.emit_ops(op.then_body, top_level=False)
         self.indent -= 1
@@ -314,7 +299,7 @@ class _BuilderEmitter(_EmitterBase):
                 raise UnsupportedOp(f"no cudaq-builder rendering for {type(op).__name__}")
 
     def emit_cond(self, op: CondBlock) -> None:
-        if _subtree_measures([op]):
+        if any(measures([op])):
             raise UnsupportedForTarget(
                 "cudaq-builder cannot render measurements inside a conditional body; "
                 "use the cudaq-cpp target"
@@ -328,11 +313,6 @@ class _BuilderEmitter(_EmitterBase):
         else:
             subject = self.bit_local[(pred.register, pred.index)]
 
-        def pred_text(comparator: str) -> str:
-            if comparator == "truthy":
-                return subject if pred.index is not None else f"{subject} != 0"
-            return f"{subject} {comparator} {pred.rhs}"
-
         then_name = f"cond_{cond_id}_then"
         self.line()
         self.line(f"def {then_name}():")
@@ -343,21 +323,16 @@ class _BuilderEmitter(_EmitterBase):
             self.line("pass")
         self.indent -= 1
         self.line()
-        self.line(f"kernel.c_if({pred_text(pred.comparator)}, {then_name})")
+        self.line(f"kernel.c_if({self.cond_text(pred, subject)}, {then_name})")
         if op.else_body:
             else_name = f"cond_{cond_id}_else"
-            negated = (
-                f"{subject} == 0"
-                if pred.comparator == "truthy"
-                else pred_text(_NEGATE_CMP[pred.comparator])
-            )
             self.line()
             self.line(f"def {else_name}():")
             self.indent += 1
             self.emit_ops(op.else_body)
             self.indent -= 1
             self.line()
-            self.line(f"kernel.c_if({negated}, {else_name})")
+            self.line(f"kernel.c_if({self.cond_text(pred, subject, negate=True)}, {else_name})")
 
     def emit_gate(self, op: Gate) -> None:
         text = self.gate_line(op)

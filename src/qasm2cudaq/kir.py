@@ -1,49 +1,28 @@
 """Kernel IR: the canonical op sequence shared by the emitters and the
 simulator.
 
-Gate calls arrive from sema as ready canonical `Gate` ops (base plus
-control list, adjoint flag, `pow` expanded), so lowering only collects them
-in program order, turns measures, resets and barriers into ops, and captures
-conditional bodies as nested blocks rather than statically merged. Lowering
-enforces def-before-use for every predicate over the linear body.
+Sema builds the ops themselves: gate calls arrive as ready canonical `Gate`
+ops (base plus control list, adjoint flag, `pow` expanded), and measures,
+resets and barriers as `Measure`, `Reset` and `Nop`. Lowering only flattens
+them in program order and captures conditional bodies as nested blocks
+rather than statically merged. It enforces def-before-use for every
+predicate over the linear body.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import frontend, sema
 from ._gc import gc_paused
 from .errors import ArityMismatch, BadParameter, LowerError
-from .sema import Angle, Gate, ParamRef, ParamSpec, ResolvedCall, ValidatedProgram
+from .sema import Angle, Gate, Measure, Nop, ParamRef, ParamSpec, Reset, ResolvedCall, ResolvedIf, ValidatedProgram
 
-# The canonical gate set lives in sema; emit, sim and oracle import it from here.
-from .sema import CANONICAL_BASES, NEG, POS  # noqa: F401
-
-
-@dataclass
-class Measure:
-    qubit: int
-    bit: tuple[str, int]
-
-
-@dataclass
-class Reset:
-    qubit: int
-
-
-@dataclass
-class Nop:
-    qubits: tuple[int, ...] = ()
-
-
-@dataclass
-class Predicate:
-    register: str
-    index: int | None  # None = whole register, compared MSB-first as unsigned
-    comparator: str  # == != < <= > >= truthy
-    rhs: int = 0
+# The op types and the canonical gate set live in sema; emit, sim and oracle
+# import them from here.
+from .sema import CANONICAL_BASES, NEG, POS, Predicate  # noqa: F401
 
 
 @dataclass
@@ -101,15 +80,15 @@ def _predicate_bits(pred: Predicate, kernel_width: int) -> list[tuple[str, int]]
     return [(pred.register, i) for i in range(kernel_width)]
 
 
-def _measured_bits(ops: list[KOp]) -> set[tuple[str, int]]:
-    bits: set[tuple[str, int]] = set()
+def measures(ops: list[KOp]) -> Iterator[Measure]:
+    """Every measure in `ops`, conditional bodies included, in program
+    order (each block's then body before its else body)."""
     for op in ops:
         if isinstance(op, Measure):
-            bits.add(op.bit)
+            yield op
         elif isinstance(op, CondBlock):
-            bits |= _measured_bits(op.then_body)
-            bits |= _measured_bits(op.else_body)
-    return bits
+            yield from measures(op.then_body)
+            yield from measures(op.else_body)
 
 
 class _Lowerer:
@@ -126,22 +105,19 @@ class _Lowerer:
         for stmt in stmts:
             if isinstance(stmt, ResolvedCall):
                 ops.extend(stmt.ops)
-            elif isinstance(stmt, sema.ResolvedMeasure):
-                ops.append(Measure(stmt.qubit, stmt.bit))
-                written.add(stmt.bit)
-            elif isinstance(stmt, sema.ResolvedReset):
-                ops.append(Reset(stmt.qubit))
-            elif isinstance(stmt, sema.ResolvedBarrier):
-                ops.append(Nop(tuple(stmt.qubits)))
-            elif isinstance(stmt, sema.ResolvedIf):
+            elif isinstance(stmt, ResolvedIf):
                 ops.append(self.lower_cond(stmt, written))
+            elif isinstance(stmt, (Measure, Reset, Nop)):
+                ops.append(stmt)
+                if isinstance(stmt, Measure):
+                    written.add(stmt.bit)
             else:
                 raise LowerError(f"unhandled statement {type(stmt).__name__}")
         return ops
 
-    def lower_cond(self, stmt: sema.ResolvedIf, written: set[tuple[str, int]]) -> CondBlock:
-        pred = Predicate(stmt.register, stmt.index, stmt.comparator, stmt.rhs)
-        width = self.widths[stmt.register]
+    def lower_cond(self, stmt: ResolvedIf, written: set[tuple[str, int]]) -> CondBlock:
+        pred = stmt.predicate
+        width = self.widths[pred.register]
         pred_bits = _predicate_bits(pred, width)
         missing = [b for b in pred_bits if b not in written]
         if missing:
@@ -157,16 +133,17 @@ class _Lowerer:
             )
         then_written = set(written)
         else_written = set(written)
-        then_body = self.lower_body(stmt.then_body, then_written)
-        else_body = self.lower_body(stmt.else_body, else_written)
-        inner = _measured_bits(then_body) | _measured_bits(else_body)
-        if any(bit in inner for bit in pred_bits):
+        block = CondBlock(
+            pred, self.lower_body(stmt.then_body, then_written), self.lower_body(stmt.else_body, else_written)
+        )
+        reads = set(pred_bits)
+        if any(m.bit in reads for m in measures([block])):
             raise LowerError(
                 f"conditional at {stmt.span[0]}:{stmt.span[1]} measures into a bit "
                 "its own predicate reads"
             )
         written |= then_written & else_written
-        return CondBlock(pred, then_body, else_body)
+        return block
 
 
 @gc_paused

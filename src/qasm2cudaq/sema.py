@@ -4,9 +4,11 @@ index checking, and the lowering of every gate call to canonical gates.
 Every name is classified as a compile-time constant, a runtime input
 parameter, a qubit register, a classical register, or a gate definition.
 Angles are literal doubles or ParamRef slots into the flat runtime-parameter
-vector; `for` loops are expanded while `if` branches stay nested. Each
-builtin call a gate call inlines becomes one ResolvedCall with its `Gate` ops
-ready, through one modifier algebra (`_algebra`). A user gate body is compiled
+vector; `for` loops are expanded while `if` branches stay nested. Measures,
+resets and barriers become the kernel's own `Measure`, `Reset` and `Nop` ops,
+and an `if` keeps its `Predicate`. Each builtin call a gate call inlines
+becomes one ResolvedCall with its `Gate` ops ready, through one modifier
+algebra (`_algebra`). A user gate body is compiled
 into a `_Template` once per key: the gate, the values of the angle formals
 that shape its gates (pow exponents, arithmetic, fixed formals of nested
 gates) and the loop variables it reads. A formal used only as a whole angle
@@ -129,6 +131,33 @@ class Gate:
     adjoint: bool = False
 
 
+@dataclass(slots=True)
+class Measure:
+    """One executed measure. The emitters name each by `id`, so unlike a
+    `Gate` a measure op is never shared."""
+
+    qubit: int
+    bit: tuple[str, int]
+
+
+@dataclass(slots=True)
+class Reset:
+    qubit: int
+
+
+@dataclass(slots=True)
+class Nop:
+    qubits: tuple[int, ...] = ()
+
+
+@dataclass(slots=True)
+class Predicate:
+    register: str
+    index: int | None  # None = whole register, compared MSB-first as unsigned
+    comparator: str  # == != < <= > >= truthy
+    rhs: int = 0
+
+
 def _invert_gate(g: Gate) -> Gate:
     """Adjoint of a canonical gate.
 
@@ -177,24 +206,18 @@ def _builtin_ops(name: str, angles: list, qubits: list[int], polarity: tuple, al
     return _algebra([gate], algebra, _invert_gate) if algebra else [gate]
 
 
-# Resolved statement forms consumed by kir.lower. A call is one builtin call
-# with its gates ready; operands are flat qubit ids, modifier controls first.
 @dataclass(slots=True)
 class ResolvedCall:
-    """One builtin call and its canonical gates. Calls, their `angles` lists
-    and their ops are shared between the replicas of a `pow`, the
-    iterations of a broadcast and the placements of a template, in
-    `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
+    """The canonical gates of one builtin call. Calls and their ops are
+    shared between the replicas of a `pow`, the iterations of a broadcast
+    and the placements of a template, in `ValidatedProgram.statements` and
+    `Kernel.body` alike: read-only."""
 
-    name: str
-    angles: list[Angle]
-    qubits: list[int]
     ops: list[Gate]
-    span: fe.Span
 
 
 def _invert_call(c: ResolvedCall) -> ResolvedCall:
-    return ResolvedCall(c.name, c.angles, c.qubits, _algebra(c.ops, (("inv", None),), _invert_gate), c.span)
+    return ResolvedCall([_invert_gate(g) for g in reversed(c.ops)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,7 +274,6 @@ class _Template:
         inv/pow through `_algebra`. At home, plain, the built calls serve."""
         calls = self.built()
         if controls or self.free or targets != self.home:
-            lead = [q for q, _ in controls]
             where = dict(zip(self.home, targets)).__getitem__
             bind = angles if self.free else None
             out = []
@@ -261,8 +283,7 @@ class _Template:
                     inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
                     args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
                     ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
-                args = [_bound(a, bind) for a in c.angles] if bind and c.angles else c.angles
-                out.append(ResolvedCall(c.name, args, [*lead, *map(where, c.qubits)], ops, c.span))
+                out.append(ResolvedCall(ops))
             calls = out
         return _algebra(calls, algebra, _invert_call)
 
@@ -280,36 +301,16 @@ def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
 
 
 @dataclass
-class ResolvedMeasure:
-    qubit: int
-    bit: tuple[str, int]
-    span: fe.Span
-
-
-@dataclass
-class ResolvedReset:
-    qubit: int
-    span: fe.Span
-
-
-@dataclass
-class ResolvedBarrier:
-    qubits: list[int]
-    span: fe.Span
-
-
-@dataclass
 class ResolvedIf:
-    register: str
-    index: int | None  # None = whole-register subject
-    comparator: str  # == != < <= > >= truthy
-    rhs: int
+    """An `if` before lowering; kir.lower checks it and makes it a CondBlock."""
+
+    predicate: Predicate
     then_body: list["ResolvedStatement"]
     else_body: list["ResolvedStatement"]
     span: fe.Span
 
 
-ResolvedStatement = ResolvedCall | ResolvedMeasure | ResolvedReset | ResolvedBarrier | ResolvedIf
+ResolvedStatement = ResolvedCall | Measure | Reset | Nop | ResolvedIf
 
 
 @dataclass
@@ -565,6 +566,13 @@ class _Analyzer:
             )
         return self.qubit_base[ref.name] + idx
 
+    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
+        """The flat ids a qubit ref names: one qubit, or a whole register's."""
+        op = self.resolve_qubit_operand(ref)
+        if isinstance(op, tuple):
+            return list(range(self.qubit_base[op[0]], self.qubit_base[op[0]] + op[1]))
+        return [op]
+
     def resolve_bit_operand(self, ref: fe.NamedRef) -> tuple[str, int] | tuple[str, None]:
         """Resolve a classical ref to (register, index); index None = whole register."""
         entry = self.symbols.lookup(ref.name, ref.span)
@@ -670,7 +678,7 @@ class _Analyzer:
             if gate_def is None:
                 self._bump(stmt.span, _pow_product(algebra))
                 ops = _builtin_ops(stmt.name, angles, broadcast, polarity, algebra)
-                out.append(ResolvedCall(stmt.name, angles, broadcast, ops, stmt.span))
+                out.append(ResolvedCall(ops))
             else:
                 targets = broadcast[len(polarity) :]
                 template = self._template(stmt.name, algebra, angles, targets, stmt.span, ())
@@ -791,7 +799,7 @@ class _Analyzer:
                 self._check_budget(cost, span)
                 self.held += cost
                 ops = _builtin_ops(call.name, call_angles, qubits, polarity, algebra)
-                parts.append(ResolvedCall(call.name, call_angles, qubits, ops, call.span))
+                parts.append(ResolvedCall(ops))
             else:
                 inner_targets = qubits[len(polarity) :]
                 inner = self._template(call.name, algebra, call_angles, inner_targets, call.span, stack)
@@ -845,25 +853,13 @@ class _Analyzer:
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):
-                target = self.resolve_qubit_operand(stmt.target)
-                qubits = (
-                    [self.qubit_base[target[0]] + i for i in range(target[1])]
-                    if isinstance(target, tuple)
-                    else [target]
-                )
-                for q in qubits:
+                for q in self.resolve_qubits(stmt.target):
                     self._bump(stmt.span)
-                    out.append(ResolvedReset(q, stmt.span))
+                    out.append(Reset(q))
             elif isinstance(stmt, fe.Barrier):
-                qubits: list[int] = []
-                for ref in stmt.targets:
-                    op = self.resolve_qubit_operand(ref)
-                    if isinstance(op, tuple):
-                        qubits.extend(self.qubit_base[op[0]] + i for i in range(op[1]))
-                    else:
-                        qubits.append(op)
+                qubits = tuple([q for ref in stmt.targets for q in self.resolve_qubits(ref)])
                 self._bump(stmt.span)
-                out.append(ResolvedBarrier(qubits, stmt.span))
+                out.append(Nop(qubits))
             elif isinstance(stmt, fe.IfStatement):
                 out.append(self.resolve_if(stmt))
             elif isinstance(stmt, fe.ForStatement):
@@ -872,7 +868,7 @@ class _Analyzer:
                 raise SemaError(f"unhandled statement {type(stmt).__name__}", stmt.span)
         return out
 
-    def resolve_measure(self, stmt: fe.MeasureAssign) -> list[ResolvedMeasure]:
+    def resolve_measure(self, stmt: fe.MeasureAssign) -> list[Measure]:
         source = self.resolve_qubit_operand(stmt.source)
         target = self.resolve_bit_operand(stmt.target)
         if isinstance(source, tuple) and target[1] is None:
@@ -883,17 +879,14 @@ class _Analyzer:
                     f"cannot measure {width}-qubit register into {entry.size}-bit register",
                     stmt.span,
                 )
-            ops = [
-                ResolvedMeasure(self.qubit_base[reg] + i, (stmt.target.name, i), stmt.span)
-                for i in range(width)
-            ]
+            ops = [Measure(self.qubit_base[reg] + i, (stmt.target.name, i)) for i in range(width)]
         elif isinstance(source, tuple) or target[1] is None:
             raise ArityMismatch(
                 "measure needs a single qubit and a single bit, or two same-width registers",
                 stmt.span,
             )
         else:
-            ops = [ResolvedMeasure(source, target, stmt.span)]
+            ops = [Measure(source, target)]
         self._bump(stmt.span, len(ops))
         return ops
 
@@ -910,7 +903,7 @@ class _Analyzer:
         then_body = self.resolve_statements(stmt.then_body, top_level=False)
         else_body = self.resolve_statements(stmt.else_body, top_level=False)
         self._bump(stmt.span)
-        return ResolvedIf(register, index, comparator, rhs, then_body, else_body, stmt.span)
+        return ResolvedIf(Predicate(register, index, comparator, rhs), then_body, else_body, stmt.span)
 
     def resolve_for(self, stmt: fe.ForStatement) -> list[ResolvedStatement]:
         start = _const_int(stmt.start, self.symbols, "loop bound", exc=NonConstLoopBound)

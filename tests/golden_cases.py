@@ -272,3 +272,27 @@ def emission_digests() -> dict[str, dict[str, str]]:
             for target in EMISSION_TARGETS
         }
     return digests
+
+
+def kir_dump_corpus() -> dict[str, str]:
+    """Every program whose `kir.dump` is pinned by sha256 in
+    golden/kir_dump_digests.json: the histogram corpus (which holds the
+    emission corpus and the conformance corpus of conftest.py) and the
+    emission-digest corpus."""
+    cases = histogram_corpus()
+    cases.update(emission_digest_corpus())
+    return cases
+
+
+def kir_dump_digests() -> dict[str, str]:
+    """name -> sha256 of `kir.dump` of the compiled kernel, over the corpus
+    above; unlike the emitted text, the dump shows every op (a barrier's
+    qubits, say), so a change in what lowering builds shows here."""
+    import hashlib
+
+    from qasm2cudaq import compile_source, kir
+
+    return {
+        name: hashlib.sha256(kir.dump(compile_source(source)).encode()).hexdigest()
+        for name, source in kir_dump_corpus().items()
+    }

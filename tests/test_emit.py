@@ -155,6 +155,23 @@ class TestCondBlockStructure:
         cpp = emit(compile_source(source), "cudaq-cpp").text
         assert "if (m1 == 1) {" in cpp
 
+    def test_each_executed_measure_is_its_own_op_and_local(self):
+        source = (
+            f"{HEADER}qubit[2] q;\nbit[2] c;\n"
+            "for int i in [0:2] { c[0] = measure q[0]; }\n"
+            "if (c[0]) { c[1] = measure q[1]; }\n"
+        )
+        kernel = compile_source(source)
+        loop = kernel.body[:3]
+        assert all(isinstance(m, kir.Measure) and m == kir.Measure(0, ("c", 0)) for m in loop)
+        assert len({id(m) for m in loop}) == 3
+        cpp = emit(kernel, "cudaq-cpp").text
+        for i in range(3):
+            assert f"auto m{i} = mz(q[0]);" in cpp
+        assert "int m3 = 0;" in cpp
+        assert "if (m2) {" in cpp
+        assert "m3 = mz(q[1]);" in cpp
+
     def test_cpp_rejects_divergent_conditional_writers(self):
         source = (
             f"{HEADER}qubit[2] q;\nbit c;\nbit d;\n"

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,8 @@ from qasm2cudaq import frontend as fe, kir, sema, sim
 from qasm2cudaq.errors import ArityMismatch, BadParameter, LowerError
 from qasm2cudaq.kir import NEG, POS, CondBlock, Gate, Measure, Nop, Reset
 from qasm2cudaq.oracle import fidelity_up_to_global_phase
+
+from golden_cases import kir_dump_digests
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 
@@ -282,3 +287,9 @@ class TestDump:
             "end\n"
             "reset q0\n"
         )
+
+    def test_corpus_dump_digests(self):
+        # recorded by scripts/record_goldens.py; pins every op lowering
+        # builds, including those no target renders (a barrier's qubits)
+        path = pathlib.Path(__file__).parent / "golden" / "kir_dump_digests.json"
+        assert kir_dump_digests() == json.loads(path.read_text(encoding="utf-8"))

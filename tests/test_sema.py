@@ -19,13 +19,17 @@ from qasm2cudaq.errors import (
     SemaError,
     UndefinedName,
 )
-from qasm2cudaq.sema import ParamRef, SymbolKind
+from qasm2cudaq.sema import POS, Gate, ParamRef, SymbolKind
 
 from conftest import EXPANSION_PROBES, PROBE_HEADER
 
 
 def analyze(source: str) -> sema.ValidatedProgram:
     return sema.analyze(fe.parse_source(source))
+
+
+def gate(base: str, targets: tuple, controls: tuple = (), angles: tuple = ()) -> Gate:
+    return Gate(base, angles, targets, tuple((q, POS) for q in controls))
 
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
@@ -85,8 +89,8 @@ class TestClassification:
         )
         assert [(p.name, p.count) for p in vp.param_layout] == [("beta", 2), ("alpha", 1)]
         calls = [s for s in vp.statements if isinstance(s, sema.ResolvedCall)]
-        assert calls[0].angles == [ParamRef(1)]
-        assert calls[1].angles == [ParamRef(2)]
+        assert calls[0].ops == [gate("rx", (0,), angles=(ParamRef(1),))]
+        assert calls[1].ops == [gate("rz", (0,), angles=(ParamRef(2),))]
 
     def test_every_runtime_input_in_layout_once(self):
         vp = analyze(f"{HEADER}input float[64] a;\ninput array[float[64], 3] b;\nqubit q;\n")
@@ -97,11 +101,11 @@ class TestClassification:
     def test_const_angle_folds_to_literal(self):
         vp = analyze(f"{HEADER}const float a = pi/2;\nqubit q;\nrz(a) q;\n")
         call = vp.statements[0]
-        assert call.angles == [1.5707963267948966]
+        assert call.ops == [gate("rz", (0,), angles=(1.5707963267948966,))]
 
     def test_symbolic_param_ref(self):
         vp = analyze(f"{HEADER}input array[float[64], 2] theta;\nqubit q;\nrx(theta[0]) q;\n")
-        assert vp.statements[0].angles == [ParamRef(0)]
+        assert vp.statements[0].ops == [gate("rx", (0,), angles=(ParamRef(0),))]
 
     def test_arithmetic_on_runtime_param_rejected(self):
         with pytest.raises(NotConst):
@@ -190,15 +194,15 @@ class TestErrors:
 class TestUnrolling:
     def test_two_iteration_unroll(self):
         vp = analyze(f"{HEADER}qubit[2] q;\nfor int i in [0:1] {{ h q[i]; }}\n")
-        assert [(s.name, s.qubits) for s in vp.statements] == [("h", [0]), ("h", [1])]
+        assert [s.ops for s in vp.statements] == [[gate("h", (0,))], [gate("h", (1,))]]
 
     def test_inclusive_ends_and_step(self):
         vp = analyze(f"{HEADER}qubit[5] q;\nfor int i in [0:2:4] {{ x q[i]; }}\n")
-        assert [s.qubits[0] for s in vp.statements] == [0, 2, 4]
+        assert [s.ops for s in vp.statements] == [[gate("x", (q,))] for q in (0, 2, 4)]
 
     def test_negative_step(self):
         vp = analyze(f"{HEADER}qubit[3] q;\nfor int i in [2:-1:0] {{ x q[i]; }}\n")
-        assert [s.qubits[0] for s in vp.statements] == [2, 1, 0]
+        assert [s.ops for s in vp.statements] == [[gate("x", (q,))] for q in (2, 1, 0)]
 
     def test_empty_range(self):
         vp = analyze(f"{HEADER}qubit q;\nfor int i in [3:2] {{ h q; }}\n")
@@ -220,8 +224,8 @@ class TestUnrolling:
                     scan(s.else_body)
 
         scan(vp.statements)
-        cx_ops = [s for s in vp.statements if isinstance(s, sema.ResolvedCall) and s.name == "cx"]
-        assert [c.qubits for c in cx_ops] == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        calls = [s for s in vp.statements if isinstance(s, sema.ResolvedCall)]
+        assert [c.ops for c in calls] == [[gate("x", (t,), (c,))] for c, t in [(0, 2), (0, 3), (1, 2), (1, 3)]]
 
     @given(
         start=st.integers(min_value=-4, max_value=4),
@@ -245,15 +249,15 @@ class TestUnrolling:
 class TestBroadcastAndInlining:
     def test_single_qubit_broadcast(self):
         vp = analyze(f"{HEADER}qubit[3] q;\nh q;\n")
-        assert [s.qubits for s in vp.statements] == [[0], [1], [2]]
+        assert [s.ops for s in vp.statements] == [[gate("h", (q,))] for q in (0, 1, 2)]
 
     def test_two_register_zip(self):
         vp = analyze(f"{HEADER}qubit[2] a;\nqubit[2] b;\ncx a, b;\n")
-        assert [s.qubits for s in vp.statements] == [[0, 2], [1, 3]]
+        assert [s.ops for s in vp.statements] == [[gate("x", (2,), (0,))], [gate("x", (3,), (1,))]]
 
     def test_mixed_broadcast_register_and_single(self):
         vp = analyze(f"{HEADER}qubit[2] a;\nqubit t;\ncx a, t;\n")
-        assert [s.qubits for s in vp.statements] == [[0, 2], [1, 2]]
+        assert [s.ops for s in vp.statements] == [[gate("x", (2,), (0,))], [gate("x", (2,), (1,))]]
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ArityMismatch):
@@ -267,7 +271,7 @@ class TestBroadcastAndInlining:
         vp = analyze(
             f"{HEADER}gate pair a, b {{ h a; cx a, b; }}\nqubit[2] q;\npair q[1], q[0];\n"
         )
-        assert [(s.name, s.qubits) for s in vp.statements] == [("h", [1]), ("cx", [1, 0])]
+        assert [s.ops for s in vp.statements] == [[gate("h", (1,))], [gate("x", (0,), (1,))]]
 
     def test_nested_inlining(self):
         vp = analyze(
@@ -275,12 +279,13 @@ class TestBroadcastAndInlining:
             "gate twice a, b { pair a, b; pair a, b; }\n"
             "qubit[2] q;\ntwice q[0], q[1];\n"
         )
-        assert [s.name for s in vp.statements] == ["h", "cx", "h", "cx"]
+        pair = [[gate("h", (0,))], [gate("x", (1,), (0,))]]
+        assert [s.ops for s in vp.statements] == pair * 2
 
     def test_inline_with_angle_formal(self):
         vp = analyze(f"{HEADER}gate turn(t) a {{ rz(t) a; p(t/2) a; }}\nqubit q;\nturn(pi) q;\n")
-        assert vp.statements[0].angles == [math.pi]
-        assert vp.statements[1].angles == [math.pi / 2]
+        assert vp.statements[0].ops == [gate("rz", (0,), angles=(math.pi,))]
+        assert vp.statements[1].ops == [gate("p", (0,), angles=(math.pi / 2,))]
 
     def test_inline_param_formal_must_be_bare(self):
         source = (
@@ -293,7 +298,7 @@ class TestBroadcastAndInlining:
         vp = analyze(
             f"{HEADER}input float[64] t;\ngate turn(x) a {{ rz(x) a; }}\nqubit q;\nturn(t) q;\n"
         )
-        assert vp.statements[0].angles == [ParamRef(0)]
+        assert vp.statements[0].ops == [gate("rz", (0,), angles=(ParamRef(0),))]
 
     def test_control_collision_after_inlining(self):
         with pytest.raises(DuplicateQubitArg):
