@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the golden emission corpus under tests/golden/<target>/, the
 sample histograms in tests/golden/histograms.json, the emission digests of
-the generated corpus in tests/golden/emission_digests.json and the kernel-IR
-dump digests in tests/golden/kir_dump_digests.json.
+the generated corpus in tests/golden/emission_digests.json, the kernel-IR
+dump digests in tests/golden/kir_dump_digests.json and the compile outcome
+(error text, or the dump digest) of the error corpus in
+tests/golden/error_texts.json.
 
 Run after any deliberate emission-grammar or sampling change, then review
 the diff.
@@ -20,6 +22,7 @@ from golden_cases import (
     GOLDEN_CASES,
     HISTOGRAM_SEEDS,
     emission_digests,
+    error_texts,
     histogram,
     histogram_corpus,
     kir_dump_digests,
@@ -51,6 +54,10 @@ def main() -> int:
     path = ROOT / "tests" / "golden" / "kir_dump_digests.json"
     path.write_text(json.dumps(dumps, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"kir dump digests: {len(dumps)} programs")
+    texts = error_texts()
+    path = ROOT / "tests" / "golden" / "error_texts.json"
+    path.write_text(json.dumps(texts, indent=1, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"error texts: {len(texts)} programs x 2 caps")
     return 0
 
 

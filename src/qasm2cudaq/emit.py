@@ -11,6 +11,7 @@ emission is byte-deterministic for a given kernel.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from ._gc import gc_paused
@@ -69,6 +70,13 @@ def _layout_comments(kernel: Kernel, comment: str) -> list[str]:
 
 
 class _EmitterBase:
+    # Each target names itself and formats its measure line (at top level,
+    # then in a conditional body) from the local's name and the qubit, and its
+    # reset line from the qubit.
+    TARGET: str
+    MEASURE: tuple[str, str]
+    RESET: str
+
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.lines: list[str] = []
@@ -96,6 +104,29 @@ class _EmitterBase:
             if text is not None and 0.0 not in op.angles:
                 self.gate_lines[key] = text
         return text
+
+    def emit_ops(self, ops: list, top_level: bool) -> None:
+        """Render ops in order. A gate with no one-line rendering takes the
+        target's `emit_functional`; a conditional, its `emit_cond`."""
+        for op in ops:
+            if isinstance(op, Gate):
+                text = self.gate_line(op)
+                if text is None:
+                    self.emit_functional(op)
+                else:
+                    self.line(text)
+            elif isinstance(op, Measure):
+                name = self.measure_name(op)
+                self.line(self.MEASURE[not top_level].format(name, op.qubit))
+                self.bit_local[op.bit] = name
+            elif isinstance(op, Reset):
+                self.line(self.RESET.format(op.qubit))
+            elif isinstance(op, Nop):
+                pass
+            elif isinstance(op, CondBlock):
+                self.emit_cond(op, top_level)
+            else:
+                raise UnsupportedOp(f"no {self.TARGET} rendering for {type(op).__name__}")
 
     def measure_name(self, op: Measure) -> str:
         return f"m{self.measure_index[id(op)]}"
@@ -127,6 +158,10 @@ class _EmitterBase:
 
 
 class _CppEmitter(_EmitterBase):
+    TARGET = "cudaq-cpp"
+    MEASURE = ("auto {} = mz(q[{}]);", "{} = mz(q[{}]);")
+    RESET = "reset(q[{}]);"
+
     def emit(self) -> str:
         k = self.kernel
         self.lines.extend(["// CUDA-Q C++ kernel (target: cudaq-cpp)"])
@@ -166,36 +201,16 @@ class _CppEmitter(_EmitterBase):
         self.line("}")
         return "\n".join(self.lines) + "\n"
 
-    def emit_ops(self, ops: list, top_level: bool) -> None:
-        for op in ops:
-            if isinstance(op, Gate):
-                self.line(self.gate_line(op))
-            elif isinstance(op, Measure):
-                name = self.measure_name(op)
-                if top_level:
-                    self.line(f"auto {name} = mz(q[{op.qubit}]);")
-                else:
-                    self.line(f"{name} = mz(q[{op.qubit}]);")
-                self.bit_local[op.bit] = name
-            elif isinstance(op, Reset):
-                self.line(f"reset(q[{op.qubit}]);")
-            elif isinstance(op, Nop):
-                pass
-            elif isinstance(op, CondBlock):
-                self.emit_cond(op, top_level)
-            else:
-                raise UnsupportedOp(f"no cudaq-cpp rendering for {type(op).__name__}")
-
     def emit_cond(self, op: CondBlock, top_level: bool) -> None:
         if top_level:
             inner = list(measures([op]))
-            bits = [m.bit for m in inner]
-            for bit in bits:
-                if bits.count(bit) > 1:
-                    raise UnsupportedForTarget(
-                        f"cudaq-cpp cannot render two conditional measurements of "
-                        f"{bit[0]}[{bit[1]}] inside one conditional region"
-                    )
+            writes = Counter(m.bit for m in inner)
+            bit = next((m.bit for m in inner if writes[m.bit] > 1), None)  # the first, in program order
+            if bit is not None:
+                raise UnsupportedForTarget(
+                    f"cudaq-cpp cannot render two conditional measurements of "
+                    f"{bit[0]}[{bit[1]}] inside one conditional region"
+                )
             for m in inner:
                 name = self.measure_name(m)
                 init = self.bit_local.get(m.bit, "0")
@@ -241,6 +256,10 @@ class _CppEmitter(_EmitterBase):
 
 
 class _BuilderEmitter(_EmitterBase):
+    TARGET = "cudaq-builder"
+    MEASURE = ("{} = kernel.mz(q[{}])",) * 2
+    RESET = "kernel.reset(q[{}])"
+
     def __init__(self, kernel: Kernel):
         super().__init__(kernel)
         self.sub_count = 0
@@ -263,7 +282,7 @@ class _BuilderEmitter(_EmitterBase):
             self.line("kernel = cudaq.make_kernel()")
         if k.qubit_count:
             self.line(f"q = kernel.qalloc({k.qubit_count})")
-        self.emit_ops(k.body)
+        self.emit_ops(k.body, top_level=True)
         self.line("return kernel")
         self.indent -= 1
         self.line()
@@ -281,24 +300,7 @@ class _BuilderEmitter(_EmitterBase):
         self.indent -= 1
         return "\n".join(self.lines) + "\n"
 
-    def emit_ops(self, ops: list) -> None:
-        for op in ops:
-            if isinstance(op, Gate):
-                self.emit_gate(op)
-            elif isinstance(op, Measure):
-                name = self.measure_name(op)
-                self.line(f"{name} = kernel.mz(q[{op.qubit}])")
-                self.bit_local[op.bit] = name
-            elif isinstance(op, Reset):
-                self.line(f"kernel.reset(q[{op.qubit}])")
-            elif isinstance(op, Nop):
-                pass
-            elif isinstance(op, CondBlock):
-                self.emit_cond(op)
-            else:
-                raise UnsupportedOp(f"no cudaq-builder rendering for {type(op).__name__}")
-
-    def emit_cond(self, op: CondBlock) -> None:
+    def emit_cond(self, op: CondBlock, top_level: bool) -> None:
         if any(measures([op])):
             raise UnsupportedForTarget(
                 "cudaq-builder cannot render measurements inside a conditional body; "
@@ -318,7 +320,7 @@ class _BuilderEmitter(_EmitterBase):
         self.line(f"def {then_name}():")
         self.indent += 1
         if op.then_body:
-            self.emit_ops(op.then_body)
+            self.emit_ops(op.then_body, top_level=False)
         else:
             self.line("pass")
         self.indent -= 1
@@ -329,17 +331,10 @@ class _BuilderEmitter(_EmitterBase):
             self.line()
             self.line(f"def {else_name}():")
             self.indent += 1
-            self.emit_ops(op.else_body)
+            self.emit_ops(op.else_body, top_level=False)
             self.indent -= 1
             self.line()
             self.line(f"kernel.c_if({self.cond_text(pred, subject, negate=True)}, {else_name})")
-
-    def emit_gate(self, op: Gate) -> None:
-        text = self.gate_line(op)
-        if text is None:
-            self.emit_functional(op)
-        else:
-            self.line(text)
 
     def render_gate(self, op: Gate) -> str | None:
         """The plain call, or the `c<name>` sugar for a single positive

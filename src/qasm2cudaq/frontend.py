@@ -358,6 +358,14 @@ class _Parser:
             raise self.error(expected)
         return self.advance()
 
+    def comma_list(self, item) -> list:
+        """`item (',' item)*`: what each call of `item` parses, in order."""
+        items = [item()]
+        while self.tokens[self.pos].lexeme == ",":  # a STRING lexeme keeps its quotes, so is never ","
+            self.pos += 1
+            items.append(item())
+        return items
+
     def unsupported(self, construct: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(tok.line, tok.col, f"construct not supported: {construct}", tok.lexeme)
@@ -434,19 +442,12 @@ class _Parser:
         self.expect("]")
         return int(size_tok.lexeme)
 
-    def parse_qubit_decl(self) -> QubitDecl:
+    def parse_register_decl(self) -> QubitDecl | BitDecl:
         tok = self.advance()
         size = self._decl_size()
         name = self.expect_kind(IDENTIFIER, "register name")
         self.expect(";")
-        return QubitDecl(name.lexeme, size, (tok.line, tok.col))
-
-    def parse_bit_decl(self) -> BitDecl:
-        tok = self.advance()
-        size = self._decl_size()
-        name = self.expect_kind(IDENTIFIER, "register name")
-        self.expect(";")
-        return BitDecl(name.lexeme, size, (tok.line, tok.col))
+        return (QubitDecl if tok.lexeme == "qubit" else BitDecl)(name.lexeme, size, (tok.line, tok.col))
 
     def parse_input_decl(self) -> InputDecl:
         tok = self.advance()
@@ -505,15 +506,9 @@ class _Parser:
         if self.at("("):
             self.advance()
             if not self.at(")"):
-                params.append(self.expect_kind(IDENTIFIER, "parameter name").lexeme)
-                while self.at(","):
-                    self.advance()
-                    params.append(self.expect_kind(IDENTIFIER, "parameter name").lexeme)
+                params = self.comma_list(lambda: self.expect_kind(IDENTIFIER, "parameter name").lexeme)
             self.expect(")")
-        qubits = [self.expect_kind(IDENTIFIER, "qubit name").lexeme]
-        while self.at(","):
-            self.advance()
-            qubits.append(self.expect_kind(IDENTIFIER, "qubit name").lexeme)
+        qubits = self.comma_list(lambda: self.expect_kind(IDENTIFIER, "qubit name").lexeme)
         self.expect("{")
         body: list[GateCall] = []
         while not self.at("}"):
@@ -544,15 +539,9 @@ class _Parser:
         args: list[Expr] = []
         if self.at("("):
             self.advance()
-            args.append(self.parse_expr())
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr())
+            args = self.comma_list(self.parse_expr)
             self.expect(")")
-        qubits = [self.parse_ref()]
-        while self.at(","):
-            self.advance()
-            qubits.append(self.parse_ref())
+        qubits = self.comma_list(self.parse_ref)
         self.expect(";")
         return GateCall(modifiers, name.lexeme, args, qubits, (tok.line, tok.col))
 
@@ -592,12 +581,7 @@ class _Parser:
 
     def parse_barrier(self) -> Barrier:
         tok = self.advance()
-        targets: list[NamedRef] = []
-        if not self.at(";"):
-            targets.append(self.parse_ref())
-            while self.at(","):
-                self.advance()
-                targets.append(self.parse_ref())
+        targets = [] if self.at(";") else self.comma_list(self.parse_ref)
         self.expect(";")
         return Barrier(targets, (tok.line, tok.col))
 
@@ -707,8 +691,8 @@ class _Parser:
 
 
 _STATEMENT_PARSERS = {
-    "qubit": _Parser.parse_qubit_decl,
-    "bit": _Parser.parse_bit_decl,
+    "qubit": _Parser.parse_register_decl,
+    "bit": _Parser.parse_register_decl,
     "input": _Parser.parse_input_decl,
     "const": _Parser.parse_const_decl,
     "gate": _Parser.parse_gate_def,

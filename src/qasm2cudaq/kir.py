@@ -74,12 +74,6 @@ def reset_compile_counters() -> None:
     frontend._reset_parse_calls()
 
 
-def _predicate_bits(pred: Predicate, kernel_width: int) -> list[tuple[str, int]]:
-    if pred.index is not None:
-        return [(pred.register, pred.index)]
-    return [(pred.register, i) for i in range(kernel_width)]
-
-
 def measures(ops: list[KOp]) -> Iterator[Measure]:
     """Every measure in `ops`, conditional bodies included, in program
     order (each block's then body before its else body)."""
@@ -118,7 +112,7 @@ class _Lowerer:
     def lower_cond(self, stmt: ResolvedIf, written: set[tuple[str, int]]) -> CondBlock:
         pred = stmt.predicate
         width = self.widths[pred.register]
-        pred_bits = _predicate_bits(pred, width)
+        pred_bits = [(pred.register, i) for i in range(width)] if pred.index is None else [(pred.register, pred.index)]
         missing = [b for b in pred_bits if b not in written]
         if missing:
             reg, idx = missing[0]

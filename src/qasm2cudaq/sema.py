@@ -8,7 +8,8 @@ vector; `for` loops are expanded while `if` branches stay nested. Measures,
 resets and barriers become the kernel's own `Measure`, `Reset` and `Nop` ops,
 and an `if` keeps its `Predicate`. Each builtin call a gate call inlines
 becomes one ResolvedCall with its `Gate` ops ready, through one modifier
-algebra (`_algebra`). A user gate body is compiled
+algebra (`_algebra`); one lowering (`_Analyzer._part`) serves a call at top
+level and a call in a gate body. A user gate body is compiled
 into a `_Template` once per key: the gate, the values of the angle formals
 that shape its gates (pow exponents, arithmetic, fixed formals of nested
 gates) and the loop variables it reads. A formal used only as a whole angle
@@ -20,7 +21,7 @@ expansion is counted against UNROLL_CAP before it exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import frontend as fe
@@ -252,20 +253,18 @@ class _Template:
     built on first use from `parts`."""
 
     count: int  # canonical gates one plain call lowers to
-    peak: int  # most budget held at any check while it was built, over the start
+    peak: int  # most budget counted at any check while it was built, over the start
     height: int  # definitions it nests, itself included
     free: bool  # some angle formal is bound when the template is placed
     home: list[int]
-    # a builtin ResolvedCall, or (template, targets, controls, algebra,
-    # angles), where the angles may hold this template's own free formals
+    # one `_Analyzer._part` per body call; the angles of a placement may
+    # hold this template's own free formals
     parts: list
     calls: list[ResolvedCall] | None = None
 
     def built(self) -> list[ResolvedCall]:
         if self.calls is None:
-            self.calls = []
-            for part in self.parts:
-                self.calls.extend([part] if isinstance(part, ResolvedCall) else part[0].place(*part[1:]))
+            self.calls = [c for part in self.parts for c in _placed(part)]
         return self.calls
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
@@ -286,6 +285,12 @@ class _Template:
                 out.append(ResolvedCall(ops))
             calls = out
         return _algebra(calls, algebra, _invert_call)
+
+
+def _placed(part) -> list[ResolvedCall]:
+    """The calls of a `_Analyzer._part`: a builtin call as it is, or a
+    template placed on its operands."""
+    return [part] if type(part) is ResolvedCall else part[0].place(*part[1:])
 
 
 def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
@@ -470,9 +475,9 @@ class _Analyzer:
         self.param_layout: list[ParamSpec] = []
         self.param_offset: dict[str, ParamSpec] = {}
         self.qubit_count = 0
+        # statements built, plus the gates of the gate call being inlined
         self.stmt_count = 0
-        self.held = 0  # gates built into bodies of gates still being inlined
-        self.high = 0  # most `held` plus cost seen by a check, for _Template.peak
+        self.high = 0  # most `stmt_count` plus cost seen by a check, for _Template.peak
         self.min_costs: dict[str, int] = {}
         self.templates: dict[tuple, _Template] = {}
         # per gate, per angle formal: whether it is free (see `declare`)
@@ -482,22 +487,19 @@ class _Analyzer:
 
     # -- declarations -------------------------------------------------------
     def declare(self, stmt: fe.Statement) -> None:
-        if isinstance(stmt, fe.QubitDecl):
+        if isinstance(stmt, (fe.QubitDecl, fe.BitDecl)):
+            qubit = isinstance(stmt, fe.QubitDecl)
             if stmt.size < 1:
-                raise SemaError(f"qubit register '{stmt.name}' must have size >= 1", stmt.span)
+                what = "qubit" if qubit else "bit"
+                raise SemaError(f"{what} register '{stmt.name}' must have size >= 1", stmt.span)
+            kind = SymbolKind.QUBIT_REGISTER if qubit else SymbolKind.CLASSICAL_REGISTER
             self.symbols.define(
-                SymbolEntry(stmt.name, SymbolKind.QUBIT_REGISTER, stmt.size, None, stmt.span)
+                SymbolEntry(stmt.name, kind, stmt.size, None, stmt.span)
             )
-            self.qubit_base[stmt.name] = self.qubit_count
-            self.qubit_layout.append((stmt.name, stmt.size))
-            self.qubit_count += stmt.size
-        elif isinstance(stmt, fe.BitDecl):
-            if stmt.size < 1:
-                raise SemaError(f"bit register '{stmt.name}' must have size >= 1", stmt.span)
-            self.symbols.define(
-                SymbolEntry(stmt.name, SymbolKind.CLASSICAL_REGISTER, stmt.size, None, stmt.span)
-            )
-            self.classical_layout.append((stmt.name, stmt.size))
+            if qubit:
+                self.qubit_base[stmt.name] = self.qubit_count
+                self.qubit_count += stmt.size
+            (self.qubit_layout if qubit else self.classical_layout).append((stmt.name, stmt.size))
         elif isinstance(stmt, fe.InputDecl):
             if stmt.count < 1:
                 raise SemaError(f"input '{stmt.name}' must have at least one element", stmt.span)
@@ -549,46 +551,35 @@ class _Analyzer:
             self.free_formals[stmt.name] = tuple(p not in fixed for p in stmt.params)
 
     # -- operand resolution -------------------------------------------------
-    def resolve_qubit_operand(self, ref: fe.NamedRef) -> int | tuple[str, int]:
-        """Resolve a qubit ref to a flat id, or (name, width) for a whole register."""
+    def _index(self, ref: fe.NamedRef, size: int, what: str, where: str) -> int:
+        """The constant index of `ref`, checked against `size`. `where` names
+        the indexed object, formatted with the name and size when it raises.
+        A literal index, the common case, needs no fold."""
+        idx = ref.index.value if type(ref.index) is fe.IntLit else _const_int(ref.index, self.symbols, what)
+        if not 0 <= idx < size:
+            raise IndexOutOfRange(f"index {idx} out of range for {where.format(ref.name, size)}", ref.span)
+        return idx
+
+    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
+        """The flat ids a qubit ref names: one qubit, or a whole register's
+        (a register of one qubit is a single qubit)."""
         entry = self.symbols.lookup(ref.name, ref.span)
         if entry.kind is not SymbolKind.QUBIT_REGISTER:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a qubit register", ref.span)
+        base = self.qubit_base[ref.name]
         if ref.index is None:
-            if entry.size == 1:
-                return self.qubit_base[ref.name]
-            return (ref.name, entry.size)
-        idx = _const_int(ref.index, self.symbols, "qubit index")
-        if not 0 <= idx < entry.size:
-            raise IndexOutOfRange(
-                f"index {idx} out of range for qubit register '{ref.name}' of size {entry.size}",
-                ref.span,
-            )
-        return self.qubit_base[ref.name] + idx
+            return list(range(base, base + entry.size))
+        return [base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}")]
 
-    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
-        """The flat ids a qubit ref names: one qubit, or a whole register's."""
-        op = self.resolve_qubit_operand(ref)
-        if isinstance(op, tuple):
-            return list(range(self.qubit_base[op[0]], self.qubit_base[op[0]] + op[1]))
-        return [op]
-
-    def resolve_bit_operand(self, ref: fe.NamedRef) -> tuple[str, int] | tuple[str, None]:
-        """Resolve a classical ref to (register, index); index None = whole register."""
+    def resolve_bits(self, ref: fe.NamedRef) -> list[tuple[str, int]]:
+        """The (register, index) bits a classical ref names: one bit, or a
+        whole register's (a register of one bit is a single bit)."""
         entry = self.symbols.lookup(ref.name, ref.span)
         if entry.kind is not SymbolKind.CLASSICAL_REGISTER:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a bit register", ref.span)
         if ref.index is None:
-            if entry.size == 1:
-                return (ref.name, 0)
-            return (ref.name, None)
-        idx = _const_int(ref.index, self.symbols, "bit index")
-        if not 0 <= idx < entry.size:
-            raise IndexOutOfRange(
-                f"index {idx} out of range for bit register '{ref.name}' of width {entry.size}",
-                ref.span,
-            )
-        return (ref.name, idx)
+            return [(ref.name, i) for i in range(entry.size)]
+        return [(ref.name, self._index(ref, entry.size, "bit index", "bit register '{}' of width {}"))]
 
     def resolve_angle(self, expr: fe.Expr, formals: dict | None = None, scoped: SymbolTable | None = None) -> Angle:
         """Resolve a gate argument to a literal double or a ParamRef slot.
@@ -610,13 +601,7 @@ class _Analyzer:
                             f"parameter array '{expr.name}' needs an element index", expr.span
                         )
                     return ParamRef(spec.offset)
-                idx = _const_int(expr.index, self.symbols, "parameter index")
-                if not 0 <= idx < spec.count:
-                    raise IndexOutOfRange(
-                        f"index {idx} out of range for parameter '{expr.name}' "
-                        f"of {spec.count} elements",
-                        expr.span,
-                    )
+                idx = self._index(expr, spec.count, "parameter index", "parameter '{}' of {} elements")
                 return ParamRef(spec.offset + idx)
         value = const_eval(expr, scoped or self.symbols)
         return _to_double(value, expr.span)
@@ -668,46 +653,44 @@ class _Analyzer:
         polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
         gate_def = self._callee(stmt, len(polarity), strict=True)
         angles = [self.resolve_angle(a) for a in stmt.args]
-        operands = [self.resolve_qubit_operand(q) for q in stmt.qubits]
+        operands = [self.resolve_qubits(q) for q in stmt.qubits]
         out: list[ResolvedCall] = []
-        for broadcast in self._broadcast(operands, stmt.span):
-            if len(set(broadcast)) != len(broadcast):
+        for qubits in self._broadcast(operands, stmt.span):
+            if len(set(qubits)) != len(qubits):
                 raise DuplicateQubitArg(
                     f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
                 )
-            if gate_def is None:
-                self._bump(stmt.span, _pow_product(algebra))
-                ops = _builtin_ops(stmt.name, angles, broadcast, polarity, algebra)
-                out.append(ResolvedCall(ops))
-            else:
-                targets = broadcast[len(polarity) :]
-                template = self._template(stmt.name, algebra, angles, targets, stmt.span, ())
-                cost, self.held = self.held, 0
-                self._bump(stmt.span, cost)
-                out.extend(template.place(targets, tuple(zip(broadcast, polarity)), algebra, angles))
+            out.extend(_placed(self._part(stmt, gate_def, qubits, polarity, algebra, angles, stmt.span, ())))
         return out
 
-    def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
+    def _part(self, call, gate_def, qubits, polarity, algebra, angles, span, stack):
+        """One gate call over resolved operands, its gates counted: a builtin
+        call's ResolvedCall, or a user gate's template with where to place it
+        (template, targets, controls, algebra, angles). A builtin checks the
+        budget at `span`, the enclosing call's in a gate body."""
+        if gate_def is None:
+            self._bump(span, _pow_product(algebra))
+            return ResolvedCall(_builtin_ops(call.name, angles, qubits, polarity, algebra))
+        targets = qubits[len(polarity) :]
+        template = self._template(call.name, algebra, angles, targets, call.span, stack)
+        return (template, targets, tuple(zip(qubits, polarity)), algebra, angles)
+
+    def _broadcast(self, operands: list[list[int]], span: fe.Span) -> list[list[int]]:
         """Expand whole-register operands: same-width registers zip elementwise,
         single qubits broadcast across iterations."""
-        widths = {op[1] for op in operands if isinstance(op, tuple)}
-        if not widths:
-            return [list(operands)]
+        qubits = [q for op in operands for q in op]
+        if len(qubits) == len(operands):  # no register operand: one row
+            return [qubits]
+        widths = {len(op) for op in operands if len(op) > 1}
         if len(widths) > 1:
             raise ArityMismatch(
                 f"mismatched register widths {sorted(widths)} in one gate call", span
             )
-        width = widths.pop()
-        calls = []
-        for i in range(width):
-            calls.append(
-                [self.qubit_base[op[0]] + i if isinstance(op, tuple) else op for op in operands]
-            )
-        return calls
+        return [[op[i] if len(op) > 1 else op[0] for op in operands] for i in range(widths.pop())]
 
     def _template(self, name: str, algebra: Algebra, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
-        `algebra` leaves its gates counted in `held`. The checks are those of
+        `algebra` leaves its gates counted. The checks are those of
         walking the body here, in order: recursion, nesting depth, a lower
         bound on the cost, the body, then each pow before its replicas exist.
         A template is reused only where its walk could pass no limit; else
@@ -723,7 +706,7 @@ class _Analyzer:
             )
         pows = [abs(k) for kind, k in algebra if kind == "pow"] if algebra else []
         self._check_budget(self._gate_min_cost(name) * math.prod(pows), span)
-        base = self.held
+        base = self.stmt_count
         # Free formals are bound when the template is placed; only whether
         # each is a ParamRef selects the template. The other angles select it
         # by value, and by sign: 0.0 and -0.0 hash alike, but inversion and
@@ -739,7 +722,7 @@ class _Analyzer:
         key = (name, fixed, runtime, tuple(reads))
         template = self.templates.get(key)
         if template and len(stack) + template.height <= fe.MAX_NESTING and (
-            self.stmt_count + base + template.peak <= UNROLL_CAP
+            base + template.peak <= UNROLL_CAP
         ):
             self.high = max(self.high, base + template.peak)
         else:
@@ -748,16 +731,15 @@ class _Analyzer:
         cost = template.count
         for k in reversed(pows):
             cost *= k
-            self.held = base
+            self.stmt_count = base
             self._check_budget(cost, span)  # before the replicas are built
-        self.held = base + cost
+        self.stmt_count = base + cost
         return template
 
     def _compile(self, gate_def: fe.GateDef, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
-        """Walk a gate body once, over `targets`. `held` counts
-        the gates built into the bodies of every inline in progress, so
-        sibling bodies cannot each grow to the cap; the body stays counted
-        there for the caller to take over."""
+        """Walk a gate body once, over `targets`. `stmt_count` counts the
+        gates built into the bodies of every inline in progress, so sibling
+        bodies cannot each grow to the cap; the body stays counted there."""
         # A free formal is bound to a placeholder, which the body never folds
         # (it is only ever a whole angle); placing the template replaces it.
         free = self.free_formals[gate_def.name]
@@ -774,7 +756,7 @@ class _Analyzer:
             kind = SymbolKind.RUNTIME_INPUT if runtime else SymbolKind.COMPILE_TIME_CONST
             scoped.define(SymbolEntry(name, kind, 1, None if runtime else value, (0, 0)))
         slots = dict(zip(gate_def.qubits, targets))
-        base, high = self.held, self.high
+        base, high = self.stmt_count, self.high
         self.high = base
         parts: list = []
         height = 1
@@ -794,18 +776,11 @@ class _Analyzer:
                     f"gate '{call.name}' applied with a repeated qubit operand", call.span
                 )
             call_angles = [self.resolve_angle(a, formals, scoped) for a in call.args]
-            if callee is None:
-                cost = _pow_product(algebra)
-                self._check_budget(cost, span)
-                self.held += cost
-                ops = _builtin_ops(call.name, call_angles, qubits, polarity, algebra)
-                parts.append(ResolvedCall(ops))
-            else:
-                inner_targets = qubits[len(polarity) :]
-                inner = self._template(call.name, algebra, call_angles, inner_targets, call.span, stack)
-                height = max(height, inner.height + 1)
-                parts.append((inner, inner_targets, tuple(zip(qubits, polarity)), algebra, call_angles))
-        template = _Template(self.held - base, self.high - base, height, True in free, targets, parts)
+            part = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
+            if type(part) is tuple:
+                height = max(height, part[0].height + 1)
+            parts.append(part)
+        template = _Template(self.stmt_count - base, self.high - base, height, True in free, targets, parts)
         self.high = max(high, self.high)
         return template
 
@@ -826,9 +801,9 @@ class _Analyzer:
     # -- statements ---------------------------------------------------------
     def _check_budget(self, cost: int, span: fe.Span) -> None:
         """Raise before building statements that would take the program
-        past UNROLL_CAP; note the most held, for _Template.peak."""
-        need = self.held + cost
-        if self.stmt_count + need > UNROLL_CAP:
+        past UNROLL_CAP; note the most counted, for _Template.peak."""
+        need = self.stmt_count + cost
+        if need > UNROLL_CAP:
             raise ProgramTooLarge(
                 f"program exceeds {UNROLL_CAP} statements after loop unrolling", span
             )
@@ -869,24 +844,19 @@ class _Analyzer:
         return out
 
     def resolve_measure(self, stmt: fe.MeasureAssign) -> list[Measure]:
-        source = self.resolve_qubit_operand(stmt.source)
-        target = self.resolve_bit_operand(stmt.target)
-        if isinstance(source, tuple) and target[1] is None:
-            reg, width = source
-            entry = self.symbols.lookup(stmt.target.name, stmt.target.span)
-            if entry.size != width:
-                raise ArityMismatch(
-                    f"cannot measure {width}-qubit register into {entry.size}-bit register",
-                    stmt.span,
-                )
-            ops = [Measure(self.qubit_base[reg] + i, (stmt.target.name, i)) for i in range(width)]
-        elif isinstance(source, tuple) or target[1] is None:
+        qubits = self.resolve_qubits(stmt.source)
+        bits = self.resolve_bits(stmt.target)
+        if len(qubits) > 1 and len(bits) > 1 and len(qubits) != len(bits):
+            raise ArityMismatch(
+                f"cannot measure {len(qubits)}-qubit register into {len(bits)}-bit register",
+                stmt.span,
+            )
+        if (len(qubits) > 1) != (len(bits) > 1):
             raise ArityMismatch(
                 "measure needs a single qubit and a single bit, or two same-width registers",
                 stmt.span,
             )
-        else:
-            ops = [Measure(source, target)]
+        ops = [Measure(q, bit) for q, bit in zip(qubits, bits)]
         self._bump(stmt.span, len(ops))
         return ops
 
@@ -899,11 +869,12 @@ class _Analyzer:
                 raise SemaError("comparison against a negative value", cond.span)
         else:
             subject_ref, comparator, rhs = cond, "truthy", 0
-        register, index = self.resolve_bit_operand(subject_ref)
+        bits = self.resolve_bits(subject_ref)
+        predicate = Predicate(subject_ref.name, bits[0][1] if len(bits) == 1 else None, comparator, rhs)
         then_body = self.resolve_statements(stmt.then_body, top_level=False)
         else_body = self.resolve_statements(stmt.else_body, top_level=False)
         self._bump(stmt.span)
-        return ResolvedIf(Predicate(register, index, comparator, rhs), then_body, else_body, stmt.span)
+        return ResolvedIf(predicate, then_body, else_body, stmt.span)
 
     def resolve_for(self, stmt: fe.ForStatement) -> list[ResolvedStatement]:
         start = _const_int(stmt.start, self.symbols, "loop bound", exc=NonConstLoopBound)

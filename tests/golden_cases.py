@@ -1,5 +1,7 @@
-"""The 12-case golden corpus exercised against both emission targets, and
-the kernels whose sample histograms are recorded in golden/histograms.json."""
+"""The 12-case golden corpus exercised against both emission targets, the
+kernels whose sample histograms are recorded in golden/histograms.json, and
+the corpora whose emission digests, kir.dump digests and compile outcomes
+(error text) are recorded beside them."""
 
 GOLDEN_CASES: dict[str, str] = {
     "bell": (
@@ -296,3 +298,141 @@ def kir_dump_digests() -> dict[str, str]:
         name: hashlib.sha256(kir.dump(compile_source(source)).encode()).hexdigest()
         for name, source in kir_dump_corpus().items()
     }
+
+
+# Hand-written error cases: the check order of a gate call at top level and
+# in a gate body, every range, width and size message sema formats, and
+# template programs that pass a small UNROLL_CAP at different points.
+_ERROR_CASES: dict[str, str] = {
+    "bad-angle-repeated-operand-top": _kernel("qubit[2] q;\ncrz(nope) q[0], q[0];\n"),
+    "bad-angle-repeated-operand-body": _kernel("gate g a { crz(nope) a, a; }\nqubit q;\ng q;\n"),
+    "unknown-qubit-in-body": _kernel("gate g a { x b; }\nqubit q;\ng q;\n"),
+    "indexed-formal-in-body": _kernel("gate g a { x a[0]; }\nqubit q;\ng q;\n"),
+    "mismatched-widths": _kernel("qubit[2] a;\nqubit[3] b;\ncx a, b;\n"),
+    "mismatched-widths-bad-angle": _kernel("qubit[2] a;\nqubit[3] b;\ncrz(nope) a, b;\n"),
+    "mismatched-widths-div-zero": _kernel("qubit[2] a;\nqubit[3] b;\ncrz(1/0) a, b;\n"),
+    "measure-width-registers": _kernel("qubit[2] q;\nbit[3] c;\nc = measure q;\n"),
+    "measure-register-into-bit": _kernel("qubit[2] q;\nbit c;\nc = measure q;\n"),
+    "measure-qubit-into-register": _kernel("qubit q;\nbit[2] c;\nc = measure q;\n"),
+    "qubit-index-out-of-range": _kernel("qubit[2] q;\nx q[5];\n"),
+    "qubit-index-negative": _kernel("qubit[2] q;\nconst int k = -1;\nx q[k];\n"),
+    "bit-index-out-of-range": _kernel("qubit q;\nbit[2] c;\nc[2] = measure q;\n"),
+    "param-index-out-of-range": _kernel("input array[float[64], 2] theta;\nqubit q;\nrz(theta[2]) q;\n"),
+    "param-array-unindexed": _kernel("input array[float[64], 2] theta;\nqubit q;\nrz(theta) q;\n"),
+    "qubit-register-size-zero": _kernel("qubit[0] q;\n"),
+    "bit-register-size-zero": _kernel("bit[0] c;\n"),
+    "one-qubit-register-broadcast": _kernel("qubit[1] a;\nqubit[3] b;\nbit[1] c;\ncx a, b;\nc = measure a;\n"),
+    "one-qubit-register-into-wide-bits": _kernel("qubit[1] a;\nbit[3] c;\nc = measure a;\n"),
+    "register-repeated-operand": _kernel("qubit[2] a;\ncx a[0], a;\n"),
+    "bit-as-qubit": _kernel("qubit q;\nbit c;\nx c;\n"),
+    "qubit-as-bit": _kernel("qubit q;\nbit c;\nq = measure q;\n"),
+    "body-call-of-non-gate": _kernel("bit c;\ngate g a { c a; }\nqubit q;\ng q;\n"),
+    "body-pow-of-unknown": _kernel("gate g a { pow(k) @ x a; }\nqubit q;\ng q;\n"),
+    "body-ctrl-user-gate-repeated": _kernel(
+        "gate f a { h a; }\ngate g a, b { ctrl @ f a, a; }\nqubit[2] q;\ng q[0], q[1];\n"
+    ),
+    "predicate-before-measure": _kernel("qubit q;\nbit c;\nif (c) { x q; }\n"),
+    "templates-past-small-cap": _kernel(
+        "gate g a { x a; y a; z a; }\ngate f a { g a; g a; }\nqubit q;\n"
+        "for int i in [0:60] { f q; h q; }\n"
+    ),
+    "pow-template-past-small-cap": _kernel("gate g a { x a; h a; }\nqubit q;\nfor int i in [0:40] { pow(i) @ g q; }\n"),
+    "nested-templates-past-small-cap": _kernel(
+        "gate g a { x a; h a; }\ngate f a { g a; pow(3) @ g a; }\nqubit q;\nfor int i in [0:40] { f q; }\n"
+    ),
+    "peaked-template-past-small-cap": _kernel(
+        "gate f a, b { pow(50) @ x a; cx a, b; }\nqubit[3] q;\n"
+        "for int i in [0:10] { f q[0], q[1]; ctrl @ f q[2], q[0], q[1]; }\n"
+    ),
+}
+
+# Mutations of the histogram corpus and of the loop and conditional programs
+# of the emission-digest corpus: a line deleted, inserted from another
+# program, swapped with another, given a modifier before one of its words,
+# or given a bad index.
+_MUTATION_MODIFIERS = (
+    "inv @ ", "ctrl @ ", "negctrl @ ", "pow(2) @ ", "pow(-1) @ ", "pow(0) @ ", "pow(0.5) @ ", "pow(t) @ "
+)
+_MUTATION_INDICES = ("[9]", "[-1]", "[i + 9]", "[1.5]", "[nope]", "[0]")
+_MUTATIONS_PER_PROGRAM = 20
+
+
+def _mutations() -> dict[str, str]:
+    import random
+    import re
+
+    rng = random.Random(10)
+    corpus = histogram_corpus()
+    corpus.update(loop_templates=_DIGEST_LOOP, repeated_conditionals=_DIGEST_COND)
+    pool = [line for source in corpus.values() for line in source.splitlines()[2:]]
+    cases: dict[str, str] = {}
+    for name, source in corpus.items():
+        lines = source.splitlines()
+        head, body = lines[:2], lines[2:]
+        for k in range(_MUTATIONS_PER_PROGRAM):
+            mutant = list(body)
+            kind = ("delete", "insert", "swap", "modifier", "index")[k % 5]
+            i = rng.randrange(len(mutant)) if mutant else 0
+            if kind == "delete" and mutant:
+                del mutant[i]
+            elif kind == "insert" or not mutant:
+                mutant.insert(i, rng.choice(pool))
+            elif kind == "swap":
+                j = rng.randrange(len(mutant))
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+            elif kind == "modifier":
+                words = [m.start() for m in re.finditer(r"\b[a-z]\w*", mutant[i])]
+                at = rng.choice(words) if words else 0
+                mutant[i] = mutant[i][:at] + rng.choice(_MUTATION_MODIFIERS) + mutant[i][at:]
+            else:
+                indices = [m.span() for m in re.finditer(r"\[[^\[\]]*\]", mutant[i])]
+                at, end = rng.choice(indices) if indices else (len(mutant[i]), len(mutant[i]))
+                mutant[i] = mutant[i][:at] + rng.choice(_MUTATION_INDICES) + mutant[i][end:]
+            cases[f"mut-{name}-{k:02d}-{kind}"] = "\n".join(head + mutant) + "\n"
+    return cases
+
+
+def error_corpus() -> dict[str, str]:
+    """Every program whose outcome is pinned in golden/error_texts.json: the
+    resource probes of conftest.py, the hand-written cases above and
+    deterministic mutations of the programs named at `_mutations`."""
+    from conftest import EXPANSION_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
+
+    cases = {f"nesting-{name}": source for name, (source, _) in NESTING_PROBES.items()}
+    cases.update((f"non-finite-{name}", source) for name, (source, _) in NON_FINITE_PROBES.items())
+    cases["unicode-digits"] = UNICODE_DIGITS_PROBE[0]
+    cases.update((f"expansion-{name}", source) for name, source in EXPANSION_PROBES.items())
+    cases.update(_ERROR_CASES)
+    cases.update(_mutations())
+    return cases
+
+
+ERROR_TEXT_SMALL_CAP = 300
+
+
+def error_texts() -> dict[str, list[str]]:
+    """name -> outcome at the real UNROLL_CAP and at ERROR_TEXT_SMALL_CAP,
+    over the error corpus: `Type: message` for a compile error, else `ok`
+    and the sha256 of `kir.dump`."""
+    import hashlib
+
+    from qasm2cudaq import compile_source, kir, sema
+    from qasm2cudaq.errors import Qasm2CudaqError
+
+    def outcome(source: str) -> str:
+        try:
+            kernel = compile_source(source)
+        except Qasm2CudaqError as err:
+            return f"{type(err).__name__}: {err}"
+        return "ok " + hashlib.sha256(kir.dump(kernel).encode()).hexdigest()
+
+    corpus = error_corpus()
+    texts: dict[str, list[str]] = {name: [outcome(source)] for name, source in corpus.items()}
+    real_cap = sema.UNROLL_CAP
+    sema.UNROLL_CAP = ERROR_TEXT_SMALL_CAP
+    try:
+        for name, source in corpus.items():
+            texts[name].append(outcome(source))
+    finally:
+        sema.UNROLL_CAP = real_cap
+    return texts

@@ -180,6 +180,15 @@ class TestCondBlockStructure:
         )
         with pytest.raises(UnsupportedForTarget):
             emit(compile_source(source), "cudaq-cpp")
+        # two bits written twice: the error names the first duplicated write
+        # in program order (e), not the first whose second write comes (d)
+        source = (
+            f"{HEADER}qubit[2] q;\nbit c;\nbit d;\nbit e;\n"
+            "h q[0];\nc = measure q[0];\n"
+            "if (c == 1) { e = measure q[1]; d = measure q[1]; } else { d = measure q[0]; e = measure q[0]; }\n"
+        )
+        with pytest.raises(UnsupportedForTarget, match=r"measurements of e\[0\] inside"):
+            emit(compile_source(source), "cudaq-cpp")
 
     def test_builder_rejects_conditional_measure(self):
         source = (
@@ -262,6 +271,17 @@ class TestTargets:
         assert set(EMISSION_TARGETS) == {"cudaq-cpp", "cudaq-builder"}
         with pytest.raises(UnsupportedOp):
             emit(compile_source(GOLDEN_CASES["bell"]), "qiskit")
+
+    @pytest.mark.parametrize("target", EMISSION_TARGETS)
+    def test_foreign_op_names_the_target(self, target):
+        # the shared op walk's fallback, unreachable from compiled source
+        class Foreign:
+            pass
+
+        kernel = compile_source(GOLDEN_CASES["bell"])
+        kernel.body.append(Foreign())
+        with pytest.raises(UnsupportedOp, match=f"^no {target} rendering for Foreign$"):
+            emit(kernel, target)
 
     def test_builder_guarded_entry(self):
         builder = emit(compile_source(GOLDEN_CASES["bell"]), "cudaq-builder").text

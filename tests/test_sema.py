@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from qasm2cudaq.errors import (
 from qasm2cudaq.sema import POS, Gate, ParamRef, SymbolKind
 
 from conftest import EXPANSION_PROBES, PROBE_HEADER
+from golden_cases import error_texts
 
 
 def analyze(source: str) -> sema.ValidatedProgram:
@@ -366,3 +369,12 @@ class TestExpansionBudget:
         # the inner trip count shrinks with i: 30 + 29 + ... + 1 = 465 gates
         source = PROBE_HEADER + "for int i in [1:30] { for int j in [i:30] { x q; } }\n"
         assert lowered_ops(source) == 465
+
+
+class TestErrorTexts:
+    def test_error_corpus_outcomes_match_record(self):
+        # recorded by scripts/record_goldens.py: the exact error text (or the
+        # kir.dump digest) of every program of golden_cases.error_corpus(),
+        # at the real UNROLL_CAP and at a small one
+        path = pathlib.Path(__file__).parent / "golden" / "error_texts.json"
+        assert error_texts() == json.loads(path.read_text(encoding="utf-8"))
