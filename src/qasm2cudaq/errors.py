@@ -17,10 +17,23 @@ class LexError(Qasm2CudaqError):
 
 class ParseError(Qasm2CudaqError):
     def __init__(self, line: int, col: int, expected: str, found: str):
-        super().__init__(f"parse error at {line}:{col}: expected {expected}, found {found!r}")
+        self._at(line, col, f"expected {expected}, found {found!r}")
+        self.expected = expected
+        self.found = found
+
+    def _at(self, line: int, col: int, detail: str) -> None:
+        Qasm2CudaqError.__init__(self, f"parse error at {line}:{col}: {detail}")
         self.line = line
         self.col = col
-        self.expected = expected
+
+
+class UnsupportedConstruct(ParseError):
+    """An OpenQASM 3.0 construct outside the supported subset, met at the
+    token `found`."""
+
+    def __init__(self, line: int, col: int, construct: str, found: str):
+        self._at(line, col, f"construct not supported: {construct}")
+        self.construct = construct
         self.found = found
 
 

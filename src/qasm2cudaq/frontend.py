@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from ._gc import gc_paused
-from .errors import LexError, ParseError
+from .errors import LexError, ParseError, UnsupportedConstruct
 
 # Token kinds
 KEYWORD = "keyword"
@@ -31,7 +31,7 @@ KEYWORDS = frozenset(
 )
 
 # Recognized OpenQASM 3.0 words outside the supported subset; statements that
-# start with one get a targeted "construct not supported" ParseError.
+# start with one get a targeted UnsupportedConstruct error.
 UNSUPPORTED_CONSTRUCTS = frozenset(
     """while def defcal defcalgrammar cal box delay duration durationof
     stretch angle bool uint complex switch case default break continue
@@ -368,7 +368,7 @@ class _Parser:
 
     def unsupported(self, construct: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(tok.line, tok.col, f"construct not supported: {construct}", tok.lexeme)
+        raise UnsupportedConstruct(tok.line, tok.col, construct, tok.lexeme)
 
     # -- program structure
     def parse_program(self) -> ProgramAst:

@@ -398,14 +398,16 @@ def _to_double(value: float | int, span: fe.Span) -> float:
         raise NonFiniteConst("constant is out of a double's range", span) from None
 
 
-def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError) -> int:
+def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError, inexact=None) -> int:
+    """expr folded to an int. Raises `exc` when it is not a compile-time
+    constant, and `inexact` (default `exc`) when it is one but not an integer."""
     try:
         value = const_eval(expr, symbols)
     except NotConst as err:
         raise exc(f"{what} must be a compile-time integer: {err.message}", expr.span) from err
     if isinstance(value, float):
         if not value.is_integer():
-            raise exc(f"{what} must be an integer, got {value}", expr.span)
+            raise (inexact or exc)(f"{what} must be an integer, got {value}", expr.span)
         value = int(value)
     return value
 
@@ -614,7 +616,7 @@ class _Analyzer:
         algebra: list[tuple[str, int | None]] = []
         for mod in mods:
             if mod.kind == "pow":
-                algebra.append(("pow", _const_int(mod.exponent, symbols, "pow exponent", exc=NotConst)))
+                algebra.append(("pow", _const_int(mod.exponent, symbols, "pow exponent", exc=NotConst, inexact=SemaError)))
             elif mod.kind == "inv":
                 algebra.append(("inv", None))
             else:

@@ -13,9 +13,17 @@ bits and selects the target slices, all views. The matrix entries pick the
 kernel. A matrix with one nonzero per row (diagonal gates such as z, s, t,
 rz, p, cp, and permutations such as x, y, cx, swap) scales slices in place,
 skipping factors of exactly 1, and moves them along each permutation cycle
-through one slice-sized copy. Any other matrix is a dense 2x2, applied by one
-matrix product over the target axis. The shared matrices in `_FIXED_1Q` are
-never written in place.
+while one slice is held aside. Any other matrix is a dense 2x2, applied by
+one matrix product over the target axis; a matrix with no imaginary part
+(h, ry, or a real product of them) is one real product over the float64
+view of the state, where the real and imaginary parts of an amplitude are
+adjacent doubles. `apply_gate` does all this in place, holding a cycle's
+slice in a fresh copy. The planned build below also has one spare buffer
+the size of the state, made at its first gate and dropped at its end: an
+uncontrolled dense product is written into the spare, which then holds the
+state while the old amplitudes become the spare, and each permutation
+cycle holds its slice there, so no pass allocates. The shared matrices in
+`_FIXED_1Q` are never written in place.
 
 `statevector` and the static sampler build the final state by one plan,
 exact up to rounding because gates on disjoint qubits commute. One-qubit
@@ -307,11 +315,14 @@ def _scaled_copy(dst: np.ndarray, src: np.ndarray, factor: complex) -> None:
         np.multiply(src, factor, out=dst)
 
 
-def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int]) -> None:
+def _permute(
+    slices: list[np.ndarray], factors: list[complex], src: list[int], spare: np.ndarray | None = None
+) -> None:
     """slices[i] <- factors[i] * old slices[src[i]], src a permutation.
 
     Fixed points scale in place (skipped for a factor of exactly 1); each
-    longer cycle holds one slice copy."""
+    longer cycle holds one slice, in the front of `spare` when given, else
+    in a fresh copy."""
     moved: set[int] = set()
     for start, first in enumerate(src):
         if start in moved:
@@ -320,7 +331,11 @@ def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int]) -
             if factors[start] != 1:
                 slices[start] *= factors[start]
             continue
-        held = slices[start].copy()
+        if spare is None:
+            held = slices[start].copy()
+        else:
+            held = spare[: slices[start].size].reshape(slices[start].shape)
+            np.copyto(held, slices[start])
         i = start
         while src[i] != start:
             moved.add(i)
@@ -332,25 +347,41 @@ def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int]) -
 
 # With this many amplitudes or fewer under the target, a batched 2x2 product
 # runs one tiny matrix per run; folding the run into the matrix makes it one
-# product over whole rows.
+# product over whole rows. A real matrix folds only runs up to _REAL_FOLD_RUN:
+# past that its product over the float64 view, whose runs are twice as long,
+# is faster than a fold.
 _FOLD_RUN = 16
+_REAL_FOLD_RUN = 4
 _EYES = {1 << k: np.eye(1 << k) for k in range(_FOLD_RUN.bit_length())}  # runs are powers of 2
 
 
-def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray) -> None:
-    """mat along `axis` of a controls-fixed view, through one matrix product.
-    Only one-target matrices get here: swap, the one multi-target base, is a
-    permutation."""
+def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> None:
+    """mat along `axis` of a controls-fixed view, through one matrix product
+    written into `out` (a view of another buffer, shaped like `sub`), or
+    back into `sub` when there is none. Only one-target matrices get here:
+    swap, the one multi-target base, is a permutation."""
     run = sub.shape[-1]
-    if axis == sub.ndim - 2 and run <= _FOLD_RUN:
+    real = not mat.imag.any()
+    if axis == sub.ndim - 2 and run <= (_REAL_FOLD_RUN if real else _FOLD_RUN):
         # target just above the contiguous run: rows of 2*run amplitudes
         # times kron(mat, I_run)^T
-        rows = sub.reshape(sub.shape[:-2] + (2 * run,))
+        shape = sub.shape[:-2] + (2 * run,)
+        rows = sub.reshape(shape)
         fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(2 * run, 2 * run)
-        rows[...] = rows @ fold.T
-    else:
-        pairs = np.moveaxis(sub, axis, -2)
+        if out is None:
+            rows[...] = rows @ fold.T
+        else:
+            np.matmul(rows, fold.T, out=out.reshape(shape))
+        return
+    if real:
+        # re and im of each amplitude are adjacent doubles of the last axis
+        mat, sub = mat.real, sub.view(np.float64)
+        out = None if out is None else out.view(np.float64)
+    pairs = np.moveaxis(sub, axis, -2)
+    if out is None:
         pairs[...] = mat @ pairs
+    else:
+        np.matmul(mat, pairs, out=np.moveaxis(out, axis, -2))
 
 
 def _apply_unitary(
@@ -358,10 +389,17 @@ def _apply_unitary(
     mat: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[tuple[int, int], ...],
-) -> None:
+    spare: np.ndarray | None = None,
+) -> np.ndarray | None:
     """Apply a 2^k unitary on target qubits, restricted to basis states where
     every control qubit matches its polarity; targets[0] is the matrix's high
-    bit. Works in place on views, choosing the kernel from the entries."""
+    bit. Works on views, choosing the kernel from the entries, and returns
+    the spare buffer.
+
+    Without `spare` every kernel works in place. With it, a free buffer the
+    size of the state, an uncontrolled dense product is written into the
+    spare, which becomes the state's amplitudes while the old amplitudes
+    become the spare, and each permutation cycle holds its slice there."""
     view, axis = _qubit_axes(state.amps, state.n, targets + tuple(q for q, _ in controls))
     index: list = [slice(None)] * view.ndim
     for q, pol in controls:
@@ -369,8 +407,12 @@ def _apply_unitary(
     rows = mat.tolist()
     nonzero = [[j for j, v in enumerate(row) if v != 0] for row in rows]
     if not all(len(cols) == 1 for cols in nonzero):
-        _dense_2x2(view[tuple(index)], axis[targets[0]], mat)
-        return
+        if controls or spare is None:
+            _dense_2x2(view[tuple(index)], axis[targets[0]], mat)
+            return spare
+        _dense_2x2(view, axis[targets[0]], mat, spare.reshape(view.shape))
+        state.amps, spare = spare, state.amps
+        return spare
     k = len(targets)
     slices = []
     for i in range(1 << k):
@@ -378,7 +420,8 @@ def _apply_unitary(
             index[axis[q]] = (i >> (k - 1 - j)) & 1
         slices.append(view[tuple(index)])
     src = [cols[0] for cols in nonzero]
-    _permute(slices, [row[j] for row, j in zip(rows, src)], src)
+    _permute(slices, [row[j] for row, j in zip(rows, src)], src, spare)
+    return spare
 
 
 def apply_gate(state: StateVector, op: Gate, params: tuple[float, ...] = ()) -> StateVector:
@@ -394,9 +437,10 @@ def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Qubits 0 and 1 have halves whose runs are 2 and 4 doubles long, too short
-# for strided passes; they are projected through whole rows of _ROW_AMPS
-# amplitudes instead (at n=20 a strided projection of qubit 2 is as fast).
-_ROW_AMPS = 8
+# for strided passes; they are read and projected through whole rows of
+# _ROW_AMPS amplitudes instead (at n=20 a strided pass over qubit 2 is as
+# fast, and a projection through rows of 128 took 20% less than through 8).
+_ROW_AMPS = 128
 _ROW_BELOW = 2
 
 
@@ -412,7 +456,18 @@ def _row_projector(qubit: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
     return ones, fix
 
 
+def _rows(state: StateVector, qubit: int) -> np.ndarray | None:
+    """The float64 view as rows of _ROW_AMPS amplitudes, for a qubit read
+    through rows; None for the strided halves."""
+    if qubit < _ROW_BELOW and state.amps.size >= _ROW_AMPS:
+        return state.amps.view(np.float64).reshape(-1, 2 * _ROW_AMPS)
+    return None
+
+
 def _p1(state: StateVector, qubit: int) -> float:
+    rows = _rows(state, qubit)
+    if rows is not None:  # column sums of squares, then the qubit's columns
+        return float(np.einsum("ij,ij->j", rows, rows) @ _row_projector(qubit, 1)[0])
     _, one = _halves(state, qubit)
     return float(np.einsum("ij,ij->", one, one))
 
@@ -513,9 +568,9 @@ def _settle(state: StateVector, mask: int, op, outcome: int, p1: float) -> int:
             f"selected measurement branch {outcome} on qubit {op.qubit} has probability {p_outcome}"
         )
     scale = 1.0 / math.sqrt(p_outcome)
-    if op.qubit < _ROW_BELOW and state.amps.size >= _ROW_AMPS:
+    rows = _rows(state, op.qubit)
+    if rows is not None:
         keep, fix = _row_projector(op.qubit, outcome)
-        rows = state.amps.view(np.float64).reshape(-1, keep.size)
         rows *= keep * scale
         rows += fix
     else:
@@ -674,13 +729,16 @@ class _GateBuild:
     """Applies gates to a state with two deferrals. Each qubit may hold a
     pending one-qubit product; a phase table holds the product of a run of
     diagonal gates on at most `_PHASE_QUBITS` qubits. No qubit is in both,
-    so the two commute and can be flushed in any order."""
+    so the two commute and can be flushed in any order. Gates run through
+    one spare buffer of the state's size, so `state.amps` may be a new
+    array after any gate; `finish` drops the spare."""
 
     def __init__(self, state: StateVector):
         self.state = state
         self.pending: dict[int, np.ndarray] = {}
         self.table_qubits: list[int] = []  # axis i of the table is table_qubits[i]
         self.table = np.ones((), dtype=np.complex128)
+        self.spare: np.ndarray | None = None  # made by the first gate applied
 
     def gate(self, op: Gate, mat: np.ndarray) -> None:
         qubits = op.targets + tuple(c for c, _ in op.controls)
@@ -705,7 +763,12 @@ class _GateBuild:
             self.flush_table()
         for q in qubits:
             self._flush_pending(q)
-        _apply_unitary(self.state, mat, op.targets, op.controls)
+        self._apply(mat, op.targets, op.controls)
+
+    def _apply(self, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
+        if self.spare is None:
+            self.spare = np.empty_like(self.state.amps)
+        self.spare = _apply_unitary(self.state, mat, targets, controls, self.spare)
 
     def _phase(self, diag: np.ndarray, target: int, controls: tuple[tuple[int, int], ...]) -> None:
         """Multiply diag along the target axis of the table, where every
@@ -724,7 +787,7 @@ class _GateBuild:
 
     def _flush_pending(self, q: int) -> None:
         if q in self.pending:
-            _apply_unitary(self.state, self.pending.pop(q), (q,), ())
+            self._apply(self.pending.pop(q), (q,), ())
 
     def flush_table(self) -> None:
         if self.table_qubits:
@@ -736,6 +799,7 @@ class _GateBuild:
         self.flush_table()
         for q in list(self.pending):
             self._flush_pending(q)
+        self.spare = None
         return self.state
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qasm2cudaq import frontend as fe
 from qasm2cudaq.emit import EMISSION_TARGETS, emit
-from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError
+from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError, UnsupportedConstruct
 from qasm2cudaq.suites import compile_source
 
 from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
@@ -120,15 +120,17 @@ class TestParse:
             fe.parse_source("qubit q;")
 
     def test_unsupported_construct_named(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(UnsupportedConstruct) as exc:
             fe.parse_source("OPENQASM 3.0; qubit q; while (1) { h q; }")
-        assert "construct not supported" in exc.value.expected
-        assert "while" in exc.value.expected
+        assert exc.value.construct == "while"
+        assert (exc.value.line, exc.value.col) == (1, 24)
+        assert str(exc.value) == "parse error at 1:24: construct not supported: while"
 
     def test_unknown_include_rejected(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(UnsupportedConstruct) as exc:
             fe.parse_source('OPENQASM 3.0; include "qelib1.inc";')
-        assert "not supported" in exc.value.expected
+        assert "qelib1.inc" in exc.value.construct
+        assert "expected" not in str(exc.value)
 
     def test_non_measure_assignment_rejected(self):
         with pytest.raises(ParseError):

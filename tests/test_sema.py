@@ -133,6 +133,19 @@ class TestErrors:
         with pytest.raises(Redefinition):
             analyze(f"{HEADER}qubit q;\nbit q;\n")
 
+    @pytest.mark.parametrize("exponent", ["0.5", "pi", "1/2", "-3/2"])
+    def test_pow_exponent_constant_not_integer(self, exponent):
+        # a compile-time constant, so a plain SemaError and not NotConst
+        with pytest.raises(SemaError) as exc:
+            analyze(f"{HEADER}qubit q;\npow({exponent}) @ h q;\n")
+        assert type(exc.value) is SemaError
+        assert "pow exponent must be an integer, got" in str(exc.value)
+
+    def test_pow_exponent_not_constant(self):
+        with pytest.raises(NotConst) as exc:
+            analyze(f"{HEADER}input float[64] t;\nqubit q;\npow(t) @ h q;\n")
+        assert "pow exponent must be a compile-time integer" in str(exc.value)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             analyze(f"{HEADER}qubit[2] q;\nh q[2];\n")

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import pathlib
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qasm2cudaq import frontend as fe, kir, sema, sim
 from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, TooLarge
 from qasm2cudaq.kir import Gate, Measure
-from qasm2cudaq.oracle import fidelity_up_to_global_phase, oracle_unitary
+from qasm2cudaq.oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
 from qasm2cudaq.sim import RngStream, StateVector
 
 from golden_cases import HISTOGRAM_SEEDS, histogram, histogram_corpus
@@ -504,7 +505,7 @@ class TestMeasureResetViews:
             np.testing.assert_allclose(state.amps, expected, atol=1e-14)
             assert not state.amps[(idx >> qubit) & 1 == 1].any()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 9])
     def test_projection_bits_match_strided_halves(self, n):
         # low qubits go through whole rows; the result must be the strided
         # halves' projection bit for bit, negative zeros included
@@ -522,6 +523,17 @@ class TestMeasureResetViews:
                 state = StateVector(n, amps.copy())
                 sim._settle(state, 0, sim._Write(qubit, 1), outcome, p1)
                 assert state.amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 9])
+    def test_p1_rows_match_strided_halves(self, n):
+        # qubits below _ROW_BELOW sum whole rows once the state has one
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        amps /= np.linalg.norm(amps)
+        idx = np.arange(1 << n)
+        for qubit in range(n):
+            one = amps[(idx >> qubit) & 1 == 1]
+            assert sim._p1(StateVector(n, amps), qubit) == pytest.approx(np.vdot(one, one).real, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("qubit", range(6))
     def test_zero_probability_branch_raises(self, qubit):
@@ -820,6 +832,102 @@ class TestGatesOnlyPlan:
         state = sim.statevector(kir.BoundKernel(kernel, ()))
         np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], atol=1e-12)
         assert flushes == [[0, 1], [1, 2], [2, 3], [1, 3]]
+
+
+def _oracle_state(n: int, ops: list[Gate], amps: np.ndarray | None = None) -> np.ndarray:
+    """|0...0> (or `amps`) through the oracle's full-space matrix of each op."""
+    if amps is None:
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[0] = 1.0
+    for op in ops:
+        amps = full_gate_matrix(n, op) @ amps
+    return amps
+
+
+@functools.cache
+def _entangled_start(n: int) -> tuple[tuple[Gate, ...], np.ndarray]:
+    """A one-qubit prefix on every qubit, then a ring of cx that entangles
+    all of them (its cycles run at every position), and the oracle's state."""
+    ops = [Gate("ry", (0.3 + 0.2 * k,), (k,), ()) for k in range(n)]
+    ops += [Gate("rz", (0.1 + 0.3 * k,), (k,), ()) for k in range(n)]
+    ops += [Gate("x", (), ((k + 1) % n,), ((k, kir.POS),)) for k in range(n)]
+    return tuple(ops), _oracle_state(n, ops)
+
+
+def _spare_cases(q: int, o: int, r: int) -> dict[str, tuple[list[Gate], int]]:
+    """Gates on qubit q (with o and r as partners), each with the number of
+    dense products they write into the spare buffer, that is buffer swaps."""
+    return {
+        "real": ([Gate("h", (), (q,), ())], 1),
+        "complex": ([Gate("rx", (0.9,), (q,), ())], 1),
+        "real-product": ([Gate("h", (), (q,), ()), Gate("ry", (0.4,), (q,), ())], 1),
+        "complex-product": ([Gate("h", (), (q,), ()), Gate("s", (), (q,), ())], 1),
+        "controlled": (
+            [Gate("h", (), (q,), ((o, kir.POS),)), Gate("rx", (0.3,), (q,), ((o, kir.NEG), (r, kir.POS)))],
+            0,
+        ),
+        "cycles": (
+            [
+                Gate("x", (), (q,), ((o, kir.POS),)),
+                Gate("swap", (), (q, o), ()),
+                Gate("x", (), (q,), ()),
+                Gate("y", (), (o,), ()),
+                Gate("x", (), (r,), ((q, kir.POS), (o, kir.NEG))),
+                Gate("swap", (), (q, r), ((o, kir.POS),)),
+            ],
+            0,
+        ),
+    }
+
+
+class TestSpareBuffer:
+    """The planned build writes each uncontrolled dense product into a spare
+    buffer that then swaps roles with the state, holds each permutation
+    cycle's slice in it, and runs a real matrix on the float64 view."""
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["as-is", "one-more-swap"])
+    @pytest.mark.parametrize("kind", sorted(_spare_cases(0, 1, 2)))
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_every_position_matches_oracle(self, monkeypatch, n, kind, extra):
+        swaps = []
+        dense = sim._dense_2x2
+
+        def counted(sub, axis, mat, out=None):
+            swaps.append(out is not None)  # a product written into the spare
+            dense(sub, axis, mat, out)
+
+        monkeypatch.setattr(sim, "_dense_2x2", counted)
+        start_ops, start = _entangled_start(n)
+        for q in range(n):
+            o, r = (q + 1) % n, (q + 3) % n
+            ops, expected_swaps = _spare_cases(q, o, r)[kind]
+            if extra:
+                ops, expected_swaps = ops + [Gate("sx", (), (r,), ())], expected_swaps + 1
+            swaps.clear()
+            state = sim.statevector(kir.BoundKernel(kir.Kernel(n, [("q", n)], [], [], list(start_ops) + ops), ()))
+            assert sum(swaps) == expected_swaps
+            assert state.amps.flags.c_contiguous and state.amps.shape == (1 << n,)
+            np.testing.assert_allclose(state.amps, _oracle_state(n, ops, start), rtol=0, atol=1e-12)
+
+    def test_results_share_no_buffer(self):
+        # a spare that outlived its build would be written by the next build
+        n = 6
+
+        def kernel(angle: float, measured: bool) -> kir.BoundKernel:
+            gates = [Gate("h", (), (q,), ()) for q in range(n)]
+            gates += [Gate("x", (), (q + 1,), ((q, kir.POS),)) for q in range(n - 1)]
+            gates += [Gate("ry", (angle * (q + 1),), (q,), ()) for q in range(3)]  # three swaps
+            bits = [Measure(q, ("c", q)) for q in range(n)] if measured else []
+            return kir.BoundKernel(kir.Kernel(n, [("q", n)], [], [("c", n)] if measured else [], gates + bits), ())
+
+        first = sim.statevector(kernel(0.2, False))
+        kept = first.amps.copy()
+        second = sim.statevector(kernel(0.7, False))
+        sim.sample(kernel(1.3, True), 100, 7)
+        assert not np.shares_memory(first.amps, second.amps)
+        assert first.amps.tobytes() == kept.tobytes()
+        assert not np.allclose(second.amps, kept)
+        assert first.amps.flags.c_contiguous and second.amps.flags.c_contiguous
 
 
 class TestHistogramGoldens:
