@@ -37,28 +37,35 @@ table over at most `_PHASE_QUBITS` qubits, applied by one broadcast multiply
 over a view that merges adjacent qubits into long axes. A qubit is pending
 or in the table, never both: a diagonal gate first applies the pending
 products of its qubits, and a non-diagonal gate on a table qubit, or a
-diagonal gate that would outgrow the cap, first applies the table.
+diagonal gate that would outgrow the cap, first applies the table. At the
+end the products still pending are applied by windows of up to `_WINDOW`
+adjacent qubits: the Kronecker product of a window's pending matrices and
+identities is one 2^k product over the window's qubits as one axis, through
+the same fold or batched route and the spare buffer as a 2x2.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
 it executes, in program order, so a histogram depends only on (seed, shots)
 and never on the worker count. `ShotStreams` holds the streams of many shots
 as uint64 arrays and advances any subset of them at once; `RngStream` is one
-row of it. The classical bits of a shot are one int mask whose binary form is
-its histogram key. A static kernel is simulated once and every shot takes one
-draw against the cumulative distribution. A dynamic kernel is walked depth
-first over a flattened body (each CondBlock becomes a conditional jump) by
-groups of shots that share one state and one classical mask, so gates and
-predicates run once per group. At a measure or reset the group draws for all
-its shots against one p1 and splits into at most two branches. The branch
-with fewer shots is walked first and the other waits, holding a state copy
-while the live states fit in `_BRANCH_BYTES`; past that budget it keeps only
-its shot indices and is replayed later from |0...0> with fresh streams, on
-which its shots draw the same values and so retrace the same path. Walking
-the smaller branch first keeps at most log2(chunk) branches waiting. Shots
-are taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows
-with the shot count. `run_trajectory` is the one-shot case of the same walk:
-one row, which never splits.
+row of it. The classical bits of a shot are one int mask whose binary form
+is its histogram key. A static kernel is simulated once and every shot takes
+one draw, the first of its stream, against the cumulative distribution. That
+draw reads two of the four state words, so `_first_draws` computes it from
+the seed without building the streams, and the draws are searched over the
+running sums of the nonzero probabilities alone. A dynamic kernel is walked
+depth first over a flattened body (each CondBlock becomes a conditional
+jump) by groups of shots that share one state and one classical mask, so
+gates and predicates run once per group. At a measure or reset the group
+draws for all its shots against one p1 and splits into at most two branches.
+The branch with fewer shots is walked first and the other waits, holding a
+state copy while the live states fit in `_BRANCH_BYTES`; past that budget it
+keeps only its shot indices and is replayed later from |0...0> with fresh
+streams, on which its shots draw the same values and so retrace the same
+path. Walking the smaller branch first keeps at most log2(chunk) branches
+waiting. Shots are taken in chunks of `_SHOT_CHUNK` consecutive indices, so
+no array grows with the shot count. `run_trajectory` is the one-shot case of
+the same walk: one row, which never splits.
 """
 
 from __future__ import annotations
@@ -91,11 +98,21 @@ _MIX1 = _U(0xBF58476D1CE4E5B9)
 _MIX2 = _U(0x94D049BB133111EB)
 
 
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix of each entry of z, in place; tmp is scratch
+    of z's shape. Returns z."""
+    for shift, mul in ((_U(30), _MIX1), (_U(27), _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, _U(31), out=tmp)
+    z ^= tmp
+    return z
+
+
 def _splitmix64_vec(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state = state + _GOLDEN_U
-    z = (state ^ (state >> _U(30))) * _MIX1
-    z = (z ^ (z >> _U(27))) * _MIX2
-    return state, z ^ (z >> _U(31))
+    return state, _mix64(state.copy(), np.empty_like(state))
 
 
 def _rotl_vec(x: np.ndarray, k: int) -> np.ndarray:
@@ -133,6 +150,34 @@ class ShotStreams:
         s2 = s2 ^ t
         self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows] = s0, s1, s2, _rotl_vec(s3, 45)
         return (result >> _U(11)).astype(np.float64) * 2.0**-53
+
+
+_GOLDEN4_U = _U((4 * 0x9E3779B97F4A7C15) & _MASK)
+
+
+def _first_draws(seed: int, shots: np.ndarray) -> np.ndarray:
+    """ShotStreams(seed, shots).uniform(), the first draw of each shot's
+    stream, without the streams. That draw reads only the state words s0
+    and s3, the first and fourth splitmix64 outputs from the row's seed, so
+    it takes three mixes (the seed, s0, s3) where seeding takes five, all
+    in place."""
+    z = shots.astype(np.uint64)
+    z += _U(2)  # ShotStreams mixes seed + (shot + 1) * golden after one more step
+    z *= _GOLDEN_U
+    z += _U(seed & _MASK)
+    tmp = np.empty_like(z)
+    seeds = _mix64(z, tmp)
+    s3 = _mix64(seeds + _GOLDEN4_U, tmp)
+    seeds += _GOLDEN_U
+    s0 = _mix64(seeds, tmp)
+    s3 += s0  # the output: rotl(s0 + s3, 23) + s0
+    np.left_shift(s3, _U(23), out=tmp)
+    s3 >>= _U(41)
+    s3 |= tmp
+    s3 += s0
+    s3 >>= _U(11)
+    # below 2^53 the int64 view converts exactly, and far faster than uint64
+    return np.multiply(s3.view(np.int64), 2.0**-53, out=tmp.view(np.float64))
 
 
 class RngStream:
@@ -345,29 +390,32 @@ def _permute(
         _scaled_copy(slices[i], held, factors[i])
 
 
-# With this many amplitudes or fewer under the target, a batched 2x2 product
+# With this many amplitudes or fewer under the target, a batched product
 # runs one tiny matrix per run; folding the run into the matrix makes it one
 # product over whole rows. A real matrix folds only runs up to _REAL_FOLD_RUN:
 # past that its product over the float64 view, whose runs are twice as long,
-# is faster than a fold.
+# is faster than a fold. No fold is wider than 2 * _FOLD_RUN, so a window's
+# 2^k matrix folds only shorter runs (at n=16, a real 16x16 product over runs
+# of 4 took 0.94 ms folded against 0.53 ms batched).
 _FOLD_RUN = 16
 _REAL_FOLD_RUN = 4
 _EYES = {1 << k: np.eye(1 << k) for k in range(_FOLD_RUN.bit_length())}  # runs are powers of 2
 
 
-def _dense_2x2(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> None:
+def _dense(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> None:
     """mat along `axis` of a controls-fixed view, through one matrix product
     written into `out` (a view of another buffer, shaped like `sub`), or
-    back into `sub` when there is none. Only one-target matrices get here:
-    swap, the one multi-target base, is a permutation."""
-    run = sub.shape[-1]
+    back into `sub` when there is none. The axis is one target qubit, or a
+    window of adjacent ones for a 2^k matrix (swap, the one multi-target
+    base, is a permutation and never gets here)."""
+    run, width = sub.shape[-1], mat.shape[0]
     real = not mat.imag.any()
-    if axis == sub.ndim - 2 and run <= (_REAL_FOLD_RUN if real else _FOLD_RUN):
-        # target just above the contiguous run: rows of 2*run amplitudes
-        # times kron(mat, I_run)^T
-        shape = sub.shape[:-2] + (2 * run,)
+    if axis == sub.ndim - 2 and run <= (_REAL_FOLD_RUN if real else _FOLD_RUN) and width * run <= 2 * _FOLD_RUN:
+        # targets just above the contiguous run: rows of width*run
+        # amplitudes times kron(mat, I_run)^T
+        shape = sub.shape[:-2] + (width * run,)
         rows = sub.reshape(shape)
-        fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(2 * run, 2 * run)
+        fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(width * run, width * run)
         if out is None:
             rows[...] = rows @ fold.T
         else:
@@ -408,9 +456,9 @@ def _apply_unitary(
     nonzero = [[j for j, v in enumerate(row) if v != 0] for row in rows]
     if not all(len(cols) == 1 for cols in nonzero):
         if controls or spare is None:
-            _dense_2x2(view[tuple(index)], axis[targets[0]], mat)
+            _dense(view[tuple(index)], axis[targets[0]], mat)
             return spare
-        _dense_2x2(view, axis[targets[0]], mat, spare.reshape(view.shape))
+        _dense(view, axis[targets[0]], mat, spare.reshape(view.shape))
         state.amps, spare = spare, state.amps
         return spare
     k = len(targets)
@@ -686,6 +734,10 @@ _DIAGONAL = frozenset("z s t rz p".split())
 # Most qubits one phase table spans: 2^12 complex entries stay in cache.
 _PHASE_QUBITS = 12
 _KET0 = np.array([1, 0], dtype=np.complex128)
+# Most adjacent qubits whose pending products finish as one product. A
+# window of 4 is a 16x16 product, one pass where four passes took 2-7 times
+# as long (n=13 to 20, one BLAS thread).
+_WINDOW = 4
 
 
 def _product_state(columns: list[np.ndarray]) -> np.ndarray:
@@ -765,10 +817,13 @@ class _GateBuild:
             self._flush_pending(q)
         self._apply(mat, op.targets, op.controls)
 
-    def _apply(self, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
+    def _spare(self) -> np.ndarray:
         if self.spare is None:
             self.spare = np.empty_like(self.state.amps)
-        self.spare = _apply_unitary(self.state, mat, targets, controls, self.spare)
+        return self.spare
+
+    def _apply(self, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
+        self.spare = _apply_unitary(self.state, mat, targets, controls, self._spare())
 
     def _phase(self, diag: np.ndarray, target: int, controls: tuple[tuple[int, int], ...]) -> None:
         """Multiply diag along the target axis of the table, where every
@@ -795,10 +850,28 @@ class _GateBuild:
             self.table_qubits = []
             self.table = np.ones((), dtype=np.complex128)
 
+    def _flush_window(self, low: int, high: int) -> None:
+        """Apply the pending products on qubits low..high as one product,
+        the Kronecker product of the pending matrices and identities, over
+        the window's qubits as one axis."""
+        mat = functools.reduce(np.kron, [self.pending.pop(q, _EYES[2]) for q in range(high, low - 1, -1)])
+        view = self.state.amps.reshape(-1, mat.shape[0], 1 << low)
+        _dense(view, 1, mat, self._spare().reshape(view.shape))
+        self.state.amps, self.spare = self.spare, self.state.amps
+
     def finish(self) -> StateVector:
+        """Apply the table, then the pending products by windows: from the
+        lowest pending qubit, every pending qubit less than `_WINDOW` above
+        it goes into one product."""
         self.flush_table()
-        for q in list(self.pending):
-            self._flush_pending(q)
+        todo = sorted(self.pending)
+        while todo:
+            window = [q for q in todo if q < todo[0] + _WINDOW]
+            if len(window) == 1:
+                self._flush_pending(window[0])
+            else:
+                self._flush_window(window[0], window[-1])
+            todo = todo[len(window) :]
         self.spare = None
         return self.state
 
@@ -861,24 +934,43 @@ def _sample_static(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -
     trajectories by the oracle suite)."""
     kernel = bound.kernel
     state = _gates_only_state(bound)
-    cum = np.cumsum(state.amps.real**2 + state.amps.imag**2)
+    probs = np.square(state.amps.real)
+    probs += np.square(state.amps.imag)
+    # The inverse CDF over the support alone: adding a zero is exact, so the
+    # support's running sums equal the full ones at its entries, and the
+    # first full sum past a draw is always one of them. A draw at or past
+    # the last sum takes the last basis index, the entry after the support.
+    support = np.flatnonzero(probs)
+    cum = np.cumsum(probs[support])
+    basis = np.append(support, probs.size - 1)
+    hits = np.zeros(basis.size, dtype=np.int64)
+    for chunk in _chunks(shots):
+        hits += np.bincount(np.searchsorted(cum, _first_draws(seed, chunk), side="right"), minlength=basis.size)
     # mask bit -> measured qubit; of two measures into one bit the last wins
     measured = {layout.field(*op.bit)[0]: op.qubit for op in kernel.body if isinstance(op, Measure)}
     masks: Counter = Counter()
-    for chunk in _chunks(shots):
-        u = ShotStreams(seed, chunk).uniform()
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        for value, count in zip(*(a.tolist() for a in np.unique(idx, return_counts=True))):
-            masks[sum(((value >> q) & 1) << bit for bit, q in measured.items())] += count
+    drawn = np.flatnonzero(hits)
+    for value, count in zip(basis[drawn].tolist(), hits[drawn].tolist()):
+        masks[sum(((value >> q) & 1) << bit for bit, q in measured.items())] += count
     return masks
+
+
+# Most shots one sample call takes. At 3-5M shots/s on the static path, 2^32
+# shots take 15-25 minutes and a slow trajectory kernel hours, where 10^20
+# would take a million years; every shot index also stays far inside the
+# uint64 that seeds its stream.
+MAX_SHOTS = 1 << 32
 
 
 def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotHistogram:
     """Sample the kernel; identical (seed, shots) gives identical histograms.
     `workers` is accepted for compatibility and ignored: one process walks
-    all shots, since the batched walk finishes before a worker pool starts."""
+    all shots, since the batched walk finishes before a worker pool starts.
+    Raises TooLarge past `MAX_SHOTS` shots, before any work."""
     if shots < 1:
         raise SimError("shots must be >= 1")
+    if shots > MAX_SHOTS:
+        raise TooLarge(f"shots limited to {MAX_SHOTS}, got {shots}")
     _check_width(bound.kernel.qubit_count)
     layout = _Layout(bound.kernel.classical_layout)
     count = _trajectory_counts if _needs_trajectories(bound.kernel) else _sample_static

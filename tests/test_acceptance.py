@@ -46,9 +46,11 @@ def test_criterion_2_teleportation():
 
 
 def test_criterion_3_static_correctness():
-    start = time.perf_counter()
+    # process time, not wall time: another busy process on the host slowed
+    # the wall clock past the bound; process time still counts BLAS threads
+    start = time.process_time()
     report = suites.suite_clifford_differential(case_count=200, seed=SEED, uncompute_cases=20)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     oracle_cases = [c for c in report.cases if c.name.startswith("oracle-")]
     uncompute = [c for c in report.cases if c.name.startswith("uncompute-")]
     ok = (

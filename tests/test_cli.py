@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qasm2cudaq import cli
+from qasm2cudaq import cli, sim
 
 from conftest import EXPANSION_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
 
@@ -91,6 +91,18 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert value in captured.err
+
+    @pytest.mark.parametrize("shots", [sim.MAX_SHOTS + 1, 10**20])
+    def test_too_many_shots(self, bell_file, capsys, monkeypatch, shots):
+        def no_work(*args):
+            raise AssertionError("sampled past MAX_SHOTS")
+
+        monkeypatch.setattr(sim, "_sample_static", no_work)
+        monkeypatch.setattr(sim, "_gates_only_state", no_work)
+        assert cli.main(["run", bell_file, "--shots", str(shots)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and str(shots) in captured.err
 
     def test_too_wide_for_simulator(self, tmp_path, capsys):
         wide = tmp_path / "wide.qasm"

@@ -451,11 +451,14 @@ def gate_circuit(draw) -> kir.Kernel:
 
 
 class TestKernelsAgainstOracle:
+    @pytest.mark.parametrize("window", [1, 2, 3, sim._WINDOW])
     @given(gate_circuit())
-    @settings(max_examples=300)
-    def test_fused_and_single_gate_paths_match_oracle(self, kernel):
+    @settings(max_examples=120)
+    def test_fused_and_single_gate_paths_match_oracle(self, window, kernel):
         expected = oracle_unitary(kernel)[:, 0]
-        fused = sim.statevector(kir.BoundKernel(kernel, ()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_WINDOW", window)
+            fused = sim.statevector(kir.BoundKernel(kernel, ()))
         assert fidelity_up_to_global_phase(fused, expected) >= 1 - 1e-12
         unfused = StateVector.zero(kernel.qubit_count)
         for op in kernel.body:
@@ -606,6 +609,23 @@ class TestResourceLimits:
         hists = [sim.sample(bk, 400, 7, workers=w).counts for w in (1, 2, 200)]
         assert hists[0] == hists[1] == hists[2]
 
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "trajectory"])
+    def test_shot_cap_checked_before_any_work(self, monkeypatch, dynamic):
+        def no_work(*args):
+            raise AssertionError("simulated a kernel past MAX_SHOTS")
+
+        for name in ("_trajectory_counts", "_sample_static", "_gates_only_state"):
+            monkeypatch.setattr(sim, name, no_work)
+        source = f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\n" + ("reset q;\n" if dynamic else "")
+        for shots in (sim.MAX_SHOTS + 1, 10**20, 2**64):
+            with pytest.raises(TooLarge, match=str(shots)):
+                sim.sample(bound(source), shots, 0)
+
+    def test_shot_cap_itself_allowed(self, monkeypatch):
+        monkeypatch.setattr(sim, "_sample_static", lambda bound, layout, seed, shots: Counter({1: shots}))
+        hist = sim.sample(bound(f"{HEADER}qubit q;\nbit c;\nx q;\nc = measure q;\n"), sim.MAX_SHOTS, 0)
+        assert hist.counts == {"1": sim.MAX_SHOTS}
+
     @pytest.mark.parametrize("workers", [1, 2, 200])
     def test_too_large_raised_before_any_work(self, monkeypatch, workers):
         def no_walk(*args):
@@ -614,6 +634,55 @@ class TestResourceLimits:
         monkeypatch.setattr(sim, "_trajectory_counts", no_walk)
         with pytest.raises(TooLarge):
             sim.sample(bound(WIDE + "reset q[0];\n"), 100, 0, workers=workers)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFirstDraws:
+    """The static sampler's draws: the first output of each shot's stream,
+    computed without the stream. A uint64 scalar that overflows warns, and
+    fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 9, 2**64 - 1, -12345])
+    def test_equals_first_stream_draw(self, seed):
+        chunk = sim._SHOT_CHUNK
+        shots = np.concatenate(
+            [np.arange(5), np.arange(chunk - 3, chunk + 3), np.arange(2 * chunk - 2, 2 * chunk + 2), [2**32 - 1, 2**40]]
+        ).astype(np.uint64)
+        draws = sim._first_draws(seed, shots)
+        assert draws.tolist() == sim.ShotStreams(seed, shots).uniform().tolist()
+        assert draws.tolist() == [ScalarStream.for_shot(seed, int(s)).uniform() for s in shots]
+
+
+def _support_states() -> list[np.ndarray]:
+    """States with zeroed amplitudes: at the first and the last basis index,
+    in runs, and all but one, each normalised."""
+    rng = np.random.default_rng(5)
+    states = []
+    for n, zeros in [(3, [0, 2, 3, 7]), (3, [1, 4, 5]), (4, list(range(1, 16))), (4, list(range(0, 15))), (5, [])]:
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps[zeros] = 0
+        states.append(amps / np.linalg.norm(amps))
+    return states
+
+
+class TestStaticSupport:
+    """The static sampler searches only the support of the distribution;
+    it must pick the basis index a search of the full cumulative sums
+    picks, for every draw: zero, one exactly on a sum, between sums, and at
+    or past the last sum."""
+
+    @pytest.mark.parametrize("amps", _support_states(), ids=lambda a: f"n{a.size.bit_length() - 1}-{np.count_nonzero(a)}")
+    def test_matches_full_cdf_reference(self, monkeypatch, amps):
+        n = amps.size.bit_length() - 1
+        full = np.cumsum(amps.real**2 + amps.imag**2)
+        draws = np.concatenate([[0.0], full, (full[:-1] + full[1:]) / 2, [np.nextafter(full[-1], 2.0), 1 - 2**-53, 1.0]])
+        monkeypatch.setattr(sim, "_gates_only_state", lambda bound: StateVector(n, amps.copy()))
+        monkeypatch.setattr(sim, "_first_draws", lambda seed, shots: draws[shots.astype(np.intp)])
+        kernel = kir.Kernel(n, [("q", n)], [], [("c", n)], [Measure(q, ("c", q)) for q in range(n)])
+        hist = sim.sample(kir.BoundKernel(kernel, ()), draws.size, 0)
+        idx = np.minimum(np.searchsorted(full, draws, side="right"), full.size - 1)
+        keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
+        assert hist.counts == dict(Counter(keys))
 
 
 class TestShotStreams:
@@ -798,14 +867,16 @@ class TestGatesOnlyPlan:
     """The planned build (product-state prefix, pending one-qubit products,
     phase tables) against the oracle, with tables small enough to split."""
 
+    @pytest.mark.parametrize("window", [1, 2, 3, sim._WINDOW])
     @pytest.mark.parametrize("cap", [2, 3, sim._PHASE_QUBITS])
     @given(planned_circuit(), st.integers(0, 2**64 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_statevector_and_static_sample_match_oracle(self, cap, kernel, seed):
+    @settings(max_examples=50, deadline=None)
+    def test_statevector_and_static_sample_match_oracle(self, cap, window, kernel, seed):
         gates = kir.Kernel(kernel.qubit_count, kernel.qubit_layout, [], [], [op for op in kernel.body if isinstance(op, Gate)])
         expected = oracle_unitary(gates)[:, 0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_PHASE_QUBITS", cap)
+            mp.setattr(sim, "_WINDOW", window)
             state = sim.statevector(kir.BoundKernel(gates, ()))
             hist = sim.sample(kir.BoundKernel(kernel, ()), 300, seed)
         np.testing.assert_allclose(state.amps, expected, atol=1e-12)
@@ -854,17 +925,17 @@ def _entangled_start(n: int) -> tuple[tuple[Gate, ...], np.ndarray]:
     return tuple(ops), _oracle_state(n, ops)
 
 
-def _spare_cases(q: int, o: int, r: int) -> dict[str, tuple[list[Gate], int]]:
-    """Gates on qubit q (with o and r as partners), each with the number of
-    dense products they write into the spare buffer, that is buffer swaps."""
+def _spare_cases(q: int, o: int, r: int) -> dict[str, tuple[list[Gate], set[int]]]:
+    """Gates on qubit q (with o and r as partners), each with the qubits
+    left holding a dense pending product at the end of the build."""
     return {
-        "real": ([Gate("h", (), (q,), ())], 1),
-        "complex": ([Gate("rx", (0.9,), (q,), ())], 1),
-        "real-product": ([Gate("h", (), (q,), ()), Gate("ry", (0.4,), (q,), ())], 1),
-        "complex-product": ([Gate("h", (), (q,), ()), Gate("s", (), (q,), ())], 1),
+        "real": ([Gate("h", (), (q,), ())], {q}),
+        "complex": ([Gate("rx", (0.9,), (q,), ())], {q}),
+        "real-product": ([Gate("h", (), (q,), ()), Gate("ry", (0.4,), (q,), ())], {q}),
+        "complex-product": ([Gate("h", (), (q,), ()), Gate("s", (), (q,), ())], {q}),
         "controlled": (
             [Gate("h", (), (q,), ((o, kir.POS),)), Gate("rx", (0.3,), (q,), ((o, kir.NEG), (r, kir.POS)))],
-            0,
+            set(),
         ),
         "cycles": (
             [
@@ -875,37 +946,52 @@ def _spare_cases(q: int, o: int, r: int) -> dict[str, tuple[list[Gate], int]]:
                 Gate("x", (), (r,), ((q, kir.POS), (o, kir.NEG))),
                 Gate("swap", (), (q, r), ((o, kir.POS),)),
             ],
-            0,
+            set(),
         ),
     }
+
+
+def _window_count(pending: set[int], width: int) -> int:
+    """Products the build's finish applies to the pending qubits: a window
+    starts at the lowest pending qubit not yet applied and takes every
+    pending qubit less than `width` above it."""
+    count, low = 0, None
+    for q in sorted(pending):
+        if low is None or q >= low + width:
+            count, low = count + 1, q
+    return count
 
 
 class TestSpareBuffer:
     """The planned build writes each uncontrolled dense product into a spare
     buffer that then swaps roles with the state, holds each permutation
-    cycle's slice in it, and runs a real matrix on the float64 view."""
+    cycle's slice in it, and runs a real matrix on the float64 view. Its
+    finish applies the pending products by windows, one product each."""
 
-    @pytest.mark.parametrize("extra", [False, True], ids=["as-is", "one-more-swap"])
+    @pytest.mark.parametrize("window", [1, sim._WINDOW])
+    @pytest.mark.parametrize("extra", [None, 1, 3, 4], ids=lambda d: "as-is" if d is None else f"sx-at-q+{d}")
     @pytest.mark.parametrize("kind", sorted(_spare_cases(0, 1, 2)))
     @pytest.mark.parametrize("n", [5, 9])
-    def test_every_position_matches_oracle(self, monkeypatch, n, kind, extra):
+    def test_every_position_matches_oracle(self, monkeypatch, n, kind, extra, window):
         swaps = []
-        dense = sim._dense_2x2
+        dense = sim._dense
 
         def counted(sub, axis, mat, out=None):
             swaps.append(out is not None)  # a product written into the spare
             dense(sub, axis, mat, out)
 
-        monkeypatch.setattr(sim, "_dense_2x2", counted)
+        monkeypatch.setattr(sim, "_dense", counted)
+        monkeypatch.setattr(sim, "_WINDOW", window)
         start_ops, start = _entangled_start(n)
         for q in range(n):
             o, r = (q + 1) % n, (q + 3) % n
-            ops, expected_swaps = _spare_cases(q, o, r)[kind]
-            if extra:
-                ops, expected_swaps = ops + [Gate("sx", (), (r,), ())], expected_swaps + 1
+            ops, pending = _spare_cases(q, o, r)[kind]
+            if extra is not None:  # one more pending product, `extra` above q (mod n)
+                e = (q + extra) % n
+                ops, pending = ops + [Gate("sx", (), (e,), ())], pending | {e}
             swaps.clear()
             state = sim.statevector(kir.BoundKernel(kir.Kernel(n, [("q", n)], [], [], list(start_ops) + ops), ()))
-            assert sum(swaps) == expected_swaps
+            assert sum(swaps) == _window_count(pending, window)
             assert state.amps.flags.c_contiguous and state.amps.shape == (1 << n,)
             np.testing.assert_allclose(state.amps, _oracle_state(n, ops, start), rtol=0, atol=1e-12)
 
