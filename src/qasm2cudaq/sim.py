@@ -17,20 +17,16 @@ while one slice is held aside. Any other matrix is a dense 2x2, applied by
 one matrix product over the target axis; a matrix with no imaginary part
 (h, ry, or a real product of them) is one real product over the float64
 view of the state, where the real and imaginary parts of an amplitude are
-adjacent doubles. `apply_gate` does all this in place, holding a cycle's
-slice in a fresh copy. The planned build below also has one spare buffer
-the size of the state, made at its first gate and dropped at its end: an
-uncontrolled dense product is written into the spare, which then holds the
-state while the old amplitudes become the spare, and each permutation
-cycle holds its slice there, so no pass allocates. The shared matrices in
-`_FIXED_1Q` are never written in place.
+adjacent doubles. Every gate reaches a state through one build,
+`_GateBuild`, which has one spare buffer the size of the state, made at its
+first gate and dropped at its end: an uncontrolled dense product is written
+into the spare, which then holds the state while the old amplitudes become
+the spare, a controlled one is written into a slice of the spare and copied
+back, and each permutation cycle holds its slice there, so no pass
+allocates. The shared matrices in `_FIXED_1Q` are never written in place.
 
-`statevector` and the static sampler build the final state by one plan,
-exact up to rounding because gates on disjoint qubits commute. One-qubit
-gates on a qubit before its first multi-qubit gate (all of them, on a qubit
-never entangled) move to the front: each qubit's gates are multiplied into
-its column on |0>, and the state starts as the outer product of the columns.
-Past that prefix each qubit keeps one pending 2x2 product of its one-qubit
+The build defers gates, exact up to rounding because gates on disjoint
+qubits commute. Each qubit keeps one pending 2x2 product of its one-qubit
 gates. Runs of diagonal gates (the z, s, t, rz and p bases, with any adjoint
 flag and controls, so cz, cp and crz too) are multiplied into one phase
 table over at most `_PHASE_QUBITS` qubits, applied by one broadcast multiply
@@ -41,7 +37,12 @@ diagonal gate that would outgrow the cap, first applies the table. At the
 end the products still pending are applied by windows of up to `_WINDOW`
 adjacent qubits: the Kronecker product of a window's pending matrices and
 identities is one 2^k product over the window's qubits as one axis, through
-the same fold or batched route and the spare buffer as a 2x2.
+the same fold or batched route and the spare buffer as a 2x2. `statevector`
+and the static sampler build the final state by one such build, after
+moving to the front the one-qubit gates on a qubit before its first
+multi-qubit gate (all of them, on a qubit never entangled): each qubit's
+gates are multiplied into its column on |0>, and the state starts as the
+outer product of the columns.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
@@ -56,10 +57,12 @@ the seed without building the streams, and the draws are searched over the
 running sums of the nonzero probabilities alone. A dynamic kernel is walked
 depth first over a flattened body (each CondBlock becomes a conditional
 jump) by groups of shots that share one state and one classical mask, so
-gates and predicates run once per group. At a measure or reset the group
-draws for all its shots against one p1 and splits into at most two branches.
-The branch with fewer shots is walked first and the other waits, holding a
-state copy while the live states fit in `_BRANCH_BYTES`; past that budget it
+gates and predicates run once per group; a group's gates go through one
+build, finished before each measure or reset and at the group's end. At a
+measure or reset the group draws for all its shots against one p1 and
+splits into at most two branches. The branch with fewer shots is walked
+first and the other waits, holding a state copy while the live states fit
+in `_BRANCH_BYTES`; past that budget it
 keeps only its shot indices and is replayed later from |0...0> with fresh
 streams, on which its shots draw the same values and so retrace the same
 path. Walking the smaller branch first keeps at most log2(chunk) branches
@@ -205,7 +208,9 @@ class RngStream:
 # Simulator state
 # ---------------------------------------------------------------------------
 
-MAX_SIM_QUBITS = 28  # a 4 GiB complex128 state
+# A 4 GiB complex128 state at 28 qubits; a gate build holds the state and one
+# spare, 8 GiB, and expval_pauli on a string with X or Y adds a copy.
+MAX_SIM_QUBITS = 28
 
 
 def _check_width(n: int) -> None:
@@ -360,14 +365,11 @@ def _scaled_copy(dst: np.ndarray, src: np.ndarray, factor: complex) -> None:
         np.multiply(src, factor, out=dst)
 
 
-def _permute(
-    slices: list[np.ndarray], factors: list[complex], src: list[int], spare: np.ndarray | None = None
-) -> None:
+def _permute(slices: list[np.ndarray], factors: list[complex], src: list[int], spare: np.ndarray) -> None:
     """slices[i] <- factors[i] * old slices[src[i]], src a permutation.
 
     Fixed points scale in place (skipped for a factor of exactly 1); each
-    longer cycle holds one slice, in the front of `spare` when given, else
-    in a fresh copy."""
+    longer cycle holds one slice in the front of `spare`."""
     moved: set[int] = set()
     for start, first in enumerate(src):
         if start in moved:
@@ -376,11 +378,8 @@ def _permute(
             if factors[start] != 1:
                 slices[start] *= factors[start]
             continue
-        if spare is None:
-            held = slices[start].copy()
-        else:
-            held = spare[: slices[start].size].reshape(slices[start].shape)
-            np.copyto(held, slices[start])
+        held = spare[: slices[start].size].reshape(slices[start].shape)
+        np.copyto(held, slices[start])
         i = start
         while src[i] != start:
             moved.add(i)
@@ -402,80 +401,32 @@ _REAL_FOLD_RUN = 4
 _EYES = {1 << k: np.eye(1 << k) for k in range(_FOLD_RUN.bit_length())}  # runs are powers of 2
 
 
-def _dense(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray | None = None) -> None:
+def _dense(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> None:
     """mat along `axis` of a controls-fixed view, through one matrix product
-    written into `out` (a view of another buffer, shaped like `sub`), or
-    back into `sub` when there is none. The axis is one target qubit, or a
-    window of adjacent ones for a 2^k matrix (swap, the one multi-target
-    base, is a permutation and never gets here)."""
+    written into `out`, a view of another buffer shaped like `sub`. The axis
+    is one target qubit, or a window of adjacent ones for a 2^k matrix (swap,
+    the one multi-target base, is a permutation and never gets here)."""
     run, width = sub.shape[-1], mat.shape[0]
     real = not mat.imag.any()
     if axis == sub.ndim - 2 and run <= (_REAL_FOLD_RUN if real else _FOLD_RUN) and width * run <= 2 * _FOLD_RUN:
         # targets just above the contiguous run: rows of width*run
         # amplitudes times kron(mat, I_run)^T
         shape = sub.shape[:-2] + (width * run,)
-        rows = sub.reshape(shape)
         fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(width * run, width * run)
-        if out is None:
-            rows[...] = rows @ fold.T
-        else:
-            np.matmul(rows, fold.T, out=out.reshape(shape))
+        np.matmul(sub.reshape(shape), fold.T, out=out.reshape(shape))
         return
     if real:
         # re and im of each amplitude are adjacent doubles of the last axis
-        mat, sub = mat.real, sub.view(np.float64)
-        out = None if out is None else out.view(np.float64)
-    pairs = np.moveaxis(sub, axis, -2)
-    if out is None:
-        pairs[...] = mat @ pairs
-    else:
-        np.matmul(mat, pairs, out=np.moveaxis(out, axis, -2))
-
-
-def _apply_unitary(
-    state: StateVector,
-    mat: np.ndarray,
-    targets: tuple[int, ...],
-    controls: tuple[tuple[int, int], ...],
-    spare: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Apply a 2^k unitary on target qubits, restricted to basis states where
-    every control qubit matches its polarity; targets[0] is the matrix's high
-    bit. Works on views, choosing the kernel from the entries, and returns
-    the spare buffer.
-
-    Without `spare` every kernel works in place. With it, a free buffer the
-    size of the state, an uncontrolled dense product is written into the
-    spare, which becomes the state's amplitudes while the old amplitudes
-    become the spare, and each permutation cycle holds its slice there."""
-    view, axis = _qubit_axes(state.amps, state.n, targets + tuple(q for q, _ in controls))
-    index: list = [slice(None)] * view.ndim
-    for q, pol in controls:
-        index[axis[q]] = slice(pol, pol + 1)  # keeps the axis, so axis[] stays valid
-    rows = mat.tolist()
-    nonzero = [[j for j, v in enumerate(row) if v != 0] for row in rows]
-    if not all(len(cols) == 1 for cols in nonzero):
-        if controls or spare is None:
-            _dense(view[tuple(index)], axis[targets[0]], mat)
-            return spare
-        _dense(view, axis[targets[0]], mat, spare.reshape(view.shape))
-        state.amps, spare = spare, state.amps
-        return spare
-    k = len(targets)
-    slices = []
-    for i in range(1 << k):
-        for j, q in enumerate(targets):
-            index[axis[q]] = (i >> (k - 1 - j)) & 1
-        slices.append(view[tuple(index)])
-    src = [cols[0] for cols in nonzero]
-    _permute(slices, [row[j] for row, j in zip(rows, src)], src, spare)
-    return spare
+        mat, sub, out = mat.real, sub.view(np.float64), out.view(np.float64)
+    np.matmul(mat, np.moveaxis(sub, axis, -2), out=np.moveaxis(out, axis, -2))
 
 
 def apply_gate(state: StateVector, op: Gate, params: tuple[float, ...] = ()) -> StateVector:
-    """Apply one canonical gate op in place; returns the same StateVector."""
-    _apply_unitary(state, gate_matrix(op, params), op.targets, op.controls)
-    return state
+    """Apply one canonical gate op by a one-gate build; returns the same
+    StateVector, whose amplitudes may be a new array."""
+    build = _GateBuild(state)
+    build.gate(op, gate_matrix(op, params))
+    return build.finish()
 
 
 def _halves(state: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -639,19 +590,22 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
     """Run `root` to the end of the flattened program, depth first. Yields
     every finished group, and every waiting branch that did not fit the
     byte budget as a stateless group. `draw(rows)` returns the next uniform
-    of each row."""
+    of each row. A group's gates go through one `_GateBuild`, finished
+    before each measure or reset and at the group's end."""
     pending = [root]
     state_bytes = root.state.amps.nbytes
     live = 1
     while pending:
         group = pending.pop()
         pc, state, mask, rows = group.pc, group.state, group.mask, group.rows
+        build = _GateBuild(state)
         while pc < len(program):
             op = program[pc]
             pc += 1
             if isinstance(op, Gate):
-                apply_gate(state, op, params)
+                build.gate(op, gate_matrix(op, params))
             elif isinstance(op, (_Write, Reset)):
+                build.finish()
                 p1 = _p1(state, op.qubit)
                 hit = draw(rows) < p1
                 outcome = int(hit[0])
@@ -675,13 +629,15 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
                 pc = op.to
             elif not isinstance(op, Nop):
                 raise SimError(f"unknown op {op!r}")
+        build.finish()
         yield _Group(pc, state, mask, rows)
         live -= 1
 
 
 def _one_shot(state: StateVector, program: list, params: tuple[float, ...], rng: RngStream) -> int:
-    """Run a flattened program on `state` in place as one shot drawing from
-    `rng`: the walk with a single row, which never splits. Returns the mask."""
+    """Run a flattened program on `state` as one shot drawing from `rng`:
+    the walk with a single row, which never splits, so `state` ends as the
+    shot's final state (its amplitudes may be a new array). Returns the mask."""
     root = _Group(0, state, 0, np.zeros(1, dtype=np.intp))
     (end,) = _walk(program, params, root, lambda rows: np.array([rng.uniform()]))
     return end.mask
@@ -783,7 +739,8 @@ class _GateBuild:
     diagonal gates on at most `_PHASE_QUBITS` qubits. No qubit is in both,
     so the two commute and can be flushed in any order. Gates run through
     one spare buffer of the state's size, so `state.amps` may be a new
-    array after any gate; `finish` drops the spare."""
+    array after any gate; `finish` applies every deferred gate and drops
+    the spare, and the build takes gates again after it."""
 
     def __init__(self, state: StateVector):
         self.state = state
@@ -823,7 +780,41 @@ class _GateBuild:
         return self.spare
 
     def _apply(self, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
-        self.spare = _apply_unitary(self.state, mat, targets, controls, self._spare())
+        """Apply a 2^k unitary on target qubits, restricted to basis states
+        where every control qubit matches its polarity; targets[0] is the
+        matrix's high bit. Works on views, choosing the kernel from the
+        entries: each permutation cycle holds its slice in the spare, and a
+        controlled dense product is written into the spare's slice of the
+        controls-fixed view, then copied back."""
+        view, axis = _qubit_axes(self.state.amps, self.state.n, targets + tuple(q for q, _ in controls))
+        index: list = [slice(None)] * view.ndim
+        for q, pol in controls:
+            index[axis[q]] = slice(pol, pol + 1)  # keeps the axis, so axis[] stays valid
+        rows = mat.tolist()
+        nonzero = [[j for j, v in enumerate(row) if v != 0] for row in rows]
+        if not all(len(cols) == 1 for cols in nonzero):
+            if not controls:
+                self._product(view, axis[targets[0]], mat)
+                return
+            sub, out = view[tuple(index)], self._spare().reshape(view.shape)[tuple(index)]
+            _dense(sub, axis[targets[0]], mat, out)
+            sub[...] = out
+            return
+        k = len(targets)
+        slices = []
+        for i in range(1 << k):
+            for j, q in enumerate(targets):
+                index[axis[q]] = (i >> (k - 1 - j)) & 1
+            slices.append(view[tuple(index)])
+        src = [cols[0] for cols in nonzero]
+        _permute(slices, [row[j] for row, j in zip(rows, src)], src, self._spare())
+
+    def _product(self, view: np.ndarray, axis: int, mat: np.ndarray) -> None:
+        """mat along `axis` of a view of the whole state, written into the
+        spare, which becomes the state's amplitudes while the old amplitudes
+        become the spare."""
+        _dense(view, axis, mat, self._spare().reshape(view.shape))
+        self.state.amps, self.spare = self.spare, self.state.amps
 
     def _phase(self, diag: np.ndarray, target: int, controls: tuple[tuple[int, int], ...]) -> None:
         """Multiply diag along the target axis of the table, where every
@@ -854,10 +845,10 @@ class _GateBuild:
         """Apply the pending products on qubits low..high as one product,
         the Kronecker product of the pending matrices and identities, over
         the window's qubits as one axis."""
-        mat = functools.reduce(np.kron, [self.pending.pop(q, _EYES[2]) for q in range(high, low - 1, -1)])
-        view = self.state.amps.reshape(-1, mat.shape[0], 1 << low)
-        _dense(view, 1, mat, self._spare().reshape(view.shape))
-        self.state.amps, self.spare = self.spare, self.state.amps
+        mats = [self.pending.pop(q, _EYES[2]) for q in range(high, low - 1, -1)]
+        # np.kron's products without its Python overhead, which outweighs a small state's pass
+        mat = functools.reduce(lambda a, b: (a[:, None, :, None] * b[:, None, :]).reshape(2 * len(a), -1), mats)
+        self._product(self.state.amps.reshape(-1, mat.shape[0], 1 << low), 1, mat)
 
     def finish(self) -> StateVector:
         """Apply the table, then the pending products by windows: from the
@@ -962,11 +953,20 @@ def _sample_static(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -
 MAX_SHOTS = 1 << 32
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SimError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample(bound: BoundKernel, shots: int, seed: int, workers: int = 1) -> ShotHistogram:
     """Sample the kernel; identical (seed, shots) gives identical histograms.
     `workers` is accepted for compatibility and ignored: one process walks
     all shots, since the batched walk finishes before a worker pool starts.
-    Raises TooLarge past `MAX_SHOTS` shots, before any work."""
+    Raises SimError unless shots and seed are integers, and TooLarge past
+    `MAX_SHOTS` shots, before any work."""
+    shots, seed = _integer("shots", shots), _integer("seed", seed)
     if shots < 1:
         raise SimError("shots must be >= 1")
     if shots > MAX_SHOTS:
@@ -988,27 +988,20 @@ def statevector(bound: BoundKernel) -> StateVector:
     return _gates_only_state(bound)
 
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": _FIXED_1Q["x"],
-    "Y": _FIXED_1Q["y"],
-    "Z": _FIXED_1Q["z"],
-}
-
-
 def expval_pauli(state: StateVector, pauli: str) -> float:
     """<psi|P|psi> for a Pauli string; character k acts on qubit k."""
     if len(pauli) != state.n:
         raise BadPauliString(f"pauli string length {len(pauli)} != {state.n} qubits")
-    if any(ch not in _PAULI for ch in pauli):
+    if any(ch not in "IXYZ" for ch in pauli):
         raise BadPauliString(f"pauli string may only contain I, X, Y, Z: {pauli!r}")
     if set(pauli) <= {"I", "Z"}:
         return _expval_z(state, pauli)
-    transformed = state.copy()
+    build = _GateBuild(state.copy())
     for qubit, ch in enumerate(pauli):
         if ch != "I":
-            _apply_unitary(transformed, _PAULI[ch], (qubit,), ())
-    return float(np.vdot(state.amps, transformed.amps).real)
+            op = Gate(ch.lower(), (), (qubit,), ())
+            build.gate(op, gate_matrix(op))
+    return float(np.vdot(state.amps, build.finish().amps).real)
 
 
 def _parity_signs(mask: int, bits: int) -> np.ndarray:

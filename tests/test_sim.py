@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasm2cudaq import frontend as fe, kir, sema, sim
-from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, TooLarge
+from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError, TooLarge
 from qasm2cudaq.kir import Gate, Measure
 from qasm2cudaq.oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
 from qasm2cudaq.sim import RngStream, StateVector
@@ -570,7 +570,8 @@ def _reference_predicate(pred: kir.Predicate, bits: dict[str, list[int]]) -> boo
 def _reference_shot(kernel: kir.Kernel, rng, after_op=lambda state: None) -> tuple[str, StateVector]:
     """One shot by a recursive walk of the kernel body with a dict of bit
     lists as its classical store, calling after_op(state) after every op
-    outside a CondBlock; returns the shot's key and final state."""
+    outside a CondBlock; returns the shot's key and final state. Each gate
+    is its full 2^n matrix from the oracle, off the simulator's gate path."""
     state = StateVector.zero(kernel.qubit_count)
     bits = {name: [0] * width for name, width in kernel.classical_layout}
 
@@ -580,7 +581,7 @@ def _reference_shot(kernel: kir.Kernel, rng, after_op=lambda state: None) -> tup
                 run(op.then_body if _reference_predicate(op.predicate, bits) else op.else_body)
                 continue
             if isinstance(op, Gate):
-                sim.apply_gate(state, op)
+                state.amps = full_gate_matrix(state.n, op) @ state.amps
             elif isinstance(op, Measure):
                 bits[op.bit[0]][op.bit[1]] = sim.measure(state, op.qubit, rng)
             elif isinstance(op, kir.Reset):
@@ -620,6 +621,33 @@ class TestResourceLimits:
         for shots in (sim.MAX_SHOTS + 1, 10**20, 2**64):
             with pytest.raises(TooLarge, match=str(shots)):
                 sim.sample(bound(source), shots, 0)
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "trajectory"])
+    @pytest.mark.parametrize(
+        "shots, seed, bad",
+        [
+            (2.5, 1, "shots"),
+            ("10", 1, "shots"),
+            (float("nan"), 1, "shots"),
+            (None, 1, "shots"),
+            (10, 1.5, "seed"),
+            (10, None, "seed"),
+            (10, "7", "seed"),
+        ],
+    )
+    def test_non_integer_shots_and_seed_rejected_before_any_work(self, monkeypatch, dynamic, shots, seed, bad):
+        def no_work(*args):
+            raise AssertionError("simulated with a non-integer shots or seed")
+
+        for name in ("_trajectory_counts", "_sample_static", "_gates_only_state"):
+            monkeypatch.setattr(sim, name, no_work)
+        source = f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\n" + ("reset q;\n" if dynamic else "")
+        with pytest.raises(SimError, match=f"^{bad} must be an integer"):
+            sim.sample(bound(source), shots, seed)
+
+    def test_integer_like_shots_and_seed_accepted(self):
+        bk = bound(f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\n")
+        assert sim.sample(bk, np.int64(40), np.uint64(2**64 - 3)).counts == sim.sample(bk, 40, 2**64 - 3).counts
 
     def test_shot_cap_itself_allowed(self, monkeypatch):
         monkeypatch.setattr(sim, "_sample_static", lambda bound, layout, seed, shots: Counter({1: shots}))
@@ -760,11 +788,14 @@ def dynamic_kernel(draw) -> kir.Kernel:
 
 
 class TestBranchingSampler:
+    @pytest.mark.parametrize("window", [1, sim._WINDOW])
     @given(dynamic_kernel(), st.integers(0, 2**64 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_shot_reference(self, kernel, seed):
+    def test_matches_per_shot_reference(self, window, kernel, seed):
         assert sim._needs_trajectories(kernel)
-        hist = sim.sample(kir.BoundKernel(kernel, ()), 40, seed, workers=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_WINDOW", window)
+            hist = sim.sample(kir.BoundKernel(kernel, ()), 40, seed, workers=1)
         assert hist.counts == _per_shot_counts(kernel, 40, seed)
 
     def test_chunk_boundaries_do_not_change_histograms(self, monkeypatch):
@@ -976,8 +1007,8 @@ class TestSpareBuffer:
         swaps = []
         dense = sim._dense
 
-        def counted(sub, axis, mat, out=None):
-            swaps.append(out is not None)  # a product written into the spare
+        def counted(sub, axis, mat, out):
+            swaps.append(sub.size == 1 << n)  # an uncontrolled product, which swaps
             dense(sub, axis, mat, out)
 
         monkeypatch.setattr(sim, "_dense", counted)
