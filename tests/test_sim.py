@@ -779,6 +779,9 @@ def dynamic_kernel(draw) -> kir.Kernel:
     two deep over bits and whole registers; the last op is always dynamic."""
     n = draw(st.integers(1, 5))
     body = [Gate("h", (), (q,), ()) for q in range(n)]
+    # a distinct angle per qubit, so the first finish window holds unequal
+    # matrices and a window applied to the wrong qubits shows
+    body += [Gate("ry", (draw(_ANGLES),), (q,), ()) for q in range(n)]
     body += draw(dynamic_ops(n, 2))
     body.append(
         draw(st.builds(kir.Reset, st.integers(0, n - 1)) | st.builds(kir.CondBlock, predicate(), dynamic_ops(n, 1), dynamic_ops(n, 0)))
