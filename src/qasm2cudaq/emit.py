@@ -6,11 +6,26 @@ self-contained Python script using the builder API, attaching conditional
 bodies as named callables via `c_if`. Both grammars are frozen by the
 golden files in tests/golden/<target>/, one per case of the golden corpus;
 emission is byte-deterministic for a given kernel.
+
+Every gate op of both targets is rendered once per value by `gate_line`.
+The builder's modifier route applies a sub-kernel by `kernel.adjoint` or
+`kernel.control`, with an X sandwich on each negative control; each
+sub-kernel is named by its shape (`sub_rx`, `sub_adj_s`) and defined once,
+in a prologue right after `q = kernel.qalloc(n)`.
+
+Each target reserves the names its text uses unqualified, and an input
+named by one raises `UnsupportedForTarget`: both reserve `q`, `cudaq`,
+`counts`, `m<i>` and `cval<i>`; cudaq-cpp also `transpiled_kernel`, `main`,
+`std`, its gate functions, the C++ keywords and reserved identifiers;
+cudaq-builder also `kernel`, `build_kernel`, `float`, `list`,
+`cond_<i>_then`/`_else`, the `sub_` prefix and the Python keywords.
 """
 
 from __future__ import annotations
 
+import keyword
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,17 +44,21 @@ _BUILDER_CTRL_SUGAR = frozenset("x y z h rx ry rz p".split())
 
 _NEGATE_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
+_CPP_KEYWORDS = (
+    "alignas alignof and and_eq asm auto bitand bitor bool break case catch char char8_t char16_t char32_t class compl "
+    "concept const consteval constexpr constinit const_cast continue co_await co_return co_yield decltype default delete "
+    "do double dynamic_cast else enum explicit export extern false float for friend goto if inline int long mutable "
+    "namespace new noexcept not not_eq nullptr operator or or_eq private protected public register reinterpret_cast "
+    "requires return short signed sizeof static static_assert static_cast struct switch template this thread_local throw "
+    "true try typedef typeid typename union unsigned using virtual void volatile wchar_t while xor xor_eq".split()
+)
+
 
 @dataclass
 class EmittedSource:
     target: str
     text: str
     param_signature: list[tuple[str, int]]
-
-
-def _check_target(target: str) -> None:
-    if target not in EMISSION_TARGETS:
-        raise UnsupportedOp(f"unknown emission target {target!r}; expected one of {EMISSION_TARGETS}")
 
 
 def _angle_text(a, kernel: Kernel) -> str:
@@ -72,12 +91,16 @@ def _layout_comments(kernel: Kernel, comment: str) -> list[str]:
 class _EmitterBase:
     # Each target names itself and formats its measure line (at top level,
     # then in a conditional body) from the local's name and the qubit, and its
-    # reset line from the qubit.
+    # reset line from the qubit; RESERVED matches the names an input may not take.
     TARGET: str
     MEASURE: tuple[str, str]
     RESET: str
+    RESERVED: re.Pattern
 
     def __init__(self, kernel: Kernel):
+        for p in kernel.param_layout:
+            if self.RESERVED.fullmatch(p.name):
+                raise UnsupportedForTarget(f"input '{p.name}' takes a name the {self.TARGET} text reserves; rename it")
         self.kernel = kernel
         self.lines: list[str] = []
         self.indent = 0
@@ -86,35 +109,30 @@ class _EmitterBase:
         # classical bit -> local currently holding its value
         self.bit_local: dict[tuple[str, int], str] = {}
         self.cond_count = 0
-        # (base, angles, targets, controls, adjoint) -> unindented line
+        # (base, angles, targets, controls, adjoint, indent) -> indented lines
         self.gate_lines: dict[tuple, str] = {}
 
     def line(self, text: str = "") -> None:
         self.lines.append(("  " * self.indent + text) if text else "")
 
-    def gate_line(self, op: Gate) -> str | None:
-        """The unindented one-line rendering of a gate op, made once per
-        distinct op value by the target's `render_gate`; None where the
-        target needs more than one line."""
-        key = (op.base, op.angles, op.targets, op.controls, op.adjoint)
+    def gate_line(self, op: Gate) -> str:
+        """The lines of a gate op at the current indent, joined, made once
+        per distinct op value and indent from the target's `render_gate`."""
+        key = (op.base, op.angles, op.targets, op.controls, op.adjoint, self.indent)
         text = self.gate_lines.get(key)
         if text is None:
-            text = self.render_gate(op)
+            text = "\n".join("  " * self.indent + line for line in self.render_gate(op))
             # 0.0 == -0.0 and they hash alike, but they render differently
-            if text is not None and 0.0 not in op.angles:
+            if 0.0 not in op.angles:
                 self.gate_lines[key] = text
         return text
 
     def emit_ops(self, ops: list, top_level: bool) -> None:
-        """Render ops in order. A gate with no one-line rendering takes the
-        target's `emit_functional`; a conditional, its `emit_cond`."""
+        """Render ops in order: a gate through `gate_line`, a conditional
+        through the target's `emit_cond`."""
         for op in ops:
             if isinstance(op, Gate):
-                text = self.gate_line(op)
-                if text is None:
-                    self.emit_functional(op)
-                else:
-                    self.line(text)
+                self.lines.append(self.gate_line(op))
             elif isinstance(op, Measure):
                 name = self.measure_name(op)
                 self.line(self.MEASURE[not top_level].format(name, op.qubit))
@@ -161,6 +179,8 @@ class _CppEmitter(_EmitterBase):
     TARGET = "cudaq-cpp"
     MEASURE = ("auto {} = mz(q[{}]);", "{} = mz(q[{}]);")
     RESET = "reset(q[{}]);"
+    RESERVED = re.compile("|".join(_CPP_KEYWORDS) + r"|q|cudaq|counts|transpiled_kernel|main|std|(m|cval)\d+"
+                          r"|_[A-Z].*|.*__.*|x|y|z|h|s|t|sx|rx|ry|rz|r1|u3|swap|mz|reset")
 
     def emit(self) -> str:
         k = self.kernel
@@ -235,7 +255,7 @@ class _CppEmitter(_EmitterBase):
             self.indent -= 1
         self.line("}")
 
-    def render_gate(self, op: Gate) -> str:
+    def render_gate(self, op: Gate) -> list[str]:
         name = _GATE_NAME.get(op.base, op.base)
         mods = []
         if op.controls:
@@ -247,7 +267,7 @@ class _CppEmitter(_EmitterBase):
         args = [_angle_text(a, self.kernel) for a in op.angles]
         args += [f"!q[{q}]" if pol == NEG else f"q[{q}]" for q, pol in op.controls]
         args += [f"q[{t}]" for t in op.targets]
-        return f"{name}({', '.join(args)});"
+        return [f"{name}({', '.join(args)});"]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +279,12 @@ class _BuilderEmitter(_EmitterBase):
     TARGET = "cudaq-builder"
     MEASURE = ("{} = kernel.mz(q[{}])",) * 2
     RESET = "kernel.reset(q[{}])"
-
-    def __init__(self, kernel: Kernel):
-        super().__init__(kernel)
-        self.sub_count = 0
+    RESERVED = re.compile("|".join(keyword.kwlist) + r"|q|kernel|cudaq|build_kernel|counts|float|list"
+                          r"|(m|cval)\d+|cond_\d+_(then|else)|sub_.*")
 
     def emit(self) -> str:
         k = self.kernel
+        self.prologue: dict[str, str] = {}
         self.lines.append("# CUDA-Q builder kernel (target: cudaq-builder)")
         self.lines.extend(_layout_comments(k, "#"))
         self.line()
@@ -282,7 +301,9 @@ class _BuilderEmitter(_EmitterBase):
             self.line("kernel = cudaq.make_kernel()")
         if k.qubit_count:
             self.line(f"q = kernel.qalloc({k.qubit_count})")
+        head = len(self.lines)
         self.emit_ops(k.body, top_level=True)
+        self.lines[head:head] = self.prologue.values()
         self.line("return kernel")
         self.indent -= 1
         self.line()
@@ -336,71 +357,49 @@ class _BuilderEmitter(_EmitterBase):
             self.line()
             self.line(f"kernel.c_if({self.cond_text(pred, subject, negate=True)}, {else_name})")
 
-    def render_gate(self, op: Gate) -> str | None:
+    def render_gate(self, op: Gate) -> list[str]:
         """The plain call, or the `c<name>` sugar for a single positive
-        control; None for the functional route."""
-        sugar = len(op.controls) == 1 and op.controls[0][1] == POS and op.base in _BUILDER_CTRL_SUGAR
-        if op.adjoint or (op.controls and not sugar):
-            return None
-        name = _GATE_NAME.get(op.base, op.base)
-        args = [_angle_text(a, self.kernel) for a in op.angles]
-        if op.controls:
-            name = f"c{name}"
-            args.append(f"q[{op.controls[0][0]}]")
-        args += [f"q[{t}]" for t in op.targets]
-        return f"kernel.{name}({', '.join(args)})"
-
-    def emit_functional(self, op: Gate) -> None:
-        """Modifier route: encapsulate the gate in a sub-kernel and attach it
-        with kernel.control / kernel.adjoint; negative controls are realized
-        by an X sandwich on the control qubit. Each call numbers new
-        sub-kernels, so this route is never shared between ops."""
+        control; else the gate's sub-kernel by kernel.adjoint or
+        kernel.control (an adjoint one wrapped to take controls), with an X
+        sandwich on each negative control."""
         name = _GATE_NAME.get(op.base, op.base)
         angles = [_angle_text(a, self.kernel) for a in op.angles]
         targets = [f"q[{t}]" for t in op.targets]
-        sub = self._make_sub(name, len(angles), len(targets))
-        args = ", ".join(angles + targets)
-        if op.adjoint and op.controls:
-            wrapper = self._make_sub("adjoint", len(angles), len(targets), sub)
-            self._apply_control(op, wrapper, args)
-        elif op.adjoint:
-            self.line(f"kernel.adjoint({sub}, {args})")
-        else:
-            self._apply_control(op, sub, args)
-
-    def _make_sub(self, method: str, n_angles: int, n_targets: int, *lead: str) -> str:
-        """Emit a sub-kernel over n_angles floats and n_targets qubits whose
-        body is the one call `sub.method(*lead, *args)`; returns its name."""
-        sid = self.sub_count
-        self.sub_count += 1
-        sub = f"sub_{sid}"
-        arg_names = [f"{sub}_a{i}" for i in range(n_angles)] + [
-            f"{sub}_q{j}" for j in range(n_targets)
-        ]
-        types = ["float"] * n_angles + ["cudaq.qubit"] * n_targets
-        self.line(f"{sub}, {', '.join(arg_names)} = cudaq.make_kernel({', '.join(types)})")
-        self.line(f"{sub}.{method}({', '.join([*lead, *arg_names])})")
-        return sub
-
-    def _apply_control(self, op: Gate, sub: str, args: str) -> None:
-        neg = [q for q, pol in op.controls if pol == NEG]
-        for q in neg:
-            self.line(f"kernel.x(q[{q}])")
         ctrls = [f"q[{q}]" for q, _ in op.controls]
+        sugar = len(ctrls) == 1 and op.controls[0][1] == POS and op.base in _BUILDER_CTRL_SUGAR
+        if not op.adjoint and (sugar or not ctrls):
+            return [f"kernel.{'c' if ctrls else ''}{name}({', '.join(angles + ctrls + targets)})"]
+        args = ", ".join(angles + targets)
+        sub = self.sub_kernel(name, len(angles), len(targets))
+        if not ctrls:
+            return [f"kernel.adjoint({sub}, {args})"]
+        if op.adjoint:
+            sub = self.sub_kernel("adjoint", len(angles), len(targets), sub)
+        flips = [f"kernel.x(q[{q}])" for q, pol in op.controls if pol == NEG]
         ctrl_expr = ctrls[0] if len(ctrls) == 1 else f"[{', '.join(ctrls)}]"
-        self.line(f"kernel.control({sub}, {ctrl_expr}, {args})")
-        for q in reversed(neg):
-            self.line(f"kernel.x(q[{q}])")
+        return [*flips, f"kernel.control({sub}, {ctrl_expr}, {args})", *reversed(flips)]
+
+    def sub_kernel(self, method: str, n_angles: int, n_targets: int, *lead: str) -> str:
+        """The sub-kernel over n_angles floats and n_targets qubits whose body
+        is the one call `sub.method(*lead, *args)`, named by that shape
+        (`sub_rx`, or `sub_adj_s` around `sub_s`); defined in the prologue
+        on first use."""
+        sub = f"sub_adj_{lead[0][4:]}" if lead else f"sub_{method}"
+        if sub not in self.prologue:
+            names = [f"{sub}_a{i}" for i in range(n_angles)] + [f"{sub}_q{j}" for j in range(n_targets)]
+            types = ", ".join(["float"] * n_angles + ["cudaq.qubit"] * n_targets)
+            self.prologue[sub] = (
+                f"  {sub}, {', '.join(names)} = cudaq.make_kernel({types})\n  {sub}.{method}({', '.join([*lead, *names])})"
+            )
+        return sub
 
 
 @gc_paused
 def emit(kernel: Kernel, target: str) -> EmittedSource:
     """Render a kernel as CUDA-Q source text for the given target."""
-    _check_target(target)
-    if target == "cudaq-cpp":
-        text = _CppEmitter(kernel).emit()
-    else:
-        text = _BuilderEmitter(kernel).emit()
+    if target not in EMISSION_TARGETS:
+        raise UnsupportedOp(f"unknown emission target {target!r}; expected one of {EMISSION_TARGETS}")
+    text = (_CppEmitter if target == "cudaq-cpp" else _BuilderEmitter)(kernel).emit()
     signature = [(p.name, p.count) for p in kernel.param_layout]
     return EmittedSource(target=target, text=text, param_signature=signature)
 

@@ -156,6 +156,15 @@ class TestTranspile:
         assert cli.main(["transpile", bell_file, "--target", "cudaq-builder"]) == 0
         assert "cudaq.make_kernel()" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(("target", "name"), [("cudaq-cpp", "main"), ("cudaq-builder", "lambda"), ("cudaq-builder", "q")])
+    def test_reserved_input_name_is_one_line_error(self, tmp_path, capsys, target, name):
+        path = tmp_path / "reserved.qasm"
+        path.write_text(f'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[2] r;\ninput float[64] {name};\nrx({name}) r[0];\n')
+        assert cli.main(["transpile", str(path), "--target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: input '{name}' takes a name the {target} text reserves; rename it\n"
+
     def test_dump_ir(self, bell_file, capsys):
         assert cli.main(["transpile", bell_file, "--dump-ir"]) == 0
         out = capsys.readouterr().out

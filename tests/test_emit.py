@@ -99,11 +99,12 @@ class TestRepeatedOps:
         builder = emit(kernel, "cudaq-builder").text
         assert re.findall(r"kernel\.rz\((-?0\.0), q\[0\]\)", builder) == ["0.0", "-0.0", "0.0", "-0.0"]
 
-    def test_builder_numbers_a_sub_kernel_per_repeated_functional_op(self):
+    def test_builder_defines_each_sub_kernel_shape_once(self):
         source = HEADER + "qubit[2] q;\n" + "negctrl @ x q[0], q[1];\ninv @ ctrl @ s q[0], q[1];\n" * 3
         text = emit(compile_source(source), "cudaq-builder").text
-        assert re.findall(r"kernel\.control\((sub_\d+),", text) == ["sub_0", "sub_2", "sub_3", "sub_5", "sub_6", "sub_8"]
-        assert text.count("cudaq.make_kernel(cudaq.qubit)") == 9
+        assert re.findall(r"kernel\.control\((sub_\w+),", text) == ["sub_x", "sub_adj_s"] * 3
+        assert text.count("cudaq.make_kernel(cudaq.qubit)") == 3
+        assert text.count("\n  kernel.x(q[0])\n") == 6
 
 
 class TestCondBlockStructure:
@@ -297,7 +298,7 @@ class TestTargets:
 
     def test_builder_adjoint_with_controls_wraps_the_adjoint(self):
         # no golden reaches this path: inv plus controls nests an adjoint
-        # sub-kernel inside the controlled one
+        # sub-kernel inside the controlled one; every definition comes first
         source = HEADER + (
             "input float[64] t;\nqubit[3] q;\n"
             "negctrl @ inv @ rx(t) q[0], q[1];\nctrl @ ctrl @ inv @ s q[0], q[1], q[2];\n"
@@ -305,16 +306,63 @@ class TestTargets:
         text = emit(compile_source(source), "cudaq-builder").text
         body = text.split("  q = kernel.qalloc(3)\n", 1)[1].split("  return kernel\n", 1)[0]
         assert body == (
-            "  sub_0, sub_0_a0, sub_0_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
-            "  sub_0.rx(sub_0_a0, sub_0_q0)\n"
-            "  sub_1, sub_1_a0, sub_1_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
-            "  sub_1.adjoint(sub_0, sub_1_a0, sub_1_q0)\n"
+            "  sub_rx, sub_rx_a0, sub_rx_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
+            "  sub_rx.rx(sub_rx_a0, sub_rx_q0)\n"
+            "  sub_adj_rx, sub_adj_rx_a0, sub_adj_rx_q0 = cudaq.make_kernel(float, cudaq.qubit)\n"
+            "  sub_adj_rx.adjoint(sub_rx, sub_adj_rx_a0, sub_adj_rx_q0)\n"
+            "  sub_s, sub_s_q0 = cudaq.make_kernel(cudaq.qubit)\n"
+            "  sub_s.s(sub_s_q0)\n"
+            "  sub_adj_s, sub_adj_s_q0 = cudaq.make_kernel(cudaq.qubit)\n"
+            "  sub_adj_s.adjoint(sub_s, sub_adj_s_q0)\n"
             "  kernel.x(q[0])\n"
-            "  kernel.control(sub_1, q[0], t, q[1])\n"
+            "  kernel.control(sub_adj_rx, q[0], t, q[1])\n"
             "  kernel.x(q[0])\n"
-            "  sub_2, sub_2_q0 = cudaq.make_kernel(cudaq.qubit)\n"
-            "  sub_2.s(sub_2_q0)\n"
-            "  sub_3, sub_3_q0 = cudaq.make_kernel(cudaq.qubit)\n"
-            "  sub_3.adjoint(sub_2, sub_3_q0)\n"
-            "  kernel.control(sub_3, [q[0], q[1]], q[2])\n"
+            "  kernel.control(sub_adj_s, [q[0], q[1]], q[2])\n"
         )
+
+    # name -> the targets that reserve it
+    RESERVED_INPUTS = {
+        "q": EMISSION_TARGETS,
+        "cudaq": EMISSION_TARGETS,
+        "counts": EMISSION_TARGETS,
+        "m0": EMISSION_TARGETS,
+        "cval3": EMISSION_TARGETS,
+        "kernel": ("cudaq-builder",),
+        "build_kernel": ("cudaq-builder",),
+        "list": ("cudaq-builder",),
+        "lambda": ("cudaq-builder",),
+        "cond_0_then": ("cudaq-builder",),
+        "cond_2_else": ("cudaq-builder",),
+        "sub_0": ("cudaq-builder",),
+        "sub_rx": ("cudaq-builder",),
+        "transpiled_kernel": ("cudaq-cpp",),
+        "main": ("cudaq-cpp",),
+        "std": ("cudaq-cpp",),
+        "r1": ("cudaq-cpp",),
+        "t": ("cudaq-cpp",),
+        "auto": ("cudaq-cpp",),
+        "double": ("cudaq-cpp",),
+        "__qpu__": ("cudaq-cpp",),
+        "_Theta": ("cudaq-cpp",),
+    }
+
+    @pytest.mark.parametrize("target", EMISSION_TARGETS)
+    @pytest.mark.parametrize("name", sorted(RESERVED_INPUTS))
+    def test_input_with_a_reserved_name(self, name, target):
+        # the emitted text binds or calls these names itself (or they are
+        # keywords), so an input taking one would make broken source
+        source = f"{HEADER}input float[64] {name};\nqubit[2] r;\nrx({name}) r[0];\ninv @ rz({name}) r[1];\n"
+        kernel = compile_source(source)
+        if target in self.RESERVED_INPUTS[name]:
+            with pytest.raises(UnsupportedForTarget, match=f"^input '{name}' takes a name the {target} text reserves"):
+                emit(kernel, target)
+        else:
+            text = emit(kernel, target).text
+            if target == "cudaq-builder":
+                compile(text, "<builder>", "exec")
+
+    @pytest.mark.parametrize("name", ["theta", "m", "cval", "sub", "cond_x_then", "qq", "_x", "kernels"])
+    def test_near_reserved_names_are_accepted(self, name):
+        source = f"{HEADER}input array[float[64], 2] {name};\nqubit q;\nrx({name}[1]) q;\n"
+        for target in EMISSION_TARGETS:
+            assert f"{name}[1]" in emit(compile_source(source), target).text
