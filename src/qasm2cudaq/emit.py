@@ -109,30 +109,30 @@ class _EmitterBase:
         # classical bit -> local currently holding its value
         self.bit_local: dict[tuple[str, int], str] = {}
         self.cond_count = 0
-        # (base, angles, targets, controls, adjoint, indent) -> indented lines
+        # (base, angles, targets, controls, adjoint, indent) -> indented text
         self.gate_lines: dict[tuple, str] = {}
 
     def line(self, text: str = "") -> None:
         self.lines.append(("  " * self.indent + text) if text else "")
 
-    def gate_line(self, op: Gate) -> str:
-        """The lines of a gate op at the current indent, joined, made once
-        per distinct op value and indent from the target's `render_gate`."""
-        key = (op.base, op.angles, op.targets, op.controls, op.adjoint, self.indent)
-        text = self.gate_lines.get(key)
-        if text is None:
-            text = "\n".join("  " * self.indent + line for line in self.render_gate(op))
-            # 0.0 == -0.0 and they hash alike, but they render differently
-            if 0.0 not in op.angles:
-                self.gate_lines[key] = text
+    def gate_line(self, op: Gate, key: tuple) -> str:
+        """The target's `render_gate` of a gate op at the current indent, kept
+        under `key` (the op's value and the indent) for later ops."""
+        pad = "  " * self.indent
+        text = pad + self.render_gate(op).replace("\n", "\n" + pad)
+        # 0.0 == -0.0 and they hash alike, but they render differently
+        if 0.0 not in op.angles:
+            self.gate_lines[key] = text
         return text
 
     def emit_ops(self, ops: list, top_level: bool) -> None:
-        """Render ops in order: a gate through `gate_line`, a conditional
-        through the target's `emit_cond`."""
+        """Render ops in order: a gate through `gate_line`'s memo, a
+        conditional through the target's `emit_cond`."""
+        append, memo, indent = self.lines.append, self.gate_lines, self.indent
         for op in ops:
             if isinstance(op, Gate):
-                self.lines.append(self.gate_line(op))
+                key = (op.base, op.angles, op.targets, op.controls, op.adjoint, indent)
+                append(memo.get(key) or self.gate_line(op, key))
             elif isinstance(op, Measure):
                 name = self.measure_name(op)
                 self.line(self.MEASURE[not top_level].format(name, op.qubit))
@@ -255,7 +255,7 @@ class _CppEmitter(_EmitterBase):
             self.indent -= 1
         self.line("}")
 
-    def render_gate(self, op: Gate) -> list[str]:
+    def render_gate(self, op: Gate) -> str:
         name = _GATE_NAME.get(op.base, op.base)
         mods = []
         if op.controls:
@@ -267,7 +267,7 @@ class _CppEmitter(_EmitterBase):
         args = [_angle_text(a, self.kernel) for a in op.angles]
         args += [f"!q[{q}]" if pol == NEG else f"q[{q}]" for q, pol in op.controls]
         args += [f"q[{t}]" for t in op.targets]
-        return [f"{name}({', '.join(args)});"]
+        return f"{name}({', '.join(args)});"
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ class _BuilderEmitter(_EmitterBase):
             self.line()
             self.line(f"kernel.c_if({self.cond_text(pred, subject, negate=True)}, {else_name})")
 
-    def render_gate(self, op: Gate) -> list[str]:
+    def render_gate(self, op: Gate) -> str:
         """The plain call, or the `c<name>` sugar for a single positive
         control; else the gate's sub-kernel by kernel.adjoint or
         kernel.control (an adjoint one wrapped to take controls), with an X
@@ -365,19 +365,20 @@ class _BuilderEmitter(_EmitterBase):
         name = _GATE_NAME.get(op.base, op.base)
         angles = [_angle_text(a, self.kernel) for a in op.angles]
         targets = [f"q[{t}]" for t in op.targets]
+        if not op.adjoint and not op.controls:
+            return f"kernel.{name}({', '.join(angles + targets)})"
         ctrls = [f"q[{q}]" for q, _ in op.controls]
-        sugar = len(ctrls) == 1 and op.controls[0][1] == POS and op.base in _BUILDER_CTRL_SUGAR
-        if not op.adjoint and (sugar or not ctrls):
-            return [f"kernel.{'c' if ctrls else ''}{name}({', '.join(angles + ctrls + targets)})"]
+        if not op.adjoint and len(ctrls) == 1 and op.controls[0][1] == POS and op.base in _BUILDER_CTRL_SUGAR:
+            return f"kernel.c{name}({', '.join(angles + ctrls + targets)})"
         args = ", ".join(angles + targets)
         sub = self.sub_kernel(name, len(angles), len(targets))
         if not ctrls:
-            return [f"kernel.adjoint({sub}, {args})"]
+            return f"kernel.adjoint({sub}, {args})"
         if op.adjoint:
             sub = self.sub_kernel("adjoint", len(angles), len(targets), sub)
         flips = [f"kernel.x(q[{q}])" for q, pol in op.controls if pol == NEG]
         ctrl_expr = ctrls[0] if len(ctrls) == 1 else f"[{', '.join(ctrls)}]"
-        return [*flips, f"kernel.control({sub}, {ctrl_expr}, {args})", *reversed(flips)]
+        return "\n".join([*flips, f"kernel.control({sub}, {ctrl_expr}, {args})", *reversed(flips)])
 
     def sub_kernel(self, method: str, n_angles: int, n_targets: int, *lead: str) -> str:
         """The sub-kernel over n_angles floats and n_targets qubits whose body
@@ -388,9 +389,8 @@ class _BuilderEmitter(_EmitterBase):
         if sub not in self.prologue:
             names = [f"{sub}_a{i}" for i in range(n_angles)] + [f"{sub}_q{j}" for j in range(n_targets)]
             types = ", ".join(["float"] * n_angles + ["cudaq.qubit"] * n_targets)
-            self.prologue[sub] = (
-                f"  {sub}, {', '.join(names)} = cudaq.make_kernel({types})\n  {sub}.{method}({', '.join([*lead, *names])})"
-            )
+            self.prologue[sub] = (f"  {sub}, {', '.join(names)} = cudaq.make_kernel({types})\n"
+                                  f"  {sub}.{method}({', '.join([*lead, *names])})")
         return sub
 
 
