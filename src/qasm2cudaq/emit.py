@@ -44,15 +44,6 @@ _BUILDER_CTRL_SUGAR = frozenset("x y z h rx ry rz p".split())
 
 _NEGATE_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
-_CPP_KEYWORDS = (
-    "alignas alignof and and_eq asm auto bitand bitor bool break case catch char char8_t char16_t char32_t class compl "
-    "concept const consteval constexpr constinit const_cast continue co_await co_return co_yield decltype default delete "
-    "do double dynamic_cast else enum explicit export extern false float for friend goto if inline int long mutable "
-    "namespace new noexcept not not_eq nullptr operator or or_eq private protected public register reinterpret_cast "
-    "requires return short signed sizeof static static_assert static_cast struct switch template this thread_local throw "
-    "true try typedef typeid typename union unsigned using virtual void volatile wchar_t while xor xor_eq".split()
-)
-
 
 @dataclass
 class EmittedSource:
@@ -90,16 +81,17 @@ def _layout_comments(kernel: Kernel, comment: str) -> list[str]:
 
 class _EmitterBase:
     # Each target names itself and formats its measure line (at top level,
-    # then in a conditional body) from the local's name and the qubit, and its
-    # reset line from the qubit; RESERVED matches the names an input may not take.
+    # then in a conditional body) from the local's name and the qubit, its
+    # reset line from the qubit, and the names no input may take.
     TARGET: str
     MEASURE: tuple[str, str]
     RESET: str
-    RESERVED: re.Pattern
+    RESERVED: frozenset[str]
+    RESERVED_FORM: re.Pattern
 
     def __init__(self, kernel: Kernel):
         for p in kernel.param_layout:
-            if self.RESERVED.fullmatch(p.name):
+            if p.name in self.RESERVED or self.RESERVED_FORM.fullmatch(p.name):
                 raise UnsupportedForTarget(f"input '{p.name}' takes a name the {self.TARGET} text reserves; rename it")
         self.kernel = kernel
         self.lines: list[str] = []
@@ -179,8 +171,16 @@ class _CppEmitter(_EmitterBase):
     TARGET = "cudaq-cpp"
     MEASURE = ("auto {} = mz(q[{}]);", "{} = mz(q[{}]);")
     RESET = "reset(q[{}]);"
-    RESERVED = re.compile("|".join(_CPP_KEYWORDS) + r"|q|cudaq|counts|transpiled_kernel|main|std|(m|cval)\d+"
-                          r"|_[A-Z].*|.*__.*|x|y|z|h|s|t|sx|rx|ry|rz|r1|u3|swap|mz|reset")
+    RESERVED = frozenset(
+        "q cudaq counts transpiled_kernel main std x y z h s t sx rx ry rz r1 u3 swap mz reset alignas alignof and and_eq "
+        "asm auto bitand bitor bool break case catch char char8_t char16_t char32_t class compl concept const consteval "
+        "constexpr constinit const_cast continue co_await co_return co_yield decltype default delete do double dynamic_cast "
+        "else enum explicit export extern false float for friend goto if inline int long mutable namespace new noexcept "
+        "not not_eq nullptr operator or or_eq private protected public register reinterpret_cast requires return short "
+        "signed sizeof static static_assert static_cast struct switch template this thread_local throw true try typedef "
+        "typeid typename union unsigned using virtual void volatile wchar_t while xor xor_eq".split()
+    )
+    RESERVED_FORM = re.compile(r"(m|cval)\d+|_[A-Z].*|.*__.*")
 
     def emit(self) -> str:
         k = self.kernel
@@ -279,8 +279,8 @@ class _BuilderEmitter(_EmitterBase):
     TARGET = "cudaq-builder"
     MEASURE = ("{} = kernel.mz(q[{}])",) * 2
     RESET = "kernel.reset(q[{}])"
-    RESERVED = re.compile("|".join(keyword.kwlist) + r"|q|kernel|cudaq|build_kernel|counts|float|list"
-                          r"|(m|cval)\d+|cond_\d+_(then|else)|sub_.*")
+    RESERVED = frozenset(keyword.kwlist + "q kernel cudaq build_kernel counts float list".split())
+    RESERVED_FORM = re.compile(r"(m|cval)\d+|cond_\d+_(then|else)|sub_.*")
 
     def emit(self) -> str:
         k = self.kernel

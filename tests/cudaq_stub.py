@@ -112,8 +112,6 @@ class _Value:
             raise StubError(f"cannot or a handle with {other!r}")
         return _Pack(self.terms + other.terms)
 
-    __hash__ = None
-
     def _compare(self, comparator: str, rhs):
         if type(rhs) is not int or rhs < 0:
             raise StubError(f"a handle is compared with a non-negative int, not {rhs!r}")
@@ -197,8 +195,14 @@ class _Kernel:
             if not (_is_qubit(arg) if formal.type is qubit else _is_angle(arg)):
                 raise StubError(f"argument {formal.index} of a sub-kernel must be a {formal.type.__name__}")
         binding = {id(f): a for f, a in zip(sub.formals, args)}
-        bind = lambda items: tuple(binding.get(id(x), x) for x in items)  # noqa: E731
-        return [Gate(g.base, bind(g.angles), bind(g.targets), tuple(zip(bind(q for q, _ in g.controls), (p for _, p in g.controls))), g.adjoint) for g in sub.ops]
+
+        def bind(x):
+            return binding.get(id(x), x)
+
+        return [
+            Gate(g.base, tuple(map(bind, g.angles)), tuple(map(bind, g.targets)), tuple((bind(q), p) for q, p in g.controls), g.adjoint)
+            for g in sub.ops
+        ]
 
     def control(self, sub, ctrl, *args) -> None:
         ctrls = ctrl if isinstance(ctrl, list) else [ctrl]
@@ -250,7 +254,10 @@ class _Recorder:
         return handle
 
     def predicate(self, cond) -> kir.Predicate:
-        value, comparator, rhs = (cond.value, cond.comparator, cond.rhs) if isinstance(cond, _Cond) else (cond, "truthy", 0)
+        if isinstance(cond, _Cond):
+            value, comparator, rhs = cond.value, cond.comparator, cond.rhs
+        else:
+            value, comparator, rhs = cond, "truthy", 0
         if not isinstance(value, _Value):
             raise StubError(f"c_if on {cond!r}, not a condition over measure handles")
         for handle, _ in value.terms:
@@ -302,8 +309,10 @@ class _Recorder:
                         raise StubError(f"kernel.{op.base} names a qubit twice")
                     controls = tuple((index(c), p) for c, p in op.controls)
                     op = Gate(op.base, tuple(map(angle, op.angles)), tuple(map(index, op.targets)), controls, op.adjoint)
-                elif isinstance(op, (Measure, Reset)):
-                    op = type(op)(index(op.qubit), *([op.bit] if isinstance(op, Measure) else []))
+                elif isinstance(op, Measure):
+                    op = Measure(index(op.qubit), op.bit)
+                elif isinstance(op, Reset):
+                    op = Reset(index(op.qubit))
                 else:
                     op = CondBlock(op.predicate, body(op.then_body), [])
                 out.append(op)

@@ -211,8 +211,8 @@ def histogram(source: str, seed: int) -> list[list]:
 _DIGEST_FLAT = ((2, 40, 1), (5, 300, 2), (9, 800, 3), (14, 1500, 4), (20, 2500, 5))
 
 # A loop over user gates whose bodies repeat the same ops, with both zero
-# signs, negative and nested controls, `inv @ ctrl` (a builder sub-kernel per
-# call) and runtime-parameter angles.
+# signs, negative and nested controls, `inv @ ctrl` (the builder's wrapped
+# adjoint sub-kernel) and runtime-parameter angles.
 _DIGEST_LOOP = _kernel(
     "input float[64] alpha;\ninput array[float[64], 3] theta;\n"
     "gate zz(t) a, b { cx a, b; rz(t) b; cx a, b; }\n"
