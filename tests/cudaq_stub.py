@@ -347,23 +347,22 @@ CHECK_SHOTS = 256
 TRAJECTORY_SHOTS = 32
 
 
-def check_builder(source: kir.Kernel, text: str) -> kir.Kernel:
+def check_builder(source: kir.Kernel, text: str) -> None:
     """Rebuild `text` and require it to mean `source` (see the module
-    docstring); returns the rebuilt kernel."""
+    docstring)."""
     rebuilt = rebuild(text, source)
     assert rebuilt.qubit_count == source.qubit_count
     if rebuilt.body == source.body:
-        return rebuilt  # equal op lists simulate to bit-identical results
+        return  # equal op lists simulate to bit-identical results
     values = [0.3 + 0.1 * k for k in range(source.total_params)]
     want, got = kir.bind(source, values), kir.bind(rebuilt, values)
     if not any(isinstance(op, (Measure, Reset, CondBlock)) for op in source.body):
         assert all(isinstance(op, Gate) for op in rebuilt.body)
         np.testing.assert_allclose(sim.statevector(got).amps, sim.statevector(want).amps, rtol=0, atol=1e-12)
-        return rebuilt
+        return
     assert sim.sample(got, CHECK_SHOTS, CHECK_SEED).counts == sim.sample(want, CHECK_SHOTS, CHECK_SEED).counts
     for shot in range(TRAJECTORY_SHOTS):
         key, state = sim.run_trajectory(got, sim.RngStream.for_shot(CHECK_SEED, shot))
         want_key, want_state = sim.run_trajectory(want, sim.RngStream.for_shot(CHECK_SEED, shot))
         assert key == want_key, f"shot {shot}"
         np.testing.assert_allclose(state.amps, want_state.amps, rtol=0, atol=1e-12, err_msg=f"shot {shot}")
-    return rebuilt

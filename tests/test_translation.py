@@ -48,7 +48,7 @@ def _check(source: str):
     kernel = compile_source(source)
     text = emit(kernel, "cudaq-builder").text
     _assert_each_shape_defined_once(text)
-    return check_builder(kernel, text)
+    check_builder(kernel, text)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
