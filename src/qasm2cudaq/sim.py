@@ -37,38 +37,51 @@ diagonal gate that would outgrow the cap, first applies the table. At the
 end the products still pending are applied by windows of up to `_WINDOW`
 adjacent qubits: the Kronecker product of a window's pending matrices and
 identities is one 2^k product over the window's qubits as one axis, through
-the same fold or batched route and the spare buffer as a 2x2. `statevector`
-and the static sampler build the final state by one such build, after
-moving to the front the one-qubit gates on a qubit before its first
-multi-qubit gate (all of them, on a qubit never entangled): each qubit's
-gates are multiplied into its column on |0>, and the state starts as the
-outer product of the columns.
+the same fold or batched route and the spare buffer as a 2x2.
+
+`statevector` and the static sampler build the final state once. The
+one-qubit gates on a qubit before its first multi-qubit gate (all of them,
+on a qubit never entangled) move to the front: each qubit's gates are
+multiplied into its column on |0>. Only the entangled qubits, the block, go
+through a build, renumbered in order and started from the outer product of
+their columns, so each gate pass spans 2^b amplitudes for a block of b
+qubits: a lone qubit, one no multi-qubit gate touches, adds none. The state
+is then the block's state times the outer product of the lone columns, one
+broadcast product over a view whose axes are the runs of block and lone
+qubits, the same runs the phase table merges. With no lone qubit the block
+is the state and there is no join.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
 it executes, in program order, so a histogram depends only on (seed, shots)
 and never on the worker count. `ShotStreams` holds the streams of many shots
-as uint64 arrays and advances any subset of them at once; `RngStream` is one
-row of it. The classical bits of a shot are one int mask whose binary form
-is its histogram key. A static kernel is simulated once and every shot takes
-one draw, the first of its stream, against the cumulative distribution. That
+as uint64 arrays and advances them all at once; `RngStream` is one row of
+it. The classical bits of a shot are one int mask whose binary form is its
+histogram key. A static kernel is simulated once and every shot takes one
+draw, the first of its stream, against the cumulative distribution. That
 draw reads two of the four state words, so `_first_draws` computes it from
 the seed without building the streams, and the draws are searched over the
 running sums of the nonzero probabilities alone. A dynamic kernel is walked
 depth first over a flattened body (each CondBlock becomes a conditional
 jump) by groups of shots that share one state and one classical mask, so
 gates and predicates run once per group; a group's gates go through one
-build, finished before each measure or reset and at the group's end. At a
-measure or reset the group draws for all its shots against one p1 and
-splits into at most two branches. The branch with fewer shots is walked
-first and the other waits, holding a state copy while the live states fit
-in `_BRANCH_BYTES`; past that budget it
-keeps only its shot indices and is replayed later from |0...0> with fresh
-streams, on which its shots draw the same values and so retrace the same
-path. Walking the smaller branch first keeps at most log2(chunk) branches
-waiting. Shots are taken in chunks of `_SHOT_CHUNK` consecutive indices, so
-no array grows with the shot count. `run_trajectory` is the one-shot case of
-the same walk: one row, which never splits.
+build, finished before each measure or reset and at the group's end. Each
+group owns the streams of its shots. At a measure or reset whose p1 is
+neither 0 nor at least 1 the group draws for all its shots against p1 and
+splits into at most two branches, each taking its own shots' streams. An
+outcome of p1 exactly 0, or at least 1, is the same for every draw: the
+group takes no draw and does not split, but counts the draw as skipped and
+advances its streams past the skipped draws before its next real one, so
+every shot draws the values it would draw one at a time. The branch with
+fewer shots is walked first and the other waits, holding a state copy while
+the live states fit in `_BRANCH_BYTES`; past that budget it keeps only its
+shot indices and is replayed later from |0...0> with fresh streams, on
+which its shots draw the same values and so retrace the same path. Walking
+the smaller branch first keeps at most log2(chunk) branches waiting. Shots
+are taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows
+with the shot count. `run_trajectory`, `measure` and `reset` are the
+one-shot case of the same walk: one row, which never splits, drawing from
+the caller's stream, which advances one draw per measure or reset executed.
 """
 
 from __future__ import annotations
@@ -140,19 +153,37 @@ class ShotStreams:
         state, self.s2 = _splitmix64_vec(state)
         state, self.s3 = _splitmix64_vec(state)
 
-    def uniform(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Next uniform double in [0, 1), with 53 random bits, of each given
-        row; the other rows do not advance."""
-        s0, s1, s2, s3 = self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows]
-        result = _rotl_vec(s0 + s3, 23) + s0
-        t = s1 << _U(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        self.s0[rows], self.s1[rows], self.s2[rows], self.s3[rows] = s0, s1, s2, _rotl_vec(s3, 45)
-        return (result >> _U(11)).astype(np.float64) * 2.0**-53
+    def uniform(self) -> np.ndarray:
+        """Next uniform double in [0, 1), with 53 random bits, of each row."""
+        result = _rotl_vec(self.s0 + self.s3, 23)
+        result += self.s0
+        self.skip(1)
+        result >>= _U(11)
+        # below 2^53 the int64 view converts exactly, and faster than uint64
+        return np.multiply(result.view(np.int64), 2.0**-53)
+
+    def skip(self, steps: int) -> None:
+        """Advance every row by `steps` draws without computing them, in
+        place."""
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        t = np.empty_like(s0)
+        for _ in range(steps):
+            np.left_shift(s1, _U(17), out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, _U(45), out=t)  # s3 = rotl(s3, 45)
+            s3 >>= _U(19)
+            s3 |= t
+
+    def take(self, rows: np.ndarray) -> "ShotStreams":
+        """The streams of the given rows, in that order, in arrays of their
+        own."""
+        part = ShotStreams.__new__(ShotStreams)
+        part.s0, part.s1, part.s2, part.s3 = (word.take(rows) for word in (self.s0, self.s1, self.s2, self.s3))
+        return part
 
 
 _GOLDEN4_U = _U((4 * 0x9E3779B97F4A7C15) & _MASK)
@@ -544,16 +575,35 @@ def _flatten(ops: list, layout: _Layout, out: list | None = None) -> list:
     return out
 
 
+class _CallerStream:
+    """The draws of a one-shot walk: the caller's stream, any object with
+    uniform(), as a one-row draw source. A one-row group never splits."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self) -> np.ndarray:
+        return np.array([self.rng.uniform()])
+
+    def skip(self, steps: int) -> None:
+        for _ in range(steps):
+            self.rng.uniform()
+
+
 @dataclass
 class _Group:
-    """Shots (rows of the draw source) at program position pc with the
-    classical mask `mask`; a group with no state waits to be replayed from
-    |0...0>."""
+    """Shots at program position pc with the classical mask `mask`: `rows`
+    are their indices in the chunk, and row i of `streams` is the draw
+    source of shot rows[i], behind by `skipped` draws it has not taken. A
+    group with no state waits to be replayed from |0...0> with fresh
+    streams."""
 
     pc: int
     state: StateVector | None
     mask: int
     rows: np.ndarray
+    streams: ShotStreams | _CallerStream | None
+    skipped: int = 0
 
 
 def _settle(state: StateVector, mask: int, op, outcome: int, p1: float) -> int:
@@ -586,18 +636,22 @@ def _settle(state: StateVector, mask: int, op, outcome: int, p1: float) -> int:
     return mask
 
 
-def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
+def _walk(program: list, params: tuple[float, ...], root: _Group):
     """Run `root` to the end of the flattened program, depth first. Yields
     every finished group, and every waiting branch that did not fit the
-    byte budget as a stateless group. `draw(rows)` returns the next uniform
-    of each row. A group's gates go through one `_GateBuild`, finished
-    before each measure or reset and at the group's end."""
+    byte budget as a stateless group. A group's gates go through one
+    `_GateBuild`, finished before each measure or reset and at the group's
+    end. An outcome of probability 0 or 1 is the same for every draw, so
+    it takes none: the group counts it as skipped and advances its streams
+    past the skipped draws before its next real one."""
     pending = [root]
     state_bytes = root.state.amps.nbytes
     live = 1
     while pending:
         group = pending.pop()
-        pc, state, mask, rows = group.pc, group.state, group.mask, group.rows
+        pc, state, mask, rows, streams, skipped = (
+            group.pc, group.state, group.mask, group.rows, group.streams, group.skipped
+        )
         build = _GateBuild(state)
         while pc < len(program):
             op = program[pc]
@@ -607,20 +661,28 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
             elif isinstance(op, (_Write, Reset)):
                 build.finish()
                 p1 = _p1(state, op.qubit)
-                hit = draw(rows) < p1
-                outcome = int(hit[0])
-                if hit.any() != hit.all():  # both outcomes occur: split
-                    ones, zeros = rows[hit], rows[~hit]
-                    if ones.size < zeros.size:
-                        rows, outcome, later, other = ones, 1, zeros, 0
-                    else:
-                        rows, outcome, later, other = zeros, 0, ones, 1
-                    if (live + 1) * state_bytes <= _BRANCH_BYTES:
-                        copy = state.copy()
-                        pending.append(_Group(pc, copy, _settle(copy, mask, op, other, p1), later))
-                        live += 1
-                    else:
-                        yield _Group(pc, None, 0, later)
+                if p1 == 0.0 or p1 >= 1.0:  # the same outcome on every draw
+                    skipped += 1
+                    outcome = int(p1 >= 1.0)
+                else:
+                    if skipped:
+                        streams.skip(skipped)
+                        skipped = 0
+                    hit = streams.uniform() < p1
+                    outcome = int(hit[0])
+                    if hit.any() != hit.all():  # both outcomes occur: split
+                        # integer takes: a boolean mask index of random bits is several times slower
+                        ones, zeros = np.flatnonzero(hit), np.flatnonzero(~hit)
+                        (rows, streams, outcome), (later, later_streams, other) = sorted(
+                            [(rows.take(zeros), streams.take(zeros), 0), (rows.take(ones), streams.take(ones), 1)],
+                            key=lambda branch: branch[0].size,
+                        )
+                        if (live + 1) * state_bytes <= _BRANCH_BYTES:
+                            copy = state.copy()
+                            pending.append(_Group(pc, copy, _settle(copy, mask, op, other, p1), later, later_streams))
+                            live += 1
+                        else:
+                            yield _Group(pc, None, 0, later, None)
                 mask = _settle(state, mask, op, outcome, p1)
             elif isinstance(op, _Branch):
                 if not op.compare((mask >> op.shift) & op.ones, op.rhs):
@@ -630,16 +692,18 @@ def _walk(program: list, params: tuple[float, ...], root: _Group, draw):
             elif not isinstance(op, Nop):
                 raise SimError(f"unknown op {op!r}")
         build.finish()
-        yield _Group(pc, state, mask, rows)
+        yield _Group(pc, state, mask, rows, streams, skipped)
         live -= 1
 
 
 def _one_shot(state: StateVector, program: list, params: tuple[float, ...], rng: RngStream) -> int:
     """Run a flattened program on `state` as one shot drawing from `rng`:
     the walk with a single row, which never splits, so `state` ends as the
-    shot's final state (its amplitudes may be a new array). Returns the mask."""
-    root = _Group(0, state, 0, np.zeros(1, dtype=np.intp))
-    (end,) = _walk(program, params, root, lambda rows: np.array([rng.uniform()]))
+    shot's final state (its amplitudes may be a new array). `rng` advances
+    one draw per measure or reset executed, skipped or not. Returns the mask."""
+    root = _Group(0, state, 0, np.zeros(1, dtype=np.intp), _CallerStream(rng))
+    (end,) = _walk(program, params, root)
+    end.streams.skip(end.skipped)
     return end.mask
 
 
@@ -719,18 +783,22 @@ def _apply_phases(state: StateVector, qubits: list[int], table: np.ndarray) -> N
         qubits = qubits + extra
     order = sorted(range(len(qubits)), key=lambda i: -qubits[i])
     table = table.transpose(order)
-    inside = set(qubits)
-    view_shape: list[int] = []
-    table_shape: list[int] = []
-    q = state.n - 1
+    runs = _runs(state.n, set(qubits))
+    view = state.amps.reshape([size for size, _ in runs])
+    view *= table.reshape([size if member else 1 for size, member in runs])
+
+
+def _runs(n: int, inside: set[int]) -> list[tuple[int, bool]]:
+    """The qubits from n-1 down to 0 as runs of adjacent qubits all in, or
+    all out of, `inside`: (amplitudes the run spans, whether it is in)."""
+    runs = []
+    q = n - 1
     while q >= 0:
         top, member = q, q in inside
         while q >= 0 and (q in inside) == member:
             q -= 1
-        view_shape.append(1 << (top - q))
-        table_shape.append(view_shape[-1] if member else 1)
-    view = state.amps.reshape(view_shape)
-    view *= table.reshape(table_shape)
+        runs.append((1 << (top - q), member))
+    return runs
 
 
 class _GateBuild:
@@ -872,9 +940,11 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
 
     One-qubit gates on a qubit before its first multi-qubit gate (all of
     them on a qubit that is never entangled) commute to the front: they are
-    multiplied into that qubit's column on |0>, and the build starts from
-    the outer product of the columns. The other gates go through
-    `_GateBuild`."""
+    multiplied into that qubit's column on |0>. Only the entangled qubits,
+    the block, renumbered in order, go through `_GateBuild`, which starts
+    from the outer product of their columns. The state is then the block's
+    state times the product of the lone qubits' columns, one broadcast
+    product over the runs of block and lone qubits."""
     n = bound.kernel.qubit_count
     _check_width(n)
     columns = [_KET0] * n
@@ -890,10 +960,21 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
         else:
             entangled.update(qubits)
             rest.append((op, mat))
-    build = _GateBuild(StateVector(n, _product_state(columns)))
-    for op, mat in rest:
-        build.gate(op, mat)
-    return build.finish()
+    block = sorted(entangled)
+    index = {q: i for i, q in enumerate(block)}
+    build = _GateBuild(StateVector(len(block), _product_state([columns[q] for q in block])))
+    for op, mat in rest:  # ops are shared, so the build gets renumbered copies
+        targets = tuple(index[q] for q in op.targets)
+        build.gate(Gate(op.base, op.angles, targets, tuple((index[q], pol) for q, pol in op.controls), op.adjoint), mat)
+    amps = build.finish().amps
+    if len(block) < n:
+        runs = _runs(n, entangled)
+        lone = _product_state([col for q, col in enumerate(columns) if q not in entangled])
+        lone = lone.reshape([1 if member else size for size, member in runs])
+        amps = amps.reshape([size if member else 1 for size, member in runs])
+        # with no block the lone product is the whole state, and takes it in place
+        amps = np.multiply(amps, lone, out=None if block else lone)
+    return StateVector(n, amps.ravel())
 
 
 def _chunks(shots: int):
@@ -910,8 +991,8 @@ def _trajectory_counts(bound: BoundKernel, layout: _Layout, seed: int, shots: in
         todo = [chunk]
         while todo:
             indices = todo.pop()
-            root = _Group(0, StateVector.zero(kernel.qubit_count), 0, np.arange(indices.size))
-            for group in _walk(program, bound.values, root, ShotStreams(seed, indices).uniform):
+            root = _Group(0, StateVector.zero(kernel.qubit_count), 0, np.arange(indices.size), ShotStreams(seed, indices))
+            for group in _walk(program, bound.values, root):
                 if group.state is None:
                     todo.append(indices[group.rows])
                 else:

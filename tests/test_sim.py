@@ -724,15 +724,24 @@ class TestShotStreams:
             expected = [rng.uniform() for rng in scalar]
             assert streams.uniform().tolist() == expected
 
-    def test_only_given_rows_advance(self):
-        streams = sim.ShotStreams(9, np.arange(4))
-        scalar = [ScalarStream.for_shot(9, s) for s in range(4)]
-        rows = np.array([1, 3])
-        first = streams.uniform(rows)
-        assert first.tolist() == [scalar[1].uniform(), scalar[3].uniform()]
-        assert streams.uniform().tolist() == [
-            scalar[0].uniform(), scalar[1].uniform(), scalar[2].uniform(), scalar[3].uniform()
-        ]
+    def test_split_rows_and_skip_ahead(self):
+        def draws(shot: int, count: int) -> list[float]:
+            rng = ScalarStream.for_shot(9, shot)
+            return [rng.uniform() for _ in range(count)]
+
+        streams = sim.ShotStreams(9, np.arange(5))
+        assert streams.uniform().tolist() == [draws(s, 1)[0] for s in range(5)]
+        # a split takes each branch's rows, in any order
+        ones, zeros = streams.take(np.array([1, 3, 4])), streams.take(np.array([2, 0]))
+        assert ones.uniform().tolist() == [draws(s, 2)[1] for s in (1, 3, 4)]
+        assert zeros.uniform().tolist() == [draws(s, 2)[1] for s in (2, 0)]
+        # the branches own copies of their rows: the streams taken from did not move
+        assert streams.uniform().tolist() == [draws(s, 2)[1] for s in range(5)]
+        taken = 2
+        for k in (0, 1, 3):  # skipping k steps, then drawing, gives the (k+1)-th draw
+            ones.skip(k)
+            taken += k + 1
+            assert ones.uniform().tolist() == [draws(s, taken)[-1] for s in (1, 3, 4)]
 
 
 def _per_shot_counts(kernel: kir.Kernel, shots: int, seed: int) -> dict:
@@ -827,6 +836,50 @@ class TestBranchingSampler:
             tracemalloc.stop()
         assert counts == expected
         assert peak <= 4 * state_bytes
+
+
+# Every measure and reset reads a qubit of probability 0 or 1: key c = 111, d = 0.
+_CERTAIN = (
+    f"{HEADER}qubit[3] q;\nbit[3] c;\nbit d;\nx q[0];\nc[0] = measure q[0];\n"
+    "if (c[0] == 1) { x q[1]; }\nreset q[0];\ncx q[1], q[2];\nc[1] = measure q[1];\n"
+    "c[2] = measure q[2];\nreset q[1];\nd = measure q[1];\n"
+)
+# Certain outcomes around random ones, with and without a split between them.
+_MIXED = (
+    f"{HEADER}qubit[3] q;\nbit[2] c;\nbit[2] d;\nx q[0];\nc[0] = measure q[0];\nh q[1];\n"
+    "c[1] = measure q[1];\nif (c[1] == 1) { x q[2]; }\nreset q[0];\nd[0] = measure q[2];\n"
+    "h q[0];\nd[1] = measure q[0];\nreset q[2];\nc[0] = measure q[2];\nh q[2];\nreset q[2];\n"
+)
+
+
+class TestCertainOutcomes:
+    """A measure or reset whose outcome has probability 0 or 1 takes no
+    draw; the group's streams skip it before their next real draw, so every
+    shot still draws what the per-shot reference draws."""
+
+    def test_no_draw_when_every_outcome_is_certain(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("drew for a certain outcome")
+
+        monkeypatch.setattr(sim.ShotStreams, "uniform", no_draw)
+        assert sim.sample(bound(_CERTAIN), 300, 5).counts == {"1110": 300}
+
+    @pytest.mark.parametrize("budget", ["default", "one-state"])
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    def test_mixed_matches_per_shot_reference(self, monkeypatch, budget, seed):
+        bk = bound(_MIXED)
+        if budget == "one-state":  # every waiting branch is replayed
+            monkeypatch.setattr(sim, "_BRANCH_BYTES", 16 << bk.kernel.qubit_count)
+        assert sim.sample(bk, 60, seed).counts == _per_shot_counts(bk.kernel, 60, seed)
+
+    def test_caller_stream_takes_one_draw_per_measure_or_reset(self):
+        state, rng, ref = StateVector.zero(2), RngStream(4), RngStream(4)
+        assert sim.measure(state, 1, rng) == 0
+        sim.reset(state, 0, rng)
+        ref.uniform(), ref.uniform()
+        key, _ = sim.run_trajectory(bound(_CERTAIN), rng)
+        assert key == "1110"
+        assert [rng.uniform() for _ in range(3)] == [ref.uniform() for _ in range(9)][-3:]
 
 
 class TestExpvalZStrings:
@@ -937,6 +990,50 @@ class TestGatesOnlyPlan:
         state = sim.statevector(kir.BoundKernel(kernel, ()))
         np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], atol=1e-12)
         assert flushes == [[0, 1], [1, 2], [2, 3], [1, 3]]
+
+    @pytest.mark.parametrize(
+        "block", [[1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [1, 2, 4], []], ids=["lone-q0", "lone-top", "interleaved", "all-lone"]
+    )
+    def test_lone_qubit_layouts_match_oracle(self, monkeypatch, block):
+        # only the block goes through the build; lone qubits join after it
+        n = 6
+        body = [Gate("ry", (0.3 + 0.4 * q,), (q,), ()) for q in range(n)]
+        body += [Gate("rz", (0.5 + 0.2 * q,), (q,), ()) for q in range(n)]
+        body += [Gate("x", (), (b,), ((a, kir.POS),)) for a, b in zip(block, block[1:])]
+        if block:
+            body.append(Gate("p", (0.7,), (block[0],), ((block[-1], kir.NEG),)))
+        body += [Gate("h", (), (q,), ()) for q in range(n)] + [Gate("t", (), (q,), (), True) for q in range(n)]
+        widths = []
+        init = sim._GateBuild.__init__
+        monkeypatch.setattr(sim._GateBuild, "__init__", lambda build, state: widths.append(state.n) or init(build, state))
+        gates = kir.Kernel(n, [("q", n)], [], [], body)
+        state = sim.statevector(kir.BoundKernel(gates, ()))
+        assert widths == [len(block)]
+        expected = oracle_unitary(gates)[:, 0]
+        np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
+        measured = kir.Kernel(n, [("q", n)], [], [("c", n)], body + [Measure(q, ("c", q)) for q in range(n)])
+        hist = sim.sample(kir.BoundKernel(measured, ()), 300, 17)
+        draws = sim.ShotStreams(17, np.arange(300)).uniform()
+        idx = np.minimum(np.searchsorted(np.cumsum(np.abs(expected) ** 2), draws, side="right"), expected.size - 1)
+        assert hist.counts == dict(Counter("".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()))
+
+    def test_lone_qubits_never_take_a_full_state_pass(self):
+        # a build over all 20 qubits holds the state and its spare: twice
+        # the final state's bytes, where the block of 2 qubits needs none
+        n = 20
+        body = [Gate("h", (), (q,), ()) for q in range(n)] + [Gate("ry", (0.1 * q,), (q,), ()) for q in range(n)]
+        body += [Gate("x", (), (n - 1,), ((0, kir.POS),)), Gate("rx", (0.4,), (0,), ())]
+        tracemalloc.start()
+        try:
+            state = sim.statevector(kir.BoundKernel(kir.Kernel(n, [("q", n)], [], [], body), ()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * state.amps.nbytes
+        build = sim._GateBuild(StateVector.zero(n))
+        for op in body:
+            build.gate(op, sim.gate_matrix(op))
+        np.testing.assert_allclose(state.amps, build.finish().amps, rtol=0, atol=1e-12)
 
 
 def _oracle_state(n: int, ops: list[Gate], amps: np.ndarray | None = None) -> np.ndarray:
