@@ -39,17 +39,21 @@ adjacent qubits: the Kronecker product of a window's pending matrices and
 identities is one 2^k product over the window's qubits as one axis, through
 the same fold or batched route and the spare buffer as a 2x2.
 
-`statevector` and the static sampler build the final state once. The
-one-qubit gates on a qubit before its first multi-qubit gate (all of them,
-on a qubit never entangled) move to the front: each qubit's gates are
-multiplied into its column on |0>. Only the entangled qubits, the block, go
-through a build, renumbered in order and started from the outer product of
-their columns, so each gate pass spans 2^b amplitudes for a block of b
-qubits: a lone qubit, one no multi-qubit gate touches, adds none. The state
-is then the block's state times the outer product of the lone columns, one
-broadcast product over a view whose axes are the runs of block and lone
-qubits, the same runs the phase table merges. With no lone qubit the block
-is the state and there is no join.
+`statevector` and the static sampler build the final state once. A qubit
+is lone until a gate entangles it, and its column on |0> holds its exact
+state: its one-qubit gates are multiplied into the column, and an
+uncontrolled swap of two lone qubits exchanges their columns. A control on
+a lone qubit whose column is exactly zero at the other polarity always
+holds and is dropped; one whose column is exactly zero at its own polarity
+never holds, and the gate is skipped. A gate left with one lone qubit, or
+a swap of two, stays out of the block (a QFT on a basis state keeps every
+qubit lone). Only the block, the qubits of every other gate, goes through a
+build, renumbered in order and started from the outer product of their
+columns, so each gate pass spans 2^b amplitudes for a block of b qubits.
+The state is then the block's state times the outer product of the lone
+columns, one broadcast product over a view whose axes are the runs of
+block and lone qubits, the same runs the phase table merges. With no lone
+qubit the block is the state and there is no join.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
@@ -935,16 +939,39 @@ class _GateBuild:
         return self.state
 
 
+def _open_controls(
+    controls: tuple[tuple[int, int], ...], columns: list[np.ndarray], entangled: set[int]
+) -> tuple[tuple[int, int], ...] | None:
+    """The controls a gate still needs, given that a lone qubit's column is
+    its exact state: a control on a lone qubit whose column is zero at the
+    other polarity always holds and drops out. None when a lone control's
+    column is zero at its own polarity, so the gate never acts. The tests
+    are exact, since a tolerance would change states."""
+    kept = []
+    for q, pol in controls:
+        if q not in entangled:
+            if columns[q][pol] == 0:
+                return None
+            if columns[q][1 - pol] == 0:
+                continue
+        kept.append((q, pol))
+    return tuple(kept)
+
+
 def _gates_only_state(bound: BoundKernel) -> StateVector:
     """Final state of the kernel's top-level gates, by one planned build.
 
-    One-qubit gates on a qubit before its first multi-qubit gate (all of
-    them on a qubit that is never entangled) commute to the front: they are
-    multiplied into that qubit's column on |0>. Only the entangled qubits,
-    the block, renumbered in order, go through `_GateBuild`, which starts
-    from the outer product of their columns. The state is then the block's
-    state times the product of the lone qubits' columns, one broadcast
-    product over the runs of block and lone qubits."""
+    Gates on lone qubits, ones no multi-qubit gate has reached yet, commute
+    to the front: a one-qubit gate is multiplied into its qubit's column on
+    |0>, and an uncontrolled swap of two lone qubits exchanges their
+    columns. A control on a lone qubit in a basis state is first folded
+    away (`_open_controls`), so a gate whose other controls are all such
+    drops to its targets or, when one control is never met, drops out. Any
+    other gate adds its qubits to the block. Only the block, renumbered in
+    order, goes through `_GateBuild`, which starts from the outer product of
+    its columns. The state is then the block's state times the product of
+    the lone qubits' columns, one broadcast product over the runs of block
+    and lone qubits."""
     n = bound.kernel.qubit_count
     _check_width(n)
     columns = [_KET0] * n
@@ -953,10 +980,19 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
     for op in bound.kernel.body:
         if not isinstance(op, Gate):
             continue
+        controls = _open_controls(op.controls, columns, entangled)
+        if controls is None:
+            continue
+        if controls != op.controls:  # ops are shared, so a folded gate is a new op
+            op = Gate(op.base, op.angles, op.targets, controls, op.adjoint)
         mat = gate_matrix(op, bound.values)
-        qubits = op.targets + tuple(c for c, _ in op.controls)
-        if len(qubits) == 1 and qubits[0] not in entangled:
+        qubits = op.targets + tuple(c for c, _ in controls)
+        lone = entangled.isdisjoint(qubits)
+        if lone and len(qubits) == 1:
             columns[qubits[0]] = mat @ columns[qubits[0]]
+        elif lone and op.base == "swap" and not controls:
+            a, b = qubits
+            columns[a], columns[b] = columns[b], columns[a]
         else:
             entangled.update(qubits)
             rest.append((op, mat))

@@ -1036,6 +1036,142 @@ class TestGatesOnlyPlan:
         np.testing.assert_allclose(state.amps, build.finish().amps, rtol=0, atol=1e-12)
 
 
+# name -> (base, control polarities); "negctrl" takes any base
+_CONTROLLED_SHAPES = {
+    "cx": ("x", (kir.POS,)),
+    "cz": ("z", (kir.POS,)),
+    "cp": ("p", (kir.POS,)),
+    "crz": ("rz", (kir.POS,)),
+    "ch": ("h", (kir.POS,)),
+    "ccx": ("x", (kir.POS, kir.POS)),
+    "ctrl-swap": ("swap", (kir.POS,)),
+    "swap": ("swap", ()),
+    "h": ("h", ()),
+    "x": ("x", ()),
+    "negctrl": (None, (kir.NEG,)),
+}
+
+
+@st.composite
+def controlled_gate(draw, n: int) -> Gate:
+    """One of the shapes above on random qubits. A lone h or x turns a
+    basis state into a superposition or flips it, and the negctrl shape
+    may add a second control of either polarity."""
+    base, polarities = _CONTROLLED_SHAPES[draw(st.sampled_from(sorted(_CONTROLLED_SHAPES)))]
+    if base is None:
+        base = draw(st.sampled_from(sorted(kir.CANONICAL_BASES)))
+        polarities += tuple(draw(st.lists(st.sampled_from([kir.POS, kir.NEG]), max_size=1)))
+    width = 2 if base == "swap" else 1
+    if width > n:
+        base, width = "x", 1
+    order = draw(st.permutations(range(n)))
+    controls = tuple(zip(order[width:], polarities))
+    angles = tuple(draw(_ANGLES) for _ in range(_ANGLE_COUNT.get(base, 0)))
+    return Gate(base, angles, tuple(order[:width]), controls, draw(st.booleans()))
+
+
+@st.composite
+def basis_control_circuit(draw) -> kir.Kernel:
+    """Each qubit starts in |0>, in |1> (x) or in a superposition (ry), then
+    maybe takes a phase gate; then controlled gates and swaps on random
+    qubits. Their controls meet lone basis states, lone superpositions and
+    block qubits; their swaps join two lone qubits or touch the block."""
+    n = draw(st.integers(1, 8))
+    body = []
+    for q in range(n):
+        start = draw(st.sampled_from(["0", "1", "superposition"]))
+        if start == "1":
+            body.append(Gate("x", (), (q,), ()))
+        elif start == "superposition":
+            body.append(Gate("ry", (draw(_ANGLES),), (q,), ()))
+        if draw(st.booleans()):
+            base = draw(st.sampled_from(_DIAGONAL_BASES))
+            angles = tuple(draw(_ANGLES) for _ in range(_ANGLE_COUNT.get(base, 0)))
+            body.append(Gate(base, angles, (q,), (), draw(st.booleans())))
+    body += draw(st.lists(controlled_gate(n), min_size=1, max_size=16))
+    return kir.Kernel(n, [("q", n)], [], [], body)
+
+
+def _no_pass(*args):
+    raise AssertionError("a gate took a pass over the build's state")
+
+
+def _forbid_build_passes(monkeypatch) -> None:
+    """Make every gate pass of a build raise. `flush_table` stays, since
+    `finish` always calls it; with an empty table it applies nothing."""
+    monkeypatch.setattr(sim._GateBuild, "_apply", _no_pass)
+    monkeypatch.setattr(sim._GateBuild, "_flush_window", _no_pass)
+    monkeypatch.setattr(sim, "_apply_phases", _no_pass)
+
+
+def _qft_source(n: int, basis: int) -> str:
+    lines = [f"{HEADER}qubit[{n}] q;"] + [f"x q[{k}];" for k in range(n) if (basis >> k) & 1]
+    for j in reversed(range(n)):
+        lines.append(f"h q[{j}];")
+        lines += [f"cp(pi/{1 << (j - k)}) q[{k}], q[{j}];" for k in reversed(range(j))]
+    lines += [f"swap q[{i}], q[{n - 1 - i}];" for i in range(n // 2)]
+    return "\n".join(lines) + "\n"
+
+
+class TestBasisControls:
+    """Controls on lone qubits in a basis state fold out of the plan, and
+    swaps of two lone qubits exchange their columns."""
+
+    @given(basis_control_circuit())
+    @settings(max_examples=200, deadline=None)
+    def test_statevector_matches_oracle(self, kernel):
+        state = sim.statevector(kir.BoundKernel(kernel, ()))
+        np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "body, block",
+        [
+            ("x q[0];\nh q[1];\ncx q[0], q[1];\n", 0),
+            ("h q[1];\ncx q[0], q[1];\n", 0),
+            ("x q[0];\nh q[1];\nccx q[0], q[1], q[2];\n", 2),
+            ("ry(0.4) q[1];\nnegctrl @ ry(0.9) q[0], q[1];\nnegctrl @ x q[2], q[0];\n", 0),
+            ("rz(0.3) q[0];\nh q[1];\nnegctrl @ h q[0], q[1];\ncp(0.5) q[0], q[1];\n", 0),
+        ],
+        ids=["satisfied", "never-satisfied", "ccx-drops-one", "negctrl", "phased-control"],
+    )
+    def test_fixed_cases_match_oracle(self, monkeypatch, body, block):
+        widths = []
+        init = sim._GateBuild.__init__
+        monkeypatch.setattr(sim._GateBuild, "__init__", lambda build, state: widths.append(state.n) or init(build, state))
+        bound_kernel = bound(f"{HEADER}qubit[3] q;\n{body}")
+        state = sim.statevector(bound_kernel)
+        assert widths == [block]
+        np.testing.assert_allclose(state.amps, oracle_unitary(bound_kernel.kernel)[:, 0], rtol=0, atol=1e-12)
+
+    def test_qft_on_a_basis_state_takes_no_gate_pass(self, monkeypatch):
+        n, basis = 16, 0b1011_0011_1000_1101
+        _forbid_build_passes(monkeypatch)
+        state = sim.statevector(bound(_qft_source(n, basis)))
+        dft = np.exp(2j * math.pi * np.arange(1 << n) * basis / (1 << n)) / math.sqrt(1 << n)
+        np.testing.assert_allclose(state.amps, dft, rtol=0, atol=1e-12)
+
+    def test_satisfied_cx_takes_no_gate_pass(self, monkeypatch):
+        _forbid_build_passes(monkeypatch)
+        state = sim.statevector(bound(f"{HEADER}qubit[2] q;\nx q[0];\ncx q[0], q[1];\n"))
+        np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
+
+    def test_only_a_swap_touching_the_block_takes_a_pass(self, monkeypatch):
+        swaps = []
+        apply = sim._GateBuild._apply
+
+        def spy(build, mat, targets, controls):
+            if len(targets) == 2:
+                swaps.append(targets)
+            apply(build, mat, targets, controls)
+
+        monkeypatch.setattr(sim._GateBuild, "_apply", spy)
+        body = "h q[0];\ncx q[0], q[1];\nx q[2];\nswap q[1], q[2];\nx q[3];\nswap q[3], q[4];\n"
+        bound_kernel = bound(f"{HEADER}qubit[5] q;\n{body}")
+        state = sim.statevector(bound_kernel)
+        assert swaps == [(1, 2)]
+        np.testing.assert_allclose(state.amps, oracle_unitary(bound_kernel.kernel)[:, 0], rtol=0, atol=1e-12)
+
+
 def _oracle_state(n: int, ops: list[Gate], amps: np.ndarray | None = None) -> np.ndarray:
     """|0...0> (or `amps`) through the oracle's full-space matrix of each op."""
     if amps is None:
