@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from ._gc import gc_paused
 from .errors import LexError, ParseError, UnsupportedConstruct
@@ -38,30 +41,32 @@ UNSUPPORTED_CONSTRUCTS = frozenset(
     return extern let output pragma qreg creg""".split()
 )
 
-# One scanner for tokens, whitespace and comments. Alternatives sharing a
-# first character keep their precedence: `//` and `/*` before the `/`
-# operator, FLOAT before INT, and each error group after the good
-# alternative it shadows. Digits are ASCII `[0-9]`, as in OpenQASM: `\d`
-# would also match other scripts' decimal digits.
-_SCANNER = re.compile(
-    r"""
-      (?P<IDENT>    [A-Za-z_][A-Za-z0-9_]*)
-    | (?P<WS>       [ \t\r\n]+)
-    | (?P<PUNCT>    [()\[\]{};,:])
-    | (?P<FLOAT>    (?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)? | [0-9]+[eE][+-]?[0-9]+)
-    | (?P<INT>      [0-9]+)
-    | (?P<LC>       //[^\n]*)
-    | (?P<BC>       /\*.*?\*/)
-    | (?P<BADBC>    /\*)
-    | (?P<OP>       ->|==|!=|<=|>=|[<>+\-*/=@])
-    | (?P<STRING>   "[^"\n]*")
-    | (?P<BADSTR>   ")
-    """,
+# One pattern for every token and comment, for `re.split`: its parts alternate
+# separator and token, and a legal source has only whitespace in separators.
+# `//` and `/*` come before the `/` operator; `/\*.*` takes an unterminated
+# block comment with the rest of the source, so it is scanned once. Digits
+# are ASCII `[0-9]`, as in OpenQASM: `\d` would match other scripts' digits.
+_TOKEN = re.compile(
+    r"""(
+      [A-Za-z_][A-Za-z0-9_]*
+    | [()\[\]{};,:]
+    | (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
+    | //[^\n]* | /\*.*?\*/ | /\*.*
+    | ->|==|!=|<=|>=|[<>+\-*/=@]
+    | "[^"\n]*"
+    )""",
     re.VERBOSE | re.DOTALL,
 )
-
-_KINDS = {"FLOAT": FLOAT, "INT": INTEGER, "STRING": STRING, "OP": OPERATOR, "PUNCT": PUNCTUATION}
-_LEX_ERRORS = {"BADBC": "unterminated block comment", "BADSTR": "unterminated string literal"}
+_DROP_WHITESPACE = str.maketrans("", "", " \t\r\n")
+_COMMENT = "comment"  # a kind that never leaves `tokenize`
+_FIXED_KINDS = {
+    **dict.fromkeys(KEYWORDS, KEYWORD),
+    **dict.fromkeys("()[]{};,:", PUNCTUATION),
+    **dict.fromkeys("-> == != <= >= < > + - * / = @".split(), OPERATOR),
+}
+_FIRST_KINDS = {**dict.fromkeys("0123456789.", INTEGER), '"': STRING, "/": _COMMENT}  # else IDENTIFIER
+_MEMO_CAP = 4096  # distinct lexemes one `tokenize` call remembers the kind of
+_LEX_ERRORS = {"/": "unterminated block comment", '"': "unterminated string literal"}
 
 
 @dataclass(slots=True)
@@ -72,45 +77,79 @@ class Token:
     col: int
 
 
+@dataclass(slots=True)
+class TokenStream:
+    """Tokens as parallel columns, plus an EOF entry just past the last token
+    (1:1 with none) that `len` does not count; `stream[i]` builds a Token."""
+
+    kinds: list[str]
+    lexemes: list[str]
+    lines: list[int]
+    cols: list[int]
+
+    def __len__(self) -> int:
+        return len(self.kinds) - 1
+
+    def __getitem__(self, i: int) -> Token:
+        i = range(len(self))[i]
+        return Token(self.kinds[i], self.lexemes[i], self.lines[i], self.cols[i])
+
+
+def _kinds(lexemes: list[str]) -> list[str]:
+    """Each lexeme's kind, from `_FIXED_KINDS` or its first character. Up to
+    `_MEMO_CAP` other kinds are remembered, but not floats: they rarely repeat."""
+    memo = dict(_FIXED_KINDS)
+
+    def classify(lexeme: str) -> str:
+        kind = _FIRST_KINDS.get(lexeme[0], IDENTIFIER)
+        if kind is INTEGER and not lexeme.isdigit():
+            return FLOAT
+        if len(memo) < _MEMO_CAP:
+            memo[lexeme] = kind
+        return kind
+
+    get = memo.get
+    return [get(lexeme) or classify(lexeme) for lexeme in lexemes]
+
+
+def _lex_error(source: str, offset: int) -> LexError:
+    message = _LEX_ERRORS.get(source[offset]) or f"illegal character {source[offset]!r}"
+    return LexError(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), message)
+
+
 @gc_paused
-def tokenize(source: str) -> list[Token]:
-    """Tokenize OpenQASM source, dropping whitespace and comments.
-
-    One pass of `_SCANNER.finditer` over the source. Line and column are
-    tracked as it goes: only whitespace and block comments can hold a
-    newline, and each one moves the line count and the start of the current
-    line. Lexemes are verbatim source substrings; line/col are 1-based and
-    point at the first character of the lexeme.
-
-    Errors, each a LexError at the offending character: `BADBC` (a `/*`
-    with no closing `*/`) and `BADSTR` (a `"` with no closing `"` on its
-    line) are scanner groups; an illegal character is a gap between the
-    end of one match and the start of the next, or of the source.
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start, pos = 1, 0, 0
-    for m in _SCANNER.finditer(source):
-        start = m.start()
-        if start != pos:
-            break
-        group = m.lastgroup
-        lexeme = m.group()
-        pos = m.end()
-        if group == "IDENT":
-            append(Token(KEYWORD if lexeme in KEYWORDS else IDENTIFIER, lexeme, line, start - line_start + 1))
-        elif group == "WS" or group == "BC":
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + lexeme.rfind("\n") + 1
-        elif group in _LEX_ERRORS:
-            raise LexError(line, start - line_start + 1, _LEX_ERRORS[group])
-        elif group != "LC":
-            append(Token(_KINDS[group], lexeme, line, start - line_start + 1))
-    if pos != len(source):
-        raise LexError(line, pos - line_start + 1, f"illegal character {source[pos]!r}")
-    return tokens
+def tokenize(source: str) -> TokenStream:
+    """Tokenize OpenQASM source into a `TokenStream`, dropping whitespace and
+    comments. Lexemes are verbatim source substrings; line/col are 1-based
+    code-point positions of the lexeme's first character (only `\\n` ends a
+    line), from the running sum of `_TOKEN.split`'s part lengths and the
+    newline offsets. The first fault in source order is a LexError: a
+    separator's first character that is not whitespace (illegal, or a `"`
+    not closed on its line), or a last token `/*` with no `*/`."""
+    parts = _TOKEN.split(source)
+    separators, lexemes = parts[0::2], parts[1::2]
+    if "".join(separators).translate(_DROP_WHITESPACE):
+        k = next(k for k, sep in enumerate(separators) if sep.translate(_DROP_WHITESPACE))
+        fault = separators[k]
+        raise _lex_error(source, sum(map(len, parts[: 2 * k])) + len(fault) - len(fault.lstrip(" \t\r\n")))
+    last = lexemes[-1] if lexemes else ""
+    if last.startswith("/*") and (len(last) < 4 or not last.endswith("*/")):
+        raise _lex_error(source, len(source) - len(last))
+    kinds = _kinds(lexemes)
+    lengths = np.fromiter(map(len, parts), np.int64, len(parts))
+    starts = lengths.cumsum(out=lengths)[:-1:2]
+    del parts  # the largest temporary: 2 entries per token
+    if "//" in source or "/*" in source:
+        keep = [kind is not _COMMENT for kind in kinds]
+        kinds, lexemes, starts = list(compress(kinds, keep)), list(compress(lexemes, keep)), starts[keep]
+    newlines = np.flatnonzero(np.frombuffer(source.encode("utf-32-le", "surrogatepass"), np.uint32) == 10)
+    before = newlines.searchsorted(starts)  # newlines before each token
+    lines = np.arange(1, newlines.size + 2, dtype=object)[before].tolist()  # one int per line, shared
+    cols = (starts - np.append(-1, newlines)[before]).tolist()
+    line, col = (lines[-1], cols[-1] + len(lexemes[-1])) if lexemes else (1, 1)
+    for column, end in zip((kinds, lexemes, lines, cols), (EOF, "", line, col)):
+        column.append(end)
+    return TokenStream(kinds, lexemes, lines, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -311,64 +350,62 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        if tokens:
-            last = tokens[-1]
-            eof = Token(EOF, "", last.line, last.col + len(last.lexeme))
-        else:
-            eof = Token(EOF, "", 1, 1)
-        self.tokens = tokens + [eof]
+    """Recursive descent over a `TokenStream`'s columns; tokens are indices, and `pos` never passes EOF."""
+
+    def __init__(self, tokens: TokenStream):
+        self.kinds, self.lexemes, self.lines, self.cols = tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols
         self.pos = 0
         self.depth = 0
 
-    # -- token stream helpers; `pos` never passes the EOF token at the end
-    def peek(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else self.tokens[-1]
+    # -- token stream helpers
+    def span(self, i: int) -> Span:
+        return (self.lines[i], self.cols[i])
 
     def at(self, lexeme: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.lexeme == lexeme and tok.kind != STRING
+        # never true at a STRING (its lexeme keeps its quotes) or at EOF ("")
+        return self.lexemes[self.pos] == lexeme
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
+    def advance(self) -> int:
+        i = self.pos
+        if self.kinds[i] != EOF:
             self.pos += 1
-        return tok
+        return i
 
-    def enter(self, tok: Token) -> None:
+    def enter(self, i: int) -> None:
         """One level deeper in a block or expression, rejected past MAX_NESTING
-        at `tok`; the caller lowers `depth` again on the way out."""
+        at token `i`; the caller lowers `depth` again on the way out."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(tok.line, tok.col, f"at most {MAX_NESTING} levels of nesting", tok.lexeme)
+            raise self.error(f"at most {MAX_NESTING} levels of nesting", i)
 
-    def error(self, expected: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        found = tok.lexeme if tok.kind != EOF else "end of input"
-        return ParseError(tok.line, tok.col, expected, found)
+    def error(self, expected: str, i: int | None = None) -> ParseError:
+        i = self.pos if i is None else i
+        found = self.lexemes[i] if self.kinds[i] != EOF else "end of input"
+        return ParseError(self.lines[i], self.cols[i], expected, found)
 
-    def expect(self, lexeme: str, expected: str | None = None) -> Token:
-        if not self.at(lexeme):
+    def expect(self, lexeme: str, expected: str | None = None) -> int:
+        if self.lexemes[self.pos] != lexeme:
             raise self.error(expected or repr(lexeme))
-        return self.advance()
+        self.pos += 1
+        return self.pos - 1
 
-    def expect_kind(self, kind: str, expected: str) -> Token:
-        if self.tokens[self.pos].kind != kind:
+    def expect_kind(self, kind: str, expected: str) -> int:
+        if self.kinds[self.pos] != kind:
             raise self.error(expected)
-        return self.advance()
+        self.pos += 1
+        return self.pos - 1
 
     def comma_list(self, item) -> list:
         """`item (',' item)*`: what each call of `item` parses, in order."""
         items = [item()]
-        while self.tokens[self.pos].lexeme == ",":  # a STRING lexeme keeps its quotes, so is never ","
+        while self.lexemes[self.pos] == ",":
             self.pos += 1
             items.append(item())
         return items
 
-    def unsupported(self, construct: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise UnsupportedConstruct(tok.line, tok.col, construct, tok.lexeme)
+    def unsupported(self, construct: str, i: int | None = None):
+        i = self.pos if i is None else i
+        raise UnsupportedConstruct(self.lines[i], self.cols[i], construct, self.lexemes[i])
 
     # -- program structure
     def parse_program(self) -> ProgramAst:
@@ -377,7 +414,7 @@ class _Parser:
         while self.at("include"):
             includes.append(self.parse_include())
         statements = []
-        while self.peek().kind != EOF:
+        while self.kinds[self.pos] != EOF:
             if self.at("include"):
                 self.unsupported("include after other statements")
             statements.append(self.parse_statement())
@@ -385,35 +422,31 @@ class _Parser:
 
     def parse_header(self) -> tuple[int, int]:
         self.expect("OPENQASM", "'OPENQASM 3.0;' header")
-        tok = self.peek()
-        if tok.kind != FLOAT or tok.lexeme != "3.0":
-            raise self.error("version 3.0")
-        self.advance()
+        self.expect("3.0", "version 3.0")  # only a FLOAT can read 3.0
         self.expect(";")
         return (3, 0)
 
     def parse_include(self) -> str:
-        tok = self.expect("include")
-        name_tok = self.expect_kind(STRING, "include file name")
-        name = name_tok.lexeme[1:-1]
+        i = self.expect("include")
+        name = self.lexemes[self.expect_kind(STRING, "include file name")][1:-1]
         if name != "stdgates.inc":
-            self.unsupported(f'include "{name}"', tok)
+            self.unsupported(f'include "{name}"', i)
         self.expect(";")
         return name
 
     # -- statements
     def parse_statement(self) -> Statement:
-        tok = self.tokens[self.pos]
-        if tok.kind == KEYWORD:
-            handler = _STATEMENT_PARSERS.get(tok.lexeme)
+        kind, lexeme = self.kinds[self.pos], self.lexemes[self.pos]
+        if kind == KEYWORD:
+            handler = _STATEMENT_PARSERS.get(lexeme)
             if handler is not None:
                 return handler(self)
-            if tok.lexeme in _MODIFIERS:
+            if lexeme in _MODIFIERS:
                 return self.parse_gate_call()
-            self.unsupported(tok.lexeme)
-        if tok.kind == IDENTIFIER:
-            if tok.lexeme in UNSUPPORTED_CONSTRUCTS:
-                self.unsupported(tok.lexeme)
+            self.unsupported(lexeme)
+        if kind == IDENTIFIER:
+            if lexeme in UNSUPPORTED_CONSTRUCTS:
+                self.unsupported(lexeme)
             # Disambiguate `c = measure q;` / `c[i] = measure q;` from a call.
             if self._lookahead_is_assign():
                 return self.parse_measure_assign()
@@ -421,149 +454,135 @@ class _Parser:
         raise self.error("a statement")
 
     def _lookahead_is_assign(self) -> bool:
-        i = 1
-        if self.peek(i).lexeme == "[":
+        # the current token is an identifier, so neither index passes EOF
+        lexemes, i = self.lexemes, self.pos + 1
+        if lexemes[i] == "[":
             depth = 1
             i += 1
-            while depth and self.peek(i).kind != EOF:
-                if self.peek(i).lexeme == "[":
+            while depth and self.kinds[i] != EOF:
+                if lexemes[i] == "[":
                     depth += 1
-                elif self.peek(i).lexeme == "]":
+                elif lexemes[i] == "]":
                     depth -= 1
                 i += 1
-        return self.peek(i).lexeme == "="
-
-    def _decl_size(self) -> int:
-        """Optional `[N]` suffix on qubit/bit declarations."""
-        if not self.at("["):
-            return 1
-        self.advance()
-        size_tok = self.expect_kind(INTEGER, "register size")
-        self.expect("]")
-        return int(size_tok.lexeme)
+        return lexemes[i] == "="
 
     def parse_register_decl(self) -> QubitDecl | BitDecl:
-        tok = self.advance()
-        size = self._decl_size()
+        i = self.advance()
+        size = 1
+        if self.at("["):  # optional `[N]`
+            self.advance()
+            size = int(self.lexemes[self.expect_kind(INTEGER, "register size")])
+            self.expect("]")
         name = self.expect_kind(IDENTIFIER, "register name")
         self.expect(";")
-        return (QubitDecl if tok.lexeme == "qubit" else BitDecl)(name.lexeme, size, (tok.line, tok.col))
+        return (QubitDecl if self.lexemes[i] == "qubit" else BitDecl)(self.lexemes[name], size, self.span(i))
 
     def parse_input_decl(self) -> InputDecl:
-        tok = self.advance()
+        i = self.advance()
         if self.at("float"):
             self.advance()
             self.expect("[")
-            width_tok = self.expect_kind(INTEGER, "float width 32 or 64")
+            width = self.expect_kind(INTEGER, "float width 32 or 64")
             self.expect("]")
-            if width_tok.lexeme not in ("32", "64"):
-                raise ParseError(
-                    width_tok.line,
-                    width_tok.col,
-                    "float width 32 or 64 (for an N-element parameter use "
-                    "'input array[float[64], N] name;')",
-                    width_tok.lexeme,
-                )
+            if self.lexemes[width] not in ("32", "64"):
+                raise self.error("float width 32 or 64 (for an N-element parameter use 'input array[float[64], N] name;')", width)
             name = self.expect_kind(IDENTIFIER, "parameter name")
             self.expect(";")
-            return InputDecl(name.lexeme, 1, False, (tok.line, tok.col))
+            return InputDecl(self.lexemes[name], 1, False, self.span(i))
         if self.at("array"):
             self.advance()
             self.expect("[")
             self.expect("float", "element type float")
             self.expect("[")
-            width_tok = self.expect_kind(INTEGER, "float width 32 or 64")
-            if width_tok.lexeme not in ("32", "64"):
-                raise self.error("float width 32 or 64", width_tok)
+            width = self.expect_kind(INTEGER, "float width 32 or 64")
+            if self.lexemes[width] not in ("32", "64"):
+                raise self.error("float width 32 or 64", width)
             self.expect("]")
             self.expect(",")
-            count_tok = self.expect_kind(INTEGER, "element count")
+            count = self.expect_kind(INTEGER, "element count")
             self.expect("]")
             name = self.expect_kind(IDENTIFIER, "parameter name")
             self.expect(";")
-            return InputDecl(name.lexeme, int(count_tok.lexeme), True, (tok.line, tok.col))
-        self.unsupported(f"input type {self.peek().lexeme!r} (only float scalars/arrays)")
+            return InputDecl(self.lexemes[name], int(self.lexemes[count]), True, self.span(i))
+        self.unsupported(f"input type {self.lexemes[self.pos]!r} (only float scalars/arrays)")
 
     def parse_const_decl(self) -> ConstDecl:
-        tok = self.advance()
-        if self.at("float"):
-            is_int = False
-        elif self.at("int"):
-            is_int = True
-        else:
+        i = self.advance()
+        if not (self.at("float") or self.at("int")):
             raise self.error("'float' or 'int'")
-        self.advance()
+        is_int = self.lexemes[self.advance()] == "int"
         name = self.expect_kind(IDENTIFIER, "constant name")
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
-        return ConstDecl(name.lexeme, is_int, expr, (tok.line, tok.col))
+        return ConstDecl(self.lexemes[name], is_int, expr, self.span(i))
 
     def parse_gate_def(self) -> GateDef:
-        tok = self.advance()
+        i = self.advance()
         name = self.expect_kind(IDENTIFIER, "gate name")
         params: list[str] = []
         if self.at("("):
             self.advance()
             if not self.at(")"):
-                params = self.comma_list(lambda: self.expect_kind(IDENTIFIER, "parameter name").lexeme)
+                params = self.comma_list(lambda: self.lexemes[self.expect_kind(IDENTIFIER, "parameter name")])
             self.expect(")")
-        qubits = self.comma_list(lambda: self.expect_kind(IDENTIFIER, "qubit name").lexeme)
+        qubits = self.comma_list(lambda: self.lexemes[self.expect_kind(IDENTIFIER, "qubit name")])
         self.expect("{")
         body: list[GateCall] = []
         while not self.at("}"):
-            if self.peek().kind == EOF:
+            kind, lexeme = self.kinds[self.pos], self.lexemes[self.pos]
+            if kind == EOF:
                 raise self.error("'}' closing gate body")
-            stmt_tok = self.peek()
-            if stmt_tok.kind == KEYWORD and stmt_tok.lexeme not in _MODIFIERS:
-                self.unsupported(f"{stmt_tok.lexeme} inside gate body")
+            if kind == KEYWORD and lexeme not in _MODIFIERS:
+                self.unsupported(f"{lexeme} inside gate body")
             body.append(self.parse_gate_call())
         self.expect("}")
-        return GateDef(name.lexeme, params, qubits, body, (tok.line, tok.col))
+        return GateDef(self.lexemes[name], params, qubits, body, self.span(i))
 
     def parse_gate_call(self) -> GateCall:
-        tok = mod_tok = self.tokens[self.pos]
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.pos
         modifiers: list[Modifier] = []
-        while mod_tok.kind == KEYWORD and mod_tok.lexeme in _MODIFIERS:
+        while kinds[self.pos] == KEYWORD and lexemes[self.pos] in _MODIFIERS:
+            modifier = lexemes[self.pos]
             self.pos += 1
-            if mod_tok.lexeme == "pow":
+            if modifier == "pow":
                 self.expect("(")
-                exponent = self.parse_expr()
+                modifiers.append(Modifier("pow", self.parse_expr()))
                 self.expect(")")
-                modifiers.append(Modifier("pow", exponent))
             else:
-                modifiers.append(Modifier(mod_tok.lexeme))
+                modifiers.append(Modifier(modifier))
             self.expect("@", "'@' after gate modifier")
-            mod_tok = self.tokens[self.pos]
         name = self.expect_kind(IDENTIFIER, "gate name")
         args: list[Expr] = []
-        if self.at("("):
-            self.advance()
+        if lexemes[self.pos] == "(":
+            self.pos += 1
             args = self.comma_list(self.parse_expr)
             self.expect(")")
         qubits = self.comma_list(self.parse_ref)
         self.expect(";")
-        return GateCall(modifiers, name.lexeme, args, qubits, (tok.line, tok.col))
+        return GateCall(modifiers, lexemes[name], args, qubits, (self.lines[i], self.cols[i]))
 
     def parse_ref(self) -> NamedRef:
         name = self.expect_kind(IDENTIFIER, "a register reference")
         index = None
-        if self.at("["):
-            self.advance()
+        if self.lexemes[self.pos] == "[":
+            self.pos += 1
             index = self.parse_expr()
             self.expect("]")
-        return NamedRef(name.lexeme, index, (name.line, name.col))
+        return NamedRef(self.lexemes[name], index, (self.lines[name], self.cols[name]))
 
     def parse_measure_arrow(self) -> MeasureAssign:
-        tok = self.advance()
+        i = self.advance()
         source = self.parse_ref()
         self.expect("->", "'->'")
         target = self.parse_ref()
         self.expect(";")
-        return MeasureAssign(target, source, (tok.line, tok.col))
+        return MeasureAssign(target, source, self.span(i))
 
     def parse_measure_assign(self) -> MeasureAssign:
-        tok = self.peek()
+        i = self.pos
         target = self.parse_ref()
         self.expect("=")
         if not self.at("measure"):
@@ -571,31 +590,28 @@ class _Parser:
         self.advance()
         source = self.parse_ref()
         self.expect(";")
-        return MeasureAssign(target, source, (tok.line, tok.col))
+        return MeasureAssign(target, source, self.span(i))
 
     def parse_reset(self) -> Reset:
-        tok = self.advance()
+        i = self.advance()
         target = self.parse_ref()
         self.expect(";")
-        return Reset(target, (tok.line, tok.col))
+        return Reset(target, self.span(i))
 
     def parse_barrier(self) -> Barrier:
-        tok = self.advance()
+        i = self.advance()
         targets = [] if self.at(";") else self.comma_list(self.parse_ref)
         self.expect(";")
-        return Barrier(targets, (tok.line, tok.col))
+        return Barrier(targets, self.span(i))
 
     def parse_if(self) -> IfStatement:
-        tok = self.advance()
-        self.enter(tok)
+        i = self.advance()
+        self.enter(i)
         self.expect("(")
-        subject = self.parse_ref()
-        if self.peek().lexeme in _CMP_OPS:
-            op = self.advance().lexeme
-            rhs = self.parse_expr()
-            condition: Expr = Comparison(op, subject, rhs, subject.span)
-        else:
-            condition = subject
+        condition: Expr = self.parse_ref()
+        if self.lexemes[self.pos] in _CMP_OPS:
+            op = self.lexemes[self.advance()]
+            condition = Comparison(op, condition, self.parse_expr(), condition.span)
         self.expect(")")
         then_body = self.parse_block()
         else_body: list[Statement] = []
@@ -603,39 +619,36 @@ class _Parser:
             self.advance()
             else_body = self.parse_block()
         self.depth -= 1
-        return IfStatement(condition, then_body, else_body, (tok.line, tok.col))
+        return IfStatement(condition, then_body, else_body, self.span(i))
 
     def parse_for(self) -> ForStatement:
-        tok = self.advance()
-        self.enter(tok)
+        i = self.advance()
+        self.enter(i)
         self.expect("int", "'int' loop variable type")
         var = self.expect_kind(IDENTIFIER, "loop variable")
         self.expect("in")
         self.expect("[")
         first = self.parse_expr()
         self.expect(":")
-        second = self.parse_expr()
         step: Expr | None = None
+        stop = self.parse_expr()
         if self.at(":"):
             self.advance()
-            stop = self.parse_expr()
-            step = second
-        else:
-            stop = second
+            step, stop = stop, self.parse_expr()
         self.expect("]")
         body = self.parse_block()
         self.depth -= 1
-        return ForStatement(var.lexeme, first, step, stop, body, (tok.line, tok.col))
+        return ForStatement(self.lexemes[var], first, step, stop, body, self.span(i))
 
     def parse_block(self) -> list[Statement]:
         self.expect("{", "'{'")
         body: list[Statement] = []
         while not self.at("}"):
-            if self.peek().kind == EOF:
+            kind, lexeme = self.kinds[self.pos], self.lexemes[self.pos]
+            if kind == EOF:
                 raise self.error("'}'")
-            tok = self.peek()
-            if tok.kind == KEYWORD and tok.lexeme in ("qubit", "bit", "input", "const", "gate"):
-                self.unsupported(f"{tok.lexeme} declaration inside a block")
+            if kind == KEYWORD and lexeme in ("qubit", "bit", "input", "const", "gate"):
+                self.unsupported(f"{lexeme} declaration inside a block")
             body.append(self.parse_statement())
         self.expect("}")
         return body
@@ -644,45 +657,45 @@ class _Parser:
     # left-associative, above unary minus and primaries
     def parse_expr(self, min_prec: int = 1) -> Expr:
         depth = self.depth
-        left = self.parse_unary()
-        tok = self.tokens[self.pos]
-        while tok.kind == OPERATOR and _BINARY_PREC.get(tok.lexeme, 0) >= min_prec:
+        left = self.parse_primary()
+        i = self.pos
+        while self.kinds[i] == OPERATOR and _BINARY_PREC.get(self.lexemes[i], 0) >= min_prec:
+            op = self.lexemes[i]
             self.pos += 1
-            self.enter(tok)  # each operator nests the tree built so far
-            left = Binary(tok.lexeme, left, self.parse_expr(_BINARY_PREC[tok.lexeme] + 1), left.span)
-            tok = self.tokens[self.pos]
+            self.enter(i)  # each operator nests the tree built so far
+            left = Binary(op, left, self.parse_expr(_BINARY_PREC[op] + 1), left.span)
+            i = self.pos
         self.depth = depth
         return left
 
-    def parse_unary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok.kind == OPERATOR and tok.lexeme == "-":
-            self.pos += 1
-            self.enter(tok)
-            operand = self.parse_unary()
-            self.depth -= 1
-            return Unary("-", operand, (tok.line, tok.col))
-        return self.parse_primary()
-
     def parse_primary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok.kind == INTEGER:
+        """A literal, `pi`, a reference, a parenthesized expression, or unary
+        minus over a primary."""
+        i = self.pos
+        kind, lexeme = self.kinds[i], self.lexemes[i]
+        if kind == INTEGER:
             self.pos += 1
-            return IntLit(int(tok.lexeme), (tok.line, tok.col))
-        if tok.kind == FLOAT:
+            return IntLit(int(lexeme), (self.lines[i], self.cols[i]))
+        if kind == FLOAT:
             self.pos += 1
-            value = float(tok.lexeme)
+            value = float(lexeme)
             if value != value or value in (float("inf"), float("-inf")):
-                raise ParseError(tok.line, tok.col, "a finite float literal", tok.lexeme)
-            return FloatLit(value, (tok.line, tok.col))
-        if tok.kind == IDENTIFIER:
-            if tok.lexeme == "pi":
+                raise self.error("a finite float literal", i)
+            return FloatLit(value, (self.lines[i], self.cols[i]))
+        if kind == IDENTIFIER:
+            if lexeme == "pi":
                 self.pos += 1
-                return PiConst((tok.line, tok.col))
+                return PiConst(self.span(i))
             return self.parse_ref()
-        if tok.lexeme == "(":
+        if lexeme == "-":
             self.pos += 1
-            self.enter(tok)
+            self.enter(i)
+            operand = self.parse_primary()
+            self.depth -= 1
+            return Unary("-", operand, self.span(i))
+        if lexeme == "(":
+            self.pos += 1
+            self.enter(i)
             expr = self.parse_expr()
             self.expect(")")
             self.depth -= 1
@@ -705,8 +718,9 @@ _STATEMENT_PARSERS = {
 
 
 @gc_paused
-def parse(tokens: list[Token]) -> ProgramAst:
-    """Parse a token list into a ProgramAst; the first error aborts."""
+def parse(tokens: TokenStream) -> ProgramAst:
+    """Parse a token stream into a ProgramAst; the first error aborts. The
+    stream is only read, so it can be parsed again."""
     global _PARSE_CALLS
     _PARSE_CALLS += 1
     return _Parser(tokens).parse_program()
@@ -740,12 +754,7 @@ def unparse_expr(e: Expr) -> str:
 
 
 def _unparse_call(stmt: GateCall) -> str:
-    parts = []
-    for mod in stmt.modifiers:
-        if mod.kind == "pow":
-            parts.append(f"pow({unparse_expr(mod.exponent)}) @ ")
-        else:
-            parts.append(f"{mod.kind} @ ")
+    parts = [f"pow({unparse_expr(m.exponent)}) @ " if m.kind == "pow" else f"{m.kind} @ " for m in stmt.modifiers]
     parts.append(stmt.name)
     if stmt.args:
         parts.append("(" + ", ".join(unparse_expr(a) for a in stmt.args) + ")")
@@ -755,15 +764,11 @@ def _unparse_call(stmt: GateCall) -> str:
 
 def _unparse_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(stmt, QubitDecl):
-        out.append(f"{pad}qubit[{stmt.size}] {stmt.name};")
-    elif isinstance(stmt, BitDecl):
-        out.append(f"{pad}bit[{stmt.size}] {stmt.name};")
+    if isinstance(stmt, (QubitDecl, BitDecl)):
+        out.append(f"{pad}{'qubit' if isinstance(stmt, QubitDecl) else 'bit'}[{stmt.size}] {stmt.name};")
     elif isinstance(stmt, InputDecl):
-        if stmt.array:
-            out.append(f"{pad}input array[float[64], {stmt.count}] {stmt.name};")
-        else:
-            out.append(f"{pad}input float[64] {stmt.name};")
+        ty = f"array[float[64], {stmt.count}]" if stmt.array else "float[64]"
+        out.append(f"{pad}input {ty} {stmt.name};")
     elif isinstance(stmt, ConstDecl):
         ty = "int" if stmt.is_int else "float"
         out.append(f"{pad}const {ty} {stmt.name} = {unparse_expr(stmt.expr)};")
@@ -792,10 +797,7 @@ def _unparse_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
                 _unparse_stmt(s, indent + 1, out)
         out.append(f"{pad}}}")
     elif isinstance(stmt, ForStatement):
-        rng = unparse_expr(stmt.start)
-        if stmt.step is not None:
-            rng += f":{unparse_expr(stmt.step)}"
-        rng += f":{unparse_expr(stmt.stop)}"
+        rng = ":".join(unparse_expr(e) for e in (stmt.start, stmt.step, stmt.stop) if e is not None)
         out.append(f"{pad}for int {stmt.var} in [{rng}] {{")
         for s in stmt.body:
             _unparse_stmt(s, indent + 1, out)
@@ -806,9 +808,7 @@ def _unparse_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
 
 def unparse(program: ProgramAst) -> str:
     """Render a ProgramAst back to canonical source text."""
-    out = [f"OPENQASM {program.version[0]}.{program.version[1]};"]
-    for inc in program.includes:
-        out.append(f'include "{inc}";')
+    out = [f"OPENQASM {program.version[0]}.{program.version[1]};", *(f'include "{inc}";' for inc in program.includes)]
     for stmt in program.statements:
         _unparse_stmt(stmt, 0, out)
     return "\n".join(out) + "\n"

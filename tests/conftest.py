@@ -4,6 +4,8 @@ import pytest
 from qasm2cudaq import suites
 
 hypothesis.settings.register_profile("ci", deadline=None)
+# `--hypothesis-profile=thorough` runs each property over many more examples
+hypothesis.settings.register_profile("thorough", deadline=None, max_examples=2000)
 hypothesis.settings.load_profile("ci")
 
 # Conformance corpus: every accepted construct appears at least once.

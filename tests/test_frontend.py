@@ -1,5 +1,8 @@
+import copy
 import math
+import re
 import time
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError, UnsupportedC
 from qasm2cudaq.suites import compile_source
 
 from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
+from golden_cases import GOLDEN_CASES
 
 
 class TestTokenize:
@@ -25,7 +29,7 @@ class TestTokenize:
         ]
 
     def test_empty_source(self):
-        assert fe.tokenize("") == []
+        assert list(fe.tokenize("")) == []
 
     def test_pi_is_identifier_and_slash_operator(self):
         tokens = fe.tokenize("rz(pi/2) q;")
@@ -348,3 +352,157 @@ class TestAsciiDigits:
             (fe.INTEGER, "0"), (fe.INTEGER, "7"), (fe.FLOAT, "12.5"), (fe.FLOAT, ".5"),
             (fe.FLOAT, "1e3"), (fe.FLOAT, "2E-2"), (fe.FLOAT, "3.e+1"), (fe.INTEGER, "0123"),
         ]
+
+
+# The finditer scanner that `frontend.tokenize` replaced, kept as the
+# reference the columnar tokenizer must agree with: one walk over tokens,
+# whitespace and comments, tracking line and column as it goes; an illegal
+# character is a gap between matches.
+_REFERENCE_SCANNER = re.compile(
+    r"""
+      (?P<IDENT>    [A-Za-z_][A-Za-z0-9_]*)
+    | (?P<WS>       [ \t\r\n]+)
+    | (?P<PUNCT>    [()\[\]{};,:])
+    | (?P<FLOAT>    (?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)? | [0-9]+[eE][+-]?[0-9]+)
+    | (?P<INT>      [0-9]+)
+    | (?P<LC>       //[^\n]*)
+    | (?P<BC>       /\*.*?\*/)
+    | (?P<BADBC>    /\*)
+    | (?P<OP>       ->|==|!=|<=|>=|[<>+\-*/=@])
+    | (?P<STRING>   "[^"\n]*")
+    | (?P<BADSTR>   ")
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_REFERENCE_KINDS = {"FLOAT": fe.FLOAT, "INT": fe.INTEGER, "STRING": fe.STRING, "OP": fe.OPERATOR, "PUNCT": fe.PUNCTUATION}
+_REFERENCE_ERRORS = {"BADBC": "unterminated block comment", "BADSTR": "unterminated string literal"}
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, lexeme, line, col) per token, then the EOF entry the parser
+    reads: just past the last token, or 1:1 with none."""
+    tokens = []
+    line, line_start, pos = 1, 0, 0
+    for m in _REFERENCE_SCANNER.finditer(source):
+        start = m.start()
+        if start != pos:
+            break
+        group, lexeme, pos = m.lastgroup, m.group(), m.end()
+        if group == "IDENT":
+            tokens.append((fe.KEYWORD if lexeme in fe.KEYWORDS else fe.IDENTIFIER, lexeme, line, start - line_start + 1))
+        elif group == "WS" or group == "BC":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + lexeme.rfind("\n") + 1
+        elif group in _REFERENCE_ERRORS:
+            raise LexError(line, start - line_start + 1, _REFERENCE_ERRORS[group])
+        elif group != "LC":
+            tokens.append((_REFERENCE_KINDS[group], lexeme, line, start - line_start + 1))
+    if pos != len(source):
+        raise LexError(line, pos - line_start + 1, f"illegal character {source[pos]!r}")
+    _, lexeme, line, col = tokens[-1] if tokens else (None, "", 1, 1)
+    return tokens + [(fe.EOF, "", line, col + len(lexeme))]
+
+
+def _outcome(tokenize, source: str):
+    """The token columns with their EOF entry, or a LexError's fields."""
+    try:
+        return tokenize(source)
+    except LexError as err:
+        return (err.line, err.col, err.message)
+
+
+def _columns(source: str) -> list[tuple[str, str, int, int]]:
+    stream = fe.tokenize(source)
+    assert len(stream) == len(stream.kinds) - 1
+    assert [astuple(t) for t in stream] == list(zip(stream.kinds, stream.lexemes, stream.lines, stream.cols))[:-1]
+    return list(zip(stream.kinds, stream.lexemes, stream.lines, stream.cols))
+
+
+# Legal fragments joined with no separator between them, so neighbours merge
+# (`1` then `.5`, `-` then `>`, `/` then `*`), with up to two faults spliced
+# in; a fault ends the scan, so most of the source stays legal.
+_LEGAL_FRAGMENTS = (
+    sorted(fe.KEYWORDS)
+    + sorted(fe.UNSUPPORTED_CONSTRUCTS)[:4]
+    + ["q", "pi", "_x9", "rz", "Q_1"]
+    + ["0", "7", "0123", "1.", ".5", "12.5", "1e3", "2E-2", "3.e+1", "1.5e-3", ".5E+7", "1e", "1.e", "9e+"]
+    + ["->", "==", "!=", "<=", ">=", "<", ">", "+", "-", "*", "/", "=", "@"]
+    + list("()[]{};,:")
+    + ['"stdgates.inc"', '"a b\t"', '""', '"\ud800 é"', '"/* //"']
+    + ["// line\n", "// \ud800 é\n", "/* one */", "/* two\r\nlines */", "/**/", "/* \ud800\n*/", '/* " */']
+    + [" ", "\t", "\n", "\r\n", "\r", "  \n\t"]
+)
+_FAULTS = ['"', '"\n"', "/*", "/*/", "/* never", "$", "#", "!", ".", "..5", "\\", "\ud800", "\x00", "é", "λx", "x٣", "١.٥"]
+
+
+@st.composite
+def _fragment_soup(draw):
+    fragments = draw(st.lists(st.sampled_from(_LEGAL_FRAGMENTS), max_size=40))
+    for fault in draw(st.lists(st.one_of(st.sampled_from(_FAULTS), st.text(min_size=1, max_size=2)), max_size=2)):
+        fragments.insert(draw(st.integers(0, len(fragments))), fault)
+    return "".join(fragments)
+
+
+def _reference_corpora() -> dict[str, list[str]]:
+    from conftest import EXPANSION_PROBES
+    from golden_cases import emission_digest_corpus, error_corpus, histogram_corpus, kir_dump_corpus
+
+    return {
+        "golden": [
+            *GOLDEN_CASES.values(),
+            *histogram_corpus().values(),
+            *emission_digest_corpus().values(),
+            *kir_dump_corpus().values(),
+        ],
+        "conftest": [
+            *CORPUS,
+            *(source for source, _ in NESTING_PROBES.values()),
+            *(source for source, _ in NON_FINITE_PROBES.values()),
+            UNICODE_DIGITS_PROBE[0],
+            *EXPANSION_PROBES.values(),
+        ],
+        "error_texts": list(error_corpus().values()),
+    }
+
+
+class TestReferenceScanner:
+    """The columnar tokenizer against the finditer scanner it replaced."""
+
+    @given(_fragment_soup())
+    def test_generated_sources_agree(self, source):
+        assert _outcome(_columns, source) == _outcome(reference_tokenize, source)
+
+    @given(token_source(), st.sampled_from(_FAULTS), st.data())
+    def test_a_fault_spliced_into_tokens_agrees(self, case, fault, data):
+        source, _ = case
+        at = data.draw(st.integers(0, len(source)))
+        source = source[:at] + fault + source[at:]
+        assert _outcome(_columns, source) == _outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_each_fault_first_inside_and_last_agrees(self, fault):
+        legal = "h q;\r\n\trz(1.5e-3) q[0]; /* c\n */ x q;"
+        for source in (fault + legal, legal[:9] + fault + legal[9:], legal + fault, legal + "\n" + fault):
+            assert _outcome(_columns, source) == _outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("corpus", ["golden", "conftest", "error_texts"])
+    def test_recorded_corpora_agree(self, corpus):
+        sources = _reference_corpora()[corpus]
+        assert sources
+        for source in sources:
+            assert _outcome(_columns, source) == _outcome(reference_tokenize, source), source[:200]
+
+    def test_kinds_past_the_memo_cap(self):
+        words = [f"w{i} {i} {i}.5" for i in range(fe._MEMO_CAP + 100)]
+        source = " ".join(words) + " gate if 7 w0 -> /* c */ \"s\" // end"
+        assert _columns(source) == reference_tokenize(source)
+
+    def test_parse_reads_the_stream_without_changing_it(self):
+        for source in GOLDEN_CASES.values():
+            stream = fe.tokenize(source)
+            before = copy.deepcopy(stream)
+            first = fe.parse(stream)
+            assert stream == before
+            assert fe.parse(stream) == first

@@ -99,7 +99,7 @@ def test_stages_leave_the_collector_as_found(collector, monkeypatch, enabled):
         return Probe
 
     # one class each stage builds while it runs
-    monkeypatch.setattr(frontend, "Token", record(frontend.Token))
+    monkeypatch.setattr(frontend, "TokenStream", record(frontend.TokenStream))
     monkeypatch.setattr(frontend, "_Parser", record(frontend._Parser))
     monkeypatch.setattr(sema, "_Analyzer", record(sema._Analyzer))
     monkeypatch.setattr(kir, "_Lowerer", record(kir._Lowerer))
