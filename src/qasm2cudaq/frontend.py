@@ -142,7 +142,7 @@ def tokenize(source: str) -> TokenStream:
     if "//" in source or "/*" in source:
         keep = [kind is not _COMMENT for kind in kinds]
         kinds, lexemes, starts = list(compress(kinds, keep)), list(compress(lexemes, keep)), starts[keep]
-    newlines = np.flatnonzero(np.frombuffer(source.encode("utf-32-le", "surrogatepass"), np.uint32) == 10)
+    newlines = np.flatnonzero(np.frombuffer(source.encode("utf-32-le", "surrogatepass"), "<u4") == 10)
     before = newlines.searchsorted(starts)  # newlines before each token
     lines = np.arange(1, newlines.size + 2, dtype=object)[before].tolist()  # one int per line, shared
     cols = (starts - np.append(-1, newlines)[before]).tolist()
