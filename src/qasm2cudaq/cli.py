@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import kir, sim, suites
 from .kir import compile_source
 from .emit import EMISSION_TARGETS, emit
-from .errors import BadParameter, Qasm2CudaqError
+from .errors import BadParameter, DynamicCircuit, Qasm2CudaqError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +116,14 @@ def _cmd_run(args) -> int:
     kernel = compile_source(_read_source(args.file))
     bound = kir.bind(kernel, _parse_params(kernel, args.param))
     if args.statevector or args.expval:
-        state = sim.statevector(bound)
+        try:
+            state = sim.statevector(bound)
+        except DynamicCircuit:
+            flags = " and ".join(f for f, on in (("--statevector", args.statevector), ("--expval", args.expval)) if on)
+            raise Qasm2CudaqError(
+                f"{flags}: the kernel measures, resets or branches, so it has no single final state; "
+                f"drop {flags} to sample shots"
+            ) from None
         if args.statevector:
             for i, amp in enumerate(state.amps):
                 print(f"{i:0{max(kernel.qubit_count, 1)}b} {amp.real:+.12f}{amp.imag:+.12f}j")
@@ -148,12 +156,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "transpile":
-            return _cmd_transpile(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_validate(args)
+            code = _cmd_transpile(args)
+        elif args.command == "run":
+            code = _cmd_run(args)
+        else:
+            code = _cmd_validate(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except Qasm2CudaqError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`). Point it at devnull, so the
+        # flush at exit cannot raise again on the output still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all output was written", file=sys.stderr)
         return 2
 
 

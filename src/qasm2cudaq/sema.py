@@ -14,14 +14,17 @@ into a `_Template` once per key: the gate, the values of the angle formals
 that shape its gates (pow exponents, arithmetic, fixed formals of nested
 gates) and the loop variables it reads. A formal used only as a whole angle
 stays free: each call binds it when it places the template on its qubits.
-A template's op count is known before its calls are built, so every
-expansion is counted against UNROLL_CAP before it exists.
+Each placement (targets, controls, bound free angles) is built once and
+shared, so the iterations of a loop that place a template alike get the
+same calls; a call's own inv/pow applies after. A template's op count is
+known before its calls are built, so every expansion is counted against
+UNROLL_CAP before it exists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import frontend as fe
@@ -52,6 +55,11 @@ class SymbolKind(Enum):
     GATE_DEFINITION = "gate-definition"
 
 
+# The members in declaration order, by short names: reading a member off an
+# Enum class costs several dict lookups, and sema checks kinds on every call.
+_CONST, _INPUT, _QUBITS, _BITS, _GATE = SymbolKind
+
+
 @dataclass
 class SymbolEntry:
     name: str
@@ -62,34 +70,37 @@ class SymbolEntry:
 
 
 class SymbolTable:
-    """Lexically scoped name table; inner scopes shadow outer ones."""
+    """Lexically scoped name table; inner scopes shadow outer ones.
+    `visible` maps each name to the entry a lookup finds, in one step."""
 
     def __init__(self):
         self.scopes: list[dict[str, SymbolEntry]] = [{}]
+        self.visible: dict[str, SymbolEntry] = {}
 
     def push(self) -> None:
         self.scopes.append({})
 
     def pop(self) -> None:
-        self.scopes.pop()
+        for name in self.scopes.pop():
+            del self.visible[name]
+            for scope in self.scopes:  # outermost first, so the innermost stays
+                if name in scope:
+                    self.visible[name] = scope[name]
 
     def define(self, entry: SymbolEntry) -> None:
         scope = self.scopes[-1]
         if entry.name in scope:
             raise Redefinition(f"redefinition of '{entry.name}'", entry.decl_span)
-        scope[entry.name] = entry
+        scope[entry.name] = self.visible[entry.name] = entry
 
     def lookup(self, name: str, span: fe.Span) -> SymbolEntry:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        raise UndefinedName(f"undefined name '{name}'", span)
+        entry = self.visible.get(name)
+        if entry is None:
+            raise UndefinedName(f"undefined name '{name}'", span)
+        return entry
 
     def lookup_or_none(self, name: str) -> SymbolEntry | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
+        return self.visible.get(name)
 
 
 @dataclass(frozen=True)
@@ -194,25 +205,16 @@ def _algebra(items: list, algebra: Algebra, invert) -> list:
 
 def _pow_product(algebra: Algebra) -> int:
     """Replicas the modifiers make: the product of the |pow| exponents."""
-    return math.prod(abs(k) for kind, k in algebra if kind == "pow") if algebra else 1
-
-
-def _builtin_ops(name: str, angles: list, qubits: list[int], polarity: tuple, algebra: Algebra) -> list[Gate]:
-    """Canonical gates of one builtin call: modifier controls (one leading
-    operand per polarity), then the named gate's own controls, then targets."""
-    _, _, base, named, adjoint = BUILTIN_GATES[name]
-    n = len(polarity) + named
-    controls = tuple(zip(qubits, polarity + (POS,) * named)) if n else ()
-    gate = Gate(base, tuple(angles), tuple(qubits[n:]), controls, adjoint)
-    return _algebra([gate], algebra, _invert_gate) if algebra else [gate]
+    return math.prod(abs(k) for kind, k in algebra if kind == "pow")
 
 
 @dataclass(slots=True)
 class ResolvedCall:
     """The canonical gates of one builtin call. Calls and their ops are
     shared between the replicas of a `pow`, the iterations of a broadcast
-    and the placements of a template, in `ValidatedProgram.statements` and
-    `Kernel.body` alike: read-only."""
+    and the calls of a template placed alike, so every loop iteration that
+    places a template the same way gets the same calls. That holds in
+    `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
 
     ops: list[Gate]
 
@@ -238,6 +240,12 @@ class _FormalRef(ParamRef):
     """A template angle: the ParamRef bound to angle formal `slot`."""
 
 
+def _signed(values: tuple) -> tuple:
+    """`values` as a key: 0.0 and -0.0 hash alike, but inversion and the
+    dump tell them apart, so the sign of each zero is appended."""
+    return values + tuple([math.copysign(1.0, a) for a in values if a == 0]) if 0 in values else values
+
+
 def _bound(angle, values: list[Angle]) -> Angle:
     """A template angle with the formals of one call substituted."""
     if type(angle) is _Formal:
@@ -250,7 +258,7 @@ class _Template:
     """A user gate body compiled once per key (see `_Analyzer._template`),
     over the qubits of the call that compiled it (`home`), with `_Formal`
     and `_FormalRef` angles where a formal is bound per call. Its calls are
-    built on first use from `parts`."""
+    built from `parts` when it is first placed."""
 
     count: int  # canonical gates one plain call lowers to
     peak: int  # most budget counted at any check while it was built, over the start
@@ -260,30 +268,32 @@ class _Template:
     # one `_Analyzer._part` per body call; the angles of a placement may
     # hold this template's own free formals
     parts: list
-    calls: list[ResolvedCall] | None = None
-
-    def built(self) -> list[ResolvedCall]:
-        if self.calls is None:
-            self.calls = [c for part in self.parts for c in _placed(part)]
-        return self.calls
+    # placements by (targets, controls, signed free angles), before a caller's algebra
+    placed: dict = field(default_factory=dict)
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
         """The calls moved from `home` to `targets`, with `controls`
         prepended and the free formals bound to `angles`; then a caller's
-        inv/pow through `_algebra`. At home, plain, the built calls serve."""
-        calls = self.built()
-        if controls or self.free or targets != self.home:
-            where = dict(zip(self.home, targets)).__getitem__
-            bind = angles if self.free else None
-            out = []
-            for c in calls:
-                ops = []
-                for g in c.ops:
-                    inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
-                    args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
-                    ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
-                out.append(ResolvedCall(ops))
-            calls = out
+        inv/pow through `_algebra`. A placement is built once: every call
+        that repeats it, as the iterations of a loop do, shares its calls,
+        and only the algebra is applied per call."""
+        key = (tuple(targets), controls, _signed(tuple(angles)) if self.free else ())
+        calls = self.placed.get(key)
+        if calls is None:
+            calls = [c for part in self.parts for c in _placed(part)]  # at home, plain
+            if controls or self.free or targets != self.home:
+                where = dict(zip(self.home, targets)).__getitem__
+                bind = angles if self.free else None
+                moved = []
+                for c in calls:
+                    ops = []
+                    for g in c.ops:
+                        inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
+                        args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
+                        ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
+                    moved.append(ResolvedCall(ops))
+                calls = moved
+            self.placed[key] = calls
         return _algebra(calls, algebra, _invert_call)
 
 
@@ -349,15 +359,16 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
     registers, DivByZero on zero divisors, and NonFiniteConst at the first
     operation whose result is inf or NaN or overflows a double.
     """
-    if isinstance(expr, fe.IntLit):
+    kind = type(expr)
+    if kind is fe.FloatLit or kind is fe.IntLit:
         return expr.value
-    if isinstance(expr, fe.FloatLit):
-        return expr.value
-    if isinstance(expr, fe.PiConst):
+    if kind is fe.Unary:
+        return -const_eval(expr.operand, symbols)
+    if kind is fe.PiConst:
         return math.pi
-    if isinstance(expr, fe.NamedRef):
+    if kind is fe.NamedRef:
         entry = symbols.lookup(expr.name, expr.span)
-        if entry.kind is not SymbolKind.COMPILE_TIME_CONST:
+        if entry.kind is not _CONST:
             raise NotConst(
                 f"'{expr.name}' is a {entry.kind.value}, not a compile-time constant",
                 expr.span,
@@ -365,9 +376,7 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
         if expr.index is not None:
             raise NotConst(f"constant '{expr.name}' is a scalar and cannot be indexed", expr.span)
         return entry.const_value
-    if isinstance(expr, fe.Unary):
-        return -const_eval(expr.operand, symbols)
-    if isinstance(expr, fe.Binary):
+    if kind is fe.Binary:
         lhs = const_eval(expr.lhs, symbols)
         rhs = const_eval(expr.rhs, symbols)
         if expr.op == "/" and rhs == 0:
@@ -385,7 +394,7 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
                 value = lhs / rhs
         except OverflowError:  # an int operand or quotient past a double's range
             value = math.inf
-        if value != value or value in (math.inf, -math.inf):
+        if type(value) is float and not math.isfinite(value):
             raise NonFiniteConst(f"constant expression folds to {value}", expr.span)
         return value
     raise NotConst("not a constant arithmetic expression", expr.span)
@@ -494,7 +503,7 @@ class _Analyzer:
             if stmt.size < 1:
                 what = "qubit" if qubit else "bit"
                 raise SemaError(f"{what} register '{stmt.name}' must have size >= 1", stmt.span)
-            kind = SymbolKind.QUBIT_REGISTER if qubit else SymbolKind.CLASSICAL_REGISTER
+            kind = _QUBITS if qubit else _BITS
             self.symbols.define(
                 SymbolEntry(stmt.name, kind, stmt.size, None, stmt.span)
             )
@@ -506,7 +515,7 @@ class _Analyzer:
             if stmt.count < 1:
                 raise SemaError(f"input '{stmt.name}' must have at least one element", stmt.span)
             self.symbols.define(
-                SymbolEntry(stmt.name, SymbolKind.RUNTIME_INPUT, stmt.count, None, stmt.span)
+                SymbolEntry(stmt.name, _INPUT, stmt.count, None, stmt.span)
             )
             offset = sum(p.count for p in self.param_layout)
             spec = ParamSpec(stmt.name, stmt.count, stmt.array, offset)
@@ -524,13 +533,13 @@ class _Analyzer:
             else:
                 value = _to_double(value, stmt.span)
             self.symbols.define(
-                SymbolEntry(stmt.name, SymbolKind.COMPILE_TIME_CONST, 1, value, stmt.span)
+                SymbolEntry(stmt.name, _CONST, 1, value, stmt.span)
             )
         elif isinstance(stmt, fe.GateDef):
             if stmt.name in BUILTIN_GATES and self.has_stdgates:
                 raise Redefinition(f"'{stmt.name}' shadows a standard gate", stmt.span)
             self.symbols.define(
-                SymbolEntry(stmt.name, SymbolKind.GATE_DEFINITION, len(stmt.qubits), None, stmt.span)
+                SymbolEntry(stmt.name, _GATE, len(stmt.qubits), None, stmt.span)
             )
             if len(set(stmt.qubits)) != len(stmt.qubits) or len(set(stmt.params)) != len(stmt.params):
                 raise Redefinition(f"duplicate formal name in gate '{stmt.name}'", stmt.span)
@@ -562,22 +571,29 @@ class _Analyzer:
             raise IndexOutOfRange(f"index {idx} out of range for {where.format(ref.name, size)}", ref.span)
         return idx
 
-    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
-        """The flat ids a qubit ref names: one qubit, or a whole register's
+    def _operand(self, ref: fe.NamedRef) -> int | list[int]:
+        """The flat id of the qubit a ref names, or a whole register's ids
         (a register of one qubit is a single qubit)."""
         entry = self.symbols.lookup(ref.name, ref.span)
-        if entry.kind is not SymbolKind.QUBIT_REGISTER:
+        if entry.kind is not _QUBITS:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a qubit register", ref.span)
-        base = self.qubit_base[ref.name]
-        if ref.index is None:
-            return list(range(base, base + entry.size))
-        return [base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}")]
+        base, index = self.qubit_base[ref.name], ref.index
+        if type(index) is fe.IntLit and 0 <= index.value < entry.size:
+            return base + index.value
+        if index is None:
+            return list(range(base, base + entry.size)) if entry.size > 1 else base
+        return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}")
+
+    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
+        """The flat ids a qubit ref names: one qubit, or a whole register's."""
+        ids = self._operand(ref)
+        return ids if type(ids) is list else [ids]
 
     def resolve_bits(self, ref: fe.NamedRef) -> list[tuple[str, int]]:
         """The (register, index) bits a classical ref names: one bit, or a
         whole register's (a register of one bit is a single bit)."""
         entry = self.symbols.lookup(ref.name, ref.span)
-        if entry.kind is not SymbolKind.CLASSICAL_REGISTER:
+        if entry.kind is not _BITS:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a bit register", ref.span)
         if ref.index is None:
             return [(ref.name, i) for i in range(entry.size)]
@@ -591,11 +607,11 @@ class _Analyzer:
         In a gate body a bare formal is its bound angle, and arithmetic folds
         in `scoped`, the symbol table with the formals pushed on top.
         """
-        if formals and isinstance(expr, fe.NamedRef) and expr.name in formals and expr.index is None:
-            return formals[expr.name]
-        if isinstance(expr, fe.NamedRef):
+        if type(expr) is fe.NamedRef:
+            if formals and expr.name in formals and expr.index is None:
+                return formals[expr.name]
             entry = self.symbols.lookup_or_none(expr.name)
-            if entry is not None and entry.kind is SymbolKind.RUNTIME_INPUT:
+            if entry is not None and entry.kind is _INPUT:
                 spec = self.param_offset[expr.name]
                 if expr.index is None:
                     if spec.array:
@@ -606,7 +622,7 @@ class _Analyzer:
                 idx = self._index(expr, spec.count, "parameter index", "parameter '{}' of {} elements")
                 return ParamRef(spec.offset + idx)
         value = const_eval(expr, scoped or self.symbols)
-        return _to_double(value, expr.span)
+        return value if type(value) is float else _to_double(value, expr.span)
 
     # -- gate calls ---------------------------------------------------------
     def _modifiers(self, mods: list[fe.Modifier], symbols: SymbolTable) -> tuple[tuple[int, ...], Algebra]:
@@ -623,18 +639,18 @@ class _Analyzer:
                 polarity.append(POS if mod.kind == "ctrl" else NEG)
         return tuple(polarity), tuple(algebra)
 
-    def _callee(self, call: fe.GateCall, n_ctrl: int, strict: bool) -> fe.GateDef | None:
-        """The user gate a call names, or None for a builtin, with its arity
-        checked. A name bound to a non-gate is an error only when `strict`."""
+    def _callee(self, call: fe.GateCall, n_ctrl: int, strict: bool) -> fe.GateDef | tuple:
+        """The user gate a call names, or the builtin's BUILTIN_GATES spec,
+        with its arity checked. A name bound to a non-gate is an error only
+        when `strict`."""
         entry = self.symbols.lookup_or_none(call.name)
-        gate_def = None
-        if entry is not None and entry.kind is SymbolKind.GATE_DEFINITION:
-            gate_def = self.gate_defs[call.name]
-            n_angles, n_qubits = len(gate_def.params), len(gate_def.qubits)
+        if entry is not None and entry.kind is _GATE:
+            callee = self.gate_defs[call.name]
+            n_angles, n_qubits = len(callee.params), len(callee.qubits)
         elif strict and entry is not None:
             raise SemaError(f"'{call.name}' is a {entry.kind.value}, not a gate", call.span)
-        elif call.name in BUILTIN_GATES and self.has_stdgates:
-            n_angles, n_qubits, _, _, _ = BUILTIN_GATES[call.name]
+        elif (callee := BUILTIN_GATES.get(call.name)) and self.has_stdgates:
+            n_angles, n_qubits = callee[0], callee[1]
         else:
             missing = "" if self.has_stdgates else ' (missing include "stdgates.inc"?)'
             raise UndefinedName(f"undefined gate '{call.name}'{missing}", call.span)
@@ -649,46 +665,52 @@ class _Analyzer:
                 f"{n_qubits + n_ctrl} qubit operand(s), got {len(call.qubits)}",
                 call.span,
             )
-        return gate_def
+        return callee
 
     def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
         polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
-        gate_def = self._callee(stmt, len(polarity), strict=True)
-        angles = [self.resolve_angle(a) for a in stmt.args]
-        operands = [self.resolve_qubits(q) for q in stmt.qubits]
+        callee = self._callee(stmt, len(polarity), True)
+        angles = [self.resolve_angle(a) for a in stmt.args] if stmt.args else []
+        operands, whole = [], False
+        for ref in stmt.qubits:  # a loop, not a comprehension: most calls have one or two
+            operands.append(ids := self._operand(ref))
+            whole = whole or type(ids) is list
         out: list[ResolvedCall] = []
-        for qubits in self._broadcast(operands, stmt.span):
-            if len(set(qubits)) != len(qubits):
+        for qubits in self._broadcast(operands, stmt.span) if whole else (operands,):
+            if len(qubits) > 1 and len(set(qubits)) != len(qubits):
                 raise DuplicateQubitArg(
                     f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
                 )
-            out.extend(_placed(self._part(stmt, gate_def, qubits, polarity, algebra, angles, stmt.span, ())))
+            out += _placed(self._part(stmt, callee, qubits, polarity, algebra, angles, stmt.span, ()))
         return out
 
-    def _part(self, call, gate_def, qubits, polarity, algebra, angles, span, stack):
+    def _part(self, call, callee, qubits, polarity, algebra, angles, span, stack):
         """One gate call over resolved operands, its gates counted: a builtin
         call's ResolvedCall, or a user gate's template with where to place it
         (template, targets, controls, algebra, angles). A builtin checks the
-        budget at `span`, the enclosing call's in a gate body."""
-        if gate_def is None:
-            self._bump(span, _pow_product(algebra))
-            return ResolvedCall(_builtin_ops(call.name, angles, qubits, polarity, algebra))
+        budget at `span`, the enclosing call's in a gate body. Its gate takes
+        modifier controls (one leading operand per polarity), then the named
+        gate's own controls, then targets."""
+        if type(callee) is tuple:
+            self.stmt_count = self._check_budget(_pow_product(algebra) if algebra else 1, span)
+            _, _, base, named, adjoint = callee
+            n = len(polarity) + named
+            controls = tuple(zip(qubits, polarity + (POS,) * named)) if n else ()
+            gate = Gate(base, tuple(angles), tuple(qubits[n:]) if n else tuple(qubits), controls, adjoint)
+            return ResolvedCall(_algebra([gate], algebra, _invert_gate) if algebra else [gate])
         targets = qubits[len(polarity) :]
         template = self._template(call.name, algebra, angles, targets, call.span, stack)
         return (template, targets, tuple(zip(qubits, polarity)), algebra, angles)
 
-    def _broadcast(self, operands: list[list[int]], span: fe.Span) -> list[list[int]]:
+    def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
         """Expand whole-register operands: same-width registers zip elementwise,
         single qubits broadcast across iterations."""
-        qubits = [q for op in operands for q in op]
-        if len(qubits) == len(operands):  # no register operand: one row
-            return [qubits]
-        widths = {len(op) for op in operands if len(op) > 1}
+        widths = {len(op) for op in operands if type(op) is list}
         if len(widths) > 1:
             raise ArityMismatch(
                 f"mismatched register widths {sorted(widths)} in one gate call", span
             )
-        return [[op[i] if len(op) > 1 else op[0] for op in operands] for i in range(widths.pop())]
+        return [[op[i] if type(op) is list else op for op in operands] for i in range(widths.pop())]
 
     def _template(self, name: str, algebra: Algebra, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
@@ -711,13 +733,10 @@ class _Analyzer:
         base = self.stmt_count
         # Free formals are bound when the template is placed; only whether
         # each is a ParamRef selects the template. The other angles select it
-        # by value, and by sign: 0.0 and -0.0 hash alike, but inversion and
-        # the dump tell them apart. A body looks names up where it is called,
-        # so the loop variables it could read select it too.
+        # by value and sign. A body looks names up where it is called, so the
+        # loop variables it could read select it too.
         free = self.free_formals[name]
-        fixed = tuple([a for a, f in zip(angles, free) if not f])
-        if 0 in fixed:
-            fixed += tuple(math.copysign(1.0, a) for a in fixed if a == 0)
+        fixed = _signed(tuple([a for a, f in zip(angles, free) if not f]))
         runtime = tuple([isinstance(a, ParamRef) for a, f in zip(angles, free) if f])
         loops = self.symbols.scopes[1:]
         reads = [(n, e.const_value) for scope in loops for n, e in scope.items() if n in self.body_names]
@@ -748,14 +767,14 @@ class _Analyzer:
         formals: dict[str, Angle] = {}
         for i, (name, value) in enumerate(zip(gate_def.params, angles)):
             formals[name] = (_FormalRef(i) if isinstance(value, ParamRef) else _Formal(i)) if free[i] else value
-        # Arithmetic folds with the formals bound in a scope pushed on a view
+        # Arithmetic folds with the formals bound in a scope pushed on a copy
         # of the table. Only bare references to a formal bound to a ParamRef
         # are representable; as a runtime input, const_eval reports NotConst.
         scoped = SymbolTable()
-        scoped.scopes = self.symbols.scopes + [{}]
+        scoped.scopes, scoped.visible = self.symbols.scopes + [{}], dict(self.symbols.visible)
         for name, value in formals.items():
             runtime = isinstance(value, ParamRef)
-            kind = SymbolKind.RUNTIME_INPUT if runtime else SymbolKind.COMPILE_TIME_CONST
+            kind = _INPUT if runtime else _CONST
             scoped.define(SymbolEntry(name, kind, 1, None if runtime else value, (0, 0)))
         slots = dict(zip(gate_def.qubits, targets))
         base, high = self.stmt_count, self.high
@@ -801,32 +820,32 @@ class _Analyzer:
         return self.min_costs[name]
 
     # -- statements ---------------------------------------------------------
-    def _check_budget(self, cost: int, span: fe.Span) -> None:
+    def _check_budget(self, cost: int, span: fe.Span) -> int:
         """Raise before building statements that would take the program
-        past UNROLL_CAP; note the most counted, for _Template.peak."""
+        past UNROLL_CAP; note the most counted, for _Template.peak. Returns
+        the count with them."""
         need = self.stmt_count + cost
         if need > UNROLL_CAP:
-            raise ProgramTooLarge(
-                f"program exceeds {UNROLL_CAP} statements after loop unrolling", span
-            )
-        self.high = max(self.high, need)
+            raise ProgramTooLarge(f"program exceeds {UNROLL_CAP} statements after loop unrolling", span)
+        if need > self.high:
+            self.high = need
+        return need
 
     def _bump(self, span: fe.Span, by: int = 1) -> None:
-        self._check_budget(by, span)
-        self.stmt_count += by
+        self.stmt_count = self._check_budget(by, span)
 
     def resolve_statements(self, stmts: list[fe.Statement], top_level: bool) -> list[ResolvedStatement]:
         out: list[ResolvedStatement] = []
         for stmt in stmts:
-            if isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
+            if type(stmt) is fe.GateCall:
+                before = self.stmt_count
+                out += self.resolve_call(stmt)  # bumps by the gates it lowers to
+                if self.stmt_count == before:
+                    self._bump(stmt.span)
+            elif isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
                 if not top_level:
                     raise SemaError("declarations are only allowed at top level", stmt.span)
                 self.declare(stmt)
-            elif isinstance(stmt, fe.GateCall):
-                before = self.stmt_count
-                out.extend(self.resolve_call(stmt))  # bumps by the gates it lowers to
-                if self.stmt_count == before:
-                    self._bump(stmt.span)
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):
@@ -894,7 +913,7 @@ class _Analyzer:
         for value in range(start, start + trips * step, step):
             self.symbols.push()
             self.symbols.define(
-                SymbolEntry(stmt.var, SymbolKind.COMPILE_TIME_CONST, 1, value, stmt.span)
+                SymbolEntry(stmt.var, _CONST, 1, value, stmt.span)
             )
             before = self.stmt_count
             try:

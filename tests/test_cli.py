@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,17 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ") and str(shots) in captured.err
 
+    @pytest.mark.parametrize("flags", [["--statevector"], ["--expval", "ZZ"], ["--statevector", "--expval", "ZZ"]])
+    def test_dynamic_kernel_error_names_the_flag(self, bell_file, capsys, flags):
+        assert cli.main(["run", bell_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        named = " and ".join(f for f in flags if f.startswith("--"))
+        assert captured.err == (
+            f"error: {named}: the kernel measures, resets or branches, so it has no single "
+            f"final state; drop {named} to sample shots\n"
+        )
+
     def test_too_wide_for_simulator(self, tmp_path, capsys):
         wide = tmp_path / "wide.qasm"
         wide.write_text(BELL.replace("qubit[2] q;", "qubit[64] q;"))
@@ -136,6 +151,33 @@ def test_unreadable_input_is_one_line_error(tmp_path, capsys, command, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: cannot read {path}: ")
+
+
+# 14 qubits under h: the histogram and the amplitudes are 16,384 lines each,
+# several times what a pipe buffers, so the writer meets the closed pipe.
+WIDE = 'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[14] q;\nh q;\n'
+
+
+@pytest.mark.parametrize(
+    "source, flags",
+    [(WIDE + "bit[14] c;\nc = measure q;\n", ["--shots", "100000"]), (WIDE, ["--statevector"])],
+    ids=["histogram", "statevector"],
+)
+def test_closed_stdout_is_one_line_error(tmp_path, source, flags):
+    path = tmp_path / "wide.qasm"
+    path.write_text(source)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qasm2cudaq.cli", "run", str(path), *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    first = proc.stdout.readline()  # then close the pipe, as `| head -1` does
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert first.startswith(b"00000000000000 ")
+    assert err == "error: standard output was closed before all output was written\n"
 
 
 class TestTranspile:

@@ -224,6 +224,16 @@ class TestUnrolling:
         vp = analyze(f"{HEADER}qubit q;\nfor int i in [3:2] {{ h q; }}\n")
         assert vp.statements == []
 
+    def test_loop_variables_shadow_and_are_restored(self):
+        vp = analyze(
+            f"{HEADER}qubit q;\nconst int k = 5;\n"
+            "for int k in [0:1] { for int k in [2:3] { rz(k) q; } rz(k) q; }\nrz(k) q;\n"
+        )
+        assert [s.ops[0].angles for s in vp.statements] == [(a,) for a in (2.0, 3.0, 0.0, 2.0, 3.0, 1.0, 5.0)]
+        assert vp.symbols.lookup("k", (0, 0)).const_value == 5
+        with pytest.raises(UndefinedName):
+            analyze(f"{HEADER}qubit q;\nfor int i in [0:1] {{ h q; }}\nrz(i) q;\n")
+
     def test_no_for_statement_remains(self):
         vp = analyze(
             f"{HEADER}qubit[4] q;\nbit c;\n"

@@ -205,7 +205,7 @@ def algebra_programs(draw) -> str:
 
 
 class TestModifierAlgebra:
-    @settings(max_examples=250)
+    @settings(max_examples=max(250, settings().max_examples))  # a larger profile count wins
     @given(algebra_programs())
     def test_kernel_matches_definition_semantics(self, source):
         np.testing.assert_allclose(
@@ -346,4 +346,70 @@ class TestFreeFormals:
         assert [(op.angles, op.targets, op.adjoint) for op in body[6:8]] == [
             ((sema.ParamRef(1),), (1,), False),
             ((sema.ParamRef(1),), (0,), True),
+        ]
+
+
+class TestSharedPlacements:
+    """A template placement is built once and shared by every call that
+    repeats it; everything that tells two placements apart keys its own."""
+
+    def test_outer_iterations_share_the_inner_placements(self):
+        source = HEADER + (
+            "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[3] q;\n"
+            "for int r in [0:2] { for int i in [0:1] { g(0.5) q[i], q[i + 1]; } }\n"
+        )
+        calls = sema.analyze(fe.parse(fe.tokenize(source))).statements
+        assert len(calls) == 12
+        first = calls[:4]
+        for k in (4, 8):
+            assert all(a is b for a, b in zip(first, calls[k : k + 4]))
+        assert calls[0] is not calls[2]  # i = 0 and i = 1 are two placements
+        assert [(op.targets, op.controls) for c in first for op in c.ops] == [
+            ((1,), ((0, 1),)), ((1,), ()), ((2,), ((1, 1),)), ((2,), ()),
+        ]
+
+    def test_signed_zero_free_angles(self):
+        source = HEADER + "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[2] q;\n" + (
+            "g(0.0) q[0], q[1];\ng(-0.0) q[0], q[1];\ng(0.0) q[0], q[1];\n"
+        )
+        assert kir.dump(compile_source(source)).splitlines()[1:] == [
+            "gate x q1 +q0", "gate rz(0.0) q1",
+            "gate x q1 +q0", "gate rz(-0.0) q1",
+            "gate x q1 +q0", "gate rz(0.0) q1",
+        ]
+
+    def test_param_ref_and_literal(self):
+        # w places g on its own qubits with a formal of its own, which must
+        # not stand in for th[1] at the same targets
+        source = HEADER + (
+            "input array[float[64], 2] th;\ngate g(t) a, b { cx a, b; rz(t) b; }\n"
+            "gate w(t) a, b { g(t) a, b; }\nqubit[2] q;\n"
+            "g(0.5) q[0], q[1];\ng(th[1]) q[0], q[1];\nw(th[0]) q[0], q[1];\ng(th[1]) q[0], q[1];\n"
+        )
+        assert kir.dump(compile_source(source)).splitlines()[1:] == [
+            "gate x q1 +q0", "gate rz(0.5) q1",
+            "gate x q1 +q0", "gate rz(param1) q1",
+            "gate x q1 +q0", "gate rz(param0) q1",
+            "gate x q1 +q0", "gate rz(param1) q1",
+        ]
+
+    def test_ctrl_and_negctrl(self):
+        source = HEADER + "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[3] q;\n" + (
+            "ctrl @ g(0.5) q[2], q[0], q[1];\nnegctrl @ g(0.5) q[2], q[0], q[1];\nctrl @ g(0.5) q[2], q[0], q[1];\n"
+        )
+        assert kir.dump(compile_source(source)).splitlines()[1:] == [
+            "gate x q1 +q2 +q0", "gate rz(0.5) q1 +q2",
+            "gate x q1 -q2 +q0", "gate rz(0.5) q1 -q2",
+            "gate x q1 +q2 +q0", "gate rz(0.5) q1 +q2",
+        ]
+
+    def test_inv_and_pow_apply_per_call(self):
+        source = HEADER + "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[2] q;\n" + (
+            "g(0.5) q[1], q[0];\ninv @ g(0.5) q[1], q[0];\npow(-2) @ g(0.5) q[1], q[0];\ng(0.5) q[1], q[0];\n"
+        )
+        assert kir.dump(compile_source(source)).splitlines()[1:] == [
+            "gate x q0 +q1", "gate rz(0.5) q0",
+            "gate rz(-0.5) q0", "gate x q0 +q1",
+            "gate rz(-0.5) q0", "gate x q0 +q1", "gate rz(-0.5) q0", "gate x q0 +q1",
+            "gate x q0 +q1", "gate rz(0.5) q0",
         ]
