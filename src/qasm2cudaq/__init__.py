@@ -12,11 +12,9 @@ from .kir import (
     Predicate,
     Reset,
     bind,
-    compile_counters,
     compile_source,
     dump,
     lower,
-    reset_compile_counters,
 )
 from .oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
 from .randqasm import RandomCircuitSpec, generate, generate_with_inverse

@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file", help="OpenQASM 3.0 source file")
     p_run.add_argument("--shots", type=int, default=1000)
     p_run.add_argument("--seed", type=int, default=1234)
-    p_run.add_argument("--workers", type=int, default=1, help="accepted for compatibility; sampling runs in one process")
     p_run.add_argument(
         "--param",
         action="append",
@@ -65,8 +64,11 @@ def _parse_params(kernel: kir.Kernel, raw: list[str]) -> list[float]:
         if "=" not in item:
             raise Qasm2CudaqError(f"--param expects name=v1,v2,..., got {item!r}")
         name, _, values = item.partition("=")
-        try:
-            given[name.strip()] = [float(v) for v in values.split(",") if v.strip()]
+        name = name.strip()
+        if name in given:
+            raise Qasm2CudaqError(f"--param {name!r} is given more than once")
+        try:  # an empty element is not a number either
+            given[name] = [float(v) for v in values.split(",")]
         except ValueError:
             raise BadParameter(f"--param {item!r}: every value must be a number") from None
     flat: list[float] = []
@@ -130,7 +132,7 @@ def _cmd_run(args) -> int:
         if args.expval:
             print(f"<{args.expval}> = {sim.expval_pauli(state, args.expval)!r}")
         return 0
-    hist = sim.sample(bound, args.shots, args.seed, workers=args.workers)
+    hist = sim.sample(bound, args.shots, args.seed)
     for key, count in hist.sorted_items():
         print(f"{key if key else chr(34) * 2} {count}")
     return 0

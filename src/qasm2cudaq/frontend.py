@@ -326,18 +326,6 @@ class ProgramAst:
 # Parser
 # ---------------------------------------------------------------------------
 
-_PARSE_CALLS = 0
-
-
-def parse_call_count() -> int:
-    return _PARSE_CALLS
-
-
-def _reset_parse_calls() -> None:
-    global _PARSE_CALLS
-    _PARSE_CALLS = 0
-
-
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _MODIFIERS = ("ctrl", "negctrl", "inv", "pow")
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -721,8 +709,6 @@ _STATEMENT_PARSERS = {
 def parse(tokens: TokenStream) -> ProgramAst:
     """Parse a token stream into a ProgramAst; the first error aborts. The
     stream is only read, so it can be parsed again."""
-    global _PARSE_CALLS
-    _PARSE_CALLS += 1
     return _Parser(tokens).parse_program()
 
 

@@ -60,20 +60,6 @@ class BoundKernel:
     values: tuple[float, ...]
 
 
-_LOWER_CALLS = 0
-
-
-def compile_counters() -> tuple[int, int]:
-    """(parse invocations, lower invocations) since the last reset."""
-    return frontend.parse_call_count(), _LOWER_CALLS
-
-
-def reset_compile_counters() -> None:
-    global _LOWER_CALLS
-    _LOWER_CALLS = 0
-    frontend._reset_parse_calls()
-
-
 def measures(ops: list[KOp]) -> Iterator[Measure]:
     """Every measure in `ops`, conditional bodies included, in program
     order (each block's then body before its else body)."""
@@ -143,8 +129,6 @@ class _Lowerer:
 @gc_paused
 def lower(vp: ValidatedProgram) -> Kernel:
     """Lower a validated program to kernel IR, preserving program order."""
-    global _LOWER_CALLS
-    _LOWER_CALLS += 1
     body = _Lowerer(vp).lower_body(vp.statements, set())
     return Kernel(
         qubit_count=vp.qubit_count,
@@ -163,19 +147,26 @@ def compile_source(source: str) -> Kernel:
 
 def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
     """Attach runtime parameter values without copying or re-lowering; every
-    value must be finite."""
+    value must be a finite real number."""
     if len(values) != kernel.total_params:
         raise ArityMismatch(
             f"kernel takes {kernel.total_params} parameter value(s), got {len(values)}"
         )
-    bound = tuple(float(v) for v in values)
+    bound: list[float] = []
     for spec in kernel.param_layout:
         for i in range(spec.count):
-            value = bound[spec.offset + i]
+            raw = values[spec.offset + i]
+            name = f"{spec.name}[{i}]" if spec.array else spec.name
+            try:
+                value = float(raw)
+            except (TypeError, ValueError, OverflowError):
+                # the type, not repr(raw): repr of an int past 4300 digits raises
+                kind = type(raw).__name__
+                raise BadParameter(f"parameter '{name}' cannot be read as a float ({kind})") from None
             if not math.isfinite(value):
-                name = f"{spec.name}[{i}]" if spec.array else spec.name
                 raise BadParameter(f"parameter '{name}' is {value!r}; values must be finite")
-    return BoundKernel(kernel, bound)
+            bound.append(value)
+    return BoundKernel(kernel, tuple(bound))
 
 
 # ---------------------------------------------------------------------------

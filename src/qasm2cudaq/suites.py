@@ -4,8 +4,7 @@ Every suite starts from OpenQASM source text and runs the full pipeline
 (parse -> analyze -> lower -> simulate), so a pass exercises the whole
 stack. Differential suites compare against the brute-force oracle; the
 protocol suites check the deterministic outcomes that feedforward logic
-must produce. Sabotage switches exist so the tests can prove the suites
-are not vacuous.
+must produce.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def _timed(fn) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reset_source(prep: str, invert_branch: bool, drop_correction: bool) -> str:
-    correction = "" if drop_correction else f"if (c == {0 if invert_branch else 1}) {{ x q; }}\n"
+def _reset_source(prep: str) -> str:
     return (
         "OPENQASM 3.0;\n"
         'include "stdgates.inc";\n'
@@ -92,28 +90,21 @@ def _reset_source(prep: str, invert_branch: bool, drop_correction: bool) -> str:
         "bit c;\n"
         f"{prep}\n"
         "c = measure q;\n"
-        f"{correction}"
+        "if (c == 1) { x q; }\n"
         "c = measure q;\n"
     )
 
 
-def suite_conditional_reset(
-    shots: int = 1000,
-    seed: int = 1234,
-    _sabotage_invert: bool = False,
-    _sabotage_drop: bool = False,
-) -> SuiteReport:
+def suite_conditional_reset(shots: int = 1000, seed: int = 1234) -> SuiteReport:
     """Prepare a superposition, measure, conditionally flip back to |0>.
 
     Runs both preparations (|+> via h, |-> via x;h); feedforward makes the
     final state |0> on every trajectory, so P(0) is exactly 1 under ideal
-    dynamics (threshold enforced at 0.999). The sabotage switches exist for
-    mutation-sensitivity tests: an inverted predicate sends every shot to
-    |1> (P(0) = 0), a dropped correction leaves the raw coin (P(0) ~ 0.5)."""
+    dynamics (threshold enforced at 0.999)."""
     report = SuiteReport("reset")
     start = time.perf_counter()
     for label, prep in (("plus-state", "h q;"), ("minus-state", "x q; h q;")):
-        kernel = compile_source(_reset_source(prep, _sabotage_invert, _sabotage_drop))
+        kernel = compile_source(_reset_source(prep))
         hist = sim.sample(kir.bind(kernel, []), shots, seed)
         p_zero = hist.probability("0")
         report.add(label, p_zero >= RESET_THRESHOLD, p_zero, RESET_THRESHOLD)
@@ -126,10 +117,7 @@ def suite_conditional_reset(
 # ---------------------------------------------------------------------------
 
 
-def _teleport_source(th: float, ph: float, la: float, corrections: bool) -> str:
-    fix = ""
-    if corrections:
-        fix = "if (c1 == 1) { x q[2]; }\nif (c0 == 1) { z q[2]; }\n"
+def _teleport_source(th: float, ph: float, la: float) -> str:
     return (
         "OPENQASM 3.0;\n"
         'include "stdgates.inc";\n'
@@ -144,13 +132,14 @@ def _teleport_source(th: float, ph: float, la: float, corrections: bool) -> str:
         "h q[0];\n"
         "c0 = measure q[0];\n"
         "c1 = measure q[1];\n"
-        f"{fix}"
+        "if (c1 == 1) { x q[2]; }\n"
+        "if (c0 == 1) { z q[2]; }\n"
         f"u({-th!r}, {-la!r}, {-ph!r}) q[2];\n"
         "res = measure q[2];\n"
     )
 
 
-def suite_teleport(shots: int = 1000, seed: int = 1234, _sabotage_drop_corrections: bool = False) -> SuiteReport:
+def suite_teleport(shots: int = 1000, seed: int = 1234) -> SuiteReport:
     """Teleport a random single-qubit state, uncompute it on the target
     qubit, and assert a deterministic return to |0> on every shot."""
     report = SuiteReport("teleport")
@@ -159,8 +148,7 @@ def suite_teleport(shots: int = 1000, seed: int = 1234, _sabotage_drop_correctio
     th = rng.uniform(0, math.pi)
     ph = rng.uniform(0, 2 * math.pi)
     la = rng.uniform(0, 2 * math.pi)
-    source = _teleport_source(th, ph, la, corrections=not _sabotage_drop_corrections)
-    hist = sim.sample(kir.bind(compile_source(source), []), shots, seed)
+    hist = sim.sample(kir.bind(compile_source(_teleport_source(th, ph, la)), []), shots, seed)
     zeros = sum(count for key, count in hist.counts.items() if key.endswith("0"))
     fraction = zeros / shots
     report.add("uncompute-to-zero", fraction == 1.0, fraction, 1.0)
@@ -292,13 +280,14 @@ def _literal_ansatz(theta: list[float]) -> str:
 
 
 def suite_vqe(iterations: int = 50, seed: int = 1234) -> SuiteReport:
-    """Compile-once / run-many check: one parse+lower, many bindings.
+    """Compile-once / run-many check: one compile, many bindings.
 
-    Each binding's <ZZ> is compared against the independent matrix oracle;
-    the bound-execution loop must also beat a deliberate reparse-every-
-    iteration baseline in total wall time. Both loops are warmed up and
-    timed best-of-3 after a GC quiesce so the comparison is not dominated
-    by collector pauses from earlier workloads."""
+    Every binding must share the compiled kernel, not copy it, and its <ZZ>
+    is compared against the independent matrix oracle; the bound-execution
+    loop must also beat a deliberate reparse-every-iteration baseline in
+    total wall time. Both loops are warmed up and timed best-of-3 after a
+    GC quiesce so the comparison is not dominated by collector pauses from
+    earlier workloads."""
     report = SuiteReport("vqe")
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -308,7 +297,6 @@ def suite_vqe(iterations: int = 50, seed: int = 1234) -> SuiteReport:
     warm = compile_source(_literal_ansatz(thetas[0]))
     sim.expval_pauli(sim.statevector(kir.bind(warm, [])), "ZZ")
 
-    kir.reset_compile_counters()
     kernel = compile_source(_ANSATZ)
     values: list[float] = []
 
@@ -324,12 +312,12 @@ def suite_vqe(iterations: int = 50, seed: int = 1234) -> SuiteReport:
             sim.expval_pauli(sim.statevector(kir.bind(rebuilt, [])), "ZZ")
 
     bound_total = min(_timed(bound_loop) for _ in range(3))
-    parse_calls, lower_calls = kir.compile_counters()
     worst = max(abs(v - _ansatz_zz_oracle(t)) for v, t in zip(values, thetas))
+    # each binding is compared while it is alive, so no freed object's id is reused
+    copies = sum(kir.bind(kernel, theta).kernel is not kernel for theta in thetas)
 
     report.add("expval-matches-oracle", worst <= VQE_TOLERANCE, worst, VQE_TOLERANCE)
-    report.add("compile-once-parse", parse_calls == 1, parse_calls, 1)
-    report.add("compile-once-lower", lower_calls == 1, lower_calls, 1)
+    report.add("compile-once", copies == 0, copies, 0)
 
     baseline_total = min(_timed(baseline_loop) for _ in range(3))
     speedup = baseline_total / bound_total if bound_total > 0 else float("inf")

@@ -83,6 +83,32 @@ class TestRun:
         assert cli.main(["run", ansatz_file, "--param", "theta=1"]) == 2
         assert cli.main(["run", ansatz_file, "--param", "theta=1,2", "--param", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["theta=1", "theta=0.5,0.25"],
+            ["theta=0.5,0.25", "theta=0.5,0.25"],
+            ["theta=0.5,,0.25"],
+            ["theta=0.5,0.25,"],
+            ["theta="],
+        ],
+        ids=["repeated", "repeated-same", "empty-element", "trailing-comma", "no-values"],
+    )
+    def test_malformed_params(self, ansatz_file, capsys, params):
+        argv = ["run", ansatz_file]
+        for param in params:
+            argv += ["--param", param]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_workers_flag_is_gone(self, bell_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", bell_file, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_bad_param_value(self, tmp_path, capsys, value):
         path = tmp_path / "rx.qasm"

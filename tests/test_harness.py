@@ -107,6 +107,19 @@ class TestRandomCircuits:
         compile_source(source)
 
 
+def _mutate(monkeypatch, name: str, line: str, replacement: str) -> None:
+    """Make suites.<name> return its program with `line` replaced, and fail
+    if the program does not contain `line`."""
+    real = getattr(suites, name)
+
+    def mutant(*args):
+        source = real(*args)
+        assert line in source, f"{name} no longer writes {line!r}"
+        return source.replace(line, replacement)
+
+    monkeypatch.setattr(suites, name, mutant)
+
+
 class TestSuites:
     def test_conditional_reset_passes_exactly(self):
         report = suites.suite_conditional_reset(shots=1000, seed=42)
@@ -118,16 +131,18 @@ class TestSuites:
         report = suites.suite_conditional_reset(shots=1, seed=9)
         assert report.passed and all(c.metric == 1.0 for c in report.cases)
 
-    def test_conditional_reset_inverted_predicate_fails_hard(self):
+    def test_conditional_reset_inverted_predicate_fails_hard(self, monkeypatch):
         # branch analysis: c=0 fires the flip, c=1 skips it; both end in |1>
-        report = suites.suite_conditional_reset(shots=1000, seed=42, _sabotage_invert=True)
+        _mutate(monkeypatch, "_reset_source", "if (c == 1)", "if (c == 0)")
+        report = suites.suite_conditional_reset(shots=1000, seed=42)
         assert not report.passed
         for case in report.cases:
             assert case.metric == 0.0
 
-    def test_conditional_reset_dropped_correction_fails_near_half(self):
+    def test_conditional_reset_dropped_correction_fails_near_half(self, monkeypatch):
         # branch analysis: without the correction the mid-circuit coin survives
-        report = suites.suite_conditional_reset(shots=1000, seed=42, _sabotage_drop=True)
+        _mutate(monkeypatch, "_reset_source", "if (c == 1) { x q; }\n", "")
+        report = suites.suite_conditional_reset(shots=1000, seed=42)
         assert not report.passed
         sigma = math.sqrt(1000 * 0.25) / 1000
         for case in report.cases:
@@ -139,11 +154,11 @@ class TestSuites:
         assert report.cases[0].metric == 1.0
 
     def test_teleport_identity_state(self):
-        source = suites._teleport_source(0.0, 0.0, 0.0, corrections=True)
+        source = suites._teleport_source(0.0, 0.0, 0.0)
         hist = sim.sample(kir.bind(compile_source(source), []), 200, 3)
         assert all(key.endswith("0") for key in hist.counts)
 
-    def test_teleport_sabotage_fails_near_branch_rate(self):
+    def test_teleport_without_corrections_fails_near_branch_rate(self, monkeypatch):
         # branch enumeration oracle: without corrections the error channel is
         # uniform over {I, X, Z, XZ}; failure = 1 - mean |<0|U* E U|0>|^2
         seed = 42
@@ -163,7 +178,8 @@ class TestSuites:
         expected_failure = 1 - sum(survive) / 4
 
         shots = 2000
-        report = suites.suite_teleport(shots=shots, seed=seed, _sabotage_drop_corrections=True)
+        _mutate(monkeypatch, "_teleport_source", "if (c1 == 1) { x q[2]; }\nif (c0 == 1) { z q[2]; }\n", "")
+        report = suites.suite_teleport(shots=shots, seed=seed)
         assert not report.passed
         observed_failure = 1 - report.cases[0].metric
         sigma = math.sqrt(expected_failure * (1 - expected_failure) / shots)
@@ -186,8 +202,7 @@ class TestSuites:
         report = suites.suite_vqe(iterations=50, seed=11)
         assert report.passed
         by_name = {c.name: c for c in report.cases}
-        assert by_name["compile-once-parse"].metric == 1
-        assert by_name["compile-once-lower"].metric == 1
+        assert by_name["compile-once"].metric == 0
         assert by_name["expval-matches-oracle"].metric <= 1e-9
         assert by_name["bound-faster-than-reparse"].metric > 1.0
 

@@ -567,11 +567,27 @@ def _reference_predicate(pred: kir.Predicate, bits: dict[str, list[int]]) -> boo
     }[pred.comparator]
 
 
+def _reference_settle(state: StateVector, qubit: int, rng, reset: bool) -> int:
+    """A measure (or a reset) on its own NumPy projector, off the simulator's
+    path: one uniform draw u, outcome 1 when u < P(1); project onto the
+    outcome and renormalize, and for a reset that read 1 move the bit-1 half
+    into the bit-0 half. Returns the outcome."""
+    amps = state.amps.reshape(-1, 2, 1 << qubit)  # axis 1 is the qubit's bit
+    p1 = float(np.sum(np.abs(amps[:, 1, :]) ** 2))
+    outcome = int(rng.uniform() < p1)
+    kept = amps[:, outcome, :] / math.sqrt(p1 if outcome else 1.0 - p1)
+    settled = np.zeros_like(amps)
+    settled[:, 0 if reset else outcome, :] = kept
+    state.amps = settled.reshape(-1)
+    return outcome
+
+
 def _reference_shot(kernel: kir.Kernel, rng, after_op=lambda state: None) -> tuple[str, StateVector]:
     """One shot by a recursive walk of the kernel body with a dict of bit
     lists as its classical store, calling after_op(state) after every op
     outside a CondBlock; returns the shot's key and final state. Each gate
-    is its full 2^n matrix from the oracle, off the simulator's gate path."""
+    is its full 2^n matrix from the oracle, and each measure and reset is
+    `_reference_settle`, so no step goes through the simulator."""
     state = StateVector.zero(kernel.qubit_count)
     bits = {name: [0] * width for name, width in kernel.classical_layout}
 
@@ -583,9 +599,9 @@ def _reference_shot(kernel: kir.Kernel, rng, after_op=lambda state: None) -> tup
             if isinstance(op, Gate):
                 state.amps = full_gate_matrix(state.n, op) @ state.amps
             elif isinstance(op, Measure):
-                bits[op.bit[0]][op.bit[1]] = sim.measure(state, op.qubit, rng)
+                bits[op.bit[0]][op.bit[1]] = _reference_settle(state, op.qubit, rng, reset=False)
             elif isinstance(op, kir.Reset):
-                sim.reset(state, op.qubit, rng)
+                _reference_settle(state, op.qubit, rng, reset=True)
             after_op(state)
 
     run(kernel.body)
