@@ -9,6 +9,7 @@ assignment forms), reset, barrier, if/else over classical bits, and bounded
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import compress
@@ -159,38 +160,38 @@ def tokenize(source: str) -> TokenStream:
 Span = tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit:
     value: int
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit:
     value: float
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class PiConst:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class NamedRef:
     name: str
     index: "Expr | None"
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str  # "-"
     operand: "Expr"
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str  # + - * /
     lhs: "Expr"
@@ -198,7 +199,7 @@ class Binary:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Comparison:
     op: str  # == != < <= > >=
     lhs: "Expr"
@@ -209,27 +210,27 @@ class Comparison:
 Expr = IntLit | FloatLit | PiConst | NamedRef | Unary | Binary | Comparison
 
 
-@dataclass
+@dataclass(slots=True)
 class Modifier:
     kind: str  # ctrl | negctrl | inv | pow
     exponent: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class QubitDecl:
     name: str
     size: int
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class BitDecl:
     name: str
     size: int
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class InputDecl:
     name: str
     count: int
@@ -237,7 +238,7 @@ class InputDecl:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ConstDecl:
     name: str
     is_int: bool
@@ -245,7 +246,7 @@ class ConstDecl:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class GateCall:
     modifiers: list[Modifier]
     name: str
@@ -254,7 +255,7 @@ class GateCall:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class GateDef:
     name: str
     params: list[str]
@@ -263,26 +264,26 @@ class GateDef:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class MeasureAssign:
     target: NamedRef  # classical bit ref
     source: NamedRef  # qubit ref
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Reset:
     target: NamedRef
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Barrier:
     targets: list[NamedRef]
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStatement:
     condition: Expr  # Comparison or bare NamedRef
     then_body: list["Statement"]
@@ -290,7 +291,7 @@ class IfStatement:
     span: Span = field(compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ForStatement:
     var: str
     start: Expr
@@ -315,7 +316,7 @@ Statement = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgramAst:
     version: tuple[int, int]
     includes: list[str]
@@ -329,6 +330,7 @@ class ProgramAst:
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _MODIFIERS = ("ctrl", "negctrl", "inv", "pow")
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_ARG_ENDS = (",", ")")  # what may follow a gate argument built without parse_expr
 
 # Deepest nesting the parser accepts, counting if/for blocks, parentheses,
 # unary minus and each operator of a chain together. Parser, sema and the
@@ -546,9 +548,28 @@ class _Parser:
         args: list[Expr] = []
         if lexemes[self.pos] == "(":
             self.pos += 1
-            args = self.comma_list(self.parse_expr)
+            while True:
+                # A lone literal or negated literal, the common angle, is
+                # built as parse_expr would build it, depth and errors alike.
+                j = self.pos
+                if kinds[j] == FLOAT and lexemes[j + 1] in _ARG_ENDS:
+                    args.append(self.float_lit(j))
+                    self.pos = j + 1
+                elif lexemes[j] == "-" and kinds[j + 1] == FLOAT and lexemes[j + 2] in _ARG_ENDS:
+                    self.enter(j)
+                    args.append(Unary("-", self.float_lit(j + 1), (self.lines[j], self.cols[j])))
+                    self.depth -= 1
+                    self.pos = j + 2
+                else:
+                    args.append(self.parse_expr())
+                if lexemes[self.pos] != ",":
+                    break
+                self.pos += 1
             self.expect(")")
-        qubits = self.comma_list(self.parse_ref)
+        qubits = [self.parse_ref()]
+        while lexemes[self.pos] == ",":
+            self.pos += 1
+            qubits.append(self.parse_ref())
         self.expect(";")
         return GateCall(modifiers, lexemes[name], args, qubits, (self.lines[i], self.cols[i]))
 
@@ -556,9 +577,14 @@ class _Parser:
         name = self.expect_kind(IDENTIFIER, "a register reference")
         index = None
         if self.lexemes[self.pos] == "[":
-            self.pos += 1
-            index = self.parse_expr()
-            self.expect("]")
+            i = self.pos + 1
+            if self.kinds[i] == INTEGER and self.lexemes[i + 1] == "]":  # a literal index
+                index = IntLit(int(self.lexemes[i]), (self.lines[i], self.cols[i]))
+                self.pos = i + 2
+            else:
+                self.pos = i
+                index = self.parse_expr()
+                self.expect("]")
         return NamedRef(self.lexemes[name], index, (self.lines[name], self.cols[name]))
 
     def parse_measure_arrow(self) -> MeasureAssign:
@@ -666,10 +692,7 @@ class _Parser:
             return IntLit(int(lexeme), (self.lines[i], self.cols[i]))
         if kind == FLOAT:
             self.pos += 1
-            value = float(lexeme)
-            if value != value or value in (float("inf"), float("-inf")):
-                raise self.error("a finite float literal", i)
-            return FloatLit(value, (self.lines[i], self.cols[i]))
+            return self.float_lit(i)
         if kind == IDENTIFIER:
             if lexeme == "pi":
                 self.pos += 1
@@ -689,6 +712,13 @@ class _Parser:
             self.depth -= 1
             return expr
         raise self.error("an expression")
+
+    def float_lit(self, i: int) -> FloatLit:
+        """The float literal at token `i`, which must be finite."""
+        value = float(self.lexemes[i])
+        if math.isinf(value):  # a lexeme of digits is never NaN
+            raise self.error("a finite float literal", i)
+        return FloatLit(value, (self.lines[i], self.cols[i]))
 
 
 _STATEMENT_PARSERS = {

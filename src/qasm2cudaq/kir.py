@@ -12,6 +12,7 @@ predicate over the linear body.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -147,7 +148,8 @@ def compile_source(source: str) -> Kernel:
 
 def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
     """Attach runtime parameter values without copying or re-lowering; every
-    value must be a finite real number."""
+    value must be a finite real number: a `numbers.Real` other than a bool,
+    such as an int, a float, a Fraction or a NumPy real scalar."""
     if len(values) != kernel.total_params:
         raise ArityMismatch(
             f"kernel takes {kernel.total_params} parameter value(s), got {len(values)}"
@@ -158,6 +160,8 @@ def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
             raw = values[spec.offset + i]
             name = f"{spec.name}[{i}]" if spec.array else spec.name
             try:
+                if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                    raise TypeError  # float() would read str, bytes and bool as well
                 value = float(raw)
             except (TypeError, ValueError, OverflowError):
                 # the type, not repr(raw): repr of an int past 4300 digits raises

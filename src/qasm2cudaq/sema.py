@@ -213,8 +213,9 @@ class ResolvedCall:
     """The canonical gates of one builtin call. Calls and their ops are
     shared between the replicas of a `pow`, the iterations of a broadcast
     and the calls of a template placed alike, so every loop iteration that
-    places a template the same way gets the same calls. That holds in
-    `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
+    places a template the same way gets the same calls, and the repeats of
+    an invariant loop (`resolve_for`) share all of the first's. That holds
+    in `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
 
     ops: list[Gate]
 
@@ -313,6 +314,26 @@ def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
     elif isinstance(expr, fe.Binary):
         _expr_names(expr.lhs, out)
         _expr_names(expr.rhs, out)
+
+
+def _gate_loop_names(stmts: list[fe.Statement], out: set[str]) -> bool:
+    """Whether `stmts` hold only gate calls and loops of them; if so, `out`
+    gets every name their operands, angles, pow exponents and loop bounds
+    mention."""
+    for stmt in stmts:
+        if type(stmt) is fe.GateCall:
+            for expr in stmt.args + stmt.qubits:
+                _expr_names(expr, out)
+            for mod in stmt.modifiers:
+                _expr_names(mod.exponent, out)
+        elif type(stmt) is fe.ForStatement:
+            for expr in (stmt.start, stmt.step, stmt.stop):
+                _expr_names(expr, out)
+            if not _gate_loop_names(stmt.body, out):
+                return False
+        else:
+            return False
+    return True
 
 
 @dataclass
@@ -898,6 +919,12 @@ class _Analyzer:
         return ResolvedIf(predicate, then_body, else_body, stmt.span)
 
     def resolve_for(self, stmt: fe.ForStatement) -> list[ResolvedStatement]:
+        """The loop unrolled. An invariant loop (only gate calls and loops of
+        them, and neither they nor a gate body mention the variable) is
+        resolved once: if its first iteration's count and peak, repeated, fit
+        under UNROLL_CAP, the repeats are charged in one check and share its
+        calls, read-only like template placements. Else, and for any other
+        loop, each iteration is resolved, raising where it always did."""
         start = _const_int(stmt.start, self.symbols, "loop bound", exc=NonConstLoopBound)
         stop = _const_int(stmt.stop, self.symbols, "loop bound", exc=NonConstLoopBound)
         step = 1
@@ -909,6 +936,11 @@ class _Analyzer:
         # a loop past the budget raises before its first iteration.
         trips = _trip_count(start, stop, step)
         self._check_budget(trips * max(1, _min_cost(stmt.body)), stmt.span)
+        names: set[str] = set()
+        once = trips > 1 and stmt.var not in self.body_names and _gate_loop_names(stmt.body, names) and stmt.var not in names
+        first, high = self.stmt_count, self.high
+        if once:
+            self.high = first  # to read the first iteration's peak
         out: list[ResolvedStatement] = []
         for value in range(start, start + trips * step, step):
             self.symbols.push()
@@ -922,6 +954,16 @@ class _Analyzer:
                 self.symbols.pop()
             if self.stmt_count == before:
                 self._bump(stmt.span)
+            if once:
+                once = False
+                cost, peak = self.stmt_count - first, self.high - first
+                self.high = max(high, self.high)
+                last = first + (trips - 1) * cost  # where the last repeat starts
+                if last + peak <= UNROLL_CAP:
+                    self.stmt_count = last
+                    self._check_budget(peak, stmt.span)
+                    self.stmt_count = last + cost
+                    return out * trips
         return out
 
     def run(self) -> ValidatedProgram:

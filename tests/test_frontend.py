@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 import time
@@ -507,3 +508,72 @@ class TestReferenceScanner:
             first = fe.parse(stream)
             assert stream == before
             assert fe.parse(stream) == first
+
+
+# Float lexemes as the tokenizer reads them; a three-digit exponent can
+# overflow to inf.
+_FLOAT_LEXEMES = st.from_regex(
+    r"[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3}|[0-9]{1,3}(\.[0-9]{0,3})?[eE][+-]?[0-9]{1,3}", fullmatch=True
+)
+
+
+def _tree(node):
+    """An AST node as nested tuples of its type and every field, spans
+    included (AST equality skips spans)."""
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__, *(_tree(getattr(node, f.name)) for f in dataclasses.fields(node)))
+    if isinstance(node, list):
+        return [_tree(item) for item in node]
+    return repr(node)
+
+
+def _innermost_call(source: str):
+    """The ParseError text of `source`, else the tree of the gate call at
+    the bottom of its last statement's nested loops."""
+    try:
+        stmt = fe.parse_source(source).statements[-1]
+    except ParseError as err:
+        return str(err)
+    while isinstance(stmt, fe.ForStatement):
+        stmt = stmt.body[0]
+    return _tree(stmt)
+
+
+@st.composite
+def literal_operands(draw):
+    """A call `g(±x, ...) q[i], ...;` whose literal operands the parser builds
+    directly, and the same call with each operand in parentheses, which
+    sends it through parse_expr. Spaces stand where the parentheses go, so
+    every position agrees."""
+    args = draw(st.lists(st.tuples(st.sampled_from(["", "-"]), _FLOAT_LEXEMES), min_size=1, max_size=3))
+    indices = draw(st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=3))
+
+    def call(left: str, right: str) -> str:
+        angles = ",".join(f"{left}{sign}{lexeme}{right}" for sign, lexeme in args)
+        return f"g({angles}) " + ", ".join(f"q[{left}{i}{right}]" for i in indices) + ";"
+
+    return call(" ", " "), call("(", ")")
+
+
+class TestLiteralOperands:
+    @given(literal_operands())
+    def test_literal_operands_parse_as_through_parse_expr(self, pair):
+        for wrap in ("{}", "gate f a {{ {} }}"):  # at top level and in a gate body
+            fast, general = (f"OPENQASM 3.0;\n{wrap.format(call)}\n" for call in pair)
+            assert _innermost_call(fast) == _innermost_call(general)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    @pytest.mark.parametrize("args", ["{}", "0.5, {}", "{}, -0.5"])
+    def test_non_finite_literal_operand_error(self, literal, args):
+        fast, general = (f"OPENQASM 3.0;\ng({args.format(left + literal + right)}) q[0];\n" for left, right in ("  ", "()"))
+        assert "expected a finite float literal" in _innermost_call(fast)
+        assert _innermost_call(fast) == _innermost_call(general)
+
+    @given(literal_operands(), st.sampled_from([fe.MAX_NESTING - 1, fe.MAX_NESTING]))
+    def test_literal_operands_at_the_nesting_limit(self, pair, depth):
+        # a parenthesis is one level of nesting, so the general call sits in
+        # one loop fewer; spaces stand for that loop's header
+        block = "for int v in [0:0] { "
+        fast = "OPENQASM 3.0;\n" + block * depth + pair[0] + " }" * depth + "\n"
+        general = "OPENQASM 3.0;\n" + " " * len(block) + block * (depth - 1) + pair[1] + " }" * (depth - 1) + "\n"
+        assert _innermost_call(fast) == _innermost_call(general)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,8 +254,14 @@ class TestBind:
 
     @pytest.mark.parametrize(
         "bad",
-        [float("nan"), float("inf"), float("-inf"), "x", 1 + 2j, None, 10**400, 10**5000],
-        ids=["nan", "inf", "-inf", "str", "complex", "none", "overflow", "huge-int"],
+        [
+            float("nan"), float("inf"), float("-inf"), "x", 1 + 2j, None, 10**400, 10**5000,
+            "2.5", b"1", True, np.bool_(True),
+        ],
+        ids=[
+            "nan", "inf", "-inf", "str", "complex", "none", "overflow", "huge-int",
+            "numeric-str", "bytes", "bool", "numpy-bool",
+        ],
     )
     def test_bind_rejects_bad_value(self, bad):
         kernel = compile_source(
@@ -263,8 +270,16 @@ class TestBind:
         )
         with pytest.raises(BadParameter, match=r"'theta\[1\]'"):
             kir.bind(kernel, [0.3, 0.1, bad])
-        with pytest.raises(BadParameter, match="'phi'"):
+        with pytest.raises(BadParameter, match="'phi'") as err:
             kir.bind(kernel, [bad, 0.1, 0.2])
+        if type(bad) is not float:  # every value but a non-finite float is named by its type
+            assert str(err.value).endswith(f"({type(bad).__name__})")
+
+    def test_bind_accepts_real_numbers(self):
+        kernel = compile_source(f"{HEADER}input array[float[64], 5] t;\nqubit q;\nrx(t[0]) q;\n")
+        bound = kir.bind(kernel, [np.float32(0.5), np.int64(2), np.float64(-1.5), Fraction(1, 4), 3])
+        assert bound.values == (0.5, 2.0, -1.5, 0.25, 3.0)
+        assert all(type(v) is float for v in bound.values)
 
 
 class TestDump:

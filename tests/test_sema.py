@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -401,3 +402,85 @@ class TestErrorTexts:
         # at the real UNROLL_CAP and at a small one
         path = pathlib.Path(__file__).parent / "golden" / "error_texts.json"
         assert error_texts() == json.loads(path.read_text(encoding="utf-8"))
+
+
+def _outcome(source: str) -> str:
+    """The error a program raises, as `Type: text`, else its kir.dump."""
+    try:
+        return kir.dump(kir.lower(analyze(source)))
+    except SemaError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@st.composite
+def invariant_loop(draw):
+    """A loop over `r` whose body never reads r, around `pow(k) @ g(...)`,
+    and a copy that reads r to no effect in that exponent, at the same line
+    and column. With `pow(0) @ f` in g's body, g's peak exceeds its count.
+    Loops around it are invariant in both, so their checks read its peak."""
+    k = draw(st.integers(min_value=0, max_value=3))
+    hidden = " pow(0) @ f a;" if draw(st.booleans()) else ""
+    before = "x q[0];\n" * draw(st.integers(min_value=0, max_value=2))
+    trips = draw(st.integers(min_value=2, max_value=4))
+    inner = draw(st.integers(min_value=0, max_value=2))
+    outer = draw(st.integers(min_value=0, max_value=2))  # loops around it, 0 for none
+    head = (
+        f"{HEADER}gate f a {{ h a; x a; }}\ngate g(t) a, b {{ cx a, b; rz(t) b;{hidden} }}\n"
+        f"qubit[3] q;\n{before}" + "for int s in [1:2] {\n" * outer + f"for int r in [1:{trips}] {{\n"
+    )
+    tail = f"\nfor int j in [1:{inner}] {{ h q[2]; }}\n}}\n" + "}\n" * outer + "h q[1];\n"
+    return head + f"pow({k}) @ g(0.5) q[0], q[1];" + tail, head + f"pow(r - r + {k}) @ g(0.5) q[0], q[1];" + tail
+
+
+class TestInvariantLoops:
+    """A loop whose iterations cannot differ is resolved once; the repeats
+    share its calls and are charged to the budget in one check."""
+
+    @given(invariant_loop())
+    def test_budget_matches_the_iterating_walk(self, pair):
+        invariant, reading = pair
+        total = len(kir.lower(analyze(invariant)).body)
+        real_cap = sema.UNROLL_CAP
+        try:
+            # every cap up to the first that passes, which a hidden pow(0)
+            # puts past the total
+            for cap in itertools.count(1):
+                sema.UNROLL_CAP = cap
+                outcome = _outcome(invariant)
+                assert outcome == _outcome(reading), cap
+                if not outcome.startswith("ProgramTooLarge"):
+                    break
+        finally:
+            sema.UNROLL_CAP = real_cap
+        assert cap >= total
+
+    def test_repeats_share_the_first_iteration_calls(self):
+        vp = analyze(
+            HEADER + "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[3] q;\n"
+            "for int r in [1:3] { pow(2) @ g(0.5) q[0], q[1]; for int j in [0:1] { h q[2]; } }\n"
+        )
+        calls = vp.statements
+        n = len(calls) // 3
+        assert n == 6
+        assert all(calls[k] is calls[k + n] is calls[k + 2 * n] for k in range(n))
+
+    @pytest.mark.parametrize(
+        "prefix, body",
+        [
+            ("qubit q;\n", "h q[r - r];"),
+            ("qubit q;\n", "rz(r * 0) q;"),
+            ("qubit q;\n", "for int j in [r:r] { h q; }"),
+            ("gate k a { rz(r) a; }\nqubit q;\n", "h q; k q;"),
+            ("qubit q;\nbit c;\n", "h q; c = measure q;"),
+            ("qubit q;\n", "h q; reset q;"),
+            ("qubit q;\n", "h q; barrier q;"),
+            ("qubit q;\nbit c;\n", "h q; if (c) { x q; }"),
+        ],
+        ids=["index", "angle", "nested-bound", "gate-body", "measure", "reset", "barrier", "if"],
+    )
+    def test_other_loops_resolve_every_iteration(self, prefix, body):
+        vp = analyze(f"{HEADER}{prefix}for int r in [1:2] {{ {body} }}\n")
+        n = len(vp.statements) // 2
+        first, second = vp.statements[:n], vp.statements[n:]
+        assert n >= 1 and len(second) == n
+        assert not any(a is b for a, b in zip(first, second))
