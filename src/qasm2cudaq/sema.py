@@ -514,7 +514,8 @@ class _Analyzer:
         self.templates: dict[tuple, _Template] = {}
         # per gate, per angle formal: whether it is free (see `declare`)
         self.free_formals: dict[str, tuple[bool, ...]] = {}
-        # names any gate body mentions; a loop variable among them keys templates
+        # names any gate body reads but its own formals; a loop variable among
+        # them keys templates
         self.body_names: set[str] = set()
 
     # -- declarations -------------------------------------------------------
@@ -570,16 +571,19 @@ class _Analyzer:
             # then shapes no gate count or error, so a template binds it when
             # placed.
             fixed: set[str] = set()
+            names: set[str] = set()
             for call in stmt.body:
-                self.body_names.add(call.name)
+                names.add(call.name)
                 if self.has_stdgates and call.name in BUILTIN_GATES:
                     passes = (True,) * len(call.args)
                 else:
                     passes = self.free_formals.get(call.name, ())
                 for i, expr in enumerate(call.args + [m.exponent for m in call.modifiers if m.kind == "pow"]):
-                    _expr_names(expr, self.body_names)
+                    _expr_names(expr, names)
                     if not (i < len(passes) and passes[i] and isinstance(expr, fe.NamedRef) and expr.index is None):
                         _expr_names(expr, fixed)
+            # a formal shadows a loop variable of the same name in its own body
+            self.body_names |= names - set(stmt.params)
             self.free_formals[stmt.name] = tuple(p not in fixed for p in stmt.params)
 
     # -- operand resolution -------------------------------------------------

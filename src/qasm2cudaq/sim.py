@@ -39,7 +39,7 @@ adjacent qubits: the Kronecker product of a window's pending matrices and
 identities is one 2^k product over the window's qubits as one axis, through
 the same fold or batched route and the spare buffer as a 2x2.
 
-`statevector` and the static sampler build the final state once. A qubit
+`statevector` and the static sampler build the kernel once. A qubit
 is lone until a gate entangles it, and its column on |0> holds its exact
 state: its one-qubit gates are multiplied into the column, and an
 uncontrolled swap of two lone qubits exchanges their columns. A control on
@@ -53,7 +53,11 @@ columns, so each gate pass spans 2^b amplitudes for a block of b qubits.
 The state is then the block's state times the outer product of the lone
 columns, one broadcast product over a view whose axes are the runs of
 block and lone qubits, the same runs the phase table merges. With no lone
-qubit the block is the state and there is no join.
+qubit the block is the state and there is no join. The static sampler
+joins a lone qubit in a basis state, one entry of its column exactly zero,
+by its nonzero entry alone and gives it no axis: with f such qubits its
+probabilities, support and running sums span 2^(n-f) entries, and only the
+support's indices are mapped back to the full basis.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
@@ -958,8 +962,11 @@ def _open_controls(
     return tuple(kept)
 
 
-def _gates_only_state(bound: BoundKernel) -> StateVector:
-    """Final state of the kernel's top-level gates, by one planned build.
+def _factors(bound: BoundKernel) -> tuple[int, set[int], np.ndarray, list[np.ndarray]]:
+    """The kernel's top-level gates, built by one plan into factors: the
+    qubit count, the block's qubits, the block's amplitudes (its qubits
+    renumbered in order) and every qubit's column, a lone qubit's exact
+    state.
 
     Gates on lone qubits, ones no multi-qubit gate has reached yet, commute
     to the front: a one-qubit gate is multiplied into its qubit's column on
@@ -969,9 +976,7 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
     drops to its targets or, when one control is never met, drops out. Any
     other gate adds its qubits to the block. Only the block, renumbered in
     order, goes through `_GateBuild`, which starts from the outer product of
-    its columns. The state is then the block's state times the product of
-    the lone qubits' columns, one broadcast product over the runs of block
-    and lone qubits."""
+    its columns."""
     n = bound.kernel.qubit_count
     _check_width(n)
     columns = [_KET0] * n
@@ -1002,15 +1007,30 @@ def _gates_only_state(bound: BoundKernel) -> StateVector:
     for op, mat in rest:  # ops are shared, so the build gets renumbered copies
         targets = tuple(index[q] for q in op.targets)
         build.gate(Gate(op.base, op.angles, targets, tuple((index[q], pol) for q, pol in op.controls), op.adjoint), mat)
-    amps = build.finish().amps
-    if len(block) < n:
-        runs = _runs(n, entangled)
-        lone = _product_state([col for q, col in enumerate(columns) if q not in entangled])
-        lone = lone.reshape([1 if member else size for size, member in runs])
-        amps = amps.reshape([size if member else 1 for size, member in runs])
-        # with no block the lone product is the whole state, and takes it in place
-        amps = np.multiply(amps, lone, out=None if block else lone)
-    return StateVector(n, amps.ravel())
+    return n, entangled, build.finish().amps, columns
+
+
+def _join(n: int, block: set[int], amps: np.ndarray, columns: list[np.ndarray], fixed=()) -> np.ndarray:
+    """Amplitudes over the qubits not in `fixed`, in order: the block's
+    amplitudes times the product of the lone columns, one broadcast product
+    over the runs of block and lone qubits. A fixed qubit, a lone one in a
+    basis state, joins by its nonzero entry alone and takes no axis, so the
+    amplitudes kept are the same float products as the full join's."""
+    if len(block) == n:
+        return amps
+    kept = [q for q in range(n) if q not in fixed]
+    runs = _runs(len(kept), {i for i, q in enumerate(kept) if q in block})
+    lone = _product_state([col[col != 0] if q in fixed else col for q, col in enumerate(columns) if q not in block])
+    lone = lone.reshape([1 if member else size for size, member in runs])
+    amps = amps.reshape([size if member else 1 for size, member in runs])
+    # with no block the lone product is the whole state, and takes it in place
+    return np.multiply(amps, lone, out=None if block else lone).ravel()
+
+
+def _gates_only_state(bound: BoundKernel) -> StateVector:
+    """Final state of the kernel's top-level gates: the factors, joined."""
+    n, block, amps, columns = _factors(bound)
+    return StateVector(n, _join(n, block, amps, columns))
 
 
 def _chunks(shots: int):
@@ -1039,18 +1059,31 @@ def _trajectory_counts(bound: BoundKernel, layout: _Layout, seed: int, shots: in
 def _sample_static(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -> Counter:
     """Final masks of a static kernel's shots, counted: one simulation, then
     one draw per shot from the final distribution (proven equivalent to
-    trajectories by the oracle suite)."""
+    trajectories by the oracle suite). A lone qubit in a basis state is a
+    fixed bit of every basis index of nonzero probability, so the
+    distribution is built over the other qubits; every entry left out is an
+    exact zero, and the histogram is the full state's."""
     kernel = bound.kernel
-    state = _gates_only_state(bound)
-    probs = np.square(state.amps.real)
-    probs += np.square(state.amps.imag)
+    n, block, amps, columns = _factors(bound)
+    # a lone column with an exact zero: the qubit is in a basis state
+    fixed = {q: int(col[0] == 0) for q, col in enumerate(columns) if q not in block and 0 in col}
+    amps = _join(n, block, amps, columns, fixed)
+    probs = np.square(amps.real)
+    probs += np.square(amps.imag)
     # The inverse CDF over the support alone: adding a zero is exact, so the
     # support's running sums equal the full ones at its entries, and the
     # first full sum past a draw is always one of them. A draw at or past
     # the last sum takes the last basis index, the entry after the support.
+    # The support maps back by depositing the kept bits and setting the
+    # fixed ones, which keeps its order.
     support = np.flatnonzero(probs)
     cum = np.cumsum(probs[support])
-    basis = np.append(support, probs.size - 1)
+    basis = support
+    if fixed:
+        basis = np.full_like(support, sum(bit << q for q, bit in fixed.items()))
+        for i, q in enumerate(q for q in range(n) if q not in fixed):
+            basis |= ((support >> i) & 1) << q
+    basis = np.append(basis, (1 << n) - 1)
     hits = np.zeros(basis.size, dtype=np.int64)
     for chunk in _chunks(shots):
         hits += np.bincount(np.searchsorted(cum, _first_draws(seed, chunk), side="right"), minlength=basis.size)

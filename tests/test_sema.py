@@ -464,6 +464,20 @@ class TestInvariantLoops:
         assert n == 6
         assert all(calls[k] is calls[k + n] is calls[k + 2 * n] for k in range(n))
 
+    def test_formal_named_like_the_loop_variable_still_shares(self):
+        loop = "qubit[3] q;\nfor int r in [1:3] { h q[0]; cx q[0], q[1]; rz(0.5) q[2]; }\n"
+        dumps = []
+        for formal in ("r", "t"):
+            vp = analyze(f"{HEADER}gate g({formal}) a {{ rz({formal}) a; }}\n{loop}")
+            calls, n = vp.statements, len(vp.statements) // 3
+            assert all(calls[k] is calls[k + n] is calls[k + 2 * n] for k in range(n))
+            dumps.append(kir.dump(kir.lower(vp)))
+        assert dumps[0] == dumps[1]
+        # another gate reading `r` as a free name still makes the loop iterate
+        vp = analyze(f"{HEADER}gate g(r) a {{ rz(r) a; }}\ngate k a {{ rz(r) a; }}\n{loop}")
+        n = len(vp.statements) // 3
+        assert not any(a is b for a, b in zip(vp.statements[:n], vp.statements[n : 2 * n]))
+
     @pytest.mark.parametrize(
         "prefix, body",
         [

@@ -720,13 +720,72 @@ class TestStaticSupport:
         n = amps.size.bit_length() - 1
         full = np.cumsum(amps.real**2 + amps.imag**2)
         draws = np.concatenate([[0.0], full, (full[:-1] + full[1:]) / 2, [np.nextafter(full[-1], 2.0), 1 - 2**-53, 1.0]])
-        monkeypatch.setattr(sim, "_gates_only_state", lambda bound: StateVector(n, amps.copy()))
+        monkeypatch.setattr(sim, "_factors", lambda bound: (n, set(range(n)), amps.copy(), [sim._KET0] * n))
         monkeypatch.setattr(sim, "_first_draws", lambda seed, shots: draws[shots.astype(np.intp)])
         kernel = kir.Kernel(n, [("q", n)], [], [("c", n)], [Measure(q, ("c", q)) for q in range(n)])
         hist = sim.sample(kir.BoundKernel(kernel, ()), draws.size, 0)
         idx = np.minimum(np.searchsorted(full, draws, side="right"), full.size - 1)
         keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
         assert hist.counts == dict(Counter(keys))
+
+
+@st.composite
+def static_sampled_kernel(draw) -> kir.Kernel:
+    """A static kernel whose lone qubits are often in a basis state: runs of
+    x, h, h-pairs (an exact zero in the column) and phases on single
+    qubits, swaps, and canonical gates whose controls often fold on lone
+    qubits; optionally an entangling chain over every qubit first, so no
+    qubit is lone. Untouched qubits stay in |0>. The measures read distinct
+    qubits into a register often narrower than them, so two measures may
+    write one bit."""
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    one = st.builds(lambda b, q: [Gate(b, (), (q,), ())], st.sampled_from(["x", "h", "z", "s", "sx"]), qubit)
+    pair = st.builds(lambda q: [Gate("h", (), (q,), ())] * 2, qubit)
+    swap = st.builds(lambda qs: [Gate("swap", (), tuple(qs[:2]), ())], st.permutations(range(n))) if n > 1 else one
+    parts = draw(st.lists(one | pair | swap | st.builds(lambda g: [g], canonical_gate(n)), max_size=10))
+    chain = draw(st.booleans()) and n > 1
+    body = [Gate("h", (), (0,), ())] + [Gate("x", (), (q + 1,), ((q, kir.POS),)) for q in range(n - 1)] if chain else []
+    body += [g for part in parts for g in part]
+    measured = draw(st.lists(qubit, min_size=1, max_size=n, unique=True))
+    width = draw(st.integers(1, len(measured)))
+    body += [Measure(q, ("c", draw(st.integers(0, width - 1)))) for q in measured]
+    return kir.Kernel(n, [("q", n)], [], [("c", width)], body)
+
+
+def _full_state_counts(kernel: kir.Kernel, full: np.ndarray, draws: np.ndarray) -> dict:
+    """Reference static sampler: every draw searched over `full`, the
+    running sums of the full 2^n state; a draw past the last sum takes the
+    last basis index."""
+    index = np.minimum(np.searchsorted(full, draws, side="right"), full.size - 1)
+    width = kernel.classical_layout[0][1]
+    counts: dict = {}
+    for value in index.tolist():
+        bits = ["0"] * width
+        for op in kernel.body:
+            if isinstance(op, Measure):  # the last measure into a bit wins
+                bits[op.bit[1]] = str((value >> op.qubit) & 1)
+        key = "".join(bits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestFactoredSampler:
+    """The static sampler joins lone qubits in a basis state as fixed index
+    bits and searches the rest; its histogram must equal the full state's,
+    for the shots' own first draws and for draws at or past the last sum."""
+
+    @given(static_sampled_kernel(), st.integers(0, 2**64 - 1))
+    def test_matches_full_state_reference(self, kernel, seed):
+        bk = kir.BoundKernel(kernel, ())
+        amps = sim._gates_only_state(bk).amps
+        full = np.cumsum(np.square(amps.real) + np.square(amps.imag))
+        edges = [np.nextafter(full[-1], 2.0), 1 - 2**-53, 1.0]
+        draws = np.concatenate([sim._first_draws(seed, np.arange(300)), edges])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_first_draws", lambda seed, shots: draws[shots.astype(np.intp)])
+            hist = sim.sample(bk, draws.size, seed)
+        assert hist.counts == _full_state_counts(kernel, full, draws)
 
 
 class TestShotStreams:
