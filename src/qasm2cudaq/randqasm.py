@@ -2,8 +2,9 @@
 
 Circuits are tracked as abstract gate lists so an exact inverse program can
 be appended for uncompute checks. Clifford mode draws from {h, s, cx};
-spelling variation (named gates vs modifier forms) and an optional custom
-gate definition exercise the frontend without changing the unitary.
+spelling variation (named gates vs modifier forms) and a custom gate
+definition, which about one `cx` draw in ten calls, exercise the frontend
+without changing the unitary.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 _CUSTOM_GATE = "gate pair a, b { h a; cx a, b; }"
-_CUSTOM_BODY = ("h", "cx")  # for inverse tracking
 
 
 @dataclass
@@ -21,24 +21,22 @@ class RandomCircuitSpec:
     gate_count: int  # 10..100
     seed: int
     clifford_only: bool = True
-    vary_spelling: bool = True
-    use_custom_gate: bool = True
 
 
-def _spell(rng: random.Random, op: tuple, vary: bool) -> str:
+def _spell(rng: random.Random, op: tuple) -> str:
     kind = op[0]
     if kind == "h":
         return f"h q[{op[1]}];"
     if kind == "s":
-        if vary and rng.random() < 0.25:
+        if rng.random() < 0.25:
             return f"inv @ sdg q[{op[1]}];"
         return f"s q[{op[1]}];"
     if kind == "sdg":
-        if vary and rng.random() < 0.25:
+        if rng.random() < 0.25:
             return f"inv @ s q[{op[1]}];"
         return f"sdg q[{op[1]}];"
     if kind == "cx":
-        if vary and rng.random() < 0.25:
+        if rng.random() < 0.25:
             return f"ctrl @ x q[{op[1]}], q[{op[2]}];"
         return f"cx q[{op[1]}], q[{op[2]}];"
     if kind == "pair":
@@ -74,7 +72,7 @@ def _draw_ops(spec: RandomCircuitSpec, rng: random.Random) -> list[tuple]:
         kind = rng.choice(gates)
         if kind == "cx":
             a, b = rng.sample(range(spec.qubits), 2)
-            if spec.use_custom_gate and rng.random() < 0.1:
+            if rng.random() < 0.1:
                 ops.append(("pair", a, b))
             else:
                 ops.append(("cx", a, b))
@@ -90,7 +88,7 @@ def _render(spec: RandomCircuitSpec, ops: list[tuple], rng: random.Random) -> st
     if any(op[0].startswith("pair") for op in ops):
         lines.append(_CUSTOM_GATE)
     lines.append(f"qubit[{spec.qubits}] q;")
-    lines.extend(_spell(rng, op, spec.vary_spelling) for op in ops)
+    lines.extend(_spell(rng, op) for op in ops)
     return "\n".join(lines) + "\n"
 
 

@@ -9,11 +9,13 @@ resets and barriers become the kernel's own `Measure`, `Reset` and `Nop` ops,
 and an `if` keeps its `Predicate`. Each builtin call a gate call inlines
 becomes one ResolvedCall with its `Gate` ops ready, through one modifier
 algebra (`_algebra`); one lowering (`_Analyzer._part`) serves a call at top
-level and a call in a gate body. A user gate body is compiled
-into a `_Template` once per key: the gate, the values of the angle formals
-that shape its gates (pow exponents, arithmetic, fixed formals of nested
-gates) and the loop variables it reads. A formal used only as a whole angle
-stays free: each call binds it when it places the template on its qubits.
+level and a call in a gate body. A gate body has its own scope: it reads
+its formals and the global scope, never a caller's loop variables, so it
+means the same at every call. It is compiled into a `_Template` once per
+key: the gate and the values of the angle formals that shape its gates
+(pow exponents, arithmetic, fixed formals of nested gates). A formal used
+only as a whole angle stays free: each call binds it when it places the
+template on its qubits.
 Each placement (targets, controls, bound free angles) is built once and
 shared, so the iterations of a loop that place a template alike get the
 same calls; a call's own inv/pow applies after. A template's op count is
@@ -499,6 +501,7 @@ class _Analyzer:
     def __init__(self, ast: fe.ProgramAst):
         self.ast = ast
         self.symbols = SymbolTable()
+        self.globals = self.symbols.scopes[0]  # declarations are top level only
         self.has_stdgates = "stdgates.inc" in ast.includes
         self.gate_defs: dict[str, fe.GateDef] = {}
         self.qubit_layout: list[tuple[str, int]] = []
@@ -514,9 +517,6 @@ class _Analyzer:
         self.templates: dict[tuple, _Template] = {}
         # per gate, per angle formal: whether it is free (see `declare`)
         self.free_formals: dict[str, tuple[bool, ...]] = {}
-        # names any gate body reads but its own formals; a loop variable among
-        # them keys templates
-        self.body_names: set[str] = set()
 
     # -- declarations -------------------------------------------------------
     def declare(self, stmt: fe.Statement) -> None:
@@ -571,27 +571,23 @@ class _Analyzer:
             # then shapes no gate count or error, so a template binds it when
             # placed.
             fixed: set[str] = set()
-            names: set[str] = set()
             for call in stmt.body:
-                names.add(call.name)
                 if self.has_stdgates and call.name in BUILTIN_GATES:
                     passes = (True,) * len(call.args)
                 else:
                     passes = self.free_formals.get(call.name, ())
                 for i, expr in enumerate(call.args + [m.exponent for m in call.modifiers if m.kind == "pow"]):
-                    _expr_names(expr, names)
                     if not (i < len(passes) and passes[i] and isinstance(expr, fe.NamedRef) and expr.index is None):
                         _expr_names(expr, fixed)
-            # a formal shadows a loop variable of the same name in its own body
-            self.body_names |= names - set(stmt.params)
             self.free_formals[stmt.name] = tuple(p not in fixed for p in stmt.params)
 
     # -- operand resolution -------------------------------------------------
-    def _index(self, ref: fe.NamedRef, size: int, what: str, where: str) -> int:
-        """The constant index of `ref`, checked against `size`. `where` names
-        the indexed object, formatted with the name and size when it raises.
-        A literal index, the common case, needs no fold."""
-        idx = ref.index.value if type(ref.index) is fe.IntLit else _const_int(ref.index, self.symbols, what)
+    def _index(self, ref: fe.NamedRef, size: int, what: str, where: str, symbols: SymbolTable) -> int:
+        """The constant index of `ref`, folded in `symbols` and checked
+        against `size`. `where` names the indexed object, formatted with the
+        name and size when it raises. A literal index, the common case,
+        needs no fold."""
+        idx = ref.index.value if type(ref.index) is fe.IntLit else _const_int(ref.index, symbols, what)
         if not 0 <= idx < size:
             raise IndexOutOfRange(f"index {idx} out of range for {where.format(ref.name, size)}", ref.span)
         return idx
@@ -607,7 +603,7 @@ class _Analyzer:
             return base + index.value
         if index is None:
             return list(range(base, base + entry.size)) if entry.size > 1 else base
-        return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}")
+        return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}", self.symbols)
 
     def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
         """The flat ids a qubit ref names: one qubit, or a whole register's."""
@@ -622,21 +618,23 @@ class _Analyzer:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a bit register", ref.span)
         if ref.index is None:
             return [(ref.name, i) for i in range(entry.size)]
-        return [(ref.name, self._index(ref, entry.size, "bit index", "bit register '{}' of width {}"))]
+        return [(ref.name, self._index(ref, entry.size, "bit index", "bit register '{}' of width {}", self.symbols))]
 
-    def resolve_angle(self, expr: fe.Expr, formals: dict | None = None, scoped: SymbolTable | None = None) -> Angle:
-        """Resolve a gate argument to a literal double or a ParamRef slot.
+    def resolve_angle(self, expr: fe.Expr, symbols: SymbolTable, formals: dict | None = None) -> Angle:
+        """Resolve a gate argument to a literal double or a ParamRef slot,
+        reading names in `symbols` alone.
 
         Arithmetic is folded only over compile-time constants; a runtime
         input may appear solely as a bare (optionally indexed) reference.
-        In a gate body a bare formal is its bound angle, and arithmetic folds
-        in `scoped`, the symbol table with the formals pushed on top.
+        In a gate body `symbols` holds the formals over the global scope, a
+        bare formal is its bound angle in `formals`, and an indexed one
+        folds like any other expression, so it raises NotConst.
         """
         if type(expr) is fe.NamedRef:
-            if formals and expr.name in formals and expr.index is None:
-                return formals[expr.name]
-            entry = self.symbols.lookup_or_none(expr.name)
-            if entry is not None and entry.kind is _INPUT:
+            if formals and expr.name in formals:
+                if expr.index is None:
+                    return formals[expr.name]
+            elif (entry := symbols.lookup_or_none(expr.name)) is not None and entry.kind is _INPUT:
                 spec = self.param_offset[expr.name]
                 if expr.index is None:
                     if spec.array:
@@ -644,9 +642,9 @@ class _Analyzer:
                             f"parameter array '{expr.name}' needs an element index", expr.span
                         )
                     return ParamRef(spec.offset)
-                idx = self._index(expr, spec.count, "parameter index", "parameter '{}' of {} elements")
+                idx = self._index(expr, spec.count, "parameter index", "parameter '{}' of {} elements", symbols)
                 return ParamRef(spec.offset + idx)
-        value = const_eval(expr, scoped or self.symbols)
+        value = const_eval(expr, symbols)
         return value if type(value) is float else _to_double(value, expr.span)
 
     # -- gate calls ---------------------------------------------------------
@@ -666,9 +664,11 @@ class _Analyzer:
 
     def _callee(self, call: fe.GateCall, n_ctrl: int, strict: bool) -> fe.GateDef | tuple:
         """The user gate a call names, or the builtin's BUILTIN_GATES spec,
-        with its arity checked. A name bound to a non-gate is an error only
-        when `strict`."""
-        entry = self.symbols.lookup_or_none(call.name)
+        with its arity checked. A top-level call (`strict`) reads the name
+        where it stands, and a name bound to a non-gate is an error; a call
+        in a gate body reads the global scope, and a non-gate falls through
+        to the builtins."""
+        entry = (self.symbols.visible if strict else self.globals).get(call.name)
         if entry is not None and entry.kind is _GATE:
             callee = self.gate_defs[call.name]
             n_angles, n_qubits = len(callee.params), len(callee.qubits)
@@ -695,7 +695,7 @@ class _Analyzer:
     def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
         polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
         callee = self._callee(stmt, len(polarity), True)
-        angles = [self.resolve_angle(a) for a in stmt.args] if stmt.args else []
+        angles = [self.resolve_angle(a, self.symbols) for a in stmt.args] if stmt.args else []
         operands, whole = [], False
         for ref in stmt.qubits:  # a loop, not a comprehension: most calls have one or two
             operands.append(ids := self._operand(ref))
@@ -758,14 +758,12 @@ class _Analyzer:
         base = self.stmt_count
         # Free formals are bound when the template is placed; only whether
         # each is a ParamRef selects the template. The other angles select it
-        # by value and sign. A body looks names up where it is called, so the
-        # loop variables it could read select it too.
+        # by value and sign. A body reads nothing else that could differ
+        # between calls: its other names are global.
         free = self.free_formals[name]
         fixed = _signed(tuple([a for a, f in zip(angles, free) if not f]))
         runtime = tuple([isinstance(a, ParamRef) for a, f in zip(angles, free) if f])
-        loops = self.symbols.scopes[1:]
-        reads = [(n, e.const_value) for scope in loops for n, e in scope.items() if n in self.body_names]
-        key = (name, fixed, runtime, tuple(reads))
+        key = (name, fixed, runtime)
         template = self.templates.get(key)
         if template and len(stack) + template.height <= fe.MAX_NESTING and (
             base + template.peak <= UNROLL_CAP
@@ -792,11 +790,12 @@ class _Analyzer:
         formals: dict[str, Angle] = {}
         for i, (name, value) in enumerate(zip(gate_def.params, angles)):
             formals[name] = (_FormalRef(i) if isinstance(value, ParamRef) else _Formal(i)) if free[i] else value
-        # Arithmetic folds with the formals bound in a scope pushed on a copy
-        # of the table. Only bare references to a formal bound to a ParamRef
-        # are representable; as a runtime input, const_eval reports NotConst.
+        # The body's names resolve in one table: the formals in a scope over
+        # the global one. Only bare references to a formal bound to a
+        # ParamRef are representable; as a runtime input, const_eval reports
+        # NotConst.
         scoped = SymbolTable()
-        scoped.scopes, scoped.visible = self.symbols.scopes + [{}], dict(self.symbols.visible)
+        scoped.scopes, scoped.visible = [self.globals, {}], dict(self.globals)
         for name, value in formals.items():
             runtime = isinstance(value, ParamRef)
             kind = _INPUT if runtime else _CONST
@@ -821,7 +820,7 @@ class _Analyzer:
                 raise DuplicateQubitArg(
                     f"gate '{call.name}' applied with a repeated qubit operand", call.span
                 )
-            call_angles = [self.resolve_angle(a, formals, scoped) for a in call.args]
+            call_angles = [self.resolve_angle(a, scoped, formals) for a in call.args]
             part = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
             if type(part) is tuple:
                 height = max(height, part[0].height + 1)
@@ -924,8 +923,8 @@ class _Analyzer:
 
     def resolve_for(self, stmt: fe.ForStatement) -> list[ResolvedStatement]:
         """The loop unrolled. An invariant loop (only gate calls and loops of
-        them, and neither they nor a gate body mention the variable) is
-        resolved once: if its first iteration's count and peak, repeated, fit
+        them that do not mention the variable, which no gate body can read)
+        is resolved once: if its first iteration's count and peak, repeated, fit
         under UNROLL_CAP, the repeats are charged in one check and share its
         calls, read-only like template placements. Else, and for any other
         loop, each iteration is resolved, raising where it always did."""
@@ -941,7 +940,7 @@ class _Analyzer:
         trips = _trip_count(start, stop, step)
         self._check_budget(trips * max(1, _min_cost(stmt.body)), stmt.span)
         names: set[str] = set()
-        once = trips > 1 and stmt.var not in self.body_names and _gate_loop_names(stmt.body, names) and stmt.var not in names
+        once = trips > 1 and _gate_loop_names(stmt.body, names) and stmt.var not in names
         first, high = self.stmt_count, self.high
         if once:
             self.high = first  # to read the first iteration's peak

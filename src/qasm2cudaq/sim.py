@@ -1072,18 +1072,18 @@ def _sample_static(bound: BoundKernel, layout: _Layout, seed: int, shots: int) -
     probs += np.square(amps.imag)
     # The inverse CDF over the support alone: adding a zero is exact, so the
     # support's running sums equal the full ones at its entries, and the
-    # first full sum past a draw is always one of them. A draw at or past
-    # the last sum takes the last basis index, the entry after the support.
+    # first full sum past a draw is always one of them. The last sum is left
+    # out of the search, so a draw at or past it (rounding leaves it below
+    # 1) takes the last support entry, never a basis index of probability 0.
     # The support maps back by depositing the kept bits and setting the
     # fixed ones, which keeps its order.
     support = np.flatnonzero(probs)
-    cum = np.cumsum(probs[support])
+    cum = np.cumsum(probs[support])[:-1]
     basis = support
     if fixed:
         basis = np.full_like(support, sum(bit << q for q, bit in fixed.items()))
         for i, q in enumerate(q for q in range(n) if q not in fixed):
             basis |= ((support >> i) & 1) << q
-    basis = np.append(basis, (1 << n) - 1)
     hits = np.zeros(basis.size, dtype=np.int64)
     for chunk in _chunks(shots):
         hits += np.bincount(np.searchsorted(cum, _first_draws(seed, chunk), side="right"), minlength=basis.size)

@@ -473,10 +473,11 @@ class TestInvariantLoops:
             assert all(calls[k] is calls[k + n] is calls[k + 2 * n] for k in range(n))
             dumps.append(kir.dump(kir.lower(vp)))
         assert dumps[0] == dumps[1]
-        # another gate reading `r` as a free name still makes the loop iterate
+        # a gate body reading `r` as a free name reads the global scope, not
+        # the loop, so the loop still shares
         vp = analyze(f"{HEADER}gate g(r) a {{ rz(r) a; }}\ngate k a {{ rz(r) a; }}\n{loop}")
         n = len(vp.statements) // 3
-        assert not any(a is b for a, b in zip(vp.statements[:n], vp.statements[n : 2 * n]))
+        assert all(a is b for a, b in zip(vp.statements[:n], vp.statements[n : 2 * n]))
 
     @pytest.mark.parametrize(
         "prefix, body",
@@ -484,13 +485,12 @@ class TestInvariantLoops:
             ("qubit q;\n", "h q[r - r];"),
             ("qubit q;\n", "rz(r * 0) q;"),
             ("qubit q;\n", "for int j in [r:r] { h q; }"),
-            ("gate k a { rz(r) a; }\nqubit q;\n", "h q; k q;"),
             ("qubit q;\nbit c;\n", "h q; c = measure q;"),
             ("qubit q;\n", "h q; reset q;"),
             ("qubit q;\n", "h q; barrier q;"),
             ("qubit q;\nbit c;\n", "h q; if (c) { x q; }"),
         ],
-        ids=["index", "angle", "nested-bound", "gate-body", "measure", "reset", "barrier", "if"],
+        ids=["index", "angle", "nested-bound", "measure", "reset", "barrier", "if"],
     )
     def test_other_loops_resolve_every_iteration(self, prefix, body):
         vp = analyze(f"{HEADER}{prefix}for int r in [1:2] {{ {body} }}\n")
@@ -498,3 +498,8 @@ class TestInvariantLoops:
         first, second = vp.statements[:n], vp.statements[n:]
         assert n >= 1 and len(second) == n
         assert not any(a is b for a, b in zip(first, second))
+
+    def test_gate_body_cannot_read_the_loop_variable(self):
+        with pytest.raises(UndefinedName) as err:
+            analyze(f"{HEADER}gate k a {{ rz(r) a; }}\nqubit q;\nfor int r in [1:2] {{ h q; k q; }}\n")
+        assert str(err.value) == "semantic error at 3:15: undefined name 'r'"

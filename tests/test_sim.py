@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qasm2cudaq import frontend as fe, kir, sema, sim
+from qasm2cudaq import frontend as fe, kir, sema, sim, suites
 from qasm2cudaq.errors import BadPauliString, DegenerateNorm, DynamicCircuit, SimError, TooLarge
 from qasm2cudaq.kir import Gate, Measure
 from qasm2cudaq.oracle import fidelity_up_to_global_phase, full_gate_matrix, oracle_unitary
@@ -713,20 +713,29 @@ class TestStaticSupport:
     """The static sampler searches only the support of the distribution;
     it must pick the basis index a search of the full cumulative sums
     picks, for every draw: zero, one exactly on a sum, between sums, and at
-    or past the last sum."""
+    or past the last sum, which takes the last basis index of nonzero
+    probability."""
 
     @pytest.mark.parametrize("amps", _support_states(), ids=lambda a: f"n{a.size.bit_length() - 1}-{np.count_nonzero(a)}")
     def test_matches_full_cdf_reference(self, monkeypatch, amps):
         n = amps.size.bit_length() - 1
-        full = np.cumsum(amps.real**2 + amps.imag**2)
+        probs = amps.real**2 + amps.imag**2
+        full = np.cumsum(probs)
         draws = np.concatenate([[0.0], full, (full[:-1] + full[1:]) / 2, [np.nextafter(full[-1], 2.0), 1 - 2**-53, 1.0]])
         monkeypatch.setattr(sim, "_factors", lambda bound: (n, set(range(n)), amps.copy(), [sim._KET0] * n))
         monkeypatch.setattr(sim, "_first_draws", lambda seed, shots: draws[shots.astype(np.intp)])
         kernel = kir.Kernel(n, [("q", n)], [], [("c", n)], [Measure(q, ("c", q)) for q in range(n)])
         hist = sim.sample(kir.BoundKernel(kernel, ()), draws.size, 0)
-        idx = np.minimum(np.searchsorted(full, draws, side="right"), full.size - 1)
+        idx = np.minimum(np.searchsorted(full, draws, side="right"), np.flatnonzero(probs)[-1])
         keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
         assert hist.counts == dict(Counter(keys))
+
+    def test_draw_past_the_last_sum_reads_a_possible_key(self, monkeypatch):
+        # Bernstein-Vazirani, hidden string 1010: the running sums end below
+        # 1 - 2^-53, and every other key, 1111 included, has probability 0
+        monkeypatch.setattr(sim, "_first_draws", lambda seed, shots: np.full(shots.size, 1 - 2**-53))
+        hist = sim.sample(bound(suites._bv_source("1010")), 3, 0)
+        assert hist.counts == {"1010": 3}
 
 
 @st.composite
@@ -753,11 +762,12 @@ def static_sampled_kernel(draw) -> kir.Kernel:
     return kir.Kernel(n, [("q", n)], [], [("c", width)], body)
 
 
-def _full_state_counts(kernel: kir.Kernel, full: np.ndarray, draws: np.ndarray) -> dict:
-    """Reference static sampler: every draw searched over `full`, the
-    running sums of the full 2^n state; a draw past the last sum takes the
-    last basis index."""
-    index = np.minimum(np.searchsorted(full, draws, side="right"), full.size - 1)
+def _full_state_counts(kernel: kir.Kernel, probs: np.ndarray, draws: np.ndarray) -> dict:
+    """Reference static sampler: every draw searched over the running sums
+    of `probs`, the full 2^n state's; a draw at or past the last sum takes
+    the last basis index of nonzero probability."""
+    full = np.cumsum(probs)
+    index = np.minimum(np.searchsorted(full, draws, side="right"), np.flatnonzero(probs)[-1])
     width = kernel.classical_layout[0][1]
     counts: dict = {}
     for value in index.tolist():
@@ -779,13 +789,14 @@ class TestFactoredSampler:
     def test_matches_full_state_reference(self, kernel, seed):
         bk = kir.BoundKernel(kernel, ())
         amps = sim._gates_only_state(bk).amps
-        full = np.cumsum(np.square(amps.real) + np.square(amps.imag))
+        probs = np.square(amps.real) + np.square(amps.imag)
+        full = np.cumsum(probs)
         edges = [np.nextafter(full[-1], 2.0), 1 - 2**-53, 1.0]
         draws = np.concatenate([sim._first_draws(seed, np.arange(300)), edges])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_first_draws", lambda seed, shots: draws[shots.astype(np.intp)])
             hist = sim.sample(bk, draws.size, seed)
-        assert hist.counts == _full_state_counts(kernel, full, draws)
+        assert hist.counts == _full_state_counts(kernel, probs, draws)
 
 
 class TestShotStreams:

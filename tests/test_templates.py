@@ -15,8 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasm2cudaq import compile_source, frontend as fe, kir, sema
-from qasm2cudaq.errors import ProgramTooLarge, RecursiveGateDef, UndefinedName
+from qasm2cudaq.errors import NotConst, ProgramTooLarge, RecursiveGateDef, SemaError, UndefinedName
 from qasm2cudaq.oracle import oracle_unitary
+
+from conftest import CORPUS
+from golden_cases import GOLDEN_CASES
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 QUBITS = 4
@@ -241,16 +244,155 @@ class TestTemplateKey:
             "gate rz(0.0) q1\ngate p(0.0) q1 +q0\ngate rz(-0.0) q0\ngate p(-0.0) q0 +q1\n"
         )
 
-    def test_loop_variable_read_by_a_body_selects_the_template(self):
-        # a gate body looks names up where it is called, so `i` is the loop's
+    def test_body_cannot_read_a_caller_loop_variable(self):
+        # a gate body reads its formals and the global scope, not the scope
+        # of its call, so `i` is undefined there
         source = HEADER + "gate g a { rz(i) a; }\nqubit q;\nfor int i in [1:3] { g q; }\n"
-        assert [op.angles for op in compile_source(source).body] == [(1.0,), (2.0,), (3.0,)]
-
-    def test_loop_variable_shadowing_a_called_gate_is_still_an_error(self):
-        source = HEADER + "gate f a { x a; }\ngate g a { f a; }\nqubit q;\ng q;\nfor int f in [0:1] { g q; }\n"
         with pytest.raises(UndefinedName) as err:
             compile_source(source)
-        assert "undefined gate 'f'" in str(err.value)
+        assert "undefined name 'i'" in str(err.value)
+
+    def test_loop_variable_named_like_a_gate_does_not_hide_it_from_bodies(self):
+        source = HEADER + "gate f a { x a; }\ngate g a { f a; }\nqubit q;\ng q;\nfor int f in [0:0] { g q; }\n"
+        assert kir.dump(compile_source(source)).splitlines()[1:] == ["gate x q0", "gate x q0"]
+
+
+def _names(expr, out: set[str]) -> None:
+    if isinstance(expr, fe.NamedRef):
+        out.add(expr.name)
+        _names(expr.index, out)
+    elif isinstance(expr, fe.Unary):
+        _names(expr.operand, out)
+    elif isinstance(expr, fe.Binary):
+        _names(expr.lhs, out)
+        _names(expr.rhs, out)
+
+
+def _call_names(call: fe.GateCall) -> set[str]:
+    """Every name a call mentions: its gate, angles, pow exponents and operands."""
+    out = {call.name}
+    for expr in call.args + call.qubits + [m.exponent for m in call.modifiers]:
+        _names(expr, out)
+    return out
+
+
+def _body_names(name: str, defs: dict, seen: set[str]) -> set[str]:
+    """Every name the body of gate `name` mentions, directly or through the
+    user gates it calls."""
+    out: set[str] = set()
+    if name not in seen:
+        seen.add(name)
+        for call in defs[name].body:
+            out |= _call_names(call)
+            if call.name in defs:
+                out |= _body_names(call.name, defs, seen)
+    return out
+
+
+def _wrap_sites(ast: fe.ProgramAst) -> list[tuple[int, str]]:
+    """(statement index, loop variable) for each top-level user gate call and
+    each name its callee's body mentions that the call itself does not."""
+    defs = {s.name: s for s in ast.statements if type(s) is fe.GateDef}
+    sites = []
+    for i, stmt in enumerate(ast.statements):
+        if type(stmt) is fe.GateCall and stmt.name in defs:
+            sites += [(i, n) for n in sorted(_body_names(stmt.name, defs, set()) - _call_names(stmt))]
+    return sites
+
+
+_GLOBALS = (
+    "input array[float[64], 3] th;\nconst float c0 = 0.375;\nconst float c1 = -1.25;\n"
+    "const int k0 = 2;\nconst int k1 = -1;\n"
+)
+
+
+@st.composite
+def scoped_programs(draw) -> str:
+    """Gate bodies that read global consts (angles, pow exponents and the
+    index of a global input) and call earlier user gates; a formal may share
+    a const's name, and hides it in its own body. Every gate acts on two
+    qubits."""
+    gates: dict[str, int] = {}  # name -> angle count
+    lines = [HEADER + _GLOBALS.rstrip("\n")]
+    for g in range(draw(st.integers(1, 3))):
+        formals = draw(st.lists(st.sampled_from(["t", "s", "c1"]), max_size=2, unique=True))
+        angle = st.sampled_from(["c0", "c1", "c0 * 2", "0.5"] + formals + [f"{f} - c0" for f in formals])
+        arity = {"rz": (1, 1), "ry": (1, 1), "h": (0, 1), "cp": (1, 2), "cx": (0, 2)}
+        arity.update((name, (n, 2)) for name, n in gates.items())
+        body = []
+        for _ in range(draw(st.integers(1, 3))):
+            callee = draw(st.sampled_from(sorted(arity)))
+            n_angles, n_qubits = arity[callee]
+            # a formal bound to th[k0] could not take arithmetic, so only a builtin reads it
+            choice = angle | st.just("th[k0]") if callee not in gates else angle
+            args = f"({', '.join(draw(choice) for _ in range(n_angles))})" if n_angles else ""
+            mod = draw(st.sampled_from(["", "pow(k0) @ ", "pow(k1) @ ", "inv @ "]))
+            qubits = draw(st.permutations(["a", "b"]))[:n_qubits]
+            body.append(f"{mod}{callee}{args} {', '.join(qubits)};")
+        params = f"({', '.join(formals)})" if formals else ""
+        lines.append(f"gate g{g}{params} a, b {{ {' '.join(body)} }}")
+        gates[f"g{g}"] = len(formals)
+    lines.append("qubit[3] q;")
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(gates)))
+        args = ", ".join(repr(draw(st.sampled_from([0.25, -0.5, 1.0]))) for _ in range(gates[name]))
+        qubits = draw(st.permutations(["q[0]", "q[1]", "q[2]"]))[:2]
+        lines.append(f"{name}{f'({args})' if args else ''} {', '.join(qubits)};")
+    return "\n".join(lines) + "\n"
+
+
+# the golden and conformance programs with a call a loop can wrap
+_WRAPPABLE = [s for s in [*GOLDEN_CASES.values(), *CORPUS] if _wrap_sites(fe.parse_source(s))]
+
+
+class TestBodyScope:
+    """A gate body reads its formals and the global scope, never the scope
+    of its call: it means the same at every call site."""
+
+    @given(st.sampled_from(_WRAPPABLE) | scoped_programs(), st.data())
+    def test_loop_variable_does_not_reach_a_called_body(self, source, data):
+        # wrapping a call in a one-trip loop over a name its callee's body
+        # mentions (a const, a formal or a called gate) changes nothing
+        ast = fe.parse_source(source)
+        i, var = data.draw(st.sampled_from(_wrap_sites(ast)))
+        call = ast.statements[i]
+        zero = fe.IntLit(0, call.span)
+        loop = fe.ForStatement(var, zero, None, zero, [call], call.span)
+        wrapped = fe.ProgramAst(ast.version, ast.includes, ast.statements[:i] + [loop] + ast.statements[i + 1 :])
+        assert kir.dump(kir.lower(sema.analyze(wrapped))) == kir.dump(kir.lower(sema.analyze(ast)))
+
+    @pytest.mark.parametrize(
+        "arg, message",
+        [("0.5", "constant 't' is a scalar and cannot be indexed"), ("th[1]", "'t' is a runtime-input, not a compile-time constant")],
+        ids=["literal", "runtime"],
+    )
+    @pytest.mark.parametrize("other", ["t", "u"], ids=["global-t", "no-global-t"])
+    def test_indexed_formal_is_not_a_global_input(self, arg, message, other):
+        # the formal `t` hides a global input `t`, so `t[0]` indexes the formal
+        source = HEADER + (
+            f"input array[float[64], 2] th;\ninput array[float[64], 2] {other};\n"
+            f"gate g(t) a {{ rz(t[0]) a; }}\nqubit q;\ng({arg}) q;\n"
+        )
+        with pytest.raises(NotConst) as err:
+            compile_source(source)
+        assert str(err.value) == f"semantic error at 5:18: {message}"
+
+    def test_formal_indexes_a_global_input(self):
+        # the index folds in the body's table, where the formal is bound
+        source = HEADER + "input array[float[64], 3] th;\ngate g(k) a { rz(th[k]) a; }\nqubit q;\ng(2) q;\ng(th[0]) q;\n"
+        with pytest.raises(SemaError) as err:
+            compile_source(source)
+        assert str(err.value) == (
+            "semantic error at 4:21: parameter index must be a compile-time integer: "
+            "'k' is a runtime-input, not a compile-time constant"
+        )
+        kernel = compile_source(source.replace("g(th[0]) q;\n", ""))
+        assert kir.dump(kernel).splitlines()[1:] == ["gate rz(param2) q0"]
+
+    def test_formal_named_like_a_called_gate(self):
+        # a body's callee is looked up in the global scope, past its formals
+        source = HEADER + "gate f a { x a; }\ngate g(f) a { f a; rz(f) a; }\nqubit q;\ng(0.5) q;\n"
+        assert kir.dump(compile_source(source)).splitlines()[1:] == ["gate x q0", "gate rz(0.5) q0"]
 
 
 _WRAPPERS = "gate base a { x a; }\ngate w1 a { base a; }\n" + "".join(
