@@ -238,6 +238,12 @@ class _CppEmitter(_EmitterBase):
                 self.bit_local[m.bit] = name
         pred = op.predicate
         if pred.index is None:
+            width = self.kernel.classical_width(pred.register)
+            if width > 31:  # the packed value would overflow the `int`
+                raise UnsupportedForTarget(
+                    f"cudaq-cpp packs a whole-register predicate into an int, which holds 31 bits; "
+                    f"register '{pred.register}' is {width} bits wide: test single bits or use cudaq-builder"
+                )
             cval = f"cval{self.cond_count}"
             self.cond_count += 1
             self.line(f"int {cval} = {self.pack_expr(pred)};")

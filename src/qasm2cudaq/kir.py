@@ -107,10 +107,11 @@ class _Lowerer:
                 f"predicate at {stmt.span[0]}:{stmt.span[1]} reads {reg}[{idx}] "
                 "before any measurement writes it"
             )
-        if pred.index is None and pred.comparator != "truthy" and pred.rhs >= (1 << width):
+        bits = width if pred.index is None else 1
+        if pred.comparator != "truthy" and pred.rhs >= (1 << bits):
+            what = f"bit {pred.register}[{pred.index}]" if bits == 1 else f"register '{pred.register}' of width {width}"
             raise LowerError(
-                f"predicate at {stmt.span[0]}:{stmt.span[1]} compares register "
-                f"'{pred.register}' of width {width} against {pred.rhs} (>= 2^{width})"
+                f"predicate at {stmt.span[0]}:{stmt.span[1]} compares {what} against {pred.rhs} (>= 2^{bits})"
             )
         then_written = set(written)
         else_written = set(written)

@@ -9,13 +9,14 @@ resets and barriers become the kernel's own `Measure`, `Reset` and `Nop` ops,
 and an `if` keeps its `Predicate`. Each builtin call a gate call inlines
 becomes one ResolvedCall with its `Gate` ops ready, through one modifier
 algebra (`_algebra`); one lowering (`_Analyzer._part`) serves a call at top
-level and a call in a gate body. A gate body has its own scope: it reads
-its formals and the global scope, never a caller's loop variables, so it
-means the same at every call. It is compiled into a `_Template` once per
-key: the gate and the values of the angle formals that shape its gates
-(pow exponents, arithmetic, fixed formals of nested gates). A formal used
-only as a whole angle stays free: each call binds it when it places the
-template on its qubits.
+level and a call in a gate body. Names resolve in plain dicts: a top-level
+name reads the declarations with the loop variables in scope on top, and a
+gate body reads its formals over the declarations, never a caller's loop
+variables, so it means the same at every call. It is compiled into a
+`_Template` once per key: the gate and the values of the angle formals that
+shape its gates (pow exponents, arithmetic, fixed formals of nested gates).
+A formal used only as a whole angle stays free: each call binds it when it
+places the template on its qubits.
 Each placement (targets, controls, bound free angles) is built once and
 shared, so the iterations of a loop that place a template alike get the
 same calls; a call's own inv/pow applies after. A template's op count is
@@ -71,38 +72,16 @@ class SymbolEntry:
     decl_span: fe.Span
 
 
-class SymbolTable:
-    """Lexically scoped name table; inner scopes shadow outer ones.
-    `visible` maps each name to the entry a lookup finds, in one step."""
+# A name table: the declarations (all top level), the loop variables in
+# scope over them, or a gate body's formals over the declarations.
+Symbols = dict[str, SymbolEntry]
 
-    def __init__(self):
-        self.scopes: list[dict[str, SymbolEntry]] = [{}]
-        self.visible: dict[str, SymbolEntry] = {}
 
-    def push(self) -> None:
-        self.scopes.append({})
-
-    def pop(self) -> None:
-        for name in self.scopes.pop():
-            del self.visible[name]
-            for scope in self.scopes:  # outermost first, so the innermost stays
-                if name in scope:
-                    self.visible[name] = scope[name]
-
-    def define(self, entry: SymbolEntry) -> None:
-        scope = self.scopes[-1]
-        if entry.name in scope:
-            raise Redefinition(f"redefinition of '{entry.name}'", entry.decl_span)
-        scope[entry.name] = self.visible[entry.name] = entry
-
-    def lookup(self, name: str, span: fe.Span) -> SymbolEntry:
-        entry = self.visible.get(name)
-        if entry is None:
-            raise UndefinedName(f"undefined name '{name}'", span)
-        return entry
-
-    def lookup_or_none(self, name: str) -> SymbolEntry | None:
-        return self.visible.get(name)
+def _lookup(table: Symbols, name: str, span: fe.Span) -> SymbolEntry:
+    entry = table.get(name)
+    if entry is None:
+        raise UndefinedName(f"undefined name '{name}'", span)
+    return entry
 
 
 @dataclass(frozen=True)
@@ -353,7 +332,7 @@ ResolvedStatement = ResolvedCall | Measure | Reset | Nop | ResolvedIf
 
 @dataclass
 class ValidatedProgram:
-    symbols: SymbolTable
+    symbols: Symbols  # the declarations
     statements: list[ResolvedStatement]
     qubit_count: int
     qubit_layout: list[tuple[str, int]]
@@ -374,7 +353,7 @@ BUILTIN_GATES: dict[str, tuple[int, int, str, int, bool]] = {
 }
 
 
-def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
+def const_eval(expr: fe.Expr, symbols: Symbols) -> float | int:
     """Evaluate a compile-time-constant expression to a double or exact int.
 
     Division yields an int only when both operands are ints and the division
@@ -390,7 +369,7 @@ def const_eval(expr: fe.Expr, symbols: SymbolTable) -> float | int:
     if kind is fe.PiConst:
         return math.pi
     if kind is fe.NamedRef:
-        entry = symbols.lookup(expr.name, expr.span)
+        entry = _lookup(symbols, expr.name, expr.span)
         if entry.kind is not _CONST:
             raise NotConst(
                 f"'{expr.name}' is a {entry.kind.value}, not a compile-time constant",
@@ -430,7 +409,7 @@ def _to_double(value: float | int, span: fe.Span) -> float:
         raise NonFiniteConst("constant is out of a double's range", span) from None
 
 
-def _const_int(expr: fe.Expr, symbols: SymbolTable, what: str, exc=SemaError, inexact=None) -> int:
+def _const_int(expr: fe.Expr, symbols: Symbols, what: str, exc=SemaError, inexact=None) -> int:
     """expr folded to an int. Raises `exc` when it is not a compile-time
     constant, and `inexact` (default `exc`) when it is one but not an integer."""
     try:
@@ -454,7 +433,7 @@ def _literal_int(expr: fe.Expr) -> int | None:
     """The integer an expression of literals folds to, else None. An
     expression that names anything may fold differently where it is used."""
     try:
-        value = const_eval(expr, SymbolTable())
+        value = const_eval(expr, {})
     except SemaError:
         return None
     if isinstance(value, float):
@@ -500,8 +479,9 @@ def _min_cost(stmts: list[fe.Statement]) -> int:
 class _Analyzer:
     def __init__(self, ast: fe.ProgramAst):
         self.ast = ast
-        self.symbols = SymbolTable()
-        self.globals = self.symbols.scopes[0]  # declarations are top level only
+        self.globals: Symbols = {}  # every declaration
+        # what a top-level name reads: the globals, loop variables in scope on top
+        self.visible: Symbols = {}
         self.has_stdgates = "stdgates.inc" in ast.includes
         self.gate_defs: dict[str, fe.GateDef] = {}
         self.qubit_layout: list[tuple[str, int]] = []
@@ -519,6 +499,11 @@ class _Analyzer:
         self.free_formals: dict[str, tuple[bool, ...]] = {}
 
     # -- declarations -------------------------------------------------------
+    def _define(self, entry: SymbolEntry) -> None:
+        if entry.name in self.globals:
+            raise Redefinition(f"redefinition of '{entry.name}'", entry.decl_span)
+        self.globals[entry.name] = self.visible[entry.name] = entry
+
     def declare(self, stmt: fe.Statement) -> None:
         if isinstance(stmt, (fe.QubitDecl, fe.BitDecl)):
             qubit = isinstance(stmt, fe.QubitDecl)
@@ -526,9 +511,7 @@ class _Analyzer:
                 what = "qubit" if qubit else "bit"
                 raise SemaError(f"{what} register '{stmt.name}' must have size >= 1", stmt.span)
             kind = _QUBITS if qubit else _BITS
-            self.symbols.define(
-                SymbolEntry(stmt.name, kind, stmt.size, None, stmt.span)
-            )
+            self._define(SymbolEntry(stmt.name, kind, stmt.size, None, stmt.span))
             if qubit:
                 self.qubit_base[stmt.name] = self.qubit_count
                 self.qubit_count += stmt.size
@@ -536,15 +519,13 @@ class _Analyzer:
         elif isinstance(stmt, fe.InputDecl):
             if stmt.count < 1:
                 raise SemaError(f"input '{stmt.name}' must have at least one element", stmt.span)
-            self.symbols.define(
-                SymbolEntry(stmt.name, _INPUT, stmt.count, None, stmt.span)
-            )
+            self._define(SymbolEntry(stmt.name, _INPUT, stmt.count, None, stmt.span))
             offset = sum(p.count for p in self.param_layout)
             spec = ParamSpec(stmt.name, stmt.count, stmt.array, offset)
             self.param_layout.append(spec)
             self.param_offset[stmt.name] = spec
         elif isinstance(stmt, fe.ConstDecl):
-            value = const_eval(stmt.expr, self.symbols)
+            value = const_eval(stmt.expr, self.visible)
             if stmt.is_int:
                 if isinstance(value, float):
                     if not value.is_integer():
@@ -554,15 +535,11 @@ class _Analyzer:
                     value = int(value)
             else:
                 value = _to_double(value, stmt.span)
-            self.symbols.define(
-                SymbolEntry(stmt.name, _CONST, 1, value, stmt.span)
-            )
+            self._define(SymbolEntry(stmt.name, _CONST, 1, value, stmt.span))
         elif isinstance(stmt, fe.GateDef):
             if stmt.name in BUILTIN_GATES and self.has_stdgates:
                 raise Redefinition(f"'{stmt.name}' shadows a standard gate", stmt.span)
-            self.symbols.define(
-                SymbolEntry(stmt.name, _GATE, len(stmt.qubits), None, stmt.span)
-            )
+            self._define(SymbolEntry(stmt.name, _GATE, len(stmt.qubits), None, stmt.span))
             if len(set(stmt.qubits)) != len(stmt.qubits) or len(set(stmt.params)) != len(stmt.params):
                 raise Redefinition(f"duplicate formal name in gate '{stmt.name}'", stmt.span)
             self.gate_defs[stmt.name] = stmt
@@ -582,7 +559,7 @@ class _Analyzer:
             self.free_formals[stmt.name] = tuple(p not in fixed for p in stmt.params)
 
     # -- operand resolution -------------------------------------------------
-    def _index(self, ref: fe.NamedRef, size: int, what: str, where: str, symbols: SymbolTable) -> int:
+    def _index(self, ref: fe.NamedRef, size: int, what: str, where: str, symbols: Symbols) -> int:
         """The constant index of `ref`, folded in `symbols` and checked
         against `size`. `where` names the indexed object, formatted with the
         name and size when it raises. A literal index, the common case,
@@ -595,7 +572,7 @@ class _Analyzer:
     def _operand(self, ref: fe.NamedRef) -> int | list[int]:
         """The flat id of the qubit a ref names, or a whole register's ids
         (a register of one qubit is a single qubit)."""
-        entry = self.symbols.lookup(ref.name, ref.span)
+        entry = _lookup(self.visible, ref.name, ref.span)
         if entry.kind is not _QUBITS:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a qubit register", ref.span)
         base, index = self.qubit_base[ref.name], ref.index
@@ -603,7 +580,7 @@ class _Analyzer:
             return base + index.value
         if index is None:
             return list(range(base, base + entry.size)) if entry.size > 1 else base
-        return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}", self.symbols)
+        return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}", self.visible)
 
     def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
         """The flat ids a qubit ref names: one qubit, or a whole register's."""
@@ -613,14 +590,14 @@ class _Analyzer:
     def resolve_bits(self, ref: fe.NamedRef) -> list[tuple[str, int]]:
         """The (register, index) bits a classical ref names: one bit, or a
         whole register's (a register of one bit is a single bit)."""
-        entry = self.symbols.lookup(ref.name, ref.span)
+        entry = _lookup(self.visible, ref.name, ref.span)
         if entry.kind is not _BITS:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a bit register", ref.span)
         if ref.index is None:
             return [(ref.name, i) for i in range(entry.size)]
-        return [(ref.name, self._index(ref, entry.size, "bit index", "bit register '{}' of width {}", self.symbols))]
+        return [(ref.name, self._index(ref, entry.size, "bit index", "bit register '{}' of width {}", self.visible))]
 
-    def resolve_angle(self, expr: fe.Expr, symbols: SymbolTable, formals: dict | None = None) -> Angle:
+    def resolve_angle(self, expr: fe.Expr, symbols: Symbols, formals: dict | None = None) -> Angle:
         """Resolve a gate argument to a literal double or a ParamRef slot,
         reading names in `symbols` alone.
 
@@ -634,7 +611,7 @@ class _Analyzer:
             if formals and expr.name in formals:
                 if expr.index is None:
                     return formals[expr.name]
-            elif (entry := symbols.lookup_or_none(expr.name)) is not None and entry.kind is _INPUT:
+            elif (entry := symbols.get(expr.name)) is not None and entry.kind is _INPUT:
                 spec = self.param_offset[expr.name]
                 if expr.index is None:
                     if spec.array:
@@ -648,7 +625,7 @@ class _Analyzer:
         return value if type(value) is float else _to_double(value, expr.span)
 
     # -- gate calls ---------------------------------------------------------
-    def _modifiers(self, mods: list[fe.Modifier], symbols: SymbolTable) -> tuple[tuple[int, ...], Algebra]:
+    def _modifiers(self, mods: list[fe.Modifier], symbols: Symbols) -> tuple[tuple[int, ...], Algebra]:
         """A modifier chain as control polarities, one per leading operand,
         and the inv/pow algebra with each exponent folded in `symbols`."""
         polarity: list[int] = []
@@ -668,7 +645,7 @@ class _Analyzer:
         where it stands, and a name bound to a non-gate is an error; a call
         in a gate body reads the global scope, and a non-gate falls through
         to the builtins."""
-        entry = (self.symbols.visible if strict else self.globals).get(call.name)
+        entry = (self.visible if strict else self.globals).get(call.name)
         if entry is not None and entry.kind is _GATE:
             callee = self.gate_defs[call.name]
             n_angles, n_qubits = len(callee.params), len(callee.qubits)
@@ -693,9 +670,9 @@ class _Analyzer:
         return callee
 
     def resolve_call(self, stmt: fe.GateCall) -> list[ResolvedCall]:
-        polarity, algebra = self._modifiers(stmt.modifiers, self.symbols) if stmt.modifiers else ((), ())
+        polarity, algebra = self._modifiers(stmt.modifiers, self.visible) if stmt.modifiers else ((), ())
         callee = self._callee(stmt, len(polarity), True)
-        angles = [self.resolve_angle(a, self.symbols) for a in stmt.args] if stmt.args else []
+        angles = [self.resolve_angle(a, self.visible) for a in stmt.args] if stmt.args else []
         operands, whole = [], False
         for ref in stmt.qubits:  # a loop, not a comprehension: most calls have one or two
             operands.append(ids := self._operand(ref))
@@ -790,16 +767,13 @@ class _Analyzer:
         formals: dict[str, Angle] = {}
         for i, (name, value) in enumerate(zip(gate_def.params, angles)):
             formals[name] = (_FormalRef(i) if isinstance(value, ParamRef) else _Formal(i)) if free[i] else value
-        # The body's names resolve in one table: the formals in a scope over
-        # the global one. Only bare references to a formal bound to a
-        # ParamRef are representable; as a runtime input, const_eval reports
-        # NotConst.
-        scoped = SymbolTable()
-        scoped.scopes, scoped.visible = [self.globals, {}], dict(self.globals)
+        # The body's names resolve in one table: the formals over the
+        # globals. Only bare references to a formal bound to a ParamRef are
+        # representable; as a runtime input, const_eval reports NotConst.
+        scoped = dict(self.globals)
         for name, value in formals.items():
             runtime = isinstance(value, ParamRef)
-            kind = _INPUT if runtime else _CONST
-            scoped.define(SymbolEntry(name, kind, 1, None if runtime else value, (0, 0)))
+            scoped[name] = SymbolEntry(name, _INPUT if runtime else _CONST, 1, None if runtime else value, (0, 0))
         slots = dict(zip(gate_def.qubits, targets))
         base, high = self.stmt_count, self.high
         self.high = base
@@ -909,7 +883,7 @@ class _Analyzer:
         cond = stmt.condition
         if isinstance(cond, fe.Comparison):
             subject_ref, comparator = cond.lhs, cond.op
-            rhs = _const_int(cond.rhs, self.symbols, "comparison right-hand side")
+            rhs = _const_int(cond.rhs, self.visible, "comparison right-hand side")
             if rhs < 0:
                 raise SemaError("comparison against a negative value", cond.span)
         else:
@@ -928,11 +902,11 @@ class _Analyzer:
         under UNROLL_CAP, the repeats are charged in one check and share its
         calls, read-only like template placements. Else, and for any other
         loop, each iteration is resolved, raising where it always did."""
-        start = _const_int(stmt.start, self.symbols, "loop bound", exc=NonConstLoopBound)
-        stop = _const_int(stmt.stop, self.symbols, "loop bound", exc=NonConstLoopBound)
+        start = _const_int(stmt.start, self.visible, "loop bound", exc=NonConstLoopBound)
+        stop = _const_int(stmt.stop, self.visible, "loop bound", exc=NonConstLoopBound)
         step = 1
         if stmt.step is not None:
-            step = _const_int(stmt.step, self.symbols, "loop step", exc=NonConstLoopBound)
+            step = _const_int(stmt.step, self.visible, "loop step", exc=NonConstLoopBound)
             if step == 0:
                 raise NonConstLoopBound("loop step must be nonzero", stmt.span)
         # Every iteration takes at least 1 (an empty one is counted as 1), so
@@ -945,34 +919,35 @@ class _Analyzer:
         if once:
             self.high = first  # to read the first iteration's peak
         out: list[ResolvedStatement] = []
-        for value in range(start, start + trips * step, step):
-            self.symbols.push()
-            self.symbols.define(
-                SymbolEntry(stmt.var, _CONST, 1, value, stmt.span)
-            )
-            before = self.stmt_count
-            try:
+        shadowed = self.visible.get(stmt.var)
+        try:
+            for value in range(start, start + trips * step, step):
+                self.visible[stmt.var] = SymbolEntry(stmt.var, _CONST, 1, value, stmt.span)
+                before = self.stmt_count
                 out.extend(self.resolve_statements(stmt.body, top_level=False))
-            finally:
-                self.symbols.pop()
-            if self.stmt_count == before:
-                self._bump(stmt.span)
-            if once:
-                once = False
-                cost, peak = self.stmt_count - first, self.high - first
-                self.high = max(high, self.high)
-                last = first + (trips - 1) * cost  # where the last repeat starts
-                if last + peak <= UNROLL_CAP:
-                    self.stmt_count = last
-                    self._check_budget(peak, stmt.span)
-                    self.stmt_count = last + cost
-                    return out * trips
+                if self.stmt_count == before:
+                    self._bump(stmt.span)
+                if once:
+                    once = False
+                    cost, peak = self.stmt_count - first, self.high - first
+                    self.high = max(high, self.high)
+                    last = first + (trips - 1) * cost  # where the last repeat starts
+                    if last + peak <= UNROLL_CAP:
+                        self.stmt_count = last
+                        self._check_budget(peak, stmt.span)
+                        self.stmt_count = last + cost
+                        return out * trips
+        finally:  # on every exit, the name reads what it read before the loop
+            if shadowed is None:
+                self.visible.pop(stmt.var, None)
+            else:
+                self.visible[stmt.var] = shadowed
         return out
 
     def run(self) -> ValidatedProgram:
         statements = self.resolve_statements(self.ast.statements, top_level=True)
         return ValidatedProgram(
-            symbols=self.symbols,
+            symbols=self.globals,
             statements=statements,
             qubit_count=self.qubit_count,
             qubit_layout=self.qubit_layout,

@@ -248,7 +248,7 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 # A 4 GiB complex128 state at 28 qubits; a gate build holds the state and one
-# spare, 8 GiB, and expval_pauli on a string with X or Y adds a copy.
+# spare, 8 GiB, and expval_pauli on a string with X or Y gathers one more.
 MAX_SIM_QUBITS = 28
 
 
@@ -1139,19 +1139,36 @@ def statevector(bound: BoundKernel) -> StateVector:
 
 
 def expval_pauli(state: StateVector, pauli: str) -> float:
-    """<psi|P|psi> for a Pauli string; character k acts on qubit k."""
-    if len(pauli) != state.n:
-        raise BadPauliString(f"pauli string length {len(pauli)} != {state.n} qubits")
+    """<psi|P|psi> for a Pauli string; character k acts on qubit k.
+
+    With x the X/Y bits, zy the Z/Y bits and y the number of Ys,
+    <P> = sum_j s(j) Re(conj(psi_j) c_j), where s(j) = (-1)^popcount(j & zy)
+    and c_j = (-i)^y psi_(j ^ x). Index j = hi * 2^low + lo splits into a row
+    and a column, so c is one gather of the state's rows hi ^ (x >> low) and
+    columns lo ^ (x & (2^low - 1)), and psi itself when x is 0. The sign
+    factors too, into a sign of lo times a sign of hi, so a row sum weighted
+    by the low signs, then a dot with the high signs, needs no table of 2^n
+    signs."""
+    n = state.n
+    if len(pauli) != n:
+        raise BadPauliString(f"pauli string length {len(pauli)} != {n} qubits")
     if any(ch not in "IXYZ" for ch in pauli):
         raise BadPauliString(f"pauli string may only contain I, X, Y, Z: {pauli!r}")
-    if set(pauli) <= {"I", "Z"}:
-        return _expval_z(state, pauli)
-    build = _GateBuild(state.copy())
-    for qubit, ch in enumerate(pauli):
-        if ch != "I":
-            op = Gate(ch.lower(), (), (qubit,), ())
-            build.gate(op, gate_matrix(op))
-    return float(np.vdot(state.amps, build.finish().amps).real)
+    x = sum(1 << q for q, ch in enumerate(pauli) if ch in "XY")
+    zy = sum(1 << q for q, ch in enumerate(pauli) if ch in "YZ")
+    low = n // 2
+    amps = state.amps.reshape(1 << (n - low), 1 << low)
+    c = amps
+    if x:
+        hi = np.arange(1 << (n - low)) ^ (x >> low)
+        lo = np.arange(1 << low) ^ (x & ((1 << low) - 1))
+        c = amps[np.ix_(hi, lo)]
+        y = pauli.count("Y") % 4
+        if y:
+            c *= (1, -1j, -1, 1j)[y]
+    low_signs = np.repeat(_parity_signs(zy, low), 2)  # re, im interleaved
+    terms = np.einsum("ij,ij,j->i", amps.view(np.float64), c.view(np.float64), low_signs)
+    return float(terms @ _parity_signs(zy >> low, n - low))
 
 
 def _parity_signs(mask: int, bits: int) -> np.ndarray:
@@ -1162,17 +1179,3 @@ def _parity_signs(mask: int, bits: int) -> np.ndarray:
         if (mask >> q) & 1:
             parity ^= index >> q
     return 1.0 - 2.0 * (parity & 1)
-
-
-def _expval_z(state: StateVector, pauli: str) -> float:
-    """<psi|P|psi> for a string of I and Z: each probability signed by the
-    parity of its Z bits, in one pass over the float view of the state. The
-    sign of index hi * 2^low + lo factors into a sign of lo times a sign of
-    hi, so a row sum weighted by the low signs, then a dot with the high
-    signs, needs no table of 2^n signs."""
-    n = state.n
-    low = n // 2
-    mask = sum(1 << q for q, ch in enumerate(pauli) if ch == "Z")
-    rows = state.amps.view(np.float64).reshape(1 << (n - low), 2 << low)  # re, im interleaved
-    low_signs = np.repeat(_parity_signs(mask, low), 2)
-    return float(np.einsum("ij,ij,j->i", rows, rows, low_signs) @ _parity_signs(mask >> low, n - low))

@@ -191,6 +191,20 @@ class TestCondBlockStructure:
         with pytest.raises(UnsupportedForTarget, match=r"measurements of e\[0\] inside"):
             emit(compile_source(source), "cudaq-cpp")
 
+    def test_cpp_rejects_a_whole_register_predicate_past_31_bits(self):
+        for width, fits in ((31, True), (32, False), (40, False)):
+            source = f"{HEADER}qubit[{width}] q;\nbit[{width}] c;\nc = measure q;\nif (c == 5) {{ x q[0]; }}\n"
+            kernel = compile_source(source)
+            emit(kernel, "cudaq-builder")
+            if fits:
+                assert f"(m0 << {width - 1})" in emit(kernel, "cudaq-cpp").text
+            else:
+                with pytest.raises(UnsupportedForTarget, match=f"register 'c' is {width} bits wide: test single bits or use cudaq-builder"):
+                    emit(kernel, "cudaq-cpp")
+        # single-bit tests of a wide register still emit
+        kernel = compile_source(f"{HEADER}qubit[40] q;\nbit[40] c;\nc = measure q;\nif (c[39] == 1) {{ x q[0]; }}\n")
+        assert "if (m39 == 1) {" in emit(kernel, "cudaq-cpp").text
+
     def test_builder_rejects_conditional_measure(self):
         source = (
             f"{HEADER}qubit[2] q;\nbit c;\nbit d;\n"

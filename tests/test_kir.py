@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,14 @@ class TestLower:
             compile_source(
                 f"{HEADER}qubit[2] q;\nbit[2] c;\nc = measure q;\nif (c == 4) {{ x q[0]; }}\n"
             )
+
+    @pytest.mark.parametrize(
+        "pred, bit", [("c == 99999999999999999999999", "c[0]"), ("c[0] >= 2", "c[0]"), ("d[1] != 2", "d[1]")]
+    )
+    def test_single_bit_predicate_rhs_must_fit_one_bit(self, pred, bit):
+        source = f"{HEADER}qubit[2] q;\nbit c;\nbit[2] d;\nc = measure q[0];\nd = measure q;\nif ({pred}) {{ x q[0]; }}\n"
+        with pytest.raises(LowerError, match=rf"compares bit {re.escape(bit)} against \d+ \(>= 2\^1\)$"):
+            compile_source(source)
 
     def test_self_referential_measurement_rejected(self):
         with pytest.raises(LowerError):

@@ -41,7 +41,7 @@ HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 
 class TestConstEval:
     def setup_method(self):
-        self.symbols = sema.SymbolTable()
+        self.symbols = {}
 
     def eval(self, text: str):
         expr = fe.parse_source(f"{HEADER}qubit q;\nrz({text}) q;").statements[-1].args[0]
@@ -79,12 +79,12 @@ class TestClassification:
             f"{HEADER}const float a = pi/2;\ninput float[64] theta;\n"
             "qubit[2] q;\nbit[2] c;\n"
         )
-        assert vp.symbols.lookup("a", (0, 0)).kind is SymbolKind.COMPILE_TIME_CONST
-        assert vp.symbols.lookup("a", (0, 0)).const_value == math.pi / 2
-        assert vp.symbols.lookup("theta", (0, 0)).kind is SymbolKind.RUNTIME_INPUT
-        assert vp.symbols.lookup("theta", (0, 0)).const_value is None
-        assert vp.symbols.lookup("q", (0, 0)).kind is SymbolKind.QUBIT_REGISTER
-        assert vp.symbols.lookup("c", (0, 0)).kind is SymbolKind.CLASSICAL_REGISTER
+        assert vp.symbols["a"].kind is SymbolKind.COMPILE_TIME_CONST
+        assert vp.symbols["a"].const_value == math.pi / 2
+        assert vp.symbols["theta"].kind is SymbolKind.RUNTIME_INPUT
+        assert vp.symbols["theta"].const_value is None
+        assert vp.symbols["q"].kind is SymbolKind.QUBIT_REGISTER
+        assert vp.symbols["c"].kind is SymbolKind.CLASSICAL_REGISTER
 
     def test_param_layout_order_is_declaration_order(self):
         vp = analyze(
@@ -231,9 +231,20 @@ class TestUnrolling:
             "for int k in [0:1] { for int k in [2:3] { rz(k) q; } rz(k) q; }\nrz(k) q;\n"
         )
         assert [s.ops[0].angles for s in vp.statements] == [(a,) for a in (2.0, 3.0, 0.0, 2.0, 3.0, 1.0, 5.0)]
-        assert vp.symbols.lookup("k", (0, 0)).const_value == 5
+        assert vp.symbols["k"].const_value == 5
         with pytest.raises(UndefinedName):
             analyze(f"{HEADER}qubit q;\nfor int i in [0:1] {{ h q; }}\nrz(i) q;\n")
+        # An invariant loop (its body never names `k`) returns early after
+        # its first iteration; it restores `k` all the same, at top level
+        # and inside an iterating loop over `k`.
+        vp = analyze(
+            f"{HEADER}qubit q;\nconst int k = 5;\n"
+            "for int k in [0:1] { h q; }\nrz(k) q;\n"
+            "for int k in [0:1] { for int k in [0:2] { x q; } rz(k) q; }\nrz(k) q;\n"
+        )
+        ops = [s.ops[0] for s in vp.statements]
+        assert [g.base for g in ops] == ["h", "h", "rz"] + (["x"] * 3 + ["rz"]) * 2 + ["rz"]
+        assert [g.angles[0] for g in ops if g.base == "rz"] == [5.0, 0.0, 1.0, 5.0]
 
     def test_no_for_statement_remains(self):
         vp = analyze(

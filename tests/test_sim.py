@@ -398,6 +398,31 @@ class TestExpvalPauli:
             val = sim.expval_pauli(state, "XY")
             assert -1 - 1e-12 <= val <= 1 + 1e-12
 
+    @given(st.integers(0, 8).flatmap(lambda n: st.text("IXYZ", min_size=n, max_size=n)), st.integers(0, 2**32 - 1))
+    def test_matches_dense_pauli_matrix(self, pauli, seed):
+        letters = {
+            "I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])
+        }
+        matrix = np.ones((1, 1))
+        for ch in pauli:  # qubit k is index bit k, so later letters act on higher bits
+            matrix = np.kron(letters[ch], matrix)
+        state = _random_state(seed, n=len(pauli))
+        expected = float(np.vdot(state.amps, matrix @ state.amps).real)
+        assert abs(sim.expval_pauli(state, pauli) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("pauli", ["XYXYXYXYXYXYXY", "XIIIIIIIIIIIII", "IIIIIIIIIIIIIY"])
+    def test_xy_strings_gather_one_copy(self, pauli):
+        state = _random_state(5, n=14)
+        before = state.amps.copy()
+        tracemalloc.start()
+        try:
+            sim.expval_pauli(state, pauli)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * state.amps.nbytes
+        np.testing.assert_array_equal(state.amps, before)
+
 
 class TestNormalizationInvariant:
     def test_norm_after_every_op_in_trajectories(self):
