@@ -96,8 +96,8 @@ class _EmitterBase:
         self.kernel = kernel
         self.lines: list[str] = []
         self.indent = 0
-        # id(measure op) -> its number in program order, for the `m{i}` locals
-        self.measure_index = {id(m): i for i, m in enumerate(measures(kernel.body))}
+        # `m{i}` locals numbered so far: measures in program order, as `measures` visits them
+        self.measure_count = 0
         # classical bit -> local currently holding its value
         self.bit_local: dict[tuple[str, int], str] = {}
         self.cond_count = 0
@@ -126,7 +126,8 @@ class _EmitterBase:
                 key = (op.base, op.angles, op.targets, op.controls, op.adjoint, indent)
                 append(memo.get(key) or self.gate_line(op, key))
             elif isinstance(op, Measure):
-                name = self.measure_name(op)
+                name = f"m{self.measure_count}"
+                self.measure_count += 1
                 self.line(self.MEASURE[not top_level].format(name, op.qubit))
                 self.bit_local[op.bit] = name
             elif isinstance(op, Reset):
@@ -137,9 +138,6 @@ class _EmitterBase:
                 self.emit_cond(op, top_level)
             else:
                 raise UnsupportedOp(f"no {self.TARGET} rendering for {type(op).__name__}")
-
-    def measure_name(self, op: Measure) -> str:
-        return f"m{self.measure_index[id(op)]}"
 
     def cond_text(self, pred: Predicate, subject: str, negate: bool = False) -> str:
         """The test of `pred`, or of its negation, on `subject`: the local
@@ -231,8 +229,8 @@ class _CppEmitter(_EmitterBase):
                     f"cudaq-cpp cannot render two conditional measurements of "
                     f"{bit[0]}[{bit[1]}] inside one conditional region"
                 )
-            for m in inner:
-                name = self.measure_name(m)
+            for j, m in enumerate(inner):
+                name = f"m{self.measure_count + j}"
                 init = self.bit_local.get(m.bit, "0")
                 self.line(f"int {name} = {init};")
                 self.bit_local[m.bit] = name

@@ -329,6 +329,9 @@ class ProgramAst:
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _MODIFIERS = ("ctrl", "negctrl", "inv", "pow")
+# keywords that start a statement the subset leaves out: a classical
+# declaration, or an include inside a block
+_UNSUPPORTED_STARTS = ("float", "int", "array", "include")
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _ARG_ENDS = (",", ")")  # what may follow a gate argument built without parse_expr
 
@@ -433,7 +436,8 @@ class _Parser:
                 return handler(self)
             if lexeme in _MODIFIERS:
                 return self.parse_gate_call()
-            self.unsupported(lexeme)
+            if lexeme in _UNSUPPORTED_STARTS:
+                self.unsupported(lexeme)
         if kind == IDENTIFIER:
             if lexeme in UNSUPPORTED_CONSTRUCTS:
                 self.unsupported(lexeme)

@@ -12,16 +12,16 @@ algebra (`_algebra`); one lowering (`_Analyzer._part`) serves a call at top
 level and a call in a gate body. Names resolve in plain dicts: a top-level
 name reads the declarations with the loop variables in scope on top, and a
 gate body reads its formals over the declarations, never a caller's loop
-variables, so it means the same at every call. It is compiled into a
-`_Template` once per key: the gate and the values of the angle formals that
-shape its gates (pow exponents, arithmetic, fixed formals of nested gates).
-A formal used only as a whole angle stays free: each call binds it when it
-places the template on its qubits.
-Each placement (targets, controls, bound free angles) is built once and
-shared, so the iterations of a loop that place a template alike get the
-same calls; a call's own inv/pow applies after. A template's op count is
-known before its calls are built, so every expansion is counted against
-UNROLL_CAP before it exists.
+variables, so it means the same at every call. Once per key (the gate and
+the values of the angle formals that shape its gates: pow exponents,
+arithmetic, fixed formals of nested gates) it is compiled into a
+`_Template`, the calls of its body over its formal qubits 0 to k-1 with
+nested user gates placed in them. A formal used only as a whole angle stays
+free: each call binds it when it places the template on its qubits. Each
+placement (targets, controls, bound free angles) is built once and shared,
+so the iterations of a loop that place a template alike get the same calls;
+a call's own inv/pow applies after. Every expansion is counted against
+UNROLL_CAP before its calls exist.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ class Gate:
 
 @dataclass(slots=True)
 class Measure:
-    """One executed measure. The emitters name each by `id`, so unlike a
-    `Gate` a measure op is never shared."""
+    """One executed measure: `qubit` read into the classical `bit`."""
 
     qubit: int
     bit: tuple[str, int]
@@ -237,24 +236,20 @@ def _bound(angle, values: list[Angle]) -> Angle:
 
 @dataclass
 class _Template:
-    """A user gate body compiled once per key (see `_Analyzer._template`),
-    over the qubits of the call that compiled it (`home`), with `_Formal`
-    and `_FormalRef` angles where a formal is bound per call. Its calls are
-    built from `parts` when it is first placed."""
+    """A user gate body compiled once per key (see `_Analyzer._template`)
+    over its formal qubits, numbered 0 to k-1, with `_Formal` and
+    `_FormalRef` angles where a formal is bound per call."""
 
     count: int  # canonical gates one plain call lowers to
     peak: int  # most budget counted at any check while it was built, over the start
     height: int  # definitions it nests, itself included
     free: bool  # some angle formal is bound when the template is placed
-    home: list[int]
-    # one `_Analyzer._part` per body call; the angles of a placement may
-    # hold this template's own free formals
-    parts: list
+    calls: list[ResolvedCall]  # the body's calls, on the formal qubits
     # placements by (targets, controls, signed free angles), before a caller's algebra
     placed: dict = field(default_factory=dict)
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
-        """The calls moved from `home` to `targets`, with `controls`
+        """The calls with formal qubit i moved to `targets[i]`, `controls`
         prepended and the free formals bound to `angles`; then a caller's
         inv/pow through `_algebra`. A placement is built once: every call
         that repeats it, as the iterations of a loop do, shares its calls,
@@ -262,9 +257,9 @@ class _Template:
         key = (tuple(targets), controls, _signed(tuple(angles)) if self.free else ())
         calls = self.placed.get(key)
         if calls is None:
-            calls = [c for part in self.parts for c in _placed(part)]  # at home, plain
-            if controls or self.free or targets != self.home:
-                where = dict(zip(self.home, targets)).__getitem__
+            calls = self.calls
+            if controls or self.free or key[0] != tuple(range(len(targets))):
+                where = targets.__getitem__
                 bind = angles if self.free else None
                 moved = []
                 for c in calls:
@@ -277,12 +272,6 @@ class _Template:
                 calls = moved
             self.placed[key] = calls
         return _algebra(calls, algebra, _invert_call)
-
-
-def _placed(part) -> list[ResolvedCall]:
-    """The calls of a `_Analyzer._part`: a builtin call as it is, or a
-    template placed on its operands."""
-    return [part] if type(part) is ResolvedCall else part[0].place(*part[1:])
 
 
 def _expr_names(expr: fe.Expr | None, out: set[str]) -> None:
@@ -683,26 +672,25 @@ class _Analyzer:
                 raise DuplicateQubitArg(
                     f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
                 )
-            out += _placed(self._part(stmt, callee, qubits, polarity, algebra, angles, stmt.span, ()))
+            out += self._part(stmt, callee, qubits, polarity, algebra, angles, stmt.span, ())[0]
         return out
 
     def _part(self, call, callee, qubits, polarity, algebra, angles, span, stack):
-        """One gate call over resolved operands, its gates counted: a builtin
-        call's ResolvedCall, or a user gate's template with where to place it
-        (template, targets, controls, algebra, angles). A builtin checks the
-        budget at `span`, the enclosing call's in a gate body. Its gate takes
-        modifier controls (one leading operand per polarity), then the named
-        gate's own controls, then targets."""
+        """One gate call over resolved operands, its gates counted, as
+        (calls, definitions it nests): a builtin call's one ResolvedCall and
+        0, or a user gate's template placed on the operands and its height.
+        A builtin checks the budget at `span`, the enclosing call's in a gate
+        body. Its gate takes modifier controls (one leading operand per
+        polarity), then the named gate's own controls, then targets."""
         if type(callee) is tuple:
             self.stmt_count = self._check_budget(_pow_product(algebra) if algebra else 1, span)
             _, _, base, named, adjoint = callee
             n = len(polarity) + named
             controls = tuple(zip(qubits, polarity + (POS,) * named)) if n else ()
             gate = Gate(base, tuple(angles), tuple(qubits[n:]) if n else tuple(qubits), controls, adjoint)
-            return ResolvedCall(_algebra([gate], algebra, _invert_gate) if algebra else [gate])
-        targets = qubits[len(polarity) :]
-        template = self._template(call.name, algebra, angles, targets, call.span, stack)
-        return (template, targets, tuple(zip(qubits, polarity)), algebra, angles)
+            return [ResolvedCall(_algebra([gate], algebra, _invert_gate) if algebra else [gate])], 0
+        template = self._template(call.name, algebra, angles, call.span, stack)
+        return template.place(qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra, angles), template.height
 
     def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
         """Expand whole-register operands: same-width registers zip elementwise,
@@ -714,7 +702,7 @@ class _Analyzer:
             )
         return [[op[i] if type(op) is list else op for op in operands] for i in range(widths.pop())]
 
-    def _template(self, name: str, algebra: Algebra, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
+    def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
         `algebra` leaves its gates counted. The checks are those of
         walking the body here, in order: recursion, nesting depth, a lower
@@ -747,7 +735,7 @@ class _Analyzer:
         ):
             self.high = max(self.high, base + template.peak)
         else:
-            template = self._compile(self.gate_defs[name], angles, targets, span, stack + (name,))
+            template = self._compile(self.gate_defs[name], angles, span, stack + (name,))
             self.templates[key] = template
         cost = template.count
         for k in reversed(pows):
@@ -757,8 +745,9 @@ class _Analyzer:
         self.stmt_count = base + cost
         return template
 
-    def _compile(self, gate_def: fe.GateDef, angles: list, targets: list[int], span: fe.Span, stack: tuple) -> _Template:
-        """Walk a gate body once, over `targets`. `stmt_count` counts the
+    def _compile(self, gate_def: fe.GateDef, angles: list, span: fe.Span, stack: tuple) -> _Template:
+        """Walk a gate body once, over its formal qubits 0 to k-1, placing a
+        nested user gate where it is called. `stmt_count` counts the
         gates built into the bodies of every inline in progress, so sibling
         bodies cannot each grow to the cap; the body stays counted there."""
         # A free formal is bound to a placeholder, which the body never folds
@@ -774,10 +763,10 @@ class _Analyzer:
         for name, value in formals.items():
             runtime = isinstance(value, ParamRef)
             scoped[name] = SymbolEntry(name, _INPUT if runtime else _CONST, 1, None if runtime else value, (0, 0))
-        slots = dict(zip(gate_def.qubits, targets))
+        slots = {name: i for i, name in enumerate(gate_def.qubits)}
         base, high = self.stmt_count, self.high
         self.high = base
-        parts: list = []
+        calls: list[ResolvedCall] = []
         height = 1
         for call in gate_def.body:
             polarity, algebra = self._modifiers(call.modifiers, scoped) if call.modifiers else ((), ())
@@ -795,11 +784,10 @@ class _Analyzer:
                     f"gate '{call.name}' applied with a repeated qubit operand", call.span
                 )
             call_angles = [self.resolve_angle(a, scoped, formals) for a in call.args]
-            part = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
-            if type(part) is tuple:
-                height = max(height, part[0].height + 1)
-            parts.append(part)
-        template = _Template(self.stmt_count - base, self.high - base, height, True in free, targets, parts)
+            placed, nested = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
+            calls += placed
+            height = max(height, nested + 1)
+        template = _Template(self.stmt_count - base, self.high - base, height, True in free, calls)
         self.high = max(high, self.high)
         return template
 

@@ -91,8 +91,9 @@ class TestRun:
             ["theta=0.5,,0.25"],
             ["theta=0.5,0.25,"],
             ["theta="],
+            ["theta"],
         ],
-        ids=["repeated", "repeated-same", "empty-element", "trailing-comma", "no-values"],
+        ids=["repeated", "repeated-same", "empty-element", "trailing-comma", "no-values", "no-equals"],
     )
     def test_malformed_params(self, ansatz_file, capsys, params):
         argv = ["run", ansatz_file]

@@ -131,6 +131,29 @@ class TestParse:
         assert (exc.value.line, exc.value.col) == (1, 24)
         assert str(exc.value) == "parse error at 1:24: construct not supported: while"
 
+    @pytest.mark.parametrize(
+        "statement, exc_type, detail",
+        [
+            # words of the subset, out of place: a plain parse error
+            ("else { h q; }", ParseError, "3:1: expected a statement, found 'else'"),
+            ("in q;", ParseError, "3:1: expected a statement, found 'in'"),
+            ("OPENQASM 3.0;", ParseError, "3:1: expected a statement, found 'OPENQASM'"),
+            # classical declarations the subset leaves out
+            ("float f;", UnsupportedConstruct, "3:1: construct not supported: float"),
+            ("int i;", UnsupportedConstruct, "3:1: construct not supported: int"),
+            ("array[float[64], 2] a;", UnsupportedConstruct, "3:1: construct not supported: array"),
+            # a late include and an unclosed gate body
+            ('include "stdgates.inc";', UnsupportedConstruct, "3:1: construct not supported: include after other statements"),
+            ("gate g a { h a;", ParseError, "3:16: expected '}' closing gate body, found 'end of input'"),
+        ],
+        ids=["else", "in", "second-header", "float", "int", "array", "late-include", "open-gate-body"],
+    )
+    def test_statement_start_errors(self, statement, exc_type, detail):
+        with pytest.raises(exc_type) as exc:
+            fe.parse_source("OPENQASM 3.0;\nqubit q;\n" + statement)
+        assert type(exc.value) is exc_type
+        assert str(exc.value) == f"parse error at {detail}"
+
     def test_unknown_include_rejected(self):
         with pytest.raises(UnsupportedConstruct) as exc:
             fe.parse_source('OPENQASM 3.0; include "qelib1.inc";')

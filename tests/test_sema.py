@@ -15,6 +15,7 @@ from qasm2cudaq.errors import (
     DuplicateQubitArg,
     IndexOutOfRange,
     NonConstLoopBound,
+    NonFiniteConst,
     NotConst,
     ProgramTooLarge,
     RecursiveGateDef,
@@ -102,6 +103,10 @@ class TestClassification:
         assert names == ["a", "b"]
         assert sum(p.count for p in vp.param_layout) == 4
 
+    def test_const_int_from_an_exact_double_quotient(self):
+        value = analyze(f"{HEADER}const int k = 4.0/2;\n").symbols["k"].const_value
+        assert value == 2 and type(value) is int
+
     def test_const_angle_folds_to_literal(self):
         vp = analyze(f"{HEADER}const float a = pi/2;\nqubit q;\nrz(a) q;\n")
         call = vp.statements[0]
@@ -141,6 +146,28 @@ class TestErrors:
             analyze(f"{HEADER}qubit q;\npow({exponent}) @ h q;\n")
         assert type(exc.value) is SemaError
         assert "pow exponent must be an integer, got" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "lines, exc_type, detail",
+        [
+            ("input array[float[64], 0] t;", SemaError, "3:1: input 't' must have at least one element"),
+            ("const int k = 5/2.0;", SemaError, "3:1: const int 'k' initializer is not an integer"),
+            ("gate h a { x a; }", Redefinition, "3:1: 'h' shadows a standard gate"),
+            ("gate g a, a { x a; }", Redefinition, "3:1: duplicate formal name in gate 'g'"),
+            ("gate g(t, t) a { rz(t) a; }", Redefinition, "3:1: duplicate formal name in gate 'g'"),
+            ("const float f = 1;\nqubit q;\nf q;", SemaError, "5:1: 'f' is a compile-time-const, not a gate"),
+            ("qubit q;\nbit c;\nif (c == -1) { x q; }", SemaError, "5:5: comparison against a negative value"),
+            # the product overflows a double before the result is checked
+            ("const int k = " + "9" * 400 + ";\nconst float a = k * 1.5;", NonFiniteConst, "4:17: constant expression folds to inf"),
+        ],
+        ids=["empty-input-array", "inexact-const-int", "shadowed-builtin", "duplicate-qubit-formal",
+             "duplicate-angle-formal", "const-called", "negative-comparison", "int-times-double-overflow"],
+    )
+    def test_error_text(self, lines, exc_type, detail):
+        with pytest.raises(exc_type) as exc:
+            analyze(f"{HEADER}{lines}\n")
+        assert type(exc.value) is exc_type
+        assert str(exc.value) == f"semantic error at {detail}"
 
     def test_pow_exponent_not_constant(self):
         with pytest.raises(NotConst) as exc:

@@ -662,6 +662,8 @@ class TestResourceLimits:
         for shots in (sim.MAX_SHOTS + 1, 10**20, 2**64):
             with pytest.raises(TooLarge, match=str(shots)):
                 sim.sample(bound(source), shots, 0)
+        with pytest.raises(SimError, match="^shots must be >= 1$"):
+            sim.sample(bound(source), 0, 0)
 
     @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "trajectory"])
     @pytest.mark.parametrize(

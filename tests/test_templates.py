@@ -510,6 +510,18 @@ class TestSharedPlacements:
             ((1,), ((0, 1),)), ((1,), ()), ((2,), ((1, 1),)), ((2,), ()),
         ]
 
+    def test_templates_sit_on_their_formal_qubits(self):
+        # not on the qubits of the call that compiled them; w places g on its own formals
+        source = HEADER + "gate g a, b { cx a, b; h b; }\ngate w a, b { g b, a; }\nqubit[4] q;\ng q[3], q[1];\nw q[3], q[1];\n"
+        analyzer = sema._Analyzer(fe.parse_source(source))
+        calls = analyzer.run().statements
+        g, w = analyzer.templates.values()
+        assert [(op.targets, op.controls) for c in g.calls for op in c.ops] == [((1,), ((0, 1),)), ((1,), ())]
+        assert [(op.targets, op.controls) for c in w.calls for op in c.ops] == [((0,), ((1, 1),)), ((0,), ())]
+        assert [(op.targets, op.controls) for c in calls for op in c.ops] == [
+            ((1,), ((3, 1),)), ((1,), ()), ((3,), ((1, 1),)), ((3,), ()),
+        ]
+
     def test_signed_zero_free_angles(self):
         source = HEADER + "gate g(t) a, b { cx a, b; rz(t) b; }\nqubit[2] q;\n" + (
             "g(0.0) q[0], q[1];\ng(-0.0) q[0], q[1];\ng(0.0) q[0], q[1];\n"

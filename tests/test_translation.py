@@ -66,6 +66,11 @@ def test_emission_digest_corpus(name):
     _check(DIGEST_CORPUS[name])
 
 
+def test_empty_then_body():
+    # no recorded corpus holds one; the builder renders it as `pass`
+    _check(HEADER + "qubit[2] q;\nbit c;\nc = measure q[0];\nif (c) { } else { x q[1]; }\n")
+
+
 class TestStubRejects:
     """The stub refuses what the builder text must never say."""
 
