@@ -38,12 +38,18 @@ class UnsupportedConstruct(ParseError):
 
 
 class SemaError(Qasm2CudaqError):
-    """Semantic analysis failure; `span` is the (line, col) of the offending node."""
+    """Semantic analysis failure at `span`. Sema raises it with the offending
+    node's span, a token index, and `sema.analyze` puts that token's
+    (line, col) in its place (`at`); (0, 0) stands for no node."""
 
-    def __init__(self, message: str, span: tuple[int, int] = (0, 0)):
-        super().__init__(f"semantic error at {span[0]}:{span[1]}: {message}")
+    def __init__(self, message: str, span: int | tuple[int, int] = (0, 0)):
         self.message = message
+        self.at(span)
+
+    def at(self, span: int | tuple[int, int]) -> None:
         self.span = span
+        where = "%d:%d" % span if isinstance(span, tuple) else f"token {span}"
+        Qasm2CudaqError.__init__(self, f"semantic error at {where}: {self.message}")
 
 
 class UndefinedName(SemaError):

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import compress
-
-import numpy as np
+from itertools import accumulate, compress
 
 from ._gc import gc_paused
 from .errors import LexError, ParseError, UnsupportedConstruct
@@ -81,19 +79,26 @@ class Token:
 @dataclass(slots=True)
 class TokenStream:
     """Tokens as parallel columns, plus an EOF entry just past the last token
-    (1:1 with none) that `len` does not count; `stream[i]` builds a Token."""
+    that `len` does not count, and the source they were read from; `stream[i]`
+    builds a Token. A position is worked out only when asked for."""
 
     kinds: list[str]
     lexemes: list[str]
-    lines: list[int]
-    cols: list[int]
+    source: str
+    _starts: list[int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.kinds) - 1
 
     def __getitem__(self, i: int) -> Token:
         i = range(len(self))[i]
-        return Token(self.kinds[i], self.lexemes[i], self.lines[i], self.cols[i])
+        return Token(self.kinds[i], self.lexemes[i], *self.position(i))
+
+    def position(self, i: int) -> tuple[int, int]:
+        """(line, col) of token `i` or of EOF; the first call finds every start."""
+        if self._starts is None:
+            self._starts = _starts(self.source, self.lexemes)
+        return _line_col(self.source, self._starts[i])
 
 
 def _kinds(lexemes: list[str]) -> list[str]:
@@ -113,20 +118,23 @@ def _kinds(lexemes: list[str]) -> list[str]:
     return [get(lexeme) or classify(lexeme) for lexeme in lexemes]
 
 
+def _line_col(source: str, offset: int) -> tuple[int, int]:
+    """1-based position of `offset` in code points; only `\\n` ends a line."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
+
+
 def _lex_error(source: str, offset: int) -> LexError:
     message = _LEX_ERRORS.get(source[offset]) or f"illegal character {source[offset]!r}"
-    return LexError(source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset), message)
+    return LexError(*_line_col(source, offset), message)
 
 
 @gc_paused
 def tokenize(source: str) -> TokenStream:
     """Tokenize OpenQASM source into a `TokenStream`, dropping whitespace and
-    comments. Lexemes are verbatim source substrings; line/col are 1-based
-    code-point positions of the lexeme's first character (only `\\n` ends a
-    line), from the running sum of `_TOKEN.split`'s part lengths and the
-    newline offsets. The first fault in source order is a LexError: a
-    separator's first character that is not whitespace (illegal, or a `"`
-    not closed on its line), or a last token `/*` with no `*/`."""
+    comments. Lexemes are verbatim source substrings; no position is worked
+    out (see `TokenStream.position`). The first fault in source order is a
+    LexError: a separator's first character that is not whitespace (illegal,
+    or a `"` not closed on its line), or a last token `/*` with no `*/`."""
     parts = _TOKEN.split(source)
     separators, lexemes = parts[0::2], parts[1::2]
     if "".join(separators).translate(_DROP_WHITESPACE):
@@ -136,28 +144,30 @@ def tokenize(source: str) -> TokenStream:
     last = lexemes[-1] if lexemes else ""
     if last.startswith("/*") and (len(last) < 4 or not last.endswith("*/")):
         raise _lex_error(source, len(source) - len(last))
+    del parts, separators  # the largest temporaries: 2 entries per token
     kinds = _kinds(lexemes)
-    lengths = np.fromiter(map(len, parts), np.int64, len(parts))
-    starts = lengths.cumsum(out=lengths)[:-1:2]
-    del parts  # the largest temporary: 2 entries per token
     if "//" in source or "/*" in source:
         keep = [kind is not _COMMENT for kind in kinds]
-        kinds, lexemes, starts = list(compress(kinds, keep)), list(compress(lexemes, keep)), starts[keep]
-    newlines = np.flatnonzero(np.frombuffer(source.encode("utf-32-le", "surrogatepass"), "<u4") == 10)
-    before = newlines.searchsorted(starts)  # newlines before each token
-    lines = np.arange(1, newlines.size + 2, dtype=object)[before].tolist()  # one int per line, shared
-    cols = (starts - np.append(-1, newlines)[before]).tolist()
-    line, col = (lines[-1], cols[-1] + len(lexemes[-1])) if lexemes else (1, 1)
-    for column, end in zip((kinds, lexemes, lines, cols), (EOF, "", line, col)):
-        column.append(end)
-    return TokenStream(kinds, lexemes, lines, cols)
+        kinds, lexemes = list(compress(kinds, keep)), list(compress(lexemes, keep))
+    kinds.append(EOF)
+    lexemes.append("")
+    return TokenStream(kinds, lexemes, source)
+
+
+def _starts(source: str, lexemes: list[str]) -> list[int]:
+    """Where each token `tokenize` read from `source` into `lexemes` starts,
+    then where the EOF entry does: just past the last token, or at 0."""
+    parts = _TOKEN.split(source)
+    ends = list(accumulate(map(len, parts)))  # parts[k] starts at ends[k - 1]
+    starts = [ends[k - 1] for k in range(1, len(parts), 2) if parts[k][:2] not in ("//", "/*")]
+    return starts + [starts[-1] + len(lexemes[-2]) if starts else 0]
 
 
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
 
-Span = tuple[int, int]
+Span = int  # the index of a node's first token in its TokenStream
 
 
 @dataclass(slots=True)
@@ -321,6 +331,7 @@ class ProgramAst:
     version: tuple[int, int]
     includes: list[str]
     statements: list[Statement]
+    tokens: TokenStream = field(compare=False, repr=False)  # what the spans index
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +340,9 @@ class ProgramAst:
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 _MODIFIERS = ("ctrl", "negctrl", "inv", "pow")
-# keywords that start a statement the subset leaves out: a classical
-# declaration, or an include inside a block
-_UNSUPPORTED_STARTS = ("float", "int", "array", "include")
+# keywords that start a statement the subset leaves out, and the construct
+# each names: a classical declaration, or an include past the header's
+_UNSUPPORTED_STARTS = {"float": "float", "int": "int", "array": "array", "include": "include after other statements"}
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _ARG_ENDS = (",", ")")  # what may follow a gate argument built without parse_expr
 
@@ -343,17 +354,14 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent over a `TokenStream`'s columns; tokens are indices, and `pos` never passes EOF."""
+    """Recursive descent over a `TokenStream`'s columns; tokens and spans are indices, and `pos` never passes EOF."""
 
     def __init__(self, tokens: TokenStream):
-        self.kinds, self.lexemes, self.lines, self.cols = tokens.kinds, tokens.lexemes, tokens.lines, tokens.cols
+        self.tokens, self.kinds, self.lexemes = tokens, tokens.kinds, tokens.lexemes
         self.pos = 0
         self.depth = 0
 
     # -- token stream helpers
-    def span(self, i: int) -> Span:
-        return (self.lines[i], self.cols[i])
-
     def at(self, lexeme: str) -> bool:
         # never true at a STRING (its lexeme keeps its quotes) or at EOF ("")
         return self.lexemes[self.pos] == lexeme
@@ -374,7 +382,7 @@ class _Parser:
     def error(self, expected: str, i: int | None = None) -> ParseError:
         i = self.pos if i is None else i
         found = self.lexemes[i] if self.kinds[i] != EOF else "end of input"
-        return ParseError(self.lines[i], self.cols[i], expected, found)
+        return ParseError(*self.tokens.position(i), expected, found)
 
     def expect(self, lexeme: str, expected: str | None = None) -> int:
         if self.lexemes[self.pos] != lexeme:
@@ -398,7 +406,7 @@ class _Parser:
 
     def unsupported(self, construct: str, i: int | None = None):
         i = self.pos if i is None else i
-        raise UnsupportedConstruct(self.lines[i], self.cols[i], construct, self.lexemes[i])
+        raise UnsupportedConstruct(*self.tokens.position(i), construct, self.lexemes[i])
 
     # -- program structure
     def parse_program(self) -> ProgramAst:
@@ -408,10 +416,8 @@ class _Parser:
             includes.append(self.parse_include())
         statements = []
         while self.kinds[self.pos] != EOF:
-            if self.at("include"):
-                self.unsupported("include after other statements")
             statements.append(self.parse_statement())
-        return ProgramAst(version, includes, statements)
+        return ProgramAst(version, includes, statements, self.tokens)
 
     def parse_header(self) -> tuple[int, int]:
         self.expect("OPENQASM", "'OPENQASM 3.0;' header")
@@ -437,7 +443,7 @@ class _Parser:
             if lexeme in _MODIFIERS:
                 return self.parse_gate_call()
             if lexeme in _UNSUPPORTED_STARTS:
-                self.unsupported(lexeme)
+                self.unsupported(_UNSUPPORTED_STARTS[lexeme])
         if kind == IDENTIFIER:
             if lexeme in UNSUPPORTED_CONSTRUCTS:
                 self.unsupported(lexeme)
@@ -470,7 +476,7 @@ class _Parser:
             self.expect("]")
         name = self.expect_kind(IDENTIFIER, "register name")
         self.expect(";")
-        return (QubitDecl if self.lexemes[i] == "qubit" else BitDecl)(self.lexemes[name], size, self.span(i))
+        return (QubitDecl if self.lexemes[i] == "qubit" else BitDecl)(self.lexemes[name], size, i)
 
     def parse_input_decl(self) -> InputDecl:
         i = self.advance()
@@ -483,7 +489,7 @@ class _Parser:
                 raise self.error("float width 32 or 64 (for an N-element parameter use 'input array[float[64], N] name;')", width)
             name = self.expect_kind(IDENTIFIER, "parameter name")
             self.expect(";")
-            return InputDecl(self.lexemes[name], 1, False, self.span(i))
+            return InputDecl(self.lexemes[name], 1, False, i)
         if self.at("array"):
             self.advance()
             self.expect("[")
@@ -498,7 +504,7 @@ class _Parser:
             self.expect("]")
             name = self.expect_kind(IDENTIFIER, "parameter name")
             self.expect(";")
-            return InputDecl(self.lexemes[name], int(self.lexemes[count]), True, self.span(i))
+            return InputDecl(self.lexemes[name], int(self.lexemes[count]), True, i)
         self.unsupported(f"input type {self.lexemes[self.pos]!r} (only float scalars/arrays)")
 
     def parse_const_decl(self) -> ConstDecl:
@@ -510,7 +516,7 @@ class _Parser:
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
-        return ConstDecl(self.lexemes[name], is_int, expr, self.span(i))
+        return ConstDecl(self.lexemes[name], is_int, expr, i)
 
     def parse_gate_def(self) -> GateDef:
         i = self.advance()
@@ -532,7 +538,7 @@ class _Parser:
                 self.unsupported(f"{lexeme} inside gate body")
             body.append(self.parse_gate_call())
         self.expect("}")
-        return GateDef(self.lexemes[name], params, qubits, body, self.span(i))
+        return GateDef(self.lexemes[name], params, qubits, body, i)
 
     def parse_gate_call(self) -> GateCall:
         kinds, lexemes = self.kinds, self.lexemes
@@ -561,7 +567,7 @@ class _Parser:
                     self.pos = j + 1
                 elif lexemes[j] == "-" and kinds[j + 1] == FLOAT and lexemes[j + 2] in _ARG_ENDS:
                     self.enter(j)
-                    args.append(Unary("-", self.float_lit(j + 1), (self.lines[j], self.cols[j])))
+                    args.append(Unary("-", self.float_lit(j + 1), j))
                     self.depth -= 1
                     self.pos = j + 2
                 else:
@@ -575,7 +581,7 @@ class _Parser:
             self.pos += 1
             qubits.append(self.parse_ref())
         self.expect(";")
-        return GateCall(modifiers, lexemes[name], args, qubits, (self.lines[i], self.cols[i]))
+        return GateCall(modifiers, lexemes[name], args, qubits, i)
 
     def parse_ref(self) -> NamedRef:
         name = self.expect_kind(IDENTIFIER, "a register reference")
@@ -583,13 +589,13 @@ class _Parser:
         if self.lexemes[self.pos] == "[":
             i = self.pos + 1
             if self.kinds[i] == INTEGER and self.lexemes[i + 1] == "]":  # a literal index
-                index = IntLit(int(self.lexemes[i]), (self.lines[i], self.cols[i]))
+                index = IntLit(int(self.lexemes[i]), i)
                 self.pos = i + 2
             else:
                 self.pos = i
                 index = self.parse_expr()
                 self.expect("]")
-        return NamedRef(self.lexemes[name], index, (self.lines[name], self.cols[name]))
+        return NamedRef(self.lexemes[name], index, name)
 
     def parse_measure_arrow(self) -> MeasureAssign:
         i = self.advance()
@@ -597,7 +603,7 @@ class _Parser:
         self.expect("->", "'->'")
         target = self.parse_ref()
         self.expect(";")
-        return MeasureAssign(target, source, self.span(i))
+        return MeasureAssign(target, source, i)
 
     def parse_measure_assign(self) -> MeasureAssign:
         i = self.pos
@@ -608,19 +614,19 @@ class _Parser:
         self.advance()
         source = self.parse_ref()
         self.expect(";")
-        return MeasureAssign(target, source, self.span(i))
+        return MeasureAssign(target, source, i)
 
     def parse_reset(self) -> Reset:
         i = self.advance()
         target = self.parse_ref()
         self.expect(";")
-        return Reset(target, self.span(i))
+        return Reset(target, i)
 
     def parse_barrier(self) -> Barrier:
         i = self.advance()
         targets = [] if self.at(";") else self.comma_list(self.parse_ref)
         self.expect(";")
-        return Barrier(targets, self.span(i))
+        return Barrier(targets, i)
 
     def parse_if(self) -> IfStatement:
         i = self.advance()
@@ -637,7 +643,7 @@ class _Parser:
             self.advance()
             else_body = self.parse_block()
         self.depth -= 1
-        return IfStatement(condition, then_body, else_body, self.span(i))
+        return IfStatement(condition, then_body, else_body, i)
 
     def parse_for(self) -> ForStatement:
         i = self.advance()
@@ -656,7 +662,7 @@ class _Parser:
         self.expect("]")
         body = self.parse_block()
         self.depth -= 1
-        return ForStatement(self.lexemes[var], first, step, stop, body, self.span(i))
+        return ForStatement(self.lexemes[var], first, step, stop, body, i)
 
     def parse_block(self) -> list[Statement]:
         self.expect("{", "'{'")
@@ -693,21 +699,21 @@ class _Parser:
         kind, lexeme = self.kinds[i], self.lexemes[i]
         if kind == INTEGER:
             self.pos += 1
-            return IntLit(int(lexeme), (self.lines[i], self.cols[i]))
+            return IntLit(int(lexeme), i)
         if kind == FLOAT:
             self.pos += 1
             return self.float_lit(i)
         if kind == IDENTIFIER:
             if lexeme == "pi":
                 self.pos += 1
-                return PiConst(self.span(i))
+                return PiConst(i)
             return self.parse_ref()
         if lexeme == "-":
             self.pos += 1
             self.enter(i)
             operand = self.parse_primary()
             self.depth -= 1
-            return Unary("-", operand, self.span(i))
+            return Unary("-", operand, i)
         if lexeme == "(":
             self.pos += 1
             self.enter(i)
@@ -722,7 +728,7 @@ class _Parser:
         value = float(self.lexemes[i])
         if math.isinf(value):  # a lexeme of digits is never NaN
             raise self.error("a finite float literal", i)
-        return FloatLit(value, (self.lines[i], self.cols[i]))
+        return FloatLit(value, i)
 
 
 _STATEMENT_PARSERS = {

@@ -75,6 +75,11 @@ def measures(ops: list[KOp]) -> Iterator[Measure]:
 class _Lowerer:
     def __init__(self, vp: ValidatedProgram):
         self.widths = dict(vp.classical_layout)
+        self.tokens = vp.tokens
+
+    def error(self, what: str, stmt: ResolvedIf, detail: str) -> LowerError:
+        line, col = self.tokens.position(stmt.span)
+        return LowerError(f"{what} at {line}:{col} {detail}")
 
     def lower_body(self, stmts: list[sema.ResolvedStatement], written: set[tuple[str, int]]) -> list[KOp]:
         """Lower statements, tracking which classical bits are surely written.
@@ -103,16 +108,11 @@ class _Lowerer:
         missing = [b for b in pred_bits if b not in written]
         if missing:
             reg, idx = missing[0]
-            raise LowerError(
-                f"predicate at {stmt.span[0]}:{stmt.span[1]} reads {reg}[{idx}] "
-                "before any measurement writes it"
-            )
+            raise self.error("predicate", stmt, f"reads {reg}[{idx}] before any measurement writes it")
         bits = width if pred.index is None else 1
         if pred.comparator != "truthy" and pred.rhs >= (1 << bits):
             what = f"bit {pred.register}[{pred.index}]" if bits == 1 else f"register '{pred.register}' of width {width}"
-            raise LowerError(
-                f"predicate at {stmt.span[0]}:{stmt.span[1]} compares {what} against {pred.rhs} (>= 2^{bits})"
-            )
+            raise self.error("predicate", stmt, f"compares {what} against {pred.rhs} (>= 2^{bits})")
         then_written = set(written)
         else_written = set(written)
         block = CondBlock(
@@ -120,10 +120,7 @@ class _Lowerer:
         )
         reads = set(pred_bits)
         if any(m.bit in reads for m in measures([block])):
-            raise LowerError(
-                f"conditional at {stmt.span[0]}:{stmt.span[1]} measures into a bit "
-                "its own predicate reads"
-            )
+            raise self.error("conditional", stmt, "measures into a bit its own predicate reads")
         written |= then_written & else_written
         return block
 

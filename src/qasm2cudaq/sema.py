@@ -327,6 +327,7 @@ class ValidatedProgram:
     qubit_layout: list[tuple[str, int]]
     param_layout: list[ParamSpec]
     classical_layout: list[tuple[str, int]]
+    tokens: fe.TokenStream = field(compare=False, repr=False)  # what the spans index
 
 
 # name -> (angle count, qubit count, canonical base, leading named controls, adjoint)
@@ -820,7 +821,7 @@ class _Analyzer:
     def _bump(self, span: fe.Span, by: int = 1) -> None:
         self.stmt_count = self._check_budget(by, span)
 
-    def resolve_statements(self, stmts: list[fe.Statement], top_level: bool) -> list[ResolvedStatement]:
+    def resolve_statements(self, stmts: list[fe.Statement]) -> list[ResolvedStatement]:
         out: list[ResolvedStatement] = []
         for stmt in stmts:
             if type(stmt) is fe.GateCall:
@@ -829,9 +830,7 @@ class _Analyzer:
                 if self.stmt_count == before:
                     self._bump(stmt.span)
             elif isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
-                if not top_level:
-                    raise SemaError("declarations are only allowed at top level", stmt.span)
-                self.declare(stmt)
+                self.declare(stmt)  # the parser allows them at top level only
             elif isinstance(stmt, fe.MeasureAssign):
                 out.extend(self.resolve_measure(stmt))
             elif isinstance(stmt, fe.Reset):
@@ -878,8 +877,8 @@ class _Analyzer:
             subject_ref, comparator, rhs = cond, "truthy", 0
         bits = self.resolve_bits(subject_ref)
         predicate = Predicate(subject_ref.name, bits[0][1] if len(bits) == 1 else None, comparator, rhs)
-        then_body = self.resolve_statements(stmt.then_body, top_level=False)
-        else_body = self.resolve_statements(stmt.else_body, top_level=False)
+        then_body = self.resolve_statements(stmt.then_body)
+        else_body = self.resolve_statements(stmt.else_body)
         self._bump(stmt.span)
         return ResolvedIf(predicate, then_body, else_body, stmt.span)
 
@@ -912,7 +911,7 @@ class _Analyzer:
             for value in range(start, start + trips * step, step):
                 self.visible[stmt.var] = SymbolEntry(stmt.var, _CONST, 1, value, stmt.span)
                 before = self.stmt_count
-                out.extend(self.resolve_statements(stmt.body, top_level=False))
+                out.extend(self.resolve_statements(stmt.body))
                 if self.stmt_count == before:
                     self._bump(stmt.span)
                 if once:
@@ -933,7 +932,7 @@ class _Analyzer:
         return out
 
     def run(self) -> ValidatedProgram:
-        statements = self.resolve_statements(self.ast.statements, top_level=True)
+        statements = self.resolve_statements(self.ast.statements)
         return ValidatedProgram(
             symbols=self.globals,
             statements=statements,
@@ -941,10 +940,17 @@ class _Analyzer:
             qubit_layout=self.qubit_layout,
             param_layout=self.param_layout,
             classical_layout=self.classical_layout,
+            tokens=self.ast.tokens,
         )
 
 
 @gc_paused
 def analyze(ast: fe.ProgramAst) -> ValidatedProgram:
-    """Type-check and resolve a parsed program into a ValidatedProgram."""
-    return _Analyzer(ast).run()
+    """Type-check and resolve a parsed program into a ValidatedProgram. A
+    SemaError leaves with its span, a token index inside sema, located to
+    (line, col) in the program's token stream."""
+    try:
+        return _Analyzer(ast).run()
+    except SemaError as err:
+        err.at(ast.tokens.position(err.span))
+        raise

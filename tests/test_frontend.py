@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from qasm2cudaq import frontend as fe
 from qasm2cudaq.emit import EMISSION_TARGETS, emit
-from qasm2cudaq.errors import LexError, NonFiniteConst, ParseError, UnsupportedConstruct
+from qasm2cudaq.errors import EmitError, IndexOutOfRange, LexError, NonFiniteConst, ParseError, UndefinedName, UnsupportedConstruct
 from qasm2cudaq.suites import compile_source
 
 from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
@@ -142,11 +143,14 @@ class TestParse:
             ("float f;", UnsupportedConstruct, "3:1: construct not supported: float"),
             ("int i;", UnsupportedConstruct, "3:1: construct not supported: int"),
             ("array[float[64], 2] a;", UnsupportedConstruct, "3:1: construct not supported: array"),
-            # a late include and an unclosed gate body
+            # an include past the header's, at top level or in a block, and an
+            # unclosed gate body
             ('include "stdgates.inc";', UnsupportedConstruct, "3:1: construct not supported: include after other statements"),
+            ('if (q) { include "stdgates.inc"; }', UnsupportedConstruct, "3:10: construct not supported: include after other statements"),
+            ('for int i in [0:1] { include "stdgates.inc"; }', UnsupportedConstruct, "3:22: construct not supported: include after other statements"),
             ("gate g a { h a;", ParseError, "3:16: expected '}' closing gate body, found 'end of input'"),
         ],
-        ids=["else", "in", "second-header", "float", "int", "array", "late-include", "open-gate-body"],
+        ids=["else", "in", "second-header", "float", "int", "array", "late-include", "include-in-if", "include-in-for", "open-gate-body"],
     )
     def test_statement_start_errors(self, statement, exc_type, detail):
         with pytest.raises(exc_type) as exc:
@@ -441,8 +445,9 @@ def _outcome(tokenize, source: str):
 def _columns(source: str) -> list[tuple[str, str, int, int]]:
     stream = fe.tokenize(source)
     assert len(stream) == len(stream.kinds) - 1
-    assert [astuple(t) for t in stream] == list(zip(stream.kinds, stream.lexemes, stream.lines, stream.cols))[:-1]
-    return list(zip(stream.kinds, stream.lexemes, stream.lines, stream.cols))
+    columns = [(kind, lexeme, *stream.position(i)) for i, (kind, lexeme) in enumerate(zip(stream.kinds, stream.lexemes))]
+    assert [astuple(t) for t in stream] == columns[:-1]
+    return columns
 
 
 # Legal fragments joined with no separator between them, so neighbours merge
@@ -540,13 +545,16 @@ _FLOAT_LEXEMES = st.from_regex(
 )
 
 
-def _tree(node):
+def _tree(node, tokens: fe.TokenStream):
     """An AST node as nested tuples of its type and every field, spans
-    included (AST equality skips spans)."""
+    included as the (line, col) they locate (AST equality skips spans)."""
     if dataclasses.is_dataclass(node):
-        return (type(node).__name__, *(_tree(getattr(node, f.name)) for f in dataclasses.fields(node)))
+        fields = dataclasses.fields(node)
+        return (type(node).__name__, *(
+            tokens.position(node.span) if f.name == "span" else _tree(getattr(node, f.name), tokens) for f in fields
+        ))
     if isinstance(node, list):
-        return [_tree(item) for item in node]
+        return [_tree(item, tokens) for item in node]
     return repr(node)
 
 
@@ -554,12 +562,13 @@ def _innermost_call(source: str):
     """The ParseError text of `source`, else the tree of the gate call at
     the bottom of its last statement's nested loops."""
     try:
-        stmt = fe.parse_source(source).statements[-1]
+        ast = fe.parse_source(source)
     except ParseError as err:
         return str(err)
+    stmt = ast.statements[-1]
     while isinstance(stmt, fe.ForStatement):
         stmt = stmt.body[0]
-    return _tree(stmt)
+    return _tree(stmt, ast.tokens)
 
 
 @st.composite
@@ -600,3 +609,96 @@ class TestLiteralOperands:
         fast = "OPENQASM 3.0;\n" + block * depth + pair[0] + " }" * depth + "\n"
         general = "OPENQASM 3.0;\n" + " " * len(block) + block * (depth - 1) + pair[1] + " }" * (depth - 1) + "\n"
         assert _innermost_call(fast) == _innermost_call(general)
+
+
+class TestPositionsOnDemand:
+    """A valid program never works out a position: only an error text reads
+    one, through `TokenStream.position`."""
+
+    @pytest.mark.parametrize("corpus", ["golden", "conftest"])
+    def test_valid_programs_never_locate_a_token(self, monkeypatch, corpus):
+        from qasm2cudaq import kir
+
+        sources = _reference_corpora()["golden"] if corpus == "golden" else CORPUS
+        assert sources
+
+        def no_positions(source, lexemes):
+            raise AssertionError("a valid program located its tokens")
+
+        monkeypatch.setattr(fe, "_starts", no_positions)
+        for source in sources:
+            kernel = compile_source(source)
+            assert kir.dump(kernel)
+            for target in EMISSION_TARGETS:
+                with contextlib.suppress(EmitError):  # a target's own limit, with no position
+                    emit(kernel, target)
+        # the patch is where an error reads its position
+        with pytest.raises(AssertionError, match="located its tokens"):
+            compile_source("OPENQASM 3.0;\nqubit q\n")
+
+
+@st.composite
+def injected_fault(draw):
+    """(source, (line, col), error type): a program of the conformance or
+    golden corpus with one fault injected after a random token, and where its
+    error must point, counted over the source without the package. A stray
+    `OPENQASM` goes after a `;`, `{` or `}` past the header: the parser meets
+    it where a statement may start. `reset` of an undefined name or of an
+    index out of range goes after a top-level `;`, not before an include."""
+    source = draw(st.sampled_from([*CORPUS, *GOLDEN_CASES.values()]))
+    tokens = reference_tokenize(source)[:-1]
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    ends = [line_starts[line - 1] + col - 1 + len(lexeme) for _, lexeme, line, col in tokens]
+    depth, statement_ends, top_level_ends = 0, [], []
+    for k, (_, lexeme, _, _) in enumerate(tokens):
+        depth += {"{": 1, "}": -1}.get(lexeme, 0)
+        following = tokens[k + 1][1] if k + 1 < len(tokens) else ""
+        if k >= 2 and lexeme in (";", "{", "}"):
+            statement_ends.append(ends[k])
+            if lexeme == ";" and depth == 0 and following != "include":
+                top_level_ends.append(ends[k])
+    fault = draw(st.sampled_from(["stray", "undefined", "out-of-range"]))
+    if fault == "stray":
+        at = draw(st.sampled_from(statement_ends))
+        text, offset, error = " OPENQASM ", 1, ParseError
+    elif fault == "undefined":
+        at = draw(st.sampled_from(top_level_ends))
+        text, offset, error = " reset nowhere; ", len(" reset "), UndefinedName
+    else:
+        at = draw(st.sampled_from(top_level_ends))
+        text = " qubit[2] fault_q; reset fault_q[7]; "
+        offset, error = text.index("fault_q[7]"), IndexOutOfRange
+    broken = source[:at] + text + source[at:]
+    return broken, _line_col(broken, at + offset), error
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("OPENQASM 3.0;\nqubit q;\nh q // no semicolon", (3, 4)),
+            ("OPENQASM 3.0;\nqubit q;\nh q /* a block\ncomment */", (3, 4)),
+            ("OPENQASM 3.0;\nqubit q;\nh q /* a block\ncomment */\n\n", (3, 4)),
+            ("OPENQASM 3.0;\nqubit q;\n  h   q  ", (3, 8)),
+            ("// no tokens\n/* at all\n */", (1, 1)),
+        ],
+        ids=["line-comment", "block-comment", "block-comment-newlines", "spaces", "no-tokens"],
+    )
+    def test_end_of_input_is_just_past_the_last_token(self, source, position):
+        with pytest.raises(ParseError) as exc:
+            fe.parse_source(source)
+        assert exc.value.found == "end of input"
+        assert (exc.value.line, exc.value.col) == position
+        assert str(exc.value).startswith("parse error at %d:%d: " % position)
+
+    @given(injected_fault())
+    def test_injected_fault_is_located(self, case):
+        source, (line, col), error = case
+        with pytest.raises(error) as exc:
+            compile_source(source)
+        err = exc.value
+        assert str(err).split(": ")[0].endswith(f" at {line}:{col}")
+        if error is ParseError:
+            assert (err.line, err.col, err.found) == (line, col, "OPENQASM")
+        else:
+            assert err.span == (line, col)

@@ -225,6 +225,27 @@ class TestLower:
                 f"{HEADER}qubit q;\nbit c;\nc = measure q;\nif (c == 1) {{ c = measure q; }}\n"
             )
 
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ("bit c;\nif (c == 1) { x q; }", "predicate at 5:1 reads c[0] before any measurement writes it"),
+            ("bit c;\nc = measure q;\n  if (c == 2) { x q; }", "predicate at 6:3 compares bit c[0] against 2 (>= 2^1)"),
+            (
+                "bit[2] c;\nqubit[2] r;\nc = measure r;\nif (c == 4) { x q; }",
+                "predicate at 7:1 compares register 'c' of width 2 against 4 (>= 2^2)",
+            ),
+            (
+                "bit c;\nc = measure q;\nh q; if (c) { c = measure q; }",
+                "conditional at 6:6 measures into a bit its own predicate reads",
+            ),
+        ],
+        ids=["read-before-write", "bit-rhs", "register-rhs", "self-write"],
+    )
+    def test_predicate_messages_locate_the_if(self, program, message):
+        with pytest.raises(LowerError) as exc:
+            compile_source(f"{HEADER}qubit q;\n{program}\n")
+        assert str(exc.value) == message
+
     def test_nested_cond_blocks(self):
         kernel = compile_source(
             f"{HEADER}qubit[2] q;\nbit c;\nbit d;\n"
@@ -258,8 +279,11 @@ class TestBind:
         kernel = compile_source(
             f"{HEADER}input array[float[64], 2] theta;\nqubit q;\nrx(theta[0]) q;\n"
         )
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ArityMismatch) as exc:
             kir.bind(kernel, [0.1])
+        # no source position: the span-less default
+        assert exc.value.span == (0, 0)
+        assert str(exc.value) == "semantic error at 0:0: kernel takes 2 parameter value(s), got 1"
 
     @pytest.mark.parametrize(
         "bad",

@@ -15,7 +15,7 @@ from golden_cases import GOLDEN_CASES
 _SOURCES = [*CORPUS, *GOLDEN_CASES.values()]
 _ASTS = [fe.parse_source(source) for source in _SOURCES]
 _POOL = [stmt for ast in _ASTS for stmt in ast.statements]  # what an insert draws from
-_AT = (0, 0)
+_AT = 0  # a span: the first token
 _SIM_QUBITS = 10  # widest kernel the property samples and simulates
 
 
@@ -61,7 +61,7 @@ def mutants(draw) -> str:
         else:
             i = draw(st.integers(0, len(stmts) - 1))
             stmts[i] = draw(_wrapped(stmts[i], stmts))
-    return fe.unparse(fe.ProgramAst(ast.version, ast.includes, stmts))
+    return fe.unparse(fe.ProgramAst(ast.version, ast.includes, stmts, ast.tokens))
 
 
 def _typed(call, *args):

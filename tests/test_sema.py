@@ -22,6 +22,7 @@ from qasm2cudaq.errors import (
     Redefinition,
     SemaError,
     UndefinedName,
+    UnsupportedConstruct,
 )
 from qasm2cudaq.sema import POS, Gate, ParamRef, SymbolKind
 
@@ -66,6 +67,15 @@ class TestConstEval:
     def test_div_by_zero(self):
         with pytest.raises(DivByZero):
             self.eval("1/0")
+
+    def test_an_error_outside_analyze_holds_its_token_index(self):
+        # only analyze locates a span; a direct caller can with the stream
+        ast = fe.parse_source(f"{HEADER}qubit q;\nrz(1/0) q;")
+        with pytest.raises(DivByZero) as exc:
+            sema.const_eval(ast.statements[-1].args[0], self.symbols)
+        span = exc.value.span
+        assert str(exc.value) == f"semantic error at token {span}: division by zero in constant expression"
+        assert ast.tokens.position(span) == (4, 4)
 
     def test_runtime_input_is_not_const(self):
         vp = analyze(f"{HEADER}input float[64] theta;\nqubit q;\nrz(0.1) q;")
@@ -226,9 +236,25 @@ class TestErrors:
                 "for int i in [0:1100] { for int j in [0:1100] { h q; } }\n"
             )
 
-    def test_declarations_not_allowed_in_blocks(self):
-        with pytest.raises((SemaError, Exception)):
-            analyze(f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\nif (c) {{ qubit r; }}\n")
+    @pytest.mark.parametrize("block", ["if (c) {{ {} }}", "for int i in [0:1] {{ {} }}"], ids=["if", "for"])
+    @pytest.mark.parametrize(
+        "decl", ["qubit r;", "bit d;", "input float[64] a;", "const int k = 1;", "gate g a { h a; }"]
+    )
+    def test_declarations_not_allowed_in_blocks(self, block, decl):
+        # the parser rejects them, at the declaration's first token
+        statement = block.format(decl)
+        with pytest.raises(UnsupportedConstruct) as exc:
+            analyze(f"{HEADER}qubit q;\nbit c;\nh q;\nc = measure q;\n{statement}\n")
+        keyword, col = decl.split()[0], statement.index(decl) + 1
+        assert str(exc.value) == f"parse error at 7:{col}: construct not supported: {keyword} declaration inside a block"
+
+    def test_analyze_alone_locates_its_error(self):
+        ast = fe.parse_source(f"{HEADER}qubit[2] q;\nh q[2];\n")
+        for _ in range(2):  # the stream's positions, once built, serve again
+            with pytest.raises(IndexOutOfRange) as exc:
+                sema.analyze(ast)
+            assert exc.value.span == (4, 3)
+            assert str(exc.value) == "semantic error at 4:3: index 2 out of range for qubit register 'q' of size 2"
 
     def test_zero_step_rejected(self):
         with pytest.raises(NonConstLoopBound):
