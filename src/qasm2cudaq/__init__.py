@@ -1,7 +1,7 @@
 """OpenQASM 3.0 to CUDA-Q transpiler with an embedded trajectory simulator."""
 
 from .emit import EMISSION_TARGETS, EmittedSource, emit, golden_check
-from .frontend import ProgramAst, parse, parse_source, tokenize, unparse
+from .frontend import ProgramAst, parse, parse_source, tokenize
 from .kir import (
     BoundKernel,
     CondBlock,

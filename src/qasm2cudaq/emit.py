@@ -49,7 +49,6 @@ _NEGATE_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<=
 class EmittedSource:
     target: str
     text: str
-    param_signature: list[tuple[str, int]]
 
 
 def _angle_text(a, kernel: Kernel) -> str:
@@ -404,8 +403,7 @@ def emit(kernel: Kernel, target: str) -> EmittedSource:
     if target not in EMISSION_TARGETS:
         raise UnsupportedOp(f"unknown emission target {target!r}; expected one of {EMISSION_TARGETS}")
     text = (_CppEmitter if target == "cudaq-cpp" else _BuilderEmitter)(kernel).emit()
-    signature = [(p.name, p.count) for p in kernel.param_layout]
-    return EmittedSource(target=target, text=text, param_signature=signature)
+    return EmittedSource(target=target, text=text)
 
 
 def golden_check(emitted: EmittedSource, golden_file: str, record: bool = False) -> tuple[bool, str]:

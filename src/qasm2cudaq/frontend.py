@@ -1,4 +1,6 @@
-"""OpenQASM 3.0 frontend: tokenizer, typed AST, and recursive-descent parser.
+"""OpenQASM 3.0 frontend: a tokenizer into parallel columns, the typed AST,
+and a recursive-descent parser; it holds only what tokenize, parse and sema
+read.
 
 The accepted grammar is a frozen subset of OpenQASM 3.0: register
 declarations, `input` parameters, `const` declarations, gate definitions,
@@ -69,18 +71,11 @@ _LEX_ERRORS = {"/": "unterminated block comment", '"': "unterminated string lite
 
 
 @dataclass(slots=True)
-class Token:
-    kind: str
-    lexeme: str
-    line: int
-    col: int
-
-
-@dataclass(slots=True)
 class TokenStream:
-    """Tokens as parallel columns, plus an EOF entry just past the last token
-    that `len` does not count, and the source they were read from; `stream[i]`
-    builds a Token. A position is worked out only when asked for."""
+    """Tokens as parallel columns, `kinds` and `lexemes`, plus an EOF entry
+    just past the last token that `len` does not count, and the source they
+    were read from. Token i is `kinds[i]`, `lexemes[i]` and `position(i)`; a
+    position is worked out only when asked for."""
 
     kinds: list[str]
     lexemes: list[str]
@@ -89,10 +84,6 @@ class TokenStream:
 
     def __len__(self) -> int:
         return len(self.kinds) - 1
-
-    def __getitem__(self, i: int) -> Token:
-        i = range(len(self))[i]
-        return Token(self.kinds[i], self.lexemes[i], *self.position(i))
 
     def position(self, i: int) -> tuple[int, int]:
         """(line, col) of token `i` or of EOF; the first call finds every start."""
@@ -130,11 +121,12 @@ def _lex_error(source: str, offset: int) -> LexError:
 
 @gc_paused
 def tokenize(source: str) -> TokenStream:
-    """Tokenize OpenQASM source into a `TokenStream`, dropping whitespace and
-    comments. Lexemes are verbatim source substrings; no position is worked
-    out (see `TokenStream.position`). The first fault in source order is a
-    LexError: a separator's first character that is not whitespace (illegal,
-    or a `"` not closed on its line), or a last token `/*` with no `*/`."""
+    """Tokenize OpenQASM source into a `TokenStream`'s `kinds` and `lexemes`
+    columns, dropping whitespace and comments. Lexemes are verbatim source
+    substrings; no position is worked out (see `TokenStream.position`). The
+    first fault in source order is a LexError: a separator's first character
+    that is not whitespace (illegal, or a `"` not closed on its line), or a
+    last token `/*` with no `*/`."""
     parts = _TOKEN.split(source)
     separators, lexemes = parts[0::2], parts[1::2]
     if "".join(separators).translate(_DROP_WHITESPACE):
@@ -328,7 +320,6 @@ Statement = (
 
 @dataclass(slots=True)
 class ProgramAst:
-    version: tuple[int, int]
     includes: list[str]
     statements: list[Statement]
     tokens: TokenStream = field(compare=False, repr=False)  # what the spans index
@@ -410,20 +401,19 @@ class _Parser:
 
     # -- program structure
     def parse_program(self) -> ProgramAst:
-        version = self.parse_header()
+        self.parse_header()
         includes = []
         while self.at("include"):
             includes.append(self.parse_include())
         statements = []
         while self.kinds[self.pos] != EOF:
             statements.append(self.parse_statement())
-        return ProgramAst(version, includes, statements, self.tokens)
+        return ProgramAst(includes, statements, self.tokens)
 
-    def parse_header(self) -> tuple[int, int]:
+    def parse_header(self) -> None:
         self.expect("OPENQASM", "'OPENQASM 3.0;' header")
         self.expect("3.0", "version 3.0")  # only a FLOAT can read 3.0
         self.expect(";")
-        return (3, 0)
 
     def parse_include(self) -> str:
         i = self.expect("include")
@@ -447,25 +437,13 @@ class _Parser:
         if kind == IDENTIFIER:
             if lexeme in UNSUPPORTED_CONSTRUCTS:
                 self.unsupported(lexeme)
-            # Disambiguate `c = measure q;` / `c[i] = measure q;` from a call.
-            if self._lookahead_is_assign():
+            # `c = measure q;` or `c[i] = measure q;`: a gate's name is
+            # followed by `(` or an operand, never by `[` or `=`. The current
+            # token is not EOF, so the next one exists.
+            if self.lexemes[self.pos + 1] in ("[", "="):
                 return self.parse_measure_assign()
             return self.parse_gate_call()
         raise self.error("a statement")
-
-    def _lookahead_is_assign(self) -> bool:
-        # the current token is an identifier, so neither index passes EOF
-        lexemes, i = self.lexemes, self.pos + 1
-        if lexemes[i] == "[":
-            depth = 1
-            i += 1
-            while depth and self.kinds[i] != EOF:
-                if lexemes[i] == "[":
-                    depth += 1
-                elif lexemes[i] == "]":
-                    depth -= 1
-                i += 1
-        return lexemes[i] == "="
 
     def parse_register_decl(self) -> QubitDecl | BitDecl:
         i = self.advance()
@@ -754,87 +732,3 @@ def parse(tokens: TokenStream) -> ProgramAst:
 
 def parse_source(source: str) -> ProgramAst:
     return parse(tokenize(source))
-
-
-# ---------------------------------------------------------------------------
-# Unparser (canonical pretty-printer used by the round-trip tests)
-# ---------------------------------------------------------------------------
-
-
-def unparse_expr(e: Expr) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, FloatLit):
-        return repr(e.value)
-    if isinstance(e, PiConst):
-        return "pi"
-    if isinstance(e, NamedRef):
-        return e.name if e.index is None else f"{e.name}[{unparse_expr(e.index)}]"
-    if isinstance(e, Unary):
-        return f"-({unparse_expr(e.operand)})"
-    if isinstance(e, Binary):
-        return f"({unparse_expr(e.lhs)} {e.op} {unparse_expr(e.rhs)})"
-    if isinstance(e, Comparison):
-        return f"{unparse_expr(e.lhs)} {e.op} {unparse_expr(e.rhs)}"
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def _unparse_call(stmt: GateCall) -> str:
-    parts = [f"pow({unparse_expr(m.exponent)}) @ " if m.kind == "pow" else f"{m.kind} @ " for m in stmt.modifiers]
-    parts.append(stmt.name)
-    if stmt.args:
-        parts.append("(" + ", ".join(unparse_expr(a) for a in stmt.args) + ")")
-    parts.append(" " + ", ".join(unparse_expr(q) for q in stmt.qubits) + ";")
-    return "".join(parts)
-
-
-def _unparse_stmt(stmt: Statement, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(stmt, (QubitDecl, BitDecl)):
-        out.append(f"{pad}{'qubit' if isinstance(stmt, QubitDecl) else 'bit'}[{stmt.size}] {stmt.name};")
-    elif isinstance(stmt, InputDecl):
-        ty = f"array[float[64], {stmt.count}]" if stmt.array else "float[64]"
-        out.append(f"{pad}input {ty} {stmt.name};")
-    elif isinstance(stmt, ConstDecl):
-        ty = "int" if stmt.is_int else "float"
-        out.append(f"{pad}const {ty} {stmt.name} = {unparse_expr(stmt.expr)};")
-    elif isinstance(stmt, GateDef):
-        params = f"({', '.join(stmt.params)})" if stmt.params else ""
-        out.append(f"{pad}gate {stmt.name}{params} {', '.join(stmt.qubits)} {{")
-        for call in stmt.body:
-            out.append(f"{pad}  {_unparse_call(call)}")
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, GateCall):
-        out.append(pad + _unparse_call(stmt))
-    elif isinstance(stmt, MeasureAssign):
-        out.append(f"{pad}{unparse_expr(stmt.target)} = measure {unparse_expr(stmt.source)};")
-    elif isinstance(stmt, Reset):
-        out.append(f"{pad}reset {unparse_expr(stmt.target)};")
-    elif isinstance(stmt, Barrier):
-        refs = ", ".join(unparse_expr(t) for t in stmt.targets)
-        out.append(f"{pad}barrier{' ' + refs if refs else ''};")
-    elif isinstance(stmt, IfStatement):
-        out.append(f"{pad}if ({unparse_expr(stmt.condition)}) {{")
-        for s in stmt.then_body:
-            _unparse_stmt(s, indent + 1, out)
-        if stmt.else_body:
-            out.append(f"{pad}}} else {{")
-            for s in stmt.else_body:
-                _unparse_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, ForStatement):
-        rng = ":".join(unparse_expr(e) for e in (stmt.start, stmt.step, stmt.stop) if e is not None)
-        out.append(f"{pad}for int {stmt.var} in [{rng}] {{")
-        for s in stmt.body:
-            _unparse_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    else:
-        raise TypeError(f"unknown statement node {stmt!r}")
-
-
-def unparse(program: ProgramAst) -> str:
-    """Render a ProgramAst back to canonical source text."""
-    out = [f"OPENQASM {program.version[0]}.{program.version[1]};", *(f'include "{inc}";' for inc in program.includes)]
-    for stmt in program.statements:
-        _unparse_stmt(stmt, 0, out)
-    return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ import gc
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,15 +52,7 @@ class SuiteReport:
             "suite": self.suite,
             "passed": self.passed,
             "wall_time": self.wall_time,
-            "cases": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "metric": c.metric,
-                    "threshold": c.threshold,
-                }
-                for c in self.cases
-            ],
+            "cases": [asdict(case) for case in self.cases],
         }
 
 

@@ -222,9 +222,6 @@ class TestParameters:
             "qubit q;\nrx(beta[0]) q;\nrz(alpha) q;\n"
         )
         kernel = compile_source(source)
-        for target in EMISSION_TARGETS:
-            emitted = emit(kernel, target)
-            assert emitted.param_signature == [("beta", 2), ("alpha", 1)]
         cpp = emit(kernel, "cudaq-cpp").text
         assert "void operator()(std::vector<double> beta, double alpha) __qpu__ {" in cpp
         builder = emit(kernel, "cudaq-builder").text
@@ -254,14 +251,14 @@ class TestParameters:
 
 class TestGoldenCheck:
     def test_identical_passes(self, tmp_path):
-        emitted = EmittedSource("cudaq-cpp", "line one\nline two\n", [])
+        emitted = EmittedSource("cudaq-cpp", "line one\nline two\n")
         path = tmp_path / "case.txt"
         path.write_text("line one\nline two\n")
         ok, detail = golden_check(emitted, str(path))
         assert ok and detail == "identical"
 
     def test_one_byte_difference_reports_line(self, tmp_path):
-        emitted = EmittedSource("cudaq-cpp", "line one\nline twa\n", [])
+        emitted = EmittedSource("cudaq-cpp", "line one\nline twa\n")
         path = tmp_path / "case.txt"
         path.write_text("line one\nline two\n")
         ok, detail = golden_check(emitted, str(path))
@@ -269,14 +266,14 @@ class TestGoldenCheck:
         assert "line 2" in detail
 
     def test_record_mode_writes_missing_file(self, tmp_path):
-        emitted = EmittedSource("cudaq-cpp", "fresh\n", [])
+        emitted = EmittedSource("cudaq-cpp", "fresh\n")
         path = tmp_path / "sub" / "case.txt"
         ok, detail = golden_check(emitted, str(path), record=True)
         assert ok and detail == "recorded"
         assert path.read_text() == "fresh\n"
 
     def test_missing_golden_raises_in_check_mode(self, tmp_path):
-        emitted = EmittedSource("cudaq-cpp", "fresh\n", [])
+        emitted = EmittedSource("cudaq-cpp", "fresh\n")
         with pytest.raises(MissingGolden):
             golden_check(emitted, str(tmp_path / "absent.txt"))
 

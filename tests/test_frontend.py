@@ -4,7 +4,6 @@ import dataclasses
 import math
 import re
 import time
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,12 +15,18 @@ from qasm2cudaq.suites import compile_source
 
 from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
 from golden_cases import GOLDEN_CASES
+from unparser import unparse
+
+
+def _tokens(source: str) -> list[tuple[str, str]]:
+    """(kind, lexeme) of each token `tokenize` reads, without the EOF entry."""
+    stream = fe.tokenize(source)
+    return list(zip(stream.kinds, stream.lexemes))[: len(stream)]
 
 
 class TestTokenize:
     def test_simple_gate_call(self):
-        kinds_lexemes = [(t.kind, t.lexeme) for t in fe.tokenize("h q[0];")]
-        assert kinds_lexemes == [
+        assert _tokens("h q[0];") == [
             (fe.IDENTIFIER, "h"),
             (fe.IDENTIFIER, "q"),
             (fe.PUNCTUATION, "["),
@@ -31,30 +36,30 @@ class TestTokenize:
         ]
 
     def test_empty_source(self):
-        assert list(fe.tokenize("")) == []
+        stream = fe.tokenize("")
+        assert len(stream) == 0
+        assert (stream.kinds, stream.lexemes) == ([fe.EOF], [""])
 
     def test_pi_is_identifier_and_slash_operator(self):
-        tokens = fe.tokenize("rz(pi/2) q;")
-        by_lexeme = {t.lexeme: t.kind for t in tokens}
+        by_lexeme = {lexeme: kind for kind, lexeme in _tokens("rz(pi/2) q;")}
         assert by_lexeme["pi"] == fe.IDENTIFIER
         assert by_lexeme["/"] == fe.OPERATOR
 
     def test_no_empty_lexemes_and_comments_dropped(self):
-        tokens = fe.tokenize("// comment\nh q; /* block\ncomment */ x q;\n")
-        assert all(t.lexeme for t in tokens)
-        assert [t.lexeme for t in tokens] == ["h", "q", ";", "x", "q", ";"]
+        lexemes = [lexeme for _, lexeme in _tokens("// comment\nh q; /* block\ncomment */ x q;\n")]
+        assert all(lexemes)
+        assert lexemes == ["h", "q", ";", "x", "q", ";"]
 
     def test_lexemes_are_verbatim_substrings(self):
         source = 'OPENQASM 3.0;\nrz(1.5e-3) q[10];\ninclude "stdgates.inc";\n'
-        for tok in fe.tokenize(source):
-            lines = source.splitlines()
-            segment = lines[tok.line - 1][tok.col - 1 : tok.col - 1 + len(tok.lexeme)]
-            assert segment == tok.lexeme
+        stream, lines = fe.tokenize(source), source.splitlines()
+        for i in range(len(stream)):
+            line, col = stream.position(i)
+            assert lines[line - 1][col - 1 : col - 1 + len(stream.lexemes[i])] == stream.lexemes[i]
 
     def test_line_col_point_at_first_char(self):
-        tokens = fe.tokenize("h q;\n  cx a, b;")
-        cx = next(t for t in tokens if t.lexeme == "cx")
-        assert (cx.line, cx.col) == (2, 3)
+        stream = fe.tokenize("h q;\n  cx a, b;")
+        assert stream.position(stream.lexemes.index("cx")) == (2, 3)
 
     def test_illegal_character(self):
         with pytest.raises(LexError) as exc:
@@ -70,14 +75,13 @@ class TestTokenize:
             fe.tokenize('include "stdgates.inc;\n')
 
     def test_float_forms(self):
-        tokens = fe.tokenize("1.5 .5 2. 1e3 1.5e-3 3")
-        assert [t.kind for t in tokens] == [fe.FLOAT] * 5 + [fe.INTEGER]
+        assert fe.tokenize("1.5 .5 2. 1e3 1.5e-3 3").kinds == [fe.FLOAT] * 5 + [fe.INTEGER, fe.EOF]
 
 
 class TestParse:
     def test_smallest_program(self):
         ast = fe.parse_source("OPENQASM 3.0; qubit q; h q;")
-        assert ast.version == (3, 0)
+        assert ast.includes == []
         decl, call = ast.statements
         assert decl == fe.QubitDecl("q", 1, (0, 0))
         assert call == fe.GateCall([], "h", [], [fe.NamedRef("q", None, (0, 0))], (0, 0))
@@ -149,14 +153,28 @@ class TestParse:
             ('if (q) { include "stdgates.inc"; }', UnsupportedConstruct, "3:10: construct not supported: include after other statements"),
             ('for int i in [0:1] { include "stdgates.inc"; }', UnsupportedConstruct, "3:22: construct not supported: include after other statements"),
             ("gate g a { h a;", ParseError, "3:16: expected '}' closing gate body, found 'end of input'"),
+            # an identifier then `[` starts a measure assignment, so a stray
+            # token after its target is the one reported
+            ("c[0] x = measure q;", ParseError, "3:6: expected '=', found 'x'"),
+            ("h[0] q;", ParseError, "3:6: expected '=', found 'q'"),
         ],
-        ids=["else", "in", "second-header", "float", "int", "array", "late-include", "include-in-if", "include-in-for", "open-gate-body"],
+        ids=[
+            "else", "in", "second-header", "float", "int", "array", "late-include", "include-in-if",
+            "include-in-for", "open-gate-body", "stray-before-equals", "indexed-gate-name",
+        ],
     )
     def test_statement_start_errors(self, statement, exc_type, detail):
         with pytest.raises(exc_type) as exc:
             fe.parse_source("OPENQASM 3.0;\nqubit q;\n" + statement)
         assert type(exc.value) is exc_type
         assert str(exc.value) == f"parse error at {detail}"
+
+    def test_nested_index_target_is_a_measure_assignment(self):
+        ast = fe.parse_source("OPENQASM 3.0; qubit[2] q; bit[2] c; c[q[0]] = measure q[1];")
+        stmt = ast.statements[-1]
+        assert type(stmt) is fe.MeasureAssign
+        assert stmt.target == fe.NamedRef("c", fe.NamedRef("q", fe.IntLit(0, 0), 0), 0)
+        assert stmt.source == fe.NamedRef("q", fe.IntLit(1, 0), 0)
 
     def test_unknown_include_rejected(self):
         with pytest.raises(UnsupportedConstruct) as exc:
@@ -195,16 +213,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("source", CORPUS)
     def test_corpus_roundtrip(self, source):
         ast = fe.parse_source(source)
-        rendered = fe.unparse(ast)
-        again = fe.parse_source(rendered)
-        assert ast.version == again.version
+        again = fe.parse_source(unparse(ast))
         assert ast.includes == again.includes
         assert ast.statements == again.statements
 
     @pytest.mark.parametrize("source", CORPUS)
     def test_unparse_is_stable(self, source):
-        once = fe.unparse(fe.parse_source(source))
-        twice = fe.unparse(fe.parse_source(once))
+        once = unparse(fe.parse_source(source))
+        twice = unparse(fe.parse_source(once))
         assert once == twice
 
 
@@ -293,12 +309,12 @@ class TestScanner:
     @given(token_source())
     def test_kinds_and_positions(self, case):
         source, expected = case
-        tokens = fe.tokenize(source)
-        assert [(t.kind, t.lexeme) for t in tokens] == [(k, lx) for k, lx, _ in expected]
-        for tok, (_, lexeme, offset) in zip(tokens, expected):
-            assert (tok.line, tok.col) == _line_col(source, offset)
-            line_text = source.split("\n")[tok.line - 1]
-            assert line_text[tok.col - 1 : tok.col - 1 + len(lexeme)] == lexeme
+        stream = fe.tokenize(source)
+        assert _tokens(source) == [(k, lx) for k, lx, _ in expected]
+        for i, (_, lexeme, offset) in enumerate(expected):
+            line, col = stream.position(i)
+            assert (line, col) == _line_col(source, offset)
+            assert source.split("\n")[line - 1][col - 1 : col - 1 + len(lexeme)] == lexeme
 
     @given(token_source(), st.sampled_from(["illegal", "block", "string"]), st.data())
     def test_injected_error_at_exact_position(self, case, error, data):
@@ -361,7 +377,7 @@ class TestResourceProbes:
     )
     def test_nesting_at_the_limit_compiles_and_emits(self, body):
         source = PROBE_HEADER + body + "\n"
-        assert fe.unparse(fe.parse_source(source))
+        assert unparse(fe.parse_source(source))
         kernel = compile_source(source)
         for target in EMISSION_TARGETS:
             assert emit(kernel, target).text
@@ -376,8 +392,7 @@ class TestAsciiDigits:
         assert "illegal character" in str(exc.value)
 
     def test_ascii_literals_unchanged(self):
-        kinds = [(t.kind, t.lexeme) for t in fe.tokenize("0 7 12.5 .5 1e3 2E-2 3.e+1 0123")]
-        assert kinds == [
+        assert _tokens("0 7 12.5 .5 1e3 2E-2 3.e+1 0123") == [
             (fe.INTEGER, "0"), (fe.INTEGER, "7"), (fe.FLOAT, "12.5"), (fe.FLOAT, ".5"),
             (fe.FLOAT, "1e3"), (fe.FLOAT, "2E-2"), (fe.FLOAT, "3.e+1"), (fe.INTEGER, "0123"),
         ]
@@ -445,9 +460,7 @@ def _outcome(tokenize, source: str):
 def _columns(source: str) -> list[tuple[str, str, int, int]]:
     stream = fe.tokenize(source)
     assert len(stream) == len(stream.kinds) - 1
-    columns = [(kind, lexeme, *stream.position(i)) for i, (kind, lexeme) in enumerate(zip(stream.kinds, stream.lexemes))]
-    assert [astuple(t) for t in stream] == columns[:-1]
-    return columns
+    return [(kind, lexeme, *stream.position(i)) for i, (kind, lexeme) in enumerate(zip(stream.kinds, stream.lexemes))]
 
 
 # Legal fragments joined with no separator between them, so neighbours merge
@@ -637,19 +650,33 @@ class TestPositionsOnDemand:
             compile_source("OPENQASM 3.0;\nqubit q\n")
 
 
+def _has_indexed_target(source: str) -> bool:
+    """Whether `source` has an indexed measure-assignment target: a `]`
+    then `=`, which nothing else in the grammar reads."""
+    lexemes = fe.tokenize(source).lexemes
+    return ("]", "=") in zip(lexemes, lexemes[1:])
+
+
+_FAULT_SOURCES = [*CORPUS, *GOLDEN_CASES.values()]
+_TARGET_SOURCES = [source for source in _FAULT_SOURCES if _has_indexed_target(source)]
+
+
 @st.composite
 def injected_fault(draw):
-    """(source, (line, col), error type): a program of the conformance or
-    golden corpus with one fault injected after a random token, and where its
-    error must point, counted over the source without the package. A stray
-    `OPENQASM` goes after a `;`, `{` or `}` past the header: the parser meets
-    it where a statement may start. `reset` of an undefined name or of an
+    """(source, (line, col), error type, found): a program of the conformance
+    or golden corpus with one fault injected after a random token, where its
+    error must point, counted over the source without the package, and the
+    token a ParseError finds there. A stray `OPENQASM` goes after a `;`, `{`
+    or `}` past the header: the parser meets it where a statement may start.
+    A stray identifier goes between an indexed measure-assignment target and
+    its `=`, in a program that has one. `reset` of an undefined name or of an
     index out of range goes after a top-level `;`, not before an include."""
-    source = draw(st.sampled_from([*CORPUS, *GOLDEN_CASES.values()]))
+    fault = draw(st.sampled_from(["stray", "stray-target", "undefined", "out-of-range"]))
+    source = draw(st.sampled_from(_TARGET_SOURCES if fault == "stray-target" else _FAULT_SOURCES))
     tokens = reference_tokenize(source)[:-1]
     line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
     ends = [line_starts[line - 1] + col - 1 + len(lexeme) for _, lexeme, line, col in tokens]
-    depth, statement_ends, top_level_ends = 0, [], []
+    depth, statement_ends, top_level_ends, target_ends = 0, [], [], []
     for k, (_, lexeme, _, _) in enumerate(tokens):
         depth += {"{": 1, "}": -1}.get(lexeme, 0)
         following = tokens[k + 1][1] if k + 1 < len(tokens) else ""
@@ -657,10 +684,15 @@ def injected_fault(draw):
             statement_ends.append(ends[k])
             if lexeme == ";" and depth == 0 and following != "include":
                 top_level_ends.append(ends[k])
-    fault = draw(st.sampled_from(["stray", "undefined", "out-of-range"]))
+        if lexeme == "]" and following == "=":
+            target_ends.append(ends[k])
+    found = None
     if fault == "stray":
         at = draw(st.sampled_from(statement_ends))
-        text, offset, error = " OPENQASM ", 1, ParseError
+        text, offset, error, found = " OPENQASM ", 1, ParseError, "OPENQASM"
+    elif fault == "stray-target":
+        at = draw(st.sampled_from(target_ends))
+        text, offset, error, found = " stray ", 1, ParseError, "stray"
     elif fault == "undefined":
         at = draw(st.sampled_from(top_level_ends))
         text, offset, error = " reset nowhere; ", len(" reset "), UndefinedName
@@ -669,7 +701,7 @@ def injected_fault(draw):
         text = " qubit[2] fault_q; reset fault_q[7]; "
         offset, error = text.index("fault_q[7]"), IndexOutOfRange
     broken = source[:at] + text + source[at:]
-    return broken, _line_col(broken, at + offset), error
+    return broken, _line_col(broken, at + offset), error, found
 
 
 class TestErrorPositions:
@@ -693,12 +725,12 @@ class TestErrorPositions:
 
     @given(injected_fault())
     def test_injected_fault_is_located(self, case):
-        source, (line, col), error = case
+        source, (line, col), error, found = case
         with pytest.raises(error) as exc:
             compile_source(source)
         err = exc.value
         assert str(err).split(": ")[0].endswith(f" at {line}:{col}")
         if error is ParseError:
-            assert (err.line, err.col, err.found) == (line, col, "OPENQASM")
+            assert (err.line, err.col, err.found) == (line, col, found)
         else:
             assert err.span == (line, col)

@@ -11,6 +11,7 @@ from qasm2cudaq.errors import Qasm2CudaqError
 
 from conftest import CORPUS
 from golden_cases import GOLDEN_CASES
+from unparser import unparse
 
 _SOURCES = [*CORPUS, *GOLDEN_CASES.values()]
 _ASTS = [fe.parse_source(source) for source in _SOURCES]
@@ -61,7 +62,7 @@ def mutants(draw) -> str:
         else:
             i = draw(st.integers(0, len(stmts) - 1))
             stmts[i] = draw(_wrapped(stmts[i], stmts))
-    return fe.unparse(fe.ProgramAst(ast.version, ast.includes, stmts, ast.tokens))
+    return unparse(fe.ProgramAst(ast.includes, stmts, ast.tokens))
 
 
 def _typed(call, *args):

@@ -452,6 +452,13 @@ class TestExpansionBudget:
             analyze(PROBE_HEADER + "for int i in [0:500] { if (c) { nope q; } }\n")
         assert len(analyze(PROBE_HEADER + "for int i in [1:500] { if (c) { x q; } }\n").statements) == 500
 
+    def test_float_literal_inner_bound_counts_before_the_outer_loop(self):
+        # 1.0e6 folds to an int, so the inner loop's trips count toward the
+        # outer loop's check, which raises before its first iteration
+        with pytest.raises(ProgramTooLarge) as err:
+            analyze(HEADER + "qubit q;\nfor int r in [0:9] { for int i in [0:1.0e6] { h q; } }\n")
+        assert str(err.value) == f"semantic error at 4:1: program exceeds {sema.UNROLL_CAP} statements after loop unrolling"
+
     def test_loop_bounds_that_name_a_variable_are_not_guessed(self, monkeypatch):
         monkeypatch.setattr(sema, "UNROLL_CAP", 1000)
         # the inner trip count shrinks with i: 30 + 29 + ... + 1 = 465 gates
@@ -553,8 +560,9 @@ class TestInvariantLoops:
             ("qubit q;\n", "h q; reset q;"),
             ("qubit q;\n", "h q; barrier q;"),
             ("qubit q;\nbit c;\n", "h q; if (c) { x q; }"),
+            ("qubit q;\nbit c;\n", "for int i in [0:0] { c[0] = measure q[0]; }"),
         ],
-        ids=["index", "angle", "nested-bound", "measure", "reset", "barrier", "if"],
+        ids=["index", "angle", "nested-bound", "measure", "reset", "barrier", "if", "nested-measure"],
     )
     def test_other_loops_resolve_every_iteration(self, prefix, body):
         vp = analyze(f"{HEADER}{prefix}for int r in [1:2] {{ {body} }}\n")

@@ -358,7 +358,7 @@ class TestBodyScope:
         call = ast.statements[i]
         zero = fe.IntLit(0, call.span)
         loop = fe.ForStatement(var, zero, None, zero, [call], call.span)
-        wrapped = fe.ProgramAst(ast.version, ast.includes, ast.statements[:i] + [loop] + ast.statements[i + 1 :], ast.tokens)
+        wrapped = fe.ProgramAst(ast.includes, ast.statements[:i] + [loop] + ast.statements[i + 1 :], ast.tokens)
         assert kir.dump(kir.lower(sema.analyze(wrapped))) == kir.dump(kir.lower(sema.analyze(ast)))
 
     @pytest.mark.parametrize(
