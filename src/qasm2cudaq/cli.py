@@ -117,11 +117,12 @@ def _cmd_transpile(args) -> int:
 def _cmd_run(args) -> int:
     kernel = compile_source(_read_source(args.file))
     bound = kir.bind(kernel, _parse_params(kernel, args.param))
-    if args.statevector or args.expval:
+    expval = args.expval is not None  # "" is the Pauli string of a 0-qubit kernel
+    if args.statevector or expval:
         try:
             state = sim.statevector(bound)
         except DynamicCircuit:
-            flags = " and ".join(f for f, on in (("--statevector", args.statevector), ("--expval", args.expval)) if on)
+            flags = " and ".join(f for f, on in (("--statevector", args.statevector), ("--expval", expval)) if on)
             raise Qasm2CudaqError(
                 f"{flags}: the kernel measures, resets or branches, so it has no single final state; "
                 f"drop {flags} to sample shots"
@@ -129,7 +130,7 @@ def _cmd_run(args) -> int:
         if args.statevector:
             for i, amp in enumerate(state.amps):
                 print(f"{i:0{max(kernel.qubit_count, 1)}b} {amp.real:+.12f}{amp.imag:+.12f}j")
-        if args.expval:
+        if expval:
             print(f"<{args.expval}> = {sim.expval_pauli(state, args.expval)!r}")
         return 0
     hist = sim.sample(bound, args.shots, args.seed)

@@ -40,9 +40,9 @@ class UnsupportedConstruct(ParseError):
 class SemaError(Qasm2CudaqError):
     """Semantic analysis failure at `span`. Sema raises it with the offending
     node's span, a token index, and `sema.analyze` puts that token's
-    (line, col) in its place (`at`); (0, 0) stands for no node."""
+    (line, col) in its place (`at`)."""
 
-    def __init__(self, message: str, span: int | tuple[int, int] = (0, 0)):
+    def __init__(self, message: str, span: int | tuple[int, int]):
         self.message = message
         self.at(span)
 
@@ -101,7 +101,8 @@ class LowerError(Qasm2CudaqError):
 
 
 class BadParameter(Qasm2CudaqError):
-    """A runtime parameter value that is not a finite number."""
+    """Runtime parameter values of the wrong count, or one that is not a
+    finite number."""
 
 
 class SimError(Qasm2CudaqError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import frontend, sema
 from ._gc import gc_paused
-from .errors import ArityMismatch, BadParameter, LowerError
+from .errors import BadParameter, LowerError
 from .sema import Angle, Gate, Measure, Nop, ParamRef, ParamSpec, Reset, ResolvedCall, ResolvedIf, ValidatedProgram
 
 # The op types and the canonical gate set live in sema; emit, sim and oracle
@@ -47,6 +47,12 @@ class Kernel:
     @property
     def total_params(self) -> int:
         return sum(p.count for p in self.param_layout)
+
+    @property
+    def param_names(self) -> list[str]:
+        """Each runtime-parameter slot's name, in slot order: `theta[1]` for
+        an element of an input array, `phi` for a scalar input."""
+        return [f"{p.name}[{i}]" if p.array else p.name for p in self.param_layout for i in range(p.count)]
 
     def classical_width(self, register: str) -> int:
         for name, width in self.classical_layout:
@@ -148,26 +154,22 @@ def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
     """Attach runtime parameter values without copying or re-lowering; every
     value must be a finite real number: a `numbers.Real` other than a bool,
     such as an int, a float, a Fraction or a NumPy real scalar."""
-    if len(values) != kernel.total_params:
-        raise ArityMismatch(
-            f"kernel takes {kernel.total_params} parameter value(s), got {len(values)}"
-        )
+    names = kernel.param_names
+    if len(values) != len(names):
+        raise BadParameter(f"kernel takes {len(names)} parameter value(s), got {len(values)}")
     bound: list[float] = []
-    for spec in kernel.param_layout:
-        for i in range(spec.count):
-            raw = values[spec.offset + i]
-            name = f"{spec.name}[{i}]" if spec.array else spec.name
-            try:
-                if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
-                    raise TypeError  # float() would read str, bytes and bool as well
-                value = float(raw)
-            except (TypeError, ValueError, OverflowError):
-                # the type, not repr(raw): repr of an int past 4300 digits raises
-                kind = type(raw).__name__
-                raise BadParameter(f"parameter '{name}' cannot be read as a float ({kind})") from None
-            if not math.isfinite(value):
-                raise BadParameter(f"parameter '{name}' is {value!r}; values must be finite")
-            bound.append(value)
+    for name, raw in zip(names, values):
+        try:
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+                raise TypeError  # float() would read str, bytes and bool as well
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            # the type, not repr(raw): repr of an int past 4300 digits raises
+            kind = type(raw).__name__
+            raise BadParameter(f"parameter '{name}' cannot be read as a float ({kind})") from None
+        if not math.isfinite(value):
+            raise BadParameter(f"parameter '{name}' is {value!r}; values must be finite")
+        bound.append(value)
     return BoundKernel(kernel, tuple(bound))
 
 

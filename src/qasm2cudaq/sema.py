@@ -18,10 +18,11 @@ arithmetic, fixed formals of nested gates) it is compiled into a
 `_Template`, the calls of its body over its formal qubits 0 to k-1 with
 nested user gates placed in them. A formal used only as a whole angle stays
 free: each call binds it when it places the template on its qubits. Each
-placement (targets, controls, bound free angles) is built once and shared,
-so the iterations of a loop that place a template alike get the same calls;
-a call's own inv/pow applies after. Every expansion is counted against
-UNROLL_CAP before its calls exist.
+call builds its own placement, then applies its own inv/pow; calls are
+shared only between the replicas of a pow and the repeats of an invariant
+loop, and a plain placement is the template's own calls (see
+`ResolvedCall`). Every expansion is counted against UNROLL_CAP before its
+calls exist.
 """
 
 from __future__ import annotations
@@ -65,11 +66,9 @@ _CONST, _INPUT, _QUBITS, _BITS, _GATE = SymbolKind
 
 @dataclass
 class SymbolEntry:
-    name: str
     kind: SymbolKind
     size: int
     const_value: float | int | None
-    decl_span: fe.Span
 
 
 # A name table: the declarations (all top level), the loop variables in
@@ -191,11 +190,10 @@ def _pow_product(algebra: Algebra) -> int:
 @dataclass(slots=True)
 class ResolvedCall:
     """The canonical gates of one builtin call. Calls and their ops are
-    shared between the replicas of a `pow`, the iterations of a broadcast
-    and the calls of a template placed alike, so every loop iteration that
-    places a template the same way gets the same calls, and the repeats of
-    an invariant loop (`resolve_for`) share all of the first's. That holds
-    in `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
+    shared between the replicas of a `pow` and the repeats of an invariant
+    loop (`resolve_for`), which share all of the first's; a plain placement
+    of a template is the template's own calls. That holds in
+    `ValidatedProgram.statements` and `Kernel.body` alike: read-only."""
 
     ops: list[Gate]
 
@@ -238,39 +236,33 @@ def _bound(angle, values: list[Angle]) -> Angle:
 class _Template:
     """A user gate body compiled once per key (see `_Analyzer._template`)
     over its formal qubits, numbered 0 to k-1, with `_Formal` and
-    `_FormalRef` angles where a formal is bound per call."""
+    `_FormalRef` angles where a formal is bound per call. Each call places
+    it anew; only a plain placement shares its calls."""
 
     count: int  # canonical gates one plain call lowers to
     peak: int  # most budget counted at any check while it was built, over the start
     height: int  # definitions it nests, itself included
     free: bool  # some angle formal is bound when the template is placed
     calls: list[ResolvedCall]  # the body's calls, on the formal qubits
-    # placements by (targets, controls, signed free angles), before a caller's algebra
-    placed: dict = field(default_factory=dict)
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
         """The calls with formal qubit i moved to `targets[i]`, `controls`
         prepended and the free formals bound to `angles`; then a caller's
-        inv/pow through `_algebra`. A placement is built once: every call
-        that repeats it, as the iterations of a loop do, shares its calls,
-        and only the algebra is applied per call."""
-        key = (tuple(targets), controls, _signed(tuple(angles)) if self.free else ())
-        calls = self.placed.get(key)
-        if calls is None:
-            calls = self.calls
-            if controls or self.free or key[0] != tuple(range(len(targets))):
-                where = targets.__getitem__
-                bind = angles if self.free else None
-                moved = []
-                for c in calls:
-                    ops = []
-                    for g in c.ops:
-                        inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
-                        args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
-                        ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
-                    moved.append(ResolvedCall(ops))
-                calls = moved
-            self.placed[key] = calls
+        inv/pow through `_algebra`. A plain placement (no controls, no free
+        formal, on qubits 0 to k-1 in order) is the template's own calls."""
+        calls = self.calls
+        if controls or self.free or targets != list(range(len(targets))):
+            where = targets.__getitem__
+            bind = angles if self.free else None
+            moved = []
+            for c in calls:
+                ops = []
+                for g in c.ops:
+                    inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
+                    args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
+                    ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
+                moved.append(ResolvedCall(ops))
+            calls = moved
         return _algebra(calls, algebra, _invert_call)
 
 
@@ -489,10 +481,10 @@ class _Analyzer:
         self.free_formals: dict[str, tuple[bool, ...]] = {}
 
     # -- declarations -------------------------------------------------------
-    def _define(self, entry: SymbolEntry) -> None:
-        if entry.name in self.globals:
-            raise Redefinition(f"redefinition of '{entry.name}'", entry.decl_span)
-        self.globals[entry.name] = self.visible[entry.name] = entry
+    def _define(self, name: str, entry: SymbolEntry, span: fe.Span) -> None:
+        if name in self.globals:
+            raise Redefinition(f"redefinition of '{name}'", span)
+        self.globals[name] = self.visible[name] = entry
 
     def declare(self, stmt: fe.Statement) -> None:
         if isinstance(stmt, (fe.QubitDecl, fe.BitDecl)):
@@ -501,7 +493,7 @@ class _Analyzer:
                 what = "qubit" if qubit else "bit"
                 raise SemaError(f"{what} register '{stmt.name}' must have size >= 1", stmt.span)
             kind = _QUBITS if qubit else _BITS
-            self._define(SymbolEntry(stmt.name, kind, stmt.size, None, stmt.span))
+            self._define(stmt.name, SymbolEntry(kind, stmt.size, None), stmt.span)
             if qubit:
                 self.qubit_base[stmt.name] = self.qubit_count
                 self.qubit_count += stmt.size
@@ -509,7 +501,7 @@ class _Analyzer:
         elif isinstance(stmt, fe.InputDecl):
             if stmt.count < 1:
                 raise SemaError(f"input '{stmt.name}' must have at least one element", stmt.span)
-            self._define(SymbolEntry(stmt.name, _INPUT, stmt.count, None, stmt.span))
+            self._define(stmt.name, SymbolEntry(_INPUT, stmt.count, None), stmt.span)
             offset = sum(p.count for p in self.param_layout)
             spec = ParamSpec(stmt.name, stmt.count, stmt.array, offset)
             self.param_layout.append(spec)
@@ -525,11 +517,11 @@ class _Analyzer:
                     value = int(value)
             else:
                 value = _to_double(value, stmt.span)
-            self._define(SymbolEntry(stmt.name, _CONST, 1, value, stmt.span))
+            self._define(stmt.name, SymbolEntry(_CONST, 1, value), stmt.span)
         elif isinstance(stmt, fe.GateDef):
             if stmt.name in BUILTIN_GATES and self.has_stdgates:
                 raise Redefinition(f"'{stmt.name}' shadows a standard gate", stmt.span)
-            self._define(SymbolEntry(stmt.name, _GATE, len(stmt.qubits), None, stmt.span))
+            self._define(stmt.name, SymbolEntry(_GATE, len(stmt.qubits), None), stmt.span)
             if len(set(stmt.qubits)) != len(stmt.qubits) or len(set(stmt.params)) != len(stmt.params):
                 raise Redefinition(f"duplicate formal name in gate '{stmt.name}'", stmt.span)
             self.gate_defs[stmt.name] = stmt
@@ -763,7 +755,7 @@ class _Analyzer:
         scoped = dict(self.globals)
         for name, value in formals.items():
             runtime = isinstance(value, ParamRef)
-            scoped[name] = SymbolEntry(name, _INPUT if runtime else _CONST, 1, None if runtime else value, (0, 0))
+            scoped[name] = SymbolEntry(_INPUT if runtime else _CONST, 1, None if runtime else value)
         slots = {name: i for i, name in enumerate(gate_def.qubits)}
         base, high = self.stmt_count, self.high
         self.high = base
@@ -887,7 +879,7 @@ class _Analyzer:
         them that do not mention the variable, which no gate body can read)
         is resolved once: if its first iteration's count and peak, repeated, fit
         under UNROLL_CAP, the repeats are charged in one check and share its
-        calls, read-only like template placements. Else, and for any other
+        calls, read-only (see `ResolvedCall`). Else, and for any other
         loop, each iteration is resolved, raising where it always did."""
         start = _const_int(stmt.start, self.visible, "loop bound", exc=NonConstLoopBound)
         stop = _const_int(stmt.stop, self.visible, "loop bound", exc=NonConstLoopBound)
@@ -909,7 +901,7 @@ class _Analyzer:
         shadowed = self.visible.get(stmt.var)
         try:
             for value in range(start, start + trips * step, step):
-                self.visible[stmt.var] = SymbolEntry(stmt.var, _CONST, 1, value, stmt.span)
+                self.visible[stmt.var] = SymbolEntry(_CONST, 1, value)
                 before = self.stmt_count
                 out.extend(self.resolve_statements(stmt.body))
                 if self.stmt_count == before:

@@ -77,6 +77,19 @@ class TestRun:
         )
         assert "<ZZ> = 1.0" in capsys.readouterr().out
 
+    def test_empty_expval_is_a_pauli_string(self, tmp_path, capsys):
+        # an empty string is the 0-qubit Pauli string, not a missing flag
+        static = tmp_path / "static.qasm"
+        static.write_text(BELL.replace("c = measure q;\n", ""))
+        assert cli.main(["run", str(static), "--expval", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pauli string length 0 != 2 qubits\n"
+        empty = tmp_path / "empty.qasm"
+        empty.write_text("OPENQASM 3.0;\n")
+        assert cli.main(["run", str(empty), "--expval", ""]) == 0
+        assert capsys.readouterr().out == "<> = 1.0\n"
+
     def test_param_errors(self, ansatz_file, capsys):
         assert cli.main(["run", ansatz_file]) == 2
         assert "missing --param theta" in capsys.readouterr().err

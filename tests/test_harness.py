@@ -25,12 +25,15 @@ class TestOracleUnitary:
         kernel = compile_source(f"{HEADER}qubit q;\nx q;\nx q;\n")
         np.testing.assert_allclose(oracle_unitary(kernel), np.eye(2), atol=1e-15)
 
-    def test_bell_column_matches_hand_expansion(self):
-        # hand-expanded 4x4 product (little-endian: h on qubit 0 = I (x) H)
+    @pytest.mark.parametrize("barrier", ["", "barrier q;\n"], ids=["plain", "barrier"])
+    def test_bell_column_matches_hand_expansion(self, barrier):
+        # hand-expanded 4x4 product (little-endian: h on qubit 0 = I (x) H);
+        # a barrier between the gates is no factor
         h2 = np.kron(np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
         cx = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
         expected = cx @ h2
-        kernel = compile_source(f"{HEADER}qubit[2] q;\nh q[0];\ncx q[0], q[1];\n")
+        kernel = compile_source(f"{HEADER}qubit[2] q;\nh q[0];\n{barrier}cx q[0], q[1];\n")
+        assert [type(op) for op in kernel.body].count(kir.Nop) == (1 if barrier else 0)
         np.testing.assert_allclose(oracle_unitary(kernel), expected, atol=1e-15)
         state = sim.statevector(kir.bind(kernel, []))
         np.testing.assert_allclose(state.amps, expected[:, 0], atol=1e-15)

@@ -491,9 +491,89 @@ class TestFreeFormals:
         ]
 
 
+# User gates for placements in a loop: a plain template (e), free angles (g,
+# and w, which places g and e on its own formals under modifiers), and a
+# formal that keys the template by value (pw's pow exponent).
+_PLACED_DEFS = (
+    "gate e a, b { h a; cx a, b; }\n"
+    "gate g(t) a, b { cx a, b; rz(t) b; inv @ ry(t) a; }\n"
+    "gate w(t) a, b, c { g(t) c, a; ctrl @ rx(t) b, c; negctrl @ e c, a, b; }\n"
+    "gate pw(n) a { pow(n) @ t a; }\n"
+    "input array[float[64], 3] th;\nqubit[9] q;\n"
+)
+# name -> (what its formal takes, qubits)
+_PLACED_GATES = {"e": (None, 2), "g": ("angle", 2), "w": ("angle", 3), "pw": ("exponent", 1)}
+
+
+def _fixed(text: str):
+    return lambda i: text
+
+
+# Each form the loop body may use -> its text with the loop variable i
+# written out, as a hand expansion has it. The operands never coincide at
+# one i in 0..2; q[4] and q[5] are the same at every i.
+_OPERANDS = {
+    "q[i]": lambda i: f"q[{i}]", "q[i + 1]": lambda i: f"q[{i + 1}]", "q[8 - i]": lambda i: f"q[{8 - i}]",
+    "q[4]": _fixed("q[4]"), "q[5]": _fixed("q[5]"),
+}
+_ANGLES = {
+    **{a: _fixed(a) for a in ("0.0", "-0.0", "0.25", "th[2]")},
+    "i * 0.5": lambda i: repr(i * 0.5), "-(i * 0.5)": lambda i: repr(-(i * 0.5)), "th[i]": lambda i: f"th[{i}]",
+}
+_EXPONENTS = {"2": _fixed("2"), "-1": _fixed("-1"), "i": str, "i - 1": lambda i: str(i - 1)}
+_FORMS = {**_OPERANDS, **_ANGLES, **_EXPONENTS}
+
+
+@st.composite
+def placement_loops(draw) -> tuple[int, int, int, list]:
+    """(start, step, stop, calls) of a loop over i in 0..2 whose body places
+    user gates under 0-2 modifiers, some of them twice on the same operands;
+    its body reads i, so every iteration is resolved."""
+    start, stop = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    step = draw(st.sampled_from([1, 2] if start <= stop else [-1, -2]))
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(_PLACED_GATES)))
+        formal, n_qubits = _PLACED_GATES[name]
+        mods = draw(st.lists(st.sampled_from(["inv", "pow(2)", "pow(-1)", "ctrl", "negctrl"]), max_size=2))
+        operands = draw(st.permutations(sorted(_OPERANDS)))[: n_qubits + sum(m.endswith("ctrl") for m in mods)]
+        arg = draw(st.sampled_from(sorted(_ANGLES if formal == "angle" else _EXPONENTS))) if formal else None
+        calls.append((mods, name, arg, operands))
+    for _ in range(draw(st.integers(0, 2))):  # a twin: the same operands, polarities and argument redrawn
+        mods, name, arg, operands = draw(st.sampled_from(calls))
+        mods = [draw(st.sampled_from(["ctrl", "negctrl"])) if m.endswith("ctrl") else m for m in mods]
+        arg = draw(st.sampled_from(sorted(_ANGLES if arg in _ANGLES else _EXPONENTS))) if arg else None
+        calls.append((mods, name, arg, operands))
+    if not any("i" in form for _, _, arg, operands in calls for form in [arg or "", *operands]):
+        calls.append(([], "rz", "i * 0.5", ["q[4]"]))
+    return start, step, stop, calls
+
+
+def _placed_call(call: tuple, i: int | None = None) -> str:
+    """A call's text in the loop body, or with i = `i` written out."""
+    mods, name, arg, operands = call
+    text = (lambda form: form) if i is None else (lambda form: _FORMS[form](i))
+    args = f"({text(arg)})" if arg else ""
+    return "".join(m + " @ " for m in mods) + f"{name}{args} " + ", ".join(map(text, operands)) + ";"
+
+
 class TestSharedPlacements:
-    """A template placement is built once and shared by every call that
-    repeats it; everything that tells two placements apart keys its own."""
+    """Every call places its template anew: calls are shared only where the
+    program repeats them, by a pow or by the repeats of an invariant loop,
+    and whatever tells two placements apart (targets, controls, signed free
+    angles, runtime slots) gives gates of its own."""
+
+    @given(placement_loops())
+    def test_loop_placements_match_the_hand_expansion(self, loop):
+        start, step, stop, calls = loop
+        body = " ".join(_placed_call(c) for c in calls)
+        looped = HEADER + _PLACED_DEFS + f"for int i in [{start}:{step}:{stop}] {{ {body} }}\n"
+        expanded = [_placed_call(c, i) for i in range(start, stop + step // abs(step), step) for c in calls]
+        # each hand-expanded call compiled alone takes no template or call from another
+        alone = [kir.dump(compile_source(HEADER + _PLACED_DEFS + s + "\n")).split("\n", 1)[1] for s in expanded]
+        expected = "kernel qubits=9 params=th:3 classical=-\n" + "".join(alone)
+        assert kir.dump(compile_source(HEADER + _PLACED_DEFS + "".join(s + "\n" for s in expanded))) == expected
+        assert kir.dump(compile_source(looped)) == expected
 
     def test_outer_iterations_share_the_inner_placements(self):
         source = HEADER + (
