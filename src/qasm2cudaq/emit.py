@@ -51,11 +51,12 @@ class EmittedSource:
     text: str
 
 
-def _angle_text(a, param_names: list[str]) -> str:
+def _angle_text(a, kernel: Kernel) -> str:
     if isinstance(a, ParamRef):
-        if not 0 <= a.slot < len(param_names):
-            raise UnsupportedOp(f"parameter slot {a.slot} outside the kernel's layout")
-        return param_names[a.slot]
+        try:
+            return kernel.param_name(a.slot)
+        except IndexError:
+            raise UnsupportedOp(f"parameter slot {a.slot} outside the kernel's layout") from None
     return repr(a)
 
 
@@ -92,7 +93,6 @@ class _EmitterBase:
             if p.name in self.RESERVED or self.RESERVED_FORM.fullmatch(p.name):
                 raise UnsupportedForTarget(f"input '{p.name}' takes a name the {self.TARGET} text reserves; rename it")
         self.kernel = kernel
-        self.param_names = kernel.param_names
         self.lines: list[str] = []
         self.indent = 0
         # `m{i}` locals numbered so far: measures in program order, as `measures` visits them
@@ -267,7 +267,7 @@ class _CppEmitter(_EmitterBase):
             mods.append("cudaq::adj")
         if mods:
             name = f"{name}<{', '.join(mods)}>"
-        args = [_angle_text(a, self.param_names) for a in op.angles]
+        args = [_angle_text(a, self.kernel) for a in op.angles]
         args += [f"!q[{q}]" if pol == NEG else f"q[{q}]" for q, pol in op.controls]
         args += [f"q[{t}]" for t in op.targets]
         return f"{name}({', '.join(args)});"
@@ -366,7 +366,7 @@ class _BuilderEmitter(_EmitterBase):
         kernel.control (an adjoint one wrapped to take controls), with an X
         sandwich on each negative control."""
         name = _GATE_NAME.get(op.base, op.base)
-        angles = [_angle_text(a, self.param_names) for a in op.angles]
+        angles = [_angle_text(a, self.kernel) for a in op.angles]
         targets = [f"q[{t}]" for t in op.targets]
         if not op.adjoint and not op.controls:
             return f"kernel.{name}({', '.join(angles + targets)})"

@@ -11,6 +11,7 @@ predicate over the linear body.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from collections.abc import Iterator
@@ -48,11 +49,17 @@ class Kernel:
     def total_params(self) -> int:
         return sum(p.count for p in self.param_layout)
 
-    @property
-    def param_names(self) -> list[str]:
-        """Each runtime-parameter slot's name, in slot order: `theta[1]` for
-        an element of an input array, `phi` for a scalar input."""
-        return [f"{p.name}[{i}]" if p.array else p.name for p in self.param_layout for i in range(p.count)]
+    def param_name(self, slot: int) -> str:
+        """The name of one runtime-parameter slot: `theta[1]` for an element
+        of an input array, `phi` for a scalar input. Found by bisecting the
+        inputs' offsets, so naming a slot never spans the others. Raises
+        IndexError for a slot outside the layout."""
+        if slot < 0 or not self.param_layout:
+            raise IndexError(slot)
+        spec = self.param_layout[bisect.bisect_right(self.param_layout, slot, key=lambda p: p.offset) - 1]
+        if slot >= spec.offset + spec.count:
+            raise IndexError(slot)
+        return f"{spec.name}[{slot - spec.offset}]" if spec.array else spec.name
 
     def classical_width(self, register: str) -> int:
         for name, width in self.classical_layout:
@@ -154,11 +161,11 @@ def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
     """Attach runtime parameter values without copying or re-lowering; every
     value must be a finite real number: a `numbers.Real` other than a bool,
     such as an int, a float, a Fraction or a NumPy real scalar."""
-    names = kernel.param_names
-    if len(values) != len(names):
-        raise BadParameter(f"kernel takes {len(names)} parameter value(s), got {len(values)}")
+    count = kernel.total_params
+    if len(values) != count:
+        raise BadParameter(f"kernel takes {count} parameter value(s), got {len(values)}")
     bound: list[float] = []
-    for name, raw in zip(names, values):
+    for slot, raw in enumerate(values):
         try:
             if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
                 raise TypeError  # float() would read str, bytes and bool as well
@@ -166,9 +173,9 @@ def bind(kernel: Kernel, values: list[float]) -> BoundKernel:
         except (TypeError, ValueError, OverflowError):
             # the type, not repr(raw): repr of an int past 4300 digits raises
             kind = type(raw).__name__
-            raise BadParameter(f"parameter '{name}' cannot be read as a float ({kind})") from None
+            raise BadParameter(f"parameter '{kernel.param_name(slot)}' cannot be read as a float ({kind})") from None
         if not math.isfinite(value):
-            raise BadParameter(f"parameter '{name}' is {value!r}; values must be finite")
+            raise BadParameter(f"parameter '{kernel.param_name(slot)}' is {value!r}; values must be finite")
         bound.append(value)
     return BoundKernel(kernel, tuple(bound))
 

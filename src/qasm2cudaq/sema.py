@@ -458,6 +458,14 @@ def _min_cost(stmts: list[fe.Statement]) -> int:
     return total
 
 
+def _check_declared(what: str, size: int, span: fe.Span) -> None:
+    """Refuse a register or input array of more than UNROLL_CAP elements at
+    its declaration, before any operand list, broadcast or parameter name
+    spans it."""
+    if size > UNROLL_CAP:
+        raise ProgramTooLarge(f"{what} of {size} elements exceeds the limit of {UNROLL_CAP}", span)
+
+
 class _Analyzer:
     def __init__(self, ast: fe.ProgramAst):
         self.ast = ast
@@ -489,9 +497,10 @@ class _Analyzer:
     def declare(self, stmt: fe.Statement) -> None:
         if isinstance(stmt, (fe.QubitDecl, fe.BitDecl)):
             qubit = isinstance(stmt, fe.QubitDecl)
+            what = "qubit" if qubit else "bit"
             if stmt.size < 1:
-                what = "qubit" if qubit else "bit"
                 raise SemaError(f"{what} register '{stmt.name}' must have size >= 1", stmt.span)
+            _check_declared(f"{what} register '{stmt.name}'", stmt.size, stmt.span)
             kind = _QUBITS if qubit else _BITS
             self._define(stmt.name, SymbolEntry(kind, stmt.size, None), stmt.span)
             if qubit:
@@ -501,6 +510,7 @@ class _Analyzer:
         elif isinstance(stmt, fe.InputDecl):
             if stmt.count < 1:
                 raise SemaError(f"input '{stmt.name}' must have at least one element", stmt.span)
+            _check_declared(f"input '{stmt.name}'", stmt.count, stmt.span)
             self._define(stmt.name, SymbolEntry(_INPUT, stmt.count, None), stmt.span)
             offset = sum(p.count for p in self.param_layout)
             spec = ParamSpec(stmt.name, stmt.count, stmt.array, offset)

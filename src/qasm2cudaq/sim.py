@@ -25,19 +25,16 @@ the spare, a controlled one is written into a slice of the spare and copied
 back, and each permutation cycle holds its slice there, so no pass
 allocates. The shared matrices in `_FIXED_1Q` are never written in place.
 
-The build defers gates, exact up to rounding because gates on disjoint
-qubits commute. Each qubit keeps one pending 2x2 product of its one-qubit
-gates. Runs of diagonal gates (the z, s, t, rz and p bases, with any adjoint
-flag and controls, so cz, cp and crz too) are multiplied into one phase
-table over at most `_PHASE_QUBITS` qubits, applied by one broadcast multiply
-over a view that merges adjacent qubits into long axes. A qubit is pending
-or in the table, never both: a diagonal gate first applies the pending
-products of its qubits, and a non-diagonal gate on a table qubit, or a
-diagonal gate that would outgrow the cap, first applies the table. At the
-end the products still pending are applied by windows of up to `_WINDOW`
-adjacent qubits: the Kronecker product of a window's pending matrices and
-identities is one 2^k product over the window's qubits as one axis, through
-the same fold or batched route and the spare buffer as a 2x2.
+The build defers one-qubit gates, exact up to rounding because gates on
+disjoint qubits commute. Each qubit keeps one pending 2x2 product of its
+one-qubit gates. A gate on more than one qubit first applies the pending
+products of its qubits and then takes its own pass, so a controlled diagonal
+gate (cz, cp, crz, a controlled s, t, rz or p) scales the controls-fixed
+slices of its target in place. At the end the products still pending are
+applied by windows of up to `_WINDOW` adjacent qubits: the Kronecker product
+of a window's pending matrices and identities is one 2^k product over the
+window's qubits as one axis, through the same fold or batched route and the
+spare buffer as a 2x2.
 
 `statevector` and the static sampler build the kernel once. A qubit
 is lone until a gate entangles it, and its column on |0> holds its exact
@@ -52,12 +49,12 @@ build, renumbered in order and started from the outer product of their
 columns, so each gate pass spans 2^b amplitudes for a block of b qubits.
 The state is then the block's state times the outer product of the lone
 columns, one broadcast product over a view whose axes are the runs of
-block and lone qubits, the same runs the phase table merges. With no lone
-qubit the block is the state and there is no join. The static sampler
-joins a lone qubit in a basis state, one entry of its column exactly zero,
-by its nonzero entry alone and gives it no axis: with f such qubits its
-probabilities, support and running sums span 2^(n-f) entries, and only the
-support's indices are mapped back to the full basis.
+block and lone qubits. With no lone qubit the block is the state and there
+is no join. The static sampler joins a lone qubit in a basis state, one
+entry of its column exactly zero, by its nonzero entry alone and gives it no
+axis: with f such qubits its probabilities, support and running sums span
+2^(n-f) entries, and only the support's indices are mapped back to the full
+basis.
 
 Sampling is bit-identical per shot: shot s draws from its own xoshiro256++
 stream, row s of `ShotStreams(seed, shots)`, one draw per measure or reset
@@ -757,10 +754,6 @@ def _needs_trajectories(kernel: Kernel) -> bool:
     return False
 
 
-# Bases whose matrix is diagonal under any adjoint flag and any controls.
-_DIAGONAL = frozenset("z s t rz p".split())
-# Most qubits one phase table spans: 2^12 complex entries stay in cache.
-_PHASE_QUBITS = 12
 _KET0 = np.array([1, 0], dtype=np.complex128)
 # Most adjacent qubits whose pending products finish as one product. A
 # window of 4 is a 16x16 product, one pass where four passes took 2-7 times
@@ -778,24 +771,6 @@ def _product_state(columns: list[np.ndarray]) -> np.ndarray:
     return np.multiply.outer(_product_state(columns[mid:]), _product_state(columns[:mid])).ravel()
 
 
-def _apply_phases(state: StateVector, qubits: list[int], table: np.ndarray) -> None:
-    """Multiply every amplitude by table[bits of qubits], axis i of the
-    table being qubits[i], in one broadcast pass. The view merges each run
-    of adjacent qubits inside or outside the table into one axis; the table
-    is first widened over the lowest qubits so the innermost run spans at
-    least `_FOLD_RUN` amplitudes."""
-    low = range(min(state.n, _FOLD_RUN.bit_length() - 1))
-    if min(qubits) < len(low):
-        extra = [q for q in low if q not in qubits]
-        table = np.broadcast_to(table.reshape(table.shape + (1,) * len(extra)), table.shape + (2,) * len(extra))
-        qubits = qubits + extra
-    order = sorted(range(len(qubits)), key=lambda i: -qubits[i])
-    table = table.transpose(order)
-    runs = _runs(state.n, set(qubits))
-    view = state.amps.reshape([size for size, _ in runs])
-    view *= table.reshape([size if member else 1 for size, member in runs])
-
-
 def _runs(n: int, inside: set[int]) -> list[tuple[int, bool]]:
     """The qubits from n-1 down to 0 as runs of adjacent qubits all in, or
     all out of, `inside`: (amplitudes the run spans, whether it is in)."""
@@ -810,42 +785,25 @@ def _runs(n: int, inside: set[int]) -> list[tuple[int, bool]]:
 
 
 class _GateBuild:
-    """Applies gates to a state with two deferrals. Each qubit may hold a
-    pending one-qubit product; a phase table holds the product of a run of
-    diagonal gates on at most `_PHASE_QUBITS` qubits. No qubit is in both,
-    so the two commute and can be flushed in any order. Gates run through
-    one spare buffer of the state's size, so `state.amps` may be a new
-    array after any gate; `finish` applies every deferred gate and drops
-    the spare, and the build takes gates again after it."""
+    """Applies gates to a state, deferring one-qubit gates: each qubit may
+    hold a pending one-qubit product, applied before any gate on more than
+    one qubit that touches it. Every such gate takes its own pass, a
+    diagonal one included. Gates run through one spare buffer of the state's
+    size, so `state.amps` may be a new array after any gate; `finish`
+    applies every pending product and drops the spare, and the build takes
+    gates again after it."""
 
     def __init__(self, state: StateVector):
         self.state = state
         self.pending: dict[int, np.ndarray] = {}
-        self.table_qubits: list[int] = []  # axis i of the table is table_qubits[i]
-        self.table = np.ones((), dtype=np.complex128)
         self.spare: np.ndarray | None = None  # made by the first gate applied
 
     def gate(self, op: Gate, mat: np.ndarray) -> None:
         qubits = op.targets + tuple(c for c, _ in op.controls)
-        diagonal = op.base in _DIAGONAL
         if len(qubits) == 1:
             (q,) = qubits
-            if q in self.table_qubits:
-                if diagonal:
-                    self._phase(mat.diagonal(), q, ())
-                    return
-                self.flush_table()
             self.pending[q] = mat @ self.pending[q] if q in self.pending else mat
             return
-        if diagonal and len(qubits) <= _PHASE_QUBITS:
-            if len(set(qubits).union(self.table_qubits)) > _PHASE_QUBITS:
-                self.flush_table()
-            for q in qubits:
-                self._flush_pending(q)
-            self._phase(mat.diagonal(), op.targets[0], op.controls)
-            return
-        if not set(qubits).isdisjoint(self.table_qubits):
-            self.flush_table()
         for q in qubits:
             self._flush_pending(q)
         self._apply(mat, op.targets, op.controls)
@@ -892,30 +850,9 @@ class _GateBuild:
         _dense(view, axis, mat, self._spare().reshape(view.shape))
         self.state.amps, self.spare = self.spare, self.state.amps
 
-    def _phase(self, diag: np.ndarray, target: int, controls: tuple[tuple[int, int], ...]) -> None:
-        """Multiply diag along the target axis of the table, where every
-        control matches its polarity."""
-        for q in (target, *(c for c, _ in controls)):
-            if q not in self.table_qubits:
-                self.table_qubits.append(q)
-                self.table = np.stack([self.table, self.table], axis=-1)
-        axis = {q: i for i, q in enumerate(self.table_qubits)}
-        index: list = [slice(None)] * self.table.ndim
-        for q, pol in controls:
-            index[axis[q]] = slice(pol, pol + 1)
-        shape = [1] * self.table.ndim
-        shape[axis[target]] = 2
-        self.table[tuple(index)] *= diag.reshape(shape)
-
     def _flush_pending(self, q: int) -> None:
         if q in self.pending:
             self._apply(self.pending.pop(q), (q,), ())
-
-    def flush_table(self) -> None:
-        if self.table_qubits:
-            _apply_phases(self.state, self.table_qubits, self.table)
-            self.table_qubits = []
-            self.table = np.ones((), dtype=np.complex128)
 
     def _flush_window(self, low: int, high: int) -> None:
         """Apply the pending products on qubits low..high as one product,
@@ -927,10 +864,9 @@ class _GateBuild:
         self._product(self.state.amps.reshape(-1, mat.shape[0], 1 << low), 1, mat)
 
     def finish(self) -> StateVector:
-        """Apply the table, then the pending products by windows: from the
-        lowest pending qubit, every pending qubit less than `_WINDOW` above
-        it goes into one product."""
-        self.flush_table()
+        """Apply the pending products by windows: from the lowest pending
+        qubit, every pending qubit less than `_WINDOW` above it goes into one
+        product."""
         todo = sorted(self.pending)
         while todo:
             window = [q for q in todo if q < todo[0] + _WINDOW]

@@ -1,13 +1,14 @@
 import json
 import pathlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qasm2cudaq import frontend as fe, kir, sema, sim
+from qasm2cudaq import EMISSION_TARGETS, emit, frontend as fe, kir, sema, sim
 from qasm2cudaq.errors import BadParameter, LowerError
 from qasm2cudaq.kir import NEG, POS, CondBlock, Gate, Measure, Nop, Reset
 from qasm2cudaq.oracle import fidelity_up_to_global_phase
@@ -312,6 +313,34 @@ class TestBind:
         bound = kir.bind(kernel, [np.float32(0.5), np.int64(2), np.float64(-1.5), Fraction(1, 4), 3])
         assert bound.values == (0.5, 2.0, -1.5, 0.25, 3.0)
         assert all(type(v) is float for v in bound.values)
+
+    def test_param_name_of_each_slot(self):
+        kernel = compile_source(
+            f"{HEADER}input float[64] phi;\ninput array[float[64], 3] theta;\ninput float[64] psi;\nqubit q;\n"
+        )
+        names = [kernel.param_name(slot) for slot in range(kernel.total_params)]
+        assert names == ["phi", "theta[0]", "theta[1]", "theta[2]", "psi"]
+        for slot in (-1, 5):
+            with pytest.raises(IndexError):
+                kernel.param_name(slot)
+        with pytest.raises(IndexError):
+            compile_source(f"{HEADER}qubit q;\n").param_name(0)
+
+    def test_emit_and_bind_do_not_span_a_large_input(self):
+        # a slot is named only where it is printed or reported, so neither
+        # emitter nor a wrong-count bind builds a name per element
+        kernel = compile_source(f"{HEADER}input array[float[64], 1000000] theta;\nqubit q;\nrz(theta[999999]) q;\n")
+        tracemalloc.start()
+        try:
+            texts = [emit(kernel, target).text for target in EMISSION_TARGETS]
+            with pytest.raises(BadParameter) as exc:
+                kir.bind(kernel, [0.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        assert all("theta[999999]" in text for text in texts)
+        assert str(exc.value) == "kernel takes 1000000 parameter value(s), got 1"
 
 
 class TestDump:

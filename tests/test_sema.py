@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,6 +465,38 @@ class TestExpansionBudget:
         # the inner trip count shrinks with i: 30 + 29 + ... + 1 = 465 gates
         source = PROBE_HEADER + "for int i in [1:30] { for int j in [i:30] { x q; } }\n"
         assert lowered_ops(source) == 465
+
+
+class TestDeclarationLimit:
+    """A register or input array of more than UNROLL_CAP elements is refused
+    at its declaration, before a whole-register operand spans it."""
+
+    @pytest.mark.parametrize(
+        "decl, use, what",
+        [
+            ("qubit[{}] r;", "h r;", "qubit register 'r'"),
+            ("bit[{}] r;", "r[0] = measure q;\nif (r == 1) { x q; }", "bit register 'r'"),
+            ("input array[float[64], {}] r;", "rz(r[0]) q;", "input 'r'"),
+        ],
+        ids=["qubit", "bit", "input"],
+    )
+    def test_refused_past_the_cap_at_its_declaration(self, monkeypatch, decl, use, what):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 50)
+        analyze(f"{HEADER}qubit q;\n{decl.format(50)}\n{use}\n")
+        with pytest.raises(ProgramTooLarge) as err:
+            analyze(f"{HEADER}qubit q;\n{decl.format(51)}\n{use}\n")
+        assert str(err.value) == f"semantic error at 4:1: {what} of 51 elements exceeds the limit of 50"
+
+    def test_huge_register_is_refused_before_any_expansion(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProgramTooLarge) as err:
+                analyze(f"{HEADER}qubit[100000000] q;\nh q;\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(err.value).startswith("semantic error at 3:1: qubit register 'q' of 100000000 elements")
 
 
 class TestErrorTexts:

@@ -1064,18 +1064,17 @@ def planned_circuit(draw) -> kir.Kernel:
 
 
 class TestGatesOnlyPlan:
-    """The planned build (product-state prefix, pending one-qubit products,
-    phase tables) against the oracle, with tables small enough to split."""
+    """The planned build (product-state prefix, pending one-qubit products
+    finished by windows, and every gate on more than one qubit, diagonal
+    ones included, in its own pass) against the oracle."""
 
     @pytest.mark.parametrize("window", [1, 2, 3, sim._WINDOW])
-    @pytest.mark.parametrize("cap", [2, 3, sim._PHASE_QUBITS])
     @given(planned_circuit(), st.integers(0, 2**64 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_statevector_and_static_sample_match_oracle(self, cap, window, kernel, seed):
+    @settings(max_examples=max(50, settings().max_examples), deadline=None)  # a larger profile count wins
+    def test_statevector_and_static_sample_match_oracle(self, window, kernel, seed):
         gates = kir.Kernel(kernel.qubit_count, kernel.qubit_layout, [], [], [op for op in kernel.body if isinstance(op, Gate)])
         expected = oracle_unitary(gates)[:, 0]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_PHASE_QUBITS", cap)
             mp.setattr(sim, "_WINDOW", window)
             state = sim.statevector(kir.BoundKernel(gates, ()))
             hist = sim.sample(kir.BoundKernel(kernel, ()), 300, seed)
@@ -1086,23 +1085,6 @@ class TestGatesOnlyPlan:
         n = kernel.qubit_count
         keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
         assert hist.counts == dict(Counter(keys))
-
-    def test_tables_split_and_flush(self, monkeypatch):
-        # under a 2-qubit cap each cz after the first outgrows the table, and
-        # the controlled t on (1, 3) outgrows the last one; the h on qubit 1
-        # stays pending until the t applies it
-        n = 4
-        body = [Gate("h", (), (q,), ()) for q in range(n)]
-        body += [Gate("z", (), (q + 1,), ((q, kir.POS),)) for q in range(n - 1)]
-        body += [Gate("h", (), (1,), ()), Gate("t", (), (1,), ((3, kir.NEG),), True)]
-        kernel = kir.Kernel(n, [("q", n)], [], [], body)
-        flushes = []
-        apply_phases = sim._apply_phases
-        monkeypatch.setattr(sim, "_apply_phases", lambda s, qs, t: flushes.append(sorted(qs)) or apply_phases(s, qs, t))
-        monkeypatch.setattr(sim, "_PHASE_QUBITS", 2)
-        state = sim.statevector(kir.BoundKernel(kernel, ()))
-        np.testing.assert_allclose(state.amps, oracle_unitary(kernel)[:, 0], atol=1e-12)
-        assert flushes == [[0, 1], [1, 2], [2, 3], [1, 3]]
 
     @pytest.mark.parametrize(
         "block", [[1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [1, 2, 4], []], ids=["lone-q0", "lone-top", "interleaved", "all-lone"]
@@ -1210,11 +1192,11 @@ def _no_pass(*args):
 
 
 def _forbid_build_passes(monkeypatch) -> None:
-    """Make every gate pass of a build raise. `flush_table` stays, since
-    `finish` always calls it; with an empty table it applies nothing."""
+    """Make every gate pass of a build raise: `_apply`, which every gate on
+    more than one qubit and every lone pending product takes, and
+    `_flush_window`, which takes the rest of the pending products."""
     monkeypatch.setattr(sim._GateBuild, "_apply", _no_pass)
     monkeypatch.setattr(sim._GateBuild, "_flush_window", _no_pass)
-    monkeypatch.setattr(sim, "_apply_phases", _no_pass)
 
 
 def _qft_source(n: int, basis: int) -> str:
