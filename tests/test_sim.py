@@ -1086,6 +1086,49 @@ class TestGatesOnlyPlan:
         keys = ["".join(str((i >> q) & 1) for q in range(n)) for i in idx.tolist()]
         assert hist.counts == dict(Counter(keys))
 
+    def test_pending_products_flush_before_each_pass(self, monkeypatch):
+        # every gate on more than one qubit, diagonal ones included, takes
+        # one _apply, just after the pending products of its own qubits; the
+        # h on qubit 1 stays pending until the controlled t applies it
+        n = 4
+        body = [Gate("h", (), (q,), ()) for q in range(n)]
+        body += [Gate("z", (), (q + 1,), ((q, kir.POS),)) for q in range(n - 1)]
+        body += [Gate("h", (), (1,), ()), Gate("t", (), (1,), ((3, kir.NEG),), True)]
+        kernel = kir.Kernel(n, [("q", n)], [], [], body)
+        passes = []
+        apply = sim._GateBuild._apply
+        monkeypatch.setattr(sim._GateBuild, "_apply", lambda b, m, t, c: passes.append((t, c)) or apply(b, m, t, c))
+        build = sim._GateBuild(StateVector.zero(n))
+        for op in body:
+            build.gate(op, sim.gate_matrix(op))
+        np.testing.assert_allclose(build.finish().amps, oracle_unitary(kernel)[:, 0], rtol=0, atol=1e-12)
+        assert passes == [
+            ((1,), ()),
+            ((0,), ()),
+            ((1,), ((0, kir.POS),)),
+            ((2,), ()),
+            ((2,), ((1, kir.POS),)),
+            ((3,), ()),
+            ((3,), ((2, kir.POS),)),
+            ((1,), ()),
+            ((1,), ((3, kir.NEG),)),
+        ]
+
+    @pytest.mark.parametrize("base", _DIAGONAL_BASES)
+    def test_controlled_diagonal_scales_its_slices_in_place(self, monkeypatch, base):
+        # a diagonal gate under mixed-polarity controls is a permutation with
+        # no cycle: it scales the controls-fixed slices of the state's own
+        # buffer and never reaches a matrix product
+        monkeypatch.setattr(sim, "_dense", _no_pass)
+        n = 5
+        state = _random_state(7, n)
+        before = state.amps.copy()
+        buffer = state.amps
+        op = Gate(base, (0.7,) * _ANGLE_COUNT.get(base, 0), (2,), ((0, kir.POS), (4, kir.NEG)), True)
+        sim.apply_gate(state, op)
+        assert state.amps is buffer
+        np.testing.assert_allclose(state.amps, full_gate_matrix(n, op) @ before, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "block", [[1, 2, 3, 4, 5], [0, 1, 2, 3, 4], [1, 2, 4], []], ids=["lone-q0", "lone-top", "interleaved", "all-lone"]
     )
