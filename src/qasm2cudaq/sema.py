@@ -28,6 +28,7 @@ calls exist.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -458,6 +459,10 @@ def _min_cost(stmts: list[fe.Statement]) -> int:
     return total
 
 
+def _repeated(call: fe.GateCall) -> DuplicateQubitArg:
+    return DuplicateQubitArg(f"gate '{call.name}' applied with a repeated qubit operand", call.span)
+
+
 def _check_declared(what: str, size: int, span: fe.Span) -> None:
     """Refuse a register or input array of more than UNROLL_CAP elements at
     its declaration, before any operand list, broadcast or parameter name
@@ -561,9 +566,9 @@ class _Analyzer:
             raise IndexOutOfRange(f"index {idx} out of range for {where.format(ref.name, size)}", ref.span)
         return idx
 
-    def _operand(self, ref: fe.NamedRef) -> int | list[int]:
+    def _operand(self, ref: fe.NamedRef) -> int | range:
         """The flat id of the qubit a ref names, or a whole register's ids
-        (a register of one qubit is a single qubit)."""
+        as a range (a register of one qubit is a single qubit)."""
         entry = _lookup(self.visible, ref.name, ref.span)
         if entry.kind is not _QUBITS:
             raise SemaError(f"'{ref.name}' is a {entry.kind.value}, not a qubit register", ref.span)
@@ -571,13 +576,13 @@ class _Analyzer:
         if type(index) is fe.IntLit and 0 <= index.value < entry.size:
             return base + index.value
         if index is None:
-            return list(range(base, base + entry.size)) if entry.size > 1 else base
+            return range(base, base + entry.size) if entry.size > 1 else base
         return base + self._index(ref, entry.size, "qubit index", "qubit register '{}' of size {}", self.visible)
 
-    def resolve_qubits(self, ref: fe.NamedRef) -> list[int]:
+    def resolve_qubits(self, ref: fe.NamedRef) -> range | list[int]:
         """The flat ids a qubit ref names: one qubit, or a whole register's."""
         ids = self._operand(ref)
-        return ids if type(ids) is list else [ids]
+        return ids if type(ids) is range else [ids]
 
     def resolve_bits(self, ref: fe.NamedRef) -> list[tuple[str, int]]:
         """The (register, index) bits a classical ref names: one bit, or a
@@ -668,14 +673,19 @@ class _Analyzer:
         operands, whole = [], False
         for ref in stmt.qubits:  # a loop, not a comprehension: most calls have one or two
             operands.append(ids := self._operand(ref))
-            whole = whole or type(ids) is list
+            whole = whole or type(ids) is range
+        if whole:
+            positions = self._broadcast(stmt, operands)
+        elif len(operands) > 1 and len(set(operands)) != len(operands):
+            raise _repeated(stmt)
+        else:
+            positions = (operands,)
         out: list[ResolvedCall] = []
-        for qubits in self._broadcast(operands, stmt.span) if whole else (operands,):
-            if len(qubits) > 1 and len(set(qubits)) != len(qubits):
-                raise DuplicateQubitArg(
-                    f"gate '{stmt.name}' applied with a repeated qubit operand", stmt.span
-                )
+        for qubits in positions:
+            before = self.stmt_count
             out += self._part(stmt, callee, qubits, polarity, algebra, angles, stmt.span, ())[0]
+            if self.stmt_count == before:  # a position that builds nothing still costs 1
+                self._bump(stmt.span)
         return out
 
     def _part(self, call, callee, qubits, polarity, algebra, angles, span, stack):
@@ -695,15 +705,23 @@ class _Analyzer:
         template = self._template(call.name, algebra, angles, call.span, stack)
         return template.place(qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra, angles), template.height
 
-    def _broadcast(self, operands: list, span: fe.Span) -> list[list[int]]:
-        """Expand whole-register operands: same-width registers zip elementwise,
-        single qubits broadcast across iterations."""
-        widths = {len(op) for op in operands if type(op) is list}
+    def _broadcast(self, stmt: fe.GateCall, operands: list) -> Iterator[list[int]]:
+        """The positions of a call with whole-register operands, one at a
+        time: same-width registers zip elementwise, single qubits broadcast
+        across positions. Raises before listing any position that would
+        repeat a qubit: a register named whole twice, or whole and by one of
+        its qubits, or a qubit named twice."""
+        widths = {len(op) for op in operands if type(op) is range}
         if len(widths) > 1:
             raise ArityMismatch(
-                f"mismatched register widths {sorted(widths)} in one gate call", span
+                f"mismatched register widths {sorted(widths)} in one gate call", stmt.span
             )
-        return [[op[i] if type(op) is list else op for op in operands] for i in range(widths.pop())]
+        # a register named whole keys its qubits by its name, so a repeat is a key met twice
+        whole = {ref.name for ref, op in zip(stmt.qubits, operands) if type(op) is range}
+        keys = [ref.name if ref.name in whole else op for ref, op in zip(stmt.qubits, operands)]
+        if len(set(keys)) < len(keys):
+            raise _repeated(stmt)
+        return ([op[i] if type(op) is range else op for op in operands] for i in range(widths.pop()))
 
     def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
@@ -783,9 +801,7 @@ class _Analyzer:
                 qubits.append(slots[ref.name])
             callee = self._callee(call, len(polarity), strict=False)
             if len(set(qubits)) != len(qubits):
-                raise DuplicateQubitArg(
-                    f"gate '{call.name}' applied with a repeated qubit operand", call.span
-                )
+                raise _repeated(call)
             call_angles = [self.resolve_angle(a, scoped, formals) for a in call.args]
             placed, nested = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
             calls += placed
@@ -827,10 +843,7 @@ class _Analyzer:
         out: list[ResolvedStatement] = []
         for stmt in stmts:
             if type(stmt) is fe.GateCall:
-                before = self.stmt_count
                 out += self.resolve_call(stmt)  # bumps by the gates it lowers to
-                if self.stmt_count == before:
-                    self._bump(stmt.span)
             elif isinstance(stmt, (fe.QubitDecl, fe.BitDecl, fe.InputDecl, fe.ConstDecl, fe.GateDef)):
                 self.declare(stmt)  # the parser allows them at top level only
             elif isinstance(stmt, fe.MeasureAssign):
@@ -840,9 +853,14 @@ class _Analyzer:
                     self._bump(stmt.span)
                     out.append(Reset(q))
             elif isinstance(stmt, fe.Barrier):
-                qubits = tuple([q for ref in stmt.targets for q in self.resolve_qubits(ref)])
-                self._bump(stmt.span)
-                out.append(Nop(qubits))
+                qubits: list[int] = []
+                for ref in stmt.targets:  # each qubit costs 1, charged before it is listed
+                    ids = self.resolve_qubits(ref)
+                    self._bump(stmt.span, len(ids))
+                    qubits += ids
+                if not stmt.targets:
+                    self._bump(stmt.span)
+                out.append(Nop(tuple(qubits)))
             elif isinstance(stmt, fe.IfStatement):
                 out.append(self.resolve_if(stmt))
             elif isinstance(stmt, fe.ForStatement):

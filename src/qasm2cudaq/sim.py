@@ -85,8 +85,8 @@ which its shots draw the same values and so retrace the same path. Walking
 the smaller branch first keeps at most log2(chunk) branches waiting. Shots
 are taken in chunks of `_SHOT_CHUNK` consecutive indices, so no array grows
 with the shot count. `run_trajectory`, `measure` and `reset` are the
-one-shot case of the same walk: one row, which never splits, drawing from
-the caller's stream, which advances one draw per measure or reset executed.
+one-shot case of the same walk, rooted on the caller's RngStream row: one
+row never splits, and it advances one draw per measure or reset executed.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def apply_gate(state: StateVector, op: Gate, params: tuple[float, ...] = ()) -> 
     """Apply one canonical gate op by a one-gate build; returns the same
     StateVector, whose amplitudes may be a new array."""
     build = _GateBuild(state)
-    build.gate(op, gate_matrix(op, params))
+    build.gate(gate_matrix(op, params), op.targets, op.controls)
     return build.finish()
 
 
@@ -580,21 +580,6 @@ def _flatten(ops: list, layout: _Layout, out: list | None = None) -> list:
     return out
 
 
-class _CallerStream:
-    """The draws of a one-shot walk: the caller's stream, any object with
-    uniform(), as a one-row draw source. A one-row group never splits."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def uniform(self) -> np.ndarray:
-        return np.array([self.rng.uniform()])
-
-    def skip(self, steps: int) -> None:
-        for _ in range(steps):
-            self.rng.uniform()
-
-
 @dataclass
 class _Group:
     """Shots at program position pc with the classical mask `mask`: `rows`
@@ -607,7 +592,7 @@ class _Group:
     state: StateVector | None
     mask: int
     rows: np.ndarray
-    streams: ShotStreams | _CallerStream | None
+    streams: ShotStreams | None
     skipped: int = 0
 
 
@@ -662,7 +647,7 @@ def _walk(program: list, params: tuple[float, ...], root: _Group):
             op = program[pc]
             pc += 1
             if isinstance(op, Gate):
-                build.gate(op, gate_matrix(op, params))
+                build.gate(gate_matrix(op, params), op.targets, op.controls)
             elif isinstance(op, (_Write, Reset)):
                 build.finish()
                 p1 = _p1(state, op.qubit)
@@ -702,11 +687,11 @@ def _walk(program: list, params: tuple[float, ...], root: _Group):
 
 
 def _one_shot(state: StateVector, program: list, params: tuple[float, ...], rng: RngStream) -> int:
-    """Run a flattened program on `state` as one shot drawing from `rng`:
-    the walk with a single row, which never splits, so `state` ends as the
-    shot's final state (its amplitudes may be a new array). `rng` advances
-    one draw per measure or reset executed, skipped or not. Returns the mask."""
-    root = _Group(0, state, 0, np.zeros(1, dtype=np.intp), _CallerStream(rng))
+    """Run a flattened program on `state` as one shot: the walk rooted on
+    `rng`'s one row, which never splits, so `state` ends as the shot's final
+    state (its amplitudes may be a new array). The row advances in place, one
+    draw per measure or reset executed, skipped or not. Returns the mask."""
+    root = _Group(0, state, 0, np.zeros(1, dtype=np.intp), rng._row)
     (end,) = _walk(program, params, root)
     end.streams.skip(end.skipped)
     return end.mask
@@ -798,15 +783,16 @@ class _GateBuild:
         self.pending: dict[int, np.ndarray] = {}
         self.spare: np.ndarray | None = None  # made by the first gate applied
 
-    def gate(self, op: Gate, mat: np.ndarray) -> None:
-        qubits = op.targets + tuple(c for c, _ in op.controls)
+    def gate(self, mat: np.ndarray, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]) -> None:
+        """Apply `mat` on `targets` under `controls`, as `_apply` takes them."""
+        qubits = targets + tuple(c for c, _ in controls)
         if len(qubits) == 1:
             (q,) = qubits
             self.pending[q] = mat @ self.pending[q] if q in self.pending else mat
             return
         for q in qubits:
             self._flush_pending(q)
-        self._apply(mat, op.targets, op.controls)
+        self._apply(mat, targets, controls)
 
     def _spare(self) -> np.ndarray:
         if self.spare is None:
@@ -910,22 +896,21 @@ def _factors(bound: BoundKernel) -> tuple[int, set[int], np.ndarray, list[np.nda
     columns. A control on a lone qubit in a basis state is first folded
     away (`_open_controls`), so a gate whose other controls are all such
     drops to its targets or, when one control is never met, drops out. Any
-    other gate adds its qubits to the block. Only the block, renumbered in
-    order, goes through `_GateBuild`, which starts from the outer product of
-    its columns."""
+    other gate adds its qubits to the block as a (matrix, targets, kept
+    controls) triple. Only the block goes through `_GateBuild`, which starts
+    from the outer product of its columns and takes each triple with its
+    qubits renumbered in order."""
     n = bound.kernel.qubit_count
     _check_width(n)
     columns = [_KET0] * n
     entangled: set[int] = set()
-    rest: list[tuple[Gate, np.ndarray]] = []
+    rest: list[tuple[np.ndarray, tuple[int, ...], tuple[tuple[int, int], ...]]] = []
     for op in bound.kernel.body:
         if not isinstance(op, Gate):
             continue
         controls = _open_controls(op.controls, columns, entangled)
         if controls is None:
             continue
-        if controls != op.controls:  # ops are shared, so a folded gate is a new op
-            op = Gate(op.base, op.angles, op.targets, controls, op.adjoint)
         mat = gate_matrix(op, bound.values)
         qubits = op.targets + tuple(c for c, _ in controls)
         lone = entangled.isdisjoint(qubits)
@@ -936,13 +921,12 @@ def _factors(bound: BoundKernel) -> tuple[int, set[int], np.ndarray, list[np.nda
             columns[a], columns[b] = columns[b], columns[a]
         else:
             entangled.update(qubits)
-            rest.append((op, mat))
+            rest.append((mat, op.targets, controls))
     block = sorted(entangled)
     index = {q: i for i, q in enumerate(block)}
     build = _GateBuild(StateVector(len(block), _product_state([columns[q] for q in block])))
-    for op, mat in rest:  # ops are shared, so the build gets renumbered copies
-        targets = tuple(index[q] for q in op.targets)
-        build.gate(Gate(op.base, op.angles, targets, tuple((index[q], pol) for q, pol in op.controls), op.adjoint), mat)
+    for mat, targets, controls in rest:
+        build.gate(mat, tuple(index[q] for q in targets), tuple((index[q], pol) for q, pol in controls))
     return n, entangled, build.finish().amps, columns
 
 

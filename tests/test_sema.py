@@ -499,6 +499,59 @@ class TestDeclarationLimit:
         assert str(err.value).startswith("semantic error at 3:1: qubit register 'q' of 100000000 elements")
 
 
+class TestWholeRegisterBudget:
+    """A whole-register statement is charged per position or qubit before
+    the next is built, also where a position builds nothing, and a repeated
+    qubit is refused before any position exists."""
+
+    @pytest.mark.parametrize(
+        "decls, line",
+        [("", "pow(0) @ h q;"), ("gate e a { }\n", "e q;"), ("", "barrier q;")],
+        ids=["pow0", "empty-gate", "barrier"],
+    )
+    def test_charged_per_position(self, monkeypatch, decls, line):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 50)
+        source = f"{HEADER}qubit[30] q;\n{decls}{line}\n"
+        analyze(source)
+        with pytest.raises(ProgramTooLarge) as err:
+            analyze(f"{source}{line}\n")
+        row = source.count("\n") + 1
+        assert str(err.value) == f"semantic error at {row}:1: program exceeds 50 statements after loop unrolling"
+
+    def test_barrier_is_charged_per_qubit_and_bare_as_one(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 50)
+        source = f"{HEADER}qubit[30] q;\nqubit[20] r;\nbarrier q, r;\n"
+        analyze(source)
+        with pytest.raises(ProgramTooLarge) as err:
+            analyze(f"{source}barrier;\n")
+        assert str(err.value).startswith("semantic error at 6:1: program exceeds 50")
+        with pytest.raises(ProgramTooLarge) as err:
+            analyze(f"{HEADER}qubit[30] q;\nbarrier q, q;\n")
+        assert str(err.value).startswith("semantic error at 4:1: program exceeds 50")
+
+    @pytest.mark.parametrize(
+        "width, name, operands",
+        [
+            (16384, "ctrl @ " * 63 + "x", ", ".join(["q"] * 64)),
+            (65536, "cx", "q, q[5]"),
+            (65536, "ccx", "q[3], r, q[3]"),
+        ],
+        ids=["register-64-times", "register-and-element", "element-twice"],
+    )
+    def test_repeat_raises_before_any_position(self, width, name, operands):
+        source = f"{HEADER}qubit[{width}] q;\nqubit[{width}] r;\n{name} {operands};\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DuplicateQubitArg) as err:
+                analyze(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        base = name.split()[-1]
+        assert str(err.value) == f"semantic error at 5:1: gate '{base}' applied with a repeated qubit operand"
+
+
 class TestErrorTexts:
     def test_error_corpus_outcomes_match_record(self):
         # recorded by scripts/record_goldens.py: the exact error text (or the
