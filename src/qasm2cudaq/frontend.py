@@ -342,6 +342,8 @@ _ARG_ENDS = (",", ")")  # what may follow a gate argument built without parse_ex
 # emitters all recurse over the tree, so this keeps every pass well under the
 # interpreter's recursion limit.
 MAX_NESTING = 100
+# The longest integer literal: int() refuses more digits than int_max_str_digits, 0 (none) or at least 640.
+MAX_INT_DIGITS = 640
 
 
 class _Parser:
@@ -450,7 +452,7 @@ class _Parser:
         size = 1
         if self.at("["):  # optional `[N]`
             self.advance()
-            size = int(self.lexemes[self.expect_kind(INTEGER, "register size")])
+            size = self.int_lit(self.expect_kind(INTEGER, "register size"))
             self.expect("]")
         name = self.expect_kind(IDENTIFIER, "register name")
         self.expect(";")
@@ -482,7 +484,7 @@ class _Parser:
             self.expect("]")
             name = self.expect_kind(IDENTIFIER, "parameter name")
             self.expect(";")
-            return InputDecl(self.lexemes[name], int(self.lexemes[count]), True, i)
+            return InputDecl(self.lexemes[name], self.int_lit(count), True, i)
         self.unsupported(f"input type {self.lexemes[self.pos]!r} (only float scalars/arrays)")
 
     def parse_const_decl(self) -> ConstDecl:
@@ -567,7 +569,7 @@ class _Parser:
         if self.lexemes[self.pos] == "[":
             i = self.pos + 1
             if self.kinds[i] == INTEGER and self.lexemes[i + 1] == "]":  # a literal index
-                index = IntLit(int(self.lexemes[i]), i)
+                index = IntLit(self.int_lit(i), i)
                 self.pos = i + 2
             else:
                 self.pos = i
@@ -677,7 +679,7 @@ class _Parser:
         kind, lexeme = self.kinds[i], self.lexemes[i]
         if kind == INTEGER:
             self.pos += 1
-            return IntLit(int(lexeme), i)
+            return IntLit(self.int_lit(i), i)
         if kind == FLOAT:
             self.pos += 1
             return self.float_lit(i)
@@ -700,6 +702,12 @@ class _Parser:
             self.depth -= 1
             return expr
         raise self.error("an expression")
+
+    def int_lit(self, i: int) -> int:
+        """The integer literal at token `i`, of at most MAX_INT_DIGITS digits."""
+        if len(self.lexemes[i]) > MAX_INT_DIGITS:
+            raise self.error(f"an integer literal of at most {MAX_INT_DIGITS} digits", i)
+        return int(self.lexemes[i])
 
     def float_lit(self, i: int) -> FloatLit:
         """The float literal at token `i`, which must be finite."""

@@ -22,7 +22,8 @@ call builds its own placement, then applies its own inv/pow; calls are
 shared only between the replicas of a pow and the repeats of an invariant
 loop, and a plain placement is the template's own calls (see
 `ResolvedCall`). Every expansion is counted against UNROLL_CAP before its
-calls exist.
+calls exist; a zero pow product builds nothing and walks no body, so the
+count only grows.
 """
 
 from __future__ import annotations
@@ -174,7 +175,10 @@ Algebra = tuple[tuple[str, int | None], ...]  # ("inv", None) | ("pow", k), oute
 def _algebra(items: list, algebra: Algebra, invert) -> list:
     """Apply inv/pow modifiers innermost first: `inv` reverses the sequence
     and inverts each item; `pow(k)` replicates it |k| times, inverting first
-    when k < 0. Items are gates (one builtin call) or calls (a user gate)."""
+    when k < 0, and a zero exponent empties it before any replica exists.
+    Items are gates (one builtin call) or calls (a user gate)."""
+    if ("pow", 0) in algebra:
+        return []
     for kind, k in reversed(algebra):
         if kind == "inv" or k < 0:
             items = [invert(item) for item in reversed(items)]
@@ -238,12 +242,13 @@ class _Template:
     """A user gate body compiled once per key (see `_Analyzer._template`)
     over its formal qubits, numbered 0 to k-1, with `_Formal` and
     `_FormalRef` angles where a formal is bound per call. Each call places
-    it anew; only a plain placement shares its calls."""
+    it anew; only a plain placement shares its calls. No check of its walk
+    saw more than `count`: the count only grows (see `_Analyzer._part`)."""
 
     count: int  # canonical gates one plain call lowers to
-    peak: int  # most budget counted at any check while it was built, over the start
     height: int  # definitions it nests, itself included
     free: bool  # some angle formal is bound when the template is placed
+    unwalked: frozenset[str]  # gates called under a zero pow product at any depth, bodies unwalked
     calls: list[ResolvedCall]  # the body's calls, on the formal qubits
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
@@ -487,7 +492,6 @@ class _Analyzer:
         self.qubit_count = 0
         # statements built, plus the gates of the gate call being inlined
         self.stmt_count = 0
-        self.high = 0  # most `stmt_count` plus cost seen by a check, for _Template.peak
         self.min_costs: dict[str, int] = {}
         self.templates: dict[tuple, _Template] = {}
         # per gate, per angle formal: whether it is free (see `declare`)
@@ -523,14 +527,11 @@ class _Analyzer:
             self.param_offset[stmt.name] = spec
         elif isinstance(stmt, fe.ConstDecl):
             value = const_eval(stmt.expr, self.visible)
-            if stmt.is_int:
-                if isinstance(value, float):
-                    if not value.is_integer():
-                        raise SemaError(
-                            f"const int '{stmt.name}' initializer is not an integer", stmt.span
-                        )
-                    value = int(value)
-            else:
+            if stmt.is_int and isinstance(value, float):
+                if not value.is_integer():
+                    raise SemaError(f"const int '{stmt.name}' initializer is not an integer", stmt.span)
+                value = int(value)
+            elif not stmt.is_int:
                 value = _to_double(value, stmt.span)
             self._define(stmt.name, SymbolEntry(_CONST, 1, value), stmt.span)
         elif isinstance(stmt, fe.GateDef):
@@ -690,20 +691,31 @@ class _Analyzer:
 
     def _part(self, call, callee, qubits, polarity, algebra, angles, span, stack):
         """One gate call over resolved operands, its gates counted, as
-        (calls, definitions it nests): a builtin call's one ResolvedCall and
-        0, or a user gate's template placed on the operands and its height.
-        A builtin checks the budget at `span`, the enclosing call's in a gate
-        body. Its gate takes modifier controls (one leading operand per
-        polarity), then the named gate's own controls, then targets."""
+        (calls, definitions it nests, gates it names unwalked): a builtin
+        call's one ResolvedCall, or a user gate's template placed on the
+        operands. A builtin checks the budget at `span`, the enclosing call's
+        in a gate body. Its gate takes modifier controls (one leading operand
+        per polarity), then the named gate's own controls, then targets. A
+        user gate under a zero pow product, once checked for recursion and
+        depth, is not walked, as for a gate never called: it builds nothing,
+        is one definition deep and names itself unwalked (see `_template`)."""
         if type(callee) is tuple:
             self.stmt_count = self._check_budget(_pow_product(algebra) if algebra else 1, span)
             _, _, base, named, adjoint = callee
             n = len(polarity) + named
             controls = tuple(zip(qubits, polarity + (POS,) * named)) if n else ()
             gate = Gate(base, tuple(angles), tuple(qubits[n:]) if n else tuple(qubits), controls, adjoint)
-            return [ResolvedCall(_algebra([gate], algebra, _invert_gate) if algebra else [gate])], 0
-        template = self._template(call.name, algebra, angles, call.span, stack)
-        return template.place(qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra, angles), template.height
+            return [ResolvedCall(_algebra([gate], algebra, _invert_gate) if algebra else [gate])], 0, ()
+        name, at = call.name, call.span
+        if name in stack:
+            raise RecursiveGateDef(f"recursive gate definition: {' -> '.join(stack + (name,))}", at)
+        if len(stack) >= fe.MAX_NESTING:  # inlining recurses once per level
+            raise ProgramTooLarge(f"gate '{name}' is inlined more than {fe.MAX_NESTING} definitions deep", at)
+        if ("pow", 0) in algebra:
+            return [], 1, (name,)
+        template = self._template(name, algebra, angles, at, stack)
+        placed = template.place(qubits[len(polarity) :], tuple(zip(qubits, polarity)), algebra, angles)
+        return placed, template.height, template.unwalked
 
     def _broadcast(self, stmt: fe.GateCall, operands: list) -> Iterator[list[int]]:
         """The positions of a call with whole-register operands, one at a
@@ -725,22 +737,15 @@ class _Analyzer:
 
     def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
         """The template of user gate `name` for `angles`; one call under
-        `algebra` leaves its gates counted. The checks are those of
-        walking the body here, in order: recursion, nesting depth, a lower
-        bound on the cost, the body, then each pow before its replicas exist.
-        A template is reused only where its walk could pass no limit; else
-        the body is walked again, to raise at the same call as before.
-        """
-        if name in stack:
-            raise RecursiveGateDef(
-                f"recursive gate definition: {' -> '.join(stack + (name,))}", span
-            )
-        if len(stack) >= fe.MAX_NESTING:  # inlining recurses once per level
-            raise ProgramTooLarge(
-                f"gate '{name}' is inlined more than {fe.MAX_NESTING} definitions deep", span
-            )
-        pows = [abs(k) for kind, k in algebra if kind == "pow"] if algebra else []
-        self._check_budget(self._gate_min_cost(name) * math.prod(pows), span)
+        `algebra`, whose pow product is not zero (see `_part`), leaves its
+        gates counted. The checks are those of walking the body here, in
+        order: a lower bound on the cost, the body, then its count times the
+        pow product, before the replicas exist. As the count only grows, a
+        template is reused where its count fits the budget, its height the
+        nesting limit, and no gate it left unwalked is on the stack; else
+        the body is walked again, to raise at the same call as before."""
+        product = _pow_product(algebra)
+        self._check_budget(self._gate_min_cost(name) * product, span)
         base = self.stmt_count
         # Free formals are bound when the template is placed; only whether
         # each is a ParamRef selects the template. The other angles select it
@@ -751,44 +756,37 @@ class _Analyzer:
         runtime = tuple([isinstance(a, ParamRef) for a, f in zip(angles, free) if f])
         key = (name, fixed, runtime)
         template = self.templates.get(key)
-        if template and len(stack) + template.height <= fe.MAX_NESTING and (
-            base + template.peak <= UNROLL_CAP
-        ):
-            self.high = max(self.high, base + template.peak)
-        else:
+        reuse = template and base + template.count <= UNROLL_CAP and template.unwalked.isdisjoint(stack)
+        if not (reuse and len(stack) + template.height <= fe.MAX_NESTING):
             template = self._compile(self.gate_defs[name], angles, span, stack + (name,))
             self.templates[key] = template
-        cost = template.count
-        for k in reversed(pows):
-            cost *= k
-            self.stmt_count = base
-            self._check_budget(cost, span)  # before the replicas are built
-        self.stmt_count = base + cost
+        self.stmt_count = base
+        self._bump(span, template.count * product)  # before the replicas are built
         return template
 
     def _compile(self, gate_def: fe.GateDef, angles: list, span: fe.Span, stack: tuple) -> _Template:
         """Walk a gate body once, over its formal qubits 0 to k-1, placing a
         nested user gate where it is called. `stmt_count` counts the
         gates built into the bodies of every inline in progress, so sibling
-        bodies cannot each grow to the cap; the body stays counted there."""
+        bodies cannot each grow to the cap; the body stays counted there.
+        A call under a zero pow product charges nothing and walks no body."""
         # A free formal is bound to a placeholder, which the body never folds
         # (it is only ever a whole angle); placing the template replaces it.
-        free = self.free_formals[gate_def.name]
-        formals: dict[str, Angle] = {}
-        for i, (name, value) in enumerate(zip(gate_def.params, angles)):
-            formals[name] = (_FormalRef(i) if isinstance(value, ParamRef) else _Formal(i)) if free[i] else value
         # The body's names resolve in one table: the formals over the
         # globals. Only bare references to a formal bound to a ParamRef are
         # representable; as a runtime input, const_eval reports NotConst.
+        free = self.free_formals[gate_def.name]
+        formals: dict[str, Angle] = {}
         scoped = dict(self.globals)
-        for name, value in formals.items():
+        for i, (name, value) in enumerate(zip(gate_def.params, angles)):
             runtime = isinstance(value, ParamRef)
+            formals[name] = value = (_FormalRef(i) if runtime else _Formal(i)) if free[i] else value
             scoped[name] = SymbolEntry(_INPUT if runtime else _CONST, 1, None if runtime else value)
         slots = {name: i for i, name in enumerate(gate_def.qubits)}
-        base, high = self.stmt_count, self.high
-        self.high = base
+        base = self.stmt_count
         calls: list[ResolvedCall] = []
         height = 1
+        unwalked: set[str] = set()
         for call in gate_def.body:
             polarity, algebra = self._modifiers(call.modifiers, scoped) if call.modifiers else ((), ())
             qubits = []
@@ -803,12 +801,11 @@ class _Analyzer:
             if len(set(qubits)) != len(qubits):
                 raise _repeated(call)
             call_angles = [self.resolve_angle(a, scoped, formals) for a in call.args]
-            placed, nested = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
+            placed, nested, names = self._part(call, callee, qubits, polarity, algebra, call_angles, span, stack)
             calls += placed
             height = max(height, nested + 1)
-        template = _Template(self.stmt_count - base, self.high - base, height, True in free, calls)
-        self.high = max(high, self.high)
-        return template
+            unwalked.update(names)
+        return _Template(self.stmt_count - base, height, True in free, frozenset(unwalked), calls)
 
     def _gate_min_cost(self, name: str, depth: int = 0) -> int:
         """A lower bound on the calls one plain call of user gate `name`
@@ -827,13 +824,11 @@ class _Analyzer:
     # -- statements ---------------------------------------------------------
     def _check_budget(self, cost: int, span: fe.Span) -> int:
         """Raise before building statements that would take the program
-        past UNROLL_CAP; note the most counted, for _Template.peak. Returns
-        the count with them."""
+        past UNROLL_CAP. Returns the count with them, which only grows
+        (nothing charged is discarded): a walk's last check is its highest."""
         need = self.stmt_count + cost
         if need > UNROLL_CAP:
             raise ProgramTooLarge(f"program exceeds {UNROLL_CAP} statements after loop unrolling", span)
-        if need > self.high:
-            self.high = need
         return need
 
     def _bump(self, span: fe.Span, by: int = 1) -> None:
@@ -905,10 +900,11 @@ class _Analyzer:
     def resolve_for(self, stmt: fe.ForStatement) -> list[ResolvedStatement]:
         """The loop unrolled. An invariant loop (only gate calls and loops of
         them that do not mention the variable, which no gate body can read)
-        is resolved once: if its first iteration's count and peak, repeated, fit
-        under UNROLL_CAP, the repeats are charged in one check and share its
-        calls, read-only (see `ResolvedCall`). Else, and for any other
-        loop, each iteration is resolved, raising where it always did."""
+        is resolved once: if its first iteration's count, repeated, fits
+        under UNROLL_CAP, the repeats are charged at once and share its
+        calls, read-only (see `ResolvedCall`). The count only grows, so each
+        repeat would pass every check the first passed. Else, and for any
+        other loop, each iteration is resolved, raising where it always did."""
         start = _const_int(stmt.start, self.visible, "loop bound", exc=NonConstLoopBound)
         stop = _const_int(stmt.stop, self.visible, "loop bound", exc=NonConstLoopBound)
         step = 1
@@ -922,9 +918,7 @@ class _Analyzer:
         self._check_budget(trips * max(1, _min_cost(stmt.body)), stmt.span)
         names: set[str] = set()
         once = trips > 1 and _gate_loop_names(stmt.body, names) and stmt.var not in names
-        first, high = self.stmt_count, self.high
-        if once:
-            self.high = first  # to read the first iteration's peak
+        first = self.stmt_count
         out: list[ResolvedStatement] = []
         shadowed = self.visible.get(stmt.var)
         try:
@@ -934,16 +928,10 @@ class _Analyzer:
                 out.extend(self.resolve_statements(stmt.body))
                 if self.stmt_count == before:
                     self._bump(stmt.span)
-                if once:
-                    once = False
-                    cost, peak = self.stmt_count - first, self.high - first
-                    self.high = max(high, self.high)
-                    last = first + (trips - 1) * cost  # where the last repeat starts
-                    if last + peak <= UNROLL_CAP:
-                        self.stmt_count = last
-                        self._check_budget(peak, stmt.span)
-                        self.stmt_count = last + cost
-                        return out * trips
+                if once and (total := first + trips * (self.stmt_count - first)) <= UNROLL_CAP:
+                    self.stmt_count = total
+                    return out * trips
+                once = False
         finally:  # on every exit, the name reads what it read before the loop
             if shadowed is None:
                 self.visible.pop(stmt.var, None)

@@ -437,6 +437,11 @@ _REAL_FOLD_RUN = 4
 _EYES = {1 << k: np.eye(1 << k) for k in range(_FOLD_RUN.bit_length())}  # runs are powers of 2
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of square matrices, without its Python overhead, which outweighs a small state's pass."""
+    return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _dense(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> None:
     """mat along `axis` of a controls-fixed view, through one matrix product
     written into `out`, a view of another buffer shaped like `sub`. The axis
@@ -448,8 +453,7 @@ def _dense(sub: np.ndarray, axis: int, mat: np.ndarray, out: np.ndarray) -> None
         # targets just above the contiguous run: rows of width*run
         # amplitudes times kron(mat, I_run)^T
         shape = sub.shape[:-2] + (width * run,)
-        fold = (mat[:, None, :, None] * _EYES[run][:, None, :]).reshape(width * run, width * run)
-        np.matmul(sub.reshape(shape), fold.T, out=out.reshape(shape))
+        np.matmul(sub.reshape(shape), _kron(mat, _EYES[run]).T, out=out.reshape(shape))
         return
     if real:
         # re and im of each amplitude are adjacent doubles of the last axis
@@ -845,8 +849,7 @@ class _GateBuild:
         the Kronecker product of the pending matrices and identities, over
         the window's qubits as one axis."""
         mats = [self.pending.pop(q, _EYES[2]) for q in range(high, low - 1, -1)]
-        # np.kron's products without its Python overhead, which outweighs a small state's pass
-        mat = functools.reduce(lambda a, b: (a[:, None, :, None] * b[:, None, :]).reshape(2 * len(a), -1), mats)
+        mat = functools.reduce(_kron, mats)
         self._product(self.state.amps.reshape(-1, mat.shape[0], 1 << low), 1, mat)
 
     def finish(self) -> StateVector:

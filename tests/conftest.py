@@ -110,6 +110,18 @@ NON_FINITE_PROBES = {
     "int-past-double": (PROBE_HEADER + "const float a = " + "*".join(["1000000000"] * 40) + ";\n", (5, 1)),
 }
 
+# name -> (source, (line, col)) of an integer literal of 5,000 digits, past
+# the interpreter's default int_max_str_digits of 4,300, where each parser
+# path reads one
+_LONG_INT = "9" * 5000
+LONG_INT_PROBES = {
+    "register-size": (PROBE_HEADER + f"qubit[{_LONG_INT}] r;\n", (5, 7)),
+    "input-count": (PROBE_HEADER + f"input array[float[64], {_LONG_INT}] t;\n", (5, 24)),
+    "literal-index": (PROBE_HEADER + f"x q[{_LONG_INT}];\n", (5, 5)),
+    "angle": (PROBE_HEADER + f"rz({_LONG_INT}) q;\n", (5, 4)),
+    "loop-bound": (PROBE_HEADER + f"for int i in [0:{_LONG_INT}] {{ x q; }}\n", (5, 17)),
+}
+
 # Digits of other scripts are illegal characters, not literals: (source,
 # line:col of the first one)
 UNICODE_DIGITS_PROBE = (PROBE_HEADER + "qubit[\u0663] r;\nrz(\u0661.\u0665) r[\u0662];\n", (5, 7))

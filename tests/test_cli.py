@@ -8,7 +8,7 @@ import pytest
 
 from qasm2cudaq import cli, sim
 
-from conftest import EXPANSION_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
+from conftest import EXPANSION_PROBES, LONG_INT_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
 
 BELL = (
     "OPENQASM 3.0;\n"
@@ -252,9 +252,9 @@ class TestTranspile:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "kernel qubits=2 params=- classical=c:2"
 
-    @pytest.mark.parametrize("name", sorted(NESTING_PROBES) + sorted(NON_FINITE_PROBES))
+    @pytest.mark.parametrize("name", sorted(NESTING_PROBES) + sorted(NON_FINITE_PROBES) + sorted(LONG_INT_PROBES))
     def test_resource_probe_is_one_line_error(self, tmp_path, capsys, name):
-        source, (line, col) = {**NESTING_PROBES, **NON_FINITE_PROBES}[name]
+        source, (line, col) = {**NESTING_PROBES, **NON_FINITE_PROBES, **LONG_INT_PROBES}[name]
         path = tmp_path / "probe.qasm"
         path.write_text(source)
         assert cli.main(["transpile", str(path)]) == 2

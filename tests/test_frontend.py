@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import re
+import sys
 import time
 
 import pytest
@@ -13,7 +14,7 @@ from qasm2cudaq.emit import EMISSION_TARGETS, emit
 from qasm2cudaq.errors import EmitError, IndexOutOfRange, LexError, NonFiniteConst, ParseError, UndefinedName, UnsupportedConstruct
 from qasm2cudaq.suites import compile_source
 
-from conftest import CORPUS, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
+from conftest import CORPUS, LONG_INT_PROBES, NESTING_PROBES, NON_FINITE_PROBES, PROBE_HEADER, UNICODE_DIGITS_PROBE
 from golden_cases import GOLDEN_CASES
 from unparser import unparse
 
@@ -357,6 +358,29 @@ class TestResourceProbes:
         err = _timed_raise(ParseError, source)
         assert (err.line, err.col) == position
         assert f"at most {fe.MAX_NESTING} levels of nesting" in err.expected
+
+    @pytest.mark.parametrize("name", sorted(LONG_INT_PROBES))
+    def test_long_integer_literal_is_a_parse_error(self, name):
+        source, position = LONG_INT_PROBES[name]
+        err = _timed_raise(ParseError, source)
+        assert (err.line, err.col) == position
+        assert err.expected == f"an integer literal of at most {fe.MAX_INT_DIGITS} digits"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int_max_str_digits setting")
+    def test_integer_literal_limit_holds_at_the_lowest_digit_setting(self):
+        # 640 is the lowest limit the setting takes; the parser reads up to
+        # MAX_INT_DIGITS digits under it and refuses one more as a ParseError
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            digits = "9" * fe.MAX_INT_DIGITS
+            ast = fe.parse_source(f"{PROBE_HEADER}const int k = {digits};\n")
+            assert ast.statements[-1].expr.value == int(digits)
+            with pytest.raises(ParseError) as exc:
+                fe.parse_source(f"{PROBE_HEADER}const int k = {digits}9;\n")
+            assert (exc.value.line, exc.value.col) == (5, 15)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("name", sorted(NON_FINITE_PROBES))
     def test_non_finite_constant_is_a_sema_error(self, name):

@@ -552,6 +552,122 @@ class TestWholeRegisterBudget:
         assert str(err.value) == f"semantic error at 5:1: gate '{base}' applied with a repeated qubit operand"
 
 
+def _traced_peak(source: str) -> int:
+    """The tracemalloc peak of analyzing `source`, in bytes."""
+    tracemalloc.start()
+    try:
+        analyze(source)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The user gates a pow chain may call: walking `k`'s body raises UndefinedName.
+_CHAIN_HEAD = (
+    f"{HEADER}gate f a {{ h a; x a; }}\ngate g(t) a, b {{ cx a, b; rz(t) b; }}\n"
+    "gate k a { pow(0) @ f a; nope a; }\nqubit[4] q;\n"
+)
+# the gates a chain is drawn over, as (name with its angles, qubit operands)
+_CHAIN_GATES = [("h", 1), ("rz(0.5)", 1), ("cx", 2), ("f", 1), ("g(0.5)", 2), ("k", 1)]
+# past the real UNROLL_CAP, so no product that holds it ever fits
+_LARGE_EXPONENT = 10**7
+
+
+@st.composite
+def pow_chain(draw):
+    """A gate call under a chain of pow, inv and ctrl modifiers, and a copy
+    with its pow exponents (0 to 3, or one larger than any cap) permuted
+    over the same places, on one line at the same column."""
+    name, arity = draw(st.sampled_from(_CHAIN_GATES))
+    exponents = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        exponents[0] = _LARGE_EXPONENT
+    kinds = draw(st.permutations(["pow"] * len(exponents) + draw(st.lists(st.sampled_from(["inv", "ctrl"]), max_size=2))))
+    operands = ", ".join(f"q[{i}]" for i in range(kinds.count("ctrl") + arity))
+
+    def call(values: list[int]) -> str:
+        it = iter(values)
+        return "".join(f"pow({next(it)}) @ " if kind == "pow" else f"{kind} @ " for kind in kinds) + f"{name} {operands};\n"
+
+    return _CHAIN_HEAD + call(exponents), _CHAIN_HEAD + call(draw(st.permutations(exponents)))
+
+
+class TestZeroPow:
+    """A zero pow product is handled before anything is built: a builtin
+    under it builds no replica, and a user gate under it, once checked for
+    recursion and nesting depth, compiles and places no template, as for a
+    gate that is never called."""
+
+    def test_zero_over_a_large_exponent_builds_no_replica(self):
+        assert _traced_peak(f"{HEADER}qubit q;\npow(0) @ pow({10**7}) @ h q;\n") < 1 << 20
+
+    def test_zero_over_user_gates_compiles_no_template(self):
+        lines = "".join(f"gate g{k} a {{ pow(1000000) @ x a; }}\npow(0) @ g{k} q;\n" for k in range(10))
+        source = f"{HEADER}qubit q;\n{lines}"
+        assert len(source) == 537
+        assert _traced_peak(source) < 1 << 20
+
+    def test_zero_product_is_order_independent(self, monkeypatch):
+        monkeypatch.setattr(sema, "UNROLL_CAP", 50)
+        dumps = {
+            kir.dump(kir.lower(analyze(f"{HEADER}gate g a {{ x a; }}\nqubit q;\n{chain} @ {name} q;\n")))
+            for chain in ("pow(0) @ pow(100)", "pow(100) @ pow(0)")
+            for name in ("g", "h")
+        }
+        assert dumps == {"kernel qubits=1 params=- classical=-\n"}
+
+    def test_body_under_a_zero_product_is_not_walked(self):
+        # `b` is no formal of g: walking the body would raise UndefinedName
+        vp = analyze(f"{HEADER}gate g a {{ x b; }}\nqubit q;\npow(0) @ g q;\n")
+        assert kir.dump(kir.lower(vp)) == "kernel qubits=1 params=- classical=-\n"
+        with pytest.raises(RecursiveGateDef) as err:
+            analyze(f"{HEADER}gate g a {{ pow(0) @ g a; }}\nqubit q;\ng q;\n")
+        assert str(err.value) == "semantic error at 3:12: recursive gate definition: g -> g"
+
+    @given(pow_chain())
+    def test_permuting_pow_exponents_keeps_the_outcome(self, pair):
+        real_cap = sema.UNROLL_CAP
+        try:
+            # every cap up to the first that passes; a chain whose product
+            # holds the large exponent passes none, and any other costs at most 54
+            for cap in [*range(1, 56), real_cap]:
+                sema.UNROLL_CAP = cap
+                outcome = _outcome(pair[0])
+                assert outcome == _outcome(pair[1]), cap
+                if not outcome.startswith("ProgramTooLarge"):
+                    break
+        finally:
+            sema.UNROLL_CAP = real_cap
+        assert cap < 56 or str(_LARGE_EXPONENT) in pair[0]
+
+    @pytest.mark.parametrize(
+        "gates, first, error",
+        [
+            (
+                "gate w a { pow(0) @ g a; }\ngate g a { w a; }\n",
+                "w q;\n",
+                "RecursiveGateDef: semantic error at 3:12: recursive gate definition: g -> w -> g",
+            ),
+            (
+                "gate x0 a { x a; }\ngate w a { pow(0) @ x0 a; }\n"
+                + "".join(f"gate c{i} a {{ c{i + 1} a; }}\n" for i in range(1, 99))
+                + "gate c99 a { w a; }\n",
+                "w q;\n",
+                f"ProgramTooLarge: semantic error at 4:12: gate 'x0' is inlined more than {fe.MAX_NESTING} definitions deep",
+            ),
+        ],
+        ids=["recursion", "nesting-depth"],
+    )
+    def test_reused_template_raises_as_a_fresh_walk(self, gates, first, error):
+        # g (or c1) calls w, whose body calls a gate under a zero product,
+        # with a stack on which that call fails its check; a template of w
+        # compiled first, at top level, passed it, so it is not reused there
+        source = HEADER + gates + "qubit q;\n"
+        entry = "g q;\n" if "gate g " in gates else "c1 q;\n"
+        assert _outcome(source + entry) == error
+        assert _outcome(source + first + entry) == error
+
+
 class TestErrorTexts:
     def test_error_corpus_outcomes_match_record(self):
         # recorded by scripts/record_goldens.py: the exact error text (or the
@@ -573,8 +689,9 @@ def _outcome(source: str) -> str:
 def invariant_loop(draw):
     """A loop over `r` whose body never reads r, around `pow(k) @ g(...)`,
     and a copy that reads r to no effect in that exponent, at the same line
-    and column. With `pow(0) @ f` in g's body, g's peak exceeds its count.
-    Loops around it are invariant in both, so their checks read its peak."""
+    and column. A `pow(0) @ f` in g's body charges nothing and walks no
+    body. Loops around it are invariant in both, so their one charge reads
+    g's count."""
     k = draw(st.integers(min_value=0, max_value=3))
     hidden = " pow(0) @ f a;" if draw(st.booleans()) else ""
     before = "x q[0];\n" * draw(st.integers(min_value=0, max_value=2))
@@ -599,8 +716,7 @@ class TestInvariantLoops:
         total = len(kir.lower(analyze(invariant)).body)
         real_cap = sema.UNROLL_CAP
         try:
-            # every cap up to the first that passes, which a hidden pow(0)
-            # puts past the total
+            # every cap up to the first that passes, which is at least the total
             for cap in itertools.count(1):
                 sema.UNROLL_CAP = cap
                 outcome = _outcome(invariant)
