@@ -89,7 +89,7 @@ class DivByZero(SemaError):
 
 
 class NonFiniteConst(SemaError):
-    """A constant expression that folds to inf or NaN, or past a double's range."""
+    """A constant expression that folds to inf or NaN, past a double's range, or past MAX_INT_DIGITS digits."""
 
 
 class ProgramTooLarge(SemaError):

@@ -342,7 +342,7 @@ _ARG_ENDS = (",", ")")  # what may follow a gate argument built without parse_ex
 # emitters all recurse over the tree, so this keeps every pass well under the
 # interpreter's recursion limit.
 MAX_NESTING = 100
-# The longest integer literal: int() refuses more digits than int_max_str_digits, 0 (none) or at least 640.
+# The most digits of an integer literal or fold: int() and str() refuse more than int_max_str_digits (0, none, or >= 640).
 MAX_INT_DIGITS = 640
 
 

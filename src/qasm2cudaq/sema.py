@@ -13,17 +13,18 @@ level and a call in a gate body. Names resolve in plain dicts: a top-level
 name reads the declarations with the loop variables in scope on top, and a
 gate body reads its formals over the declarations, never a caller's loop
 variables, so it means the same at every call. Once per key (the gate and
-the values of the angle formals that shape its gates: pow exponents,
+the signed values of the angle formals that shape its gates: pow exponents,
 arithmetic, fixed formals of nested gates) it is compiled into a
 `_Template`, the calls of its body over its formal qubits 0 to k-1 with
 nested user gates placed in them. A formal used only as a whole angle stays
-free: each call binds it when it places the template on its qubits. Each
-call builds its own placement, then applies its own inv/pow; calls are
-shared only between the replicas of a pow and the repeats of an invariant
-loop, and a plain placement is the template's own calls (see
-`ResolvedCall`). Every expansion is counted against UNROLL_CAP before its
-calls exist; a zero pow product builds nothing and walks no body, so the
-count only grows.
+free: it has one placeholder, whatever a call passes, which each call binds
+when it places the template on its qubits; a literal placed in an inverted
+rotation is inverted as a literal. Each call builds its own placement, then
+applies its own inv/pow; calls are shared only between the replicas of a pow
+and the repeats of an invariant loop, and a plain placement is the
+template's own calls (see `ResolvedCall`). Every expansion is counted
+against UNROLL_CAP before its calls exist; a zero pow product builds nothing
+and walks no body, so the count only grows.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import (
 )
 
 UNROLL_CAP = 1 << 20
+_INT_BOUND = 10**fe.MAX_INT_DIGITS  # the least integer of more digits than any literal
 
 
 class SymbolKind(Enum):
@@ -110,7 +112,7 @@ POS = 1
 NEG = 0
 
 _SELF_INVERSE = frozenset("x y z h swap".split())
-_ROTATIONS = frozenset("rx ry rz p".split())
+_NEGATED = frozenset("rx ry rz p u".split())  # inverted by negating literal angles
 
 
 @dataclass(slots=True)
@@ -151,21 +153,25 @@ class Predicate:
     rhs: int = 0
 
 
+def _literal_inverse(base: str, angles: tuple) -> tuple | None:
+    """The inverse's angles of an rx/ry/rz/p/u gate with literal angles, each
+    negated (u's (th, ph, la) as (-th, -la, -ph)); else None."""
+    if base not in _NEGATED or any(isinstance(a, ParamRef) for a in angles):
+        return None
+    return (-angles[0], -angles[2], -angles[1]) if base == "u" else (-angles[0],)
+
+
 def _invert_gate(g: Gate) -> Gate:
     """Adjoint of a canonical gate.
 
-    Literal rotation angles are negated in place (u maps (th, ph, la) to
-    (-th, -la, -ph)); self-inverse bases are unchanged; everything else
-    (s/t/sx and symbolic-angle rotations) toggles the adjoint flag.
+    Literal rotation angles are negated in place, so no rotation with
+    literal angles holds the adjoint flag; self-inverse bases are unchanged;
+    everything else (s/t/sx and symbolic-angle rotations) toggles the flag.
     """
     if g.base in _SELF_INVERSE and not g.adjoint:
         return g
-    literal = not any(isinstance(a, ParamRef) for a in g.angles)
-    if g.base in _ROTATIONS and literal and not g.adjoint:
-        return Gate(g.base, tuple(-a for a in g.angles), g.targets, g.controls, False)
-    if g.base == "u" and literal and not g.adjoint:
-        th, ph, la = g.angles
-        return Gate("u", (-th, -la, -ph), g.targets, g.controls, False)
+    if not g.adjoint and (angles := _literal_inverse(g.base, g.angles)) is not None:
+        return Gate(g.base, angles, g.targets, g.controls, False)
     return Gate(g.base, g.angles, g.targets, g.controls, not g.adjoint)
 
 
@@ -207,21 +213,10 @@ def _invert_call(c: ResolvedCall) -> ResolvedCall:
     return ResolvedCall([_invert_gate(g) for g in reversed(c.ops)])
 
 
-@dataclass(frozen=True, slots=True)
-class _Formal:
-    """A template angle: the double bound to angle formal `index`, negated
-    when `sign` is -1. Inverting a gate negates it as a literal angle."""
-
-    index: int
-    sign: int = 1
-
-    def __neg__(self) -> "_Formal":
-        return _Formal(self.index, -self.sign)
-
-
 @dataclass(frozen=True)
 class _FormalRef(ParamRef):
-    """A template angle: the ParamRef bound to angle formal `slot`."""
+    """A template angle: the one placeholder of free angle formal `slot`,
+    whatever its calls pass; inverting it toggles the adjoint flag."""
 
 
 def _signed(values: tuple) -> tuple:
@@ -230,20 +225,13 @@ def _signed(values: tuple) -> tuple:
     return values + tuple([math.copysign(1.0, a) for a in values if a == 0]) if 0 in values else values
 
 
-def _bound(angle, values: list[Angle]) -> Angle:
-    """A template angle with the formals of one call substituted."""
-    if type(angle) is _Formal:
-        return values[angle.index] if angle.sign > 0 else -values[angle.index]
-    return values[angle.slot] if type(angle) is _FormalRef else angle
-
-
 @dataclass
 class _Template:
-    """A user gate body compiled once per key (see `_Analyzer._template`)
-    over its formal qubits, numbered 0 to k-1, with `_Formal` and
-    `_FormalRef` angles where a formal is bound per call. Each call places
-    it anew; only a plain placement shares its calls. No check of its walk
-    saw more than `count`: the count only grows (see `_Analyzer._part`)."""
+    """A user gate body compiled once per key, the gate and its signed fixed
+    angles (see `_Analyzer._template`), over its formal qubits 0 to k-1, with
+    one placeholder per free formal. Each call places it anew; only a
+    plain placement shares its calls. No check of its walk saw more than
+    `count`: the count only grows (see `_Analyzer._part`)."""
 
     count: int  # canonical gates one plain call lowers to
     height: int  # definitions it nests, itself included
@@ -253,9 +241,11 @@ class _Template:
 
     def place(self, targets: list[int], controls: tuple, algebra: Algebra, angles: list) -> list[ResolvedCall]:
         """The calls with formal qubit i moved to `targets[i]`, `controls`
-        prepended and the free formals bound to `angles`; then a caller's
-        inv/pow through `_algebra`. A plain placement (no controls, no free
-        formal, on qubits 0 to k-1 in order) is the template's own calls."""
+        prepended and each placeholder `_FormalRef(i)` bound to `angles[i]`:
+        a literal placed in an inverted rotation is inverted as a literal,
+        rz(-0.5) and not a flagged rz(0.5). Then a caller's inv/pow through
+        `_algebra`. A plain placement (no controls, no free formal, on qubits
+        0 to k-1 in order) is the template's own calls."""
         calls = self.calls
         if controls or self.free or targets != list(range(len(targets))):
             where = targets.__getitem__
@@ -265,8 +255,12 @@ class _Template:
                 ops = []
                 for g in c.ops:
                     inner = controls + tuple([(where(q), pol) for q, pol in g.controls]) if g.controls else controls
-                    args = tuple([_bound(a, bind) for a in g.angles]) if bind and g.angles else g.angles
-                    ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, g.adjoint))
+                    args, adjoint = g.angles, g.adjoint
+                    if bind and args:
+                        args = tuple([bind[a.slot] if type(a) is _FormalRef else a for a in args])
+                        if adjoint and (inverse := _literal_inverse(g.base, args)) is not None:
+                            args, adjoint = inverse, False
+                    ops.append(Gate(g.base, args, tuple(map(where, g.targets)), inner, adjoint))
                 moved.append(ResolvedCall(ops))
             calls = moved
         return _algebra(calls, algebra, _invert_call)
@@ -347,7 +341,8 @@ def const_eval(expr: fe.Expr, symbols: Symbols) -> float | int:
     Division yields an int only when both operands are ints and the division
     is exact; otherwise a double. Raises NotConst for runtime inputs and
     registers, DivByZero on zero divisors, and NonFiniteConst at the first
-    operation whose result is inf or NaN or overflows a double.
+    operation whose result is inf or NaN, overflows a double, or is an int
+    of more digits than a literal may have (MAX_INT_DIGITS).
     """
     kind = type(expr)
     if kind is fe.FloatLit or kind is fe.IntLit:
@@ -386,6 +381,10 @@ def const_eval(expr: fe.Expr, symbols: Symbols) -> float | int:
             value = math.inf
         if type(value) is float and not math.isfinite(value):
             raise NonFiniteConst(f"constant expression folds to {value}", expr.span)
+        if type(value) is int and not -_INT_BOUND < value < _INT_BOUND:
+            raise NonFiniteConst(
+                f"constant expression folds to an integer of more than {fe.MAX_INT_DIGITS} digits", expr.span
+            )
         return value
     raise NotConst("not a constant arithmetic expression", expr.span)
 
@@ -736,25 +735,23 @@ class _Analyzer:
         return ([op[i] if type(op) is range else op for op in operands] for i in range(widths.pop()))
 
     def _template(self, name: str, algebra: Algebra, angles: list, span: fe.Span, stack: tuple) -> _Template:
-        """The template of user gate `name` for `angles`; one call under
-        `algebra`, whose pow product is not zero (see `_part`), leaves its
-        gates counted. The checks are those of walking the body here, in
-        order: a lower bound on the cost, the body, then its count times the
-        pow product, before the replicas exist. As the count only grows, a
-        template is reused where its count fits the budget, its height the
-        nesting limit, and no gate it left unwalked is on the stack; else
-        the body is walked again, to raise at the same call as before."""
+        """The template of user gate `name` for `angles`, keyed by the gate
+        and its signed fixed angles, as free formals are placeholders; one
+        call under `algebra`, whose pow product is not zero (see `_part`),
+        leaves its gates counted. The checks are those of walking the body
+        here, in order: a lower bound on the cost, the body, then its count
+        times the pow product, before the replicas exist. As the count only
+        grows, a template is reused where its count fits the budget, its
+        height the nesting limit, and no gate it left unwalked is on the
+        stack; else the body is walked again, to raise at the same call as
+        before."""
         product = _pow_product(algebra)
         self._check_budget(self._gate_min_cost(name) * product, span)
         base = self.stmt_count
-        # Free formals are bound when the template is placed; only whether
-        # each is a ParamRef selects the template. The other angles select it
-        # by value and sign. A body reads nothing else that could differ
-        # between calls: its other names are global.
+        # Of what a body reads, only the fixed angles can differ between
+        # calls: its other names are global.
         free = self.free_formals[name]
-        fixed = _signed(tuple([a for a, f in zip(angles, free) if not f]))
-        runtime = tuple([isinstance(a, ParamRef) for a, f in zip(angles, free) if f])
-        key = (name, fixed, runtime)
+        key = (name, _signed(tuple([a for a, f in zip(angles, free) if not f])))
         template = self.templates.get(key)
         reuse = template and base + template.count <= UNROLL_CAP and template.unwalked.isdisjoint(stack)
         if not (reuse and len(stack) + template.height <= fe.MAX_NESTING):
@@ -769,18 +766,19 @@ class _Analyzer:
         nested user gate where it is called. `stmt_count` counts the
         gates built into the bodies of every inline in progress, so sibling
         bodies cannot each grow to the cap; the body stays counted there.
-        A call under a zero pow product charges nothing and walks no body."""
-        # A free formal is bound to a placeholder, which the body never folds
-        # (it is only ever a whole angle); placing the template replaces it.
-        # The body's names resolve in one table: the formals over the
-        # globals. Only bare references to a formal bound to a ParamRef are
-        # representable; as a runtime input, const_eval reports NotConst.
+        A call under a zero pow product charges nothing and walks no body.
+        Each free formal is bound to its one placeholder, `_FormalRef(i)`,
+        whatever the call passes."""
+        # The body never folds a placeholder (it is only ever a whole
+        # angle), and placing the template replaces it. The body's names
+        # resolve in one table: the formals over the globals. Only bare
+        # references to a formal bound to a ParamRef are representable.
         free = self.free_formals[gate_def.name]
         formals: dict[str, Angle] = {}
         scoped = dict(self.globals)
         for i, (name, value) in enumerate(zip(gate_def.params, angles)):
+            formals[name] = value = _FormalRef(i) if free[i] else value
             runtime = isinstance(value, ParamRef)
-            formals[name] = value = (_FormalRef(i) if runtime else _Formal(i)) if free[i] else value
             scoped[name] = SymbolEntry(_INPUT if runtime else _CONST, 1, None if runtime else value)
         slots = {name: i for i, name in enumerate(gate_def.qubits)}
         base = self.stmt_count

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from qasm2cudaq import cli, sim
+from qasm2cudaq import cli, sim, suites
 
 from conftest import EXPANSION_PROBES, LONG_INT_PROBES, NESTING_PROBES, NON_FINITE_PROBES, UNICODE_DIGITS_PROBE
 
@@ -220,6 +221,30 @@ def test_closed_stdout_is_one_line_error(tmp_path, source, flags):
     assert err == "error: standard output was closed before all output was written\n"
 
 
+def test_closed_stdout_in_process_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # the handler in this process, with stdout a pipe whose reader closes after one line
+    path = tmp_path / "wide.qasm"
+    path.write_text('OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[16] q;\nh q;\n')
+    read_fd, write_fd = os.pipe()
+    first = []
+
+    def read_one_line():
+        with os.fdopen(read_fd, "rb") as reader:
+            first.append(reader.readline())
+
+    reader = threading.Thread(target=read_one_line)
+    reader.start()
+    with os.fdopen(write_fd, "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        code = cli.main(["run", str(path), "--statevector"])
+        monkeypatch.undo()
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 2
+    assert first[0].startswith(b"0000000000000000 ")
+    assert capsys.readouterr().err == "error: standard output was closed before all output was written\n"
+
+
 class TestTranspile:
     def test_emit_to_file(self, bell_file, tmp_path, capsys):
         out = tmp_path / "kernel.cpp"
@@ -272,6 +297,18 @@ class TestTranspile:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and f" at {line}:{col}: " in captured.err
 
+    def test_a_fold_past_the_literal_digits_is_one_line_error(self, tmp_path, capsys):
+        # 600 nines to the 8th has 4,800 digits, past what str() prints by default
+        path = tmp_path / "fold.qasm"
+        path.write_text(
+            'OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit q;\n'
+            f"const int k = {'9' * 600};\nconst int m = k*k*k*k*k*k*k*k;\nx q[m];\n"
+        )
+        assert cli.main(["transpile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: semantic error at 5:15: constant expression folds to an integer of more than 640 digits\n"
+
     @pytest.mark.parametrize("name", sorted(EXPANSION_PROBES))
     def test_expansion_probe_is_one_line_error(self, tmp_path, capsys, name):
         path = tmp_path / "probe.qasm"
@@ -292,3 +329,11 @@ class TestValidate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reports"][0]["suite"] == "teleport"
         assert payload["reports"][0]["passed"] is True
+
+    def test_a_failing_case_is_listed(self, capsys, monkeypatch):
+        report = suites.SuiteReport("reset", [suites.CaseResult("ok", True, 0.0, 0.1), suites.CaseResult("off", False, 0.5, 0.1)])
+        monkeypatch.setitem(suites.SUITES, "reset", lambda seed, shots: report)
+        assert cli.main(["validate", "--suite", "reset"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] suite reset: 2 case(s) in 0.00s\n    FAIL off: metric=0.5 threshold=0.1\n"
+        )

@@ -295,6 +295,15 @@ class TestTargets:
         with pytest.raises(UnsupportedOp, match=f"^no {target} rendering for Foreign$"):
             emit(kernel, target)
 
+    @pytest.mark.parametrize("target", EMISSION_TARGETS)
+    @pytest.mark.parametrize("slot", [-1, 4], ids=["negative", "past-the-layout"])
+    def test_param_slot_outside_the_layout(self, target, slot):
+        # unreachable from compiled source, where sema numbers every slot
+        kernel = compile_source(GOLDEN_CASES["param_array"])
+        kernel.body.append(kir.Gate("rz", (kir.ParamRef(slot),), (0,), ()))
+        with pytest.raises(UnsupportedOp, match=f"^parameter slot {slot} outside the kernel's layout$"):
+            emit(kernel, target)
+
     def test_builder_guarded_entry(self):
         builder = emit(compile_source(GOLDEN_CASES["bell"]), "cudaq-builder").text
         assert 'if __name__ == "__main__":' in builder

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 import time
 import tracemalloc
 
@@ -261,6 +262,63 @@ class TestErrors:
         with pytest.raises(NonConstLoopBound):
             analyze(f"{HEADER}qubit q;\nfor int i in [0:0:3] {{ h q; }}\n")
 
+
+
+# Each `*` of a 600-digit integer by itself doubles its digits, so the first
+# product already has more than MAX_INT_DIGITS.
+_NINES = "9" * 600
+_POWERS = f"const int k = {_NINES};\nconst int m = k*k*k*k*k*k*k*k;\n"
+_PAST_THE_DIGITS = "constant expression folds to an integer of more than 640 digits"
+
+
+class TestFoldedIntegers:
+    """Constant arithmetic folds no integer of more digits than a literal may
+    have, so every integer a text formats prints under any int_max_str_digits,
+    and a chain of squarings stops at its first."""
+
+    def test_comparison_against_a_huge_constant(self):
+        # unbounded, it compiled, and kir.dump and the builder emitter raised ValueError printing m
+        source = HEADER + _POWERS + "qubit[20000] q;\nbit[20000] c;\nc = measure q;\nif (c == m) { x q[0]; }\n"
+        with pytest.raises(NonFiniteConst) as exc:
+            kir.compile_source(source)
+        assert str(exc.value) == f"semantic error at 4:15: {_PAST_THE_DIGITS}"
+
+    @pytest.mark.parametrize("lines", [3, 16])
+    def test_a_squaring_chain_raises_at_its_first_square(self, lines):
+        # each line doubles the digits; unbounded, 16 lines took minutes
+        chain = "".join(f"const int a{i + 1} = a{i} * a{i};\n" for i in range(lines))
+        started = time.process_time()
+        with pytest.raises(NonFiniteConst) as exc:
+            analyze(f"{HEADER}const int a0 = {_NINES};\n{chain}qubit q;\n")
+        assert time.process_time() - started < 1.0
+        assert str(exc.value) == f"semantic error at 4:16: {_PAST_THE_DIGITS}"
+
+    @pytest.mark.parametrize(
+        "expr, folds",
+        [("+ 0", True), ("+ 1", False), ("* -1", True), ("* -1 - 1", False), ("* 10 / 10", False)],
+    )
+    def test_the_bound_is_the_literal_digits(self, expr, folds):
+        source = f"{HEADER}const int k = {'9' * fe.MAX_INT_DIGITS} {expr};\nqubit q;\n"
+        if folds:
+            assert len(str(abs(analyze(source).symbols["k"].const_value))) == fe.MAX_INT_DIGITS
+        else:
+            with pytest.raises(NonFiniteConst) as exc:
+                analyze(source)
+            assert str(exc.value).endswith(_PAST_THE_DIGITS)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int_max_str_digits limit")
+    def test_the_largest_fold_formats_at_the_lowest_digit_limit(self):
+        # 640, the least nonzero limit the interpreter accepts, still prints a 640-digit index
+        k = int("9" * 320) ** 2
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(IndexOutOfRange) as exc:
+                analyze(f"{HEADER}const int k = {'9' * 320} * {'9' * 320};\nqubit q;\nx q[k];\n")
+            text = str(exc.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == f"semantic error at 5:3: index {k} out of range for qubit register 'q' of size 1"
 
 class TestUnrolling:
     def test_two_iteration_unroll(self):

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qasm2cudaq import compile_source, frontend as fe, kir, sema
+from qasm2cudaq import compile_source, frontend as fe, kir, sema, sim
 from qasm2cudaq.errors import NotConst, ProgramTooLarge, RecursiveGateDef, SemaError, UndefinedName
 from qasm2cudaq.oracle import oracle_unitary
 
 from conftest import CORPUS
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, emission_digest_corpus, histogram_corpus, kir_dump_corpus
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 QUBITS = 4
@@ -462,8 +462,8 @@ class TestFreeFormals:
             "for int i in [0:49] { g(i * 0.01) q[0], q[1]; g(th[i]) q[1], q[0]; w(0.5) q[0], q[1]; }\n"
         )
         body = compile_source(source).body
-        # one for a literal t, one for a runtime t; w passes t/2 on, so its t is keyed by value
-        assert compiled == ["g", "g", "w"]
+        # a literal and a runtime t share g's template; w passes t/2 on, so its t is keyed by value
+        assert compiled == ["g", "w"]
         assert len(body) == 50 * 9
         assert [op.angles for op in body[63:66]] == [(), (7 * 0.01,), (-(7 * 0.01),)]
         assert [(op.angles, op.adjoint) for op in body[67:69]] == [((sema.ParamRef(7),), False), ((sema.ParamRef(7),), True)]
@@ -483,12 +483,152 @@ class TestFreeFormals:
             "qubit[2] q;\nfor int i in [0:3] { w(i * 0.5) q[0], q[1]; w(th[i]) q[1], q[0]; }\n"
         )
         body = compile_source(source).body
-        assert compiled == ["w", "g", "w", "g"]  # a literal and a runtime t
+        assert compiled == ["w", "g"]  # a literal and a runtime t share each template
         assert [(op.angles, op.targets) for op in body[4:6]] == [((0.5,), (0,)), ((-0.5,), (1,))]
         assert [(op.angles, op.targets, op.adjoint) for op in body[6:8]] == [
             ((sema.ParamRef(1),), (1,), False),
             ((sema.ParamRef(1),), (0,), True),
         ]
+
+
+
+_NEGATED = frozenset("rx ry rz p u".split())
+
+
+def _flagged_literal_rotations(ops: list) -> list:
+    """The rotation and u gates in `ops`, conditional bodies included, whose
+    angles are all literal but which hold the adjoint flag: a literal
+    inverse negates its angles instead."""
+    out = []
+    for op in ops:
+        if type(op) is kir.CondBlock:
+            out += _flagged_literal_rotations(op.then_body) + _flagged_literal_rotations(op.else_body)
+        elif type(op) is sema.Gate and op.adjoint and op.base in _NEGATED:
+            if not any(isinstance(a, sema.ParamRef) for a in op.angles):
+                out.append(op)
+    return out
+
+
+_RECORDED = [
+    *GOLDEN_CASES.values(), *CORPUS, *emission_digest_corpus().values(),
+    *kir_dump_corpus().values(), *histogram_corpus().values(),
+]
+
+
+# Builtins whose angles a free formal may feed: name -> (angle count, qubit count)
+_FREE_CALLEES = {"rx": (1, 1), "ry": (1, 1), "rz": (1, 1), "p": (1, 1), "u": (3, 1), "crz": (1, 2), "cp": (1, 2)}
+_FREE_MODIFIERS = ["inv", "inv @ inv", "pow(2)", "pow(-1)", "pow(-2)", "pow(k)", "ctrl", "negctrl"]
+_FREE_VALUES = [0.0, -0.0, 0.3, -1.25, 2.5]
+
+
+def _free_mods(draw, n_qubits: int, width: int, exponent: bool) -> list[str]:
+    """0-2 modifiers; a control only while an operand is left for it."""
+    mods: list[str] = []
+    for _ in range(draw(st.integers(0, 2))):
+        kinds = _FREE_MODIFIERS if n_qubits + _controls(mods) < width else _FREE_MODIFIERS[:-2]
+        mods.append(draw(st.sampled_from([m for m in kinds if exponent or m != "pow(k)"])))
+    return mods
+
+
+@st.composite
+def free_formal_programs(draw) -> tuple[str, list[tuple], list[float]]:
+    """(definitions, calls, values): 1-3 user gates whose angle formals are
+    only ever whole angles of rotations, u and earlier user gates under
+    inv, pow, ctrl and negctrl, so every one is free, and a last formal k,
+    fixed, that only pow exponents read. Each gate is called once; a call
+    is (modifiers, gate, angle values, k, operands)."""
+    gates: dict[str, tuple[int, int]] = {}  # name -> (angle formals, qubits)
+    lines = []
+    for g in range(draw(st.integers(1, 3))):
+        formals = [f"t{j}" for j in range(draw(st.integers(1, 3)))]
+        qubits = [f"a{j}" for j in range(draw(st.integers(1, 3)))]
+        callees = {**_FREE_CALLEES, **gates}
+        body = []
+        for _ in range(draw(st.integers(1, 3))):
+            name = draw(st.sampled_from(sorted(n for n, (_, q) in callees.items() if q <= len(qubits))))
+            n_angles, n_qubits = callees[name]
+            mods = _free_mods(draw, n_qubits, len(qubits), True)
+            args = [draw(st.sampled_from(formals + [repr(v) for v in _FREE_VALUES])) for _ in range(n_angles)]
+            if name in gates:
+                args.append(draw(st.sampled_from(["k", "-1", "2"])))
+            operands = draw(st.permutations(qubits))[: n_qubits + _controls(mods)]
+            body.append("".join(m + " @ " for m in mods) + f"{name}({', '.join(args)}) {', '.join(operands)};")
+        lines.append(f"gate g{g}({', '.join(formals)}, k) {', '.join(qubits)} {{ {' '.join(body)} }}\n")
+        gates[f"g{g}"] = (len(formals), len(qubits))
+    calls = []
+    for name, (n_angles, n_qubits) in gates.items():
+        mods = _free_mods(draw, n_qubits, QUBITS, False)
+        values = [draw(st.sampled_from(_FREE_VALUES)) for _ in range(n_angles)]
+        operands = draw(st.permutations(range(QUBITS)))[: n_qubits + _controls(mods)]
+        calls.append((mods, name, values, draw(st.sampled_from([-1, 1, 2])), operands))
+    return "".join(lines), calls, [v for call in calls for v in call[2]]
+
+
+def _free_call(call: tuple, slot: int | None) -> str:
+    """A call's text: its angle values written as literals, or (from
+    input slot `slot` on) as elements of th."""
+    mods, name, values, k, operands = call
+    angles = [repr(v) for v in values] if slot is None else [f"th[{slot + i}]" for i in range(len(values))]
+    qubits = ", ".join(f"q[{i}]" for i in operands)
+    return "".join(m + " @ " for m in mods) + f"{name}({', '.join(angles + [str(k)])}) {qubits};\n"
+
+
+def _free_sources(program: tuple) -> tuple[str, str, str]:
+    """(header, literal calls, runtime calls) of a drawn program: the
+    runtime calls read their angles from consecutive elements of th."""
+    defs, calls, values = program
+    header = HEADER + f"input array[float[64], {len(values)}] th;\n" + defs + f"qubit[{QUBITS}] q;\n"
+    slots = np.cumsum([0] + [len(c[2]) for c in calls]).tolist()
+    literal = "".join(_free_call(c, None) for c in calls)
+    return header, literal, "".join(_free_call(c, slot) for c, slot in zip(calls, slots))
+
+
+class TestNormalForm:
+    """No rotation or u gate with literal angles holds the adjoint flag,
+    however its angle reached it: written at the call, or placed in a
+    template's placeholder."""
+
+    def test_recorded_corpora(self):
+        flagged = {i: _flagged_literal_rotations(compile_source(s).body) for i, s in enumerate(_RECORDED)}
+        assert {i: ops for i, ops in flagged.items() if ops} == {}
+
+    @given(algebra_programs() | free_formal_programs().map(lambda p: "".join(_free_sources(p)[:2])))
+    def test_generated_programs(self, source):
+        assert _flagged_literal_rotations(compile_source(source).body) == []
+
+
+class TestLiteralAndRuntimeBindings:
+    """A free formal has one placeholder, whatever a call passes: a literal
+    and a runtime binding share the template and give the same state, the
+    one the definition semantics give."""
+
+    @settings(max_examples=max(250, settings().max_examples))  # a larger profile count wins
+    @given(free_formal_programs())
+    def test_literal_and_runtime_calls_agree(self, program):
+        header, literal, runtime = _free_sources(program)
+        values = program[2]
+        compiled = []
+        original = sema._Analyzer._compile
+
+        def counting(self, gate_def, angles, *args):
+            free = self.free_formals[gate_def.name]
+            compiled.append((gate_def.name, sema._signed(tuple(a for a, f in zip(angles, free) if not f))))
+            return original(self, gate_def, angles, *args)
+
+        kernels, logs = {}, {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sema._Analyzer, "_compile", counting)
+            for name, body in (("literal", literal), ("runtime", runtime), ("both", literal + runtime)):
+                compiled.clear()
+                kernels[name] = compile_source(header + body)
+                logs[name] = list(compiled)
+        states = [sim.statevector(kir.bind(kernels[name], values)).amps for name in ("literal", "runtime")]
+        np.testing.assert_allclose(states[1], states[0], atol=1e-12)
+        # both bindings share the placement, so the definition semantics judge it
+        np.testing.assert_allclose(states[0], reference_unitary(header + literal)[:, 0], atol=1e-12)
+        # one template per (gate, fixed key): the runtime calls compile none of their own
+        assert len(set(logs["both"])) == len(logs["both"])
+        assert logs["both"] == logs["literal"]
 
 
 # User gates for placements in a loop: a plain template (e), free angles (g,
